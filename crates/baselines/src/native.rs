@@ -62,11 +62,7 @@ impl<'a> NativeCpuEngine<'a> {
             let mut p = Matrix::<i8>::zeros(sl, sl);
             softmax.forward_matrix(logits.as_slice(), sl, p.as_mut_slice());
             let acc_sv = matmul_i8_i32_parallel(&p, &vi);
-            let rq = Requantizer::new(
-                s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(),
-                s.act_fmt,
-                s.rounding,
-            );
+            let rq = s.sv_requantizer();
             sv.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
         }
 

@@ -13,9 +13,21 @@
 //!   floor a runner without SIMD support must still clear;
 //! * the panel-parallel entry point no slower than the serial kernel
 //!   (within a 10% + 50µs noise allowance) on *every* sweep shape;
+//! * the fused bias + requant epilogue at most 1.15× the bare serial
+//!   GEMM on the encoder-sized sweep shapes (`k`, `n` ≥ 768);
 //! * the timing memo wins the serving sweep.
 
 use protea_bench::kernels;
+
+/// The fused-epilogue gate: a fused GEMM may cost at most this multiple
+/// of the bare one ...
+const FUSED_MAX_RATIO: f64 = 1.15;
+/// ... at every sweep shape whose `k` and `n` reach the encoder's
+/// `d_model`. On a 2-core AVX-512 host the shallower rows measure up
+/// to 1.17× (32×96×96) and 1.15× (64×256×256) — their GEMMs hide little
+/// of the narrowing — and are reported, not gated; the 768-wide rows
+/// measure at most 1.08× under every kernel ISA.
+const FUSED_GATE_MIN_DIM: usize = 768;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -41,28 +53,40 @@ fn main() {
         let fallback = report.fallback_gate();
         let memo = report.fleet.speedup;
         let regressions = report.parallel_regressions(0.10);
+        let fused = report.fused_regressions(FUSED_MAX_RATIO, FUSED_GATE_MIN_DIM);
         println!(
             "\ncheck: gate ({} vs tiled @128x768x768) = {gate:.2}x (need >= {gate_need}), \
              fallback = {fallback:.2}x (need >= 3), memo sweep = {memo:.2}x (need > 1)",
             report.kernel
         );
+        // Every failing gate is reported before exiting, so one run
+        // shows all of them.
+        let mut failures = Vec::new();
         if gate < gate_need {
-            eprintln!("FAIL: dispatched kernel below {gate_need}x on the gate shape");
-            std::process::exit(1);
+            failures.push(format!("dispatched kernel below {gate_need}x on the gate shape"));
         }
         if fallback < 3.0 {
-            eprintln!("FAIL: portable fallback kernel below 3x on the gate shape");
-            std::process::exit(1);
+            failures.push("portable fallback kernel below 3x on the gate shape".to_string());
         }
         if !regressions.is_empty() {
-            eprintln!(
-                "FAIL: panel-parallel GEMM slower than serial on: {}",
+            failures.push(format!(
+                "panel-parallel GEMM slower than serial on: {}",
                 regressions.join(", ")
-            );
-            std::process::exit(1);
+            ));
+        }
+        if !fused.is_empty() {
+            failures.push(format!(
+                "fused requant epilogue above {FUSED_MAX_RATIO}x the bare GEMM on: {}",
+                fused.join(", ")
+            ));
         }
         if memo <= 1.0 {
-            eprintln!("FAIL: timing memo does not speed up the serving sweep");
+            failures.push("timing memo does not speed up the serving sweep".to_string());
+        }
+        for f in &failures {
+            eprintln!("FAIL: {f}");
+        }
+        if !failures.is_empty() {
             std::process::exit(1);
         }
         println!("check passed");

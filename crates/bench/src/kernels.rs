@@ -32,8 +32,8 @@ use protea_platform::FpgaDevice;
 use protea_serve::{Fleet, FleetConfig, ServePlan, Workload};
 use protea_tensor::{
     active_kernel, force_kernel, matmul_i8_i32, matmul_i8_i32_packed,
-    matmul_i8_i32_packed_parallel, matmul_i8_requant_packed, supported_kernels, KernelIsa, Matrix,
-    PackedWeights, TileGrid,
+    matmul_i8_i32_packed_parallel, matmul_i8_packed_requant, supported_kernels, KernelIsa, Matrix,
+    PackedWeights, RequantEpilogue, TileGrid,
 };
 use std::time::Instant;
 
@@ -63,10 +63,13 @@ pub struct GemmRow {
     pub packed_ms: f64,
     /// Packed microkernel through the panel-parallel entry point, ms.
     pub packed_parallel_ms: f64,
-    /// Fused requant epilogue (`matmul_i8_requant_packed`), ms — the
-    /// GEMM *plus* the narrowing stage the separate pipeline pays as an
-    /// extra `O(m·n)` pass.
+    /// Fused bias + requant epilogue (`matmul_i8_packed_requant`,
+    /// serial), ms — the GEMM *plus* the narrowing stage the separate
+    /// pipeline pays as an extra `O(m·n)` pass.
     pub fused_ms: f64,
+    /// Median of fused over bare serial GEMM time across interleaved
+    /// pairs — the fused-epilogue gate's ratio.
+    pub fused_ratio: f64,
     /// Serial timing with each supported ISA forced in turn.
     pub per_isa: Vec<IsaMs>,
     /// `tiled_ms / packed_ms` — the headline per-kernel speedup.
@@ -158,6 +161,20 @@ impl KernelsReport {
         self.kernel != KernelIsa::Packed.to_string() && self.kernel != KernelIsa::Scalar.to_string()
     }
 
+    /// Shapes with `k` and `n` of at least `min_dim` where the fused
+    /// requant epilogue costs more than `max_ratio ×` the bare serial
+    /// GEMM — empty means the epilogue is near-free at those shapes,
+    /// the fused-epilogue gate. Shallower rows are reported but not
+    /// gated: there the GEMM is too short to hide the narrowing.
+    #[must_use]
+    pub fn fused_regressions(&self, max_ratio: f64, min_dim: usize) -> Vec<String> {
+        self.gemm
+            .iter()
+            .filter(|r| r.k.min(r.n) >= min_dim && r.fused_ratio > max_ratio)
+            .map(|r| format!("{}x{}x{} ({:.2}x)", r.m, r.k, r.n, r.fused_ratio))
+            .collect()
+    }
+
     /// Shapes where the panel-parallel entry point ran slower than the
     /// serial kernel beyond `tol_frac` (+ a fixed 50µs noise floor) —
     /// empty means parallel ≥ serial everywhere, the regression gate.
@@ -185,7 +202,7 @@ impl KernelsReport {
             s.push_str(&format!(
                 "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"tiled_ms\": {:.4}, \"dense_ms\": {:.4}, \
                  \"packed_ms\": {:.4}, \"packed_parallel_ms\": {:.4}, \"fused_ms\": {:.4}, \
-                 \"isa_ms\": {{{}}}, \"speedup\": {:.3}}}{}\n",
+                 \"fused_ratio\": {:.3}, \"isa_ms\": {{{}}}, \"speedup\": {:.3}}}{}\n",
                 r.m,
                 r.k,
                 r.n,
@@ -194,6 +211,7 @@ impl KernelsReport {
                 r.packed_ms,
                 r.packed_parallel_ms,
                 r.fused_ms,
+                r.fused_ratio,
                 isa_ms.join(", "),
                 r.speedup,
                 if i + 1 < self.gemm.len() { "," } else { "" }
@@ -241,6 +259,7 @@ impl KernelsReport {
                     num(r.packed_ms),
                     num(r.packed_parallel_ms),
                     num(r.fused_ms),
+                    format!("{:.2}x", r.fused_ratio),
                     format!("{:.2}x", r.speedup),
                 ]
             })
@@ -284,6 +303,7 @@ impl KernelsReport {
                     "packed ms",
                     "packed-par ms",
                     "fused ms",
+                    "fused/bare",
                     "speedup"
                 ],
                 &gemm_rows
@@ -339,10 +359,29 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
     let packed_parallel_ms = min_ms(iters, || {
         std::hint::black_box(matmul_i8_i32_packed_parallel(&a, &packed));
     });
+    // Every encoder projection carries a bias, so the fused epilogue
+    // is timed with one. It is gated against the bare GEMM as the
+    // median ratio of interleaved pairs, over at least 10 pairs and
+    // 300 ms: host noise then lands on both sides of each pair, and the
+    // microsecond-scale shapes get enough pairs for a stable median.
     let rq = Requantizer::new(10, QFormat::new(8, 5), Rounding::NearestEven);
-    let fused_ms = min_ms(iters, || {
-        std::hint::black_box(matmul_i8_requant_packed(&a, &packed, None, rq));
-    });
+    let bias: Vec<i32> = (0..n).map(|j| (j as i32 % 97 - 48) * 211).collect();
+    let epi = RequantEpilogue::new(rq.lanes()).with_bias(&bias);
+    let mut fused_ms = f64::INFINITY;
+    let mut ratios = Vec::new();
+    let start = Instant::now();
+    while ratios.len() < iters.max(10) as usize || start.elapsed().as_secs_f64() < 0.3 {
+        let bare = min_ms(1, || {
+            std::hint::black_box(matmul_i8_i32_packed(&a, &packed));
+        });
+        let fused = min_ms(1, || {
+            std::hint::black_box(matmul_i8_packed_requant(&a, &packed, &epi));
+        });
+        fused_ms = fused_ms.min(fused);
+        ratios.push(fused / bare);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let fused_ratio = ratios[ratios.len() / 2];
     // Per-ISA rows: the same serial GEMM with each supported kernel
     // forced. The scalar control is slow at the large shapes, so it gets
     // fewer repetitions.
@@ -367,6 +406,7 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
         packed_ms,
         packed_parallel_ms,
         fused_ms,
+        fused_ratio,
         per_isa,
         speedup: tiled_ms / packed_ms,
     }
@@ -501,8 +541,35 @@ mod tests {
         for isa in supported_kernels() {
             assert!(names.contains(&isa.to_string()), "missing per-ISA row for {isa}");
         }
-        assert!(r.fused_ms > 0.0);
+        assert!(r.fused_ms > 0.0 && r.fused_ratio > 0.0);
         assert!(r.fallback_speedup() > 0.0);
+    }
+
+    #[test]
+    fn fused_gate_flags_only_wide_rows_over_the_ratio() {
+        let mut slow = gemm_row(4, 16, 12, 1);
+        slow.fused_ratio = 1.2;
+        let mut fast = slow.clone();
+        fast.fused_ratio = 1.1;
+        let mut narrow = gemm_row(4, 8, 12, 1);
+        narrow.fused_ratio = 1.3;
+        let rep = KernelsReport {
+            kernel: active_kernel().to_string(),
+            supported: Vec::new(),
+            gemm: vec![slow, fast, narrow],
+            model: ModelRow {
+                d_model: 1,
+                heads: 1,
+                seq_len: 1,
+                layers: 1,
+                fast_ms: 1.0,
+                reference_ms: 1.0,
+                speedup: 1.0,
+                threads: 1,
+            },
+            fleet: FleetRow { requests: 1, memo_ms: 1.0, no_memo_ms: 1.0, speedup: 1.0 },
+        };
+        assert_eq!(rep.fused_regressions(1.15, 12), vec!["4x16x12 (1.20x)".to_string()]);
     }
 
     #[test]
@@ -528,7 +595,7 @@ mod tests {
         assert!(j.contains("\"fallback_speedup_768\""));
         assert!(j.contains("\"kernel\""));
         assert!(j.contains("\"isa_ms\""));
-        assert!(j.contains("\"fused_ms\""));
+        assert!(j.contains("\"fused_ms\"") && j.contains("\"fused_ratio\""));
         assert!(j.contains("\"fleet\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

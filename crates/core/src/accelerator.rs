@@ -15,12 +15,11 @@ use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::{SynthesisConfig, SynthesizedDesign};
 use protea_fixed::activation::ActivationLut;
-use protea_fixed::Requantizer;
 use protea_hwsim::Cycles;
 use protea_model::quantized::LogitRequant;
 use protea_model::QuantizedEncoder;
 use protea_platform::FpgaDevice;
-use protea_tensor::{matmul_i8_packed_epilogue, Matrix, PackedWeights};
+use protea_tensor::{matmul_i8_packed_requant, Matrix, PackedWeights, RequantEpilogue};
 use std::sync::OnceLock;
 
 /// The full ProTEA instance: one synthesized design, a runtime register
@@ -425,7 +424,9 @@ impl Accelerator {
     /// across column panels *inside* the GEMM; attention heads fan out
     /// across threads on top. The narrowing stages are derived from the
     /// same definitions as the reference path ([`LogitRequant`],
-    /// `projection_requantizer`, the activation LUT), and every kernel
+    /// `QuantSchedule::sv_requantizer`, `projection_epilogue`, the
+    /// activation LUT), resolved once per GEMM into strip epilogues
+    /// that are bit-exact against the per-element stages; every kernel
     /// reproduces `matmul_i8_i32`'s accumulators exactly, so the two
     /// paths cannot diverge — `tests/backend_equiv.rs` pins this across
     /// every dispatchable ISA.
@@ -442,12 +443,8 @@ impl Accelerator {
         let sl = rt.seq_len;
         let dk = rt.dk();
         let cfg = rt.to_model_config();
-        let logit_rq = LogitRequant::new(&cfg, s);
-        let sv_rq = Requantizer::new(
-            s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(),
-            s.act_fmt,
-            s.rounding,
-        );
+        let logit_epi = RequantEpilogue::new(LogitRequant::new(&cfg, s).lanes());
+        let sv_epi = RequantEpilogue::new(s.sv_requantizer().lanes());
 
         let mut h = x.clone();
         for (layer, pl) in weights.layers.iter().zip(&packed.layers).take(rt.layers) {
@@ -459,7 +456,7 @@ impl Accelerator {
             rayon::scope(|sc| {
                 for (head, slot) in head_outs.iter_mut().enumerate() {
                     let (q, k, v, softmax) = (&q, &k, &v, &softmax);
-                    let (logit_rq, sv_rq) = (&logit_rq, &sv_rq);
+                    let (logit_epi, sv_epi) = (&logit_epi, &sv_epi);
                     sc.spawn(move |_| {
                         let c0 = head * dk;
                         let qi = q.submatrix(0, c0, sl, dk);
@@ -469,17 +466,17 @@ impl Accelerator {
                         // bytes — a straight copy, so Q·Kᵀ runs on the
                         // packed kernel at negligible packing cost. The
                         // logit scale/narrow runs in the store loop.
-                        let logits = matmul_i8_packed_epilogue(
+                        let logits = matmul_i8_packed_requant(
                             &qi,
                             &PackedWeights::from_transpose(&ki),
-                            |_, a| logit_rq.apply(a),
+                            logit_epi,
                         );
                         let probs = softmax.compute_head(&logits);
                         // SV with its requantizer fused the same way.
-                        *slot = Some(matmul_i8_packed_epilogue(
+                        *slot = Some(matmul_i8_packed_requant(
                             &probs,
                             &PackedWeights::pack(&vi),
-                            |_, a| sv_rq.apply(a),
+                            sv_epi,
                         ));
                     });
                 }

@@ -18,7 +18,7 @@ use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::SynthesisConfig;
 use protea_fixed::activation::ActivationLut;
-use protea_fixed::{Requantizer, SoftmaxUnit};
+use protea_fixed::SoftmaxUnit;
 use protea_hwsim::Cycles;
 use protea_mem::kv as kv_mem;
 use protea_model::decoder::{QuantizedDecoder, QuantizedDecoderLayer};
@@ -421,8 +421,7 @@ fn tiled_attention(
     let v = proj(kv_src, wv, bv);
 
     let softmax = SoftmaxUnit::new(s.logit_fmt);
-    let rq =
-        Requantizer::new(s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(), s.act_fmt, s.rounding);
+    let rq = s.sv_requantizer();
     let mut concat = Matrix::<i8>::zeros(sl_q, d);
     for head in 0..rt.heads {
         let c0 = head * dk;

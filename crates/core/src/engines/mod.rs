@@ -19,9 +19,10 @@ pub mod qkv;
 pub mod softmax;
 pub mod sv;
 
+use protea_fixed::activation::ActivationLut;
 use protea_fixed::{QFormat, Requantizer};
 use protea_model::QuantSchedule;
-use protea_tensor::Matrix;
+use protea_tensor::{matmul_i8_packed_requant_parallel, Matrix, PackedWeights, RequantEpilogue};
 
 /// One engine access: a tile's data movement and compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,70 +33,76 @@ pub struct Access {
     pub compute_cycles: u64,
 }
 
-/// Finish a projection: add pre-scaled biases into the i32 accumulators
-/// and requantize to the activation format — the identical tail to
-/// `protea_model::quantized::project`, factored so the tiled path cannot
-/// drift from the golden model.
-#[must_use]
-pub fn finish_projection(
-    mut acc: Matrix<i32>,
-    bias: &[i32],
-    weight_fmt: QFormat,
-    s: &QuantSchedule,
-) -> Matrix<i8> {
-    assert_eq!(acc.cols(), bias.len(), "bias length mismatch");
-    for r in 0..acc.rows() {
-        for (a, &b) in acc.row_mut(r).iter_mut().zip(bias.iter()) {
-            *a = a.saturating_add(b);
-        }
-    }
-    let rq =
-        Requantizer::new(s.act_fmt.frac_bits() + weight_fmt.frac_bits(), s.act_fmt, s.rounding);
-    acc.map(|a| rq.apply(a))
-}
-
-/// The requantizer [`finish_projection`] applies for a projection with
-/// weights in `weight_fmt` — exposed so the fused GEMM epilogue and the
-/// separate-pass pipeline derive the stage from one definition.
+/// The requantizer a projection with weights in `weight_fmt` narrows
+/// through: the accumulator holds `act_frac + weight_frac` fractional
+/// bits and returns to the activation format.
 #[must_use]
 pub fn projection_requantizer(weight_fmt: QFormat, s: &QuantSchedule) -> Requantizer {
     Requantizer::new(s.act_fmt.frac_bits() + weight_fmt.frac_bits(), s.act_fmt, s.rounding)
 }
 
-/// Fused linear projection: `requant(x·W ⊕ bias)` in one GEMM pass, the
-/// bias add and requantization running in the kernel's store loop
-/// instead of a second sweep over a materialized i32 matrix.
-/// Byte-identical to `matmul` + [`finish_projection`] — same exact
-/// accumulators, same saturating bias add, same [`Requantizer`].
+/// A projection's whole narrowing stage — saturating bias add, then
+/// [`projection_requantizer`] — as the strip epilogue every projection
+/// path shares: fused into the GEMM ([`fused_projection`],
+/// [`fused_projection_act`], which adds the activation ROM) or over a
+/// materialized accumulator ([`finish_projection`]). One definition, so
+/// the paths cannot drift from each other or from
+/// `protea_model::quantized::project`.
+#[must_use]
+pub fn projection_epilogue<'a>(
+    bias: &'a [i32],
+    weight_fmt: QFormat,
+    s: &QuantSchedule,
+) -> RequantEpilogue<'a> {
+    RequantEpilogue::new(projection_requantizer(weight_fmt, s).lanes()).with_bias(bias)
+}
+
+/// Finish a projection: [`projection_epilogue`] over the tile-summed
+/// i32 accumulators — the identical tail to
+/// `protea_model::quantized::project`.
+///
+/// # Panics
+/// Panics if `bias` is not `acc.cols()` long.
+#[must_use]
+pub fn finish_projection(
+    acc: Matrix<i32>,
+    bias: &[i32],
+    weight_fmt: QFormat,
+    s: &QuantSchedule,
+) -> Matrix<i8> {
+    projection_epilogue(bias, weight_fmt, s).apply_matrix(&acc)
+}
+
+/// Fused linear projection: `requant(x·W ⊕ bias)` in one GEMM pass,
+/// [`projection_epilogue`] narrowing each microkernel strip in the
+/// store loop instead of a second sweep over a materialized i32
+/// matrix. Byte-identical to `matmul` + [`finish_projection`].
 /// Parallel across column panels inside the GEMM.
 #[must_use]
 pub fn fused_projection(
     x: &Matrix<i8>,
-    w: &protea_tensor::PackedWeights,
+    w: &PackedWeights,
     bias: &[i32],
     weight_fmt: QFormat,
     s: &QuantSchedule,
 ) -> Matrix<i8> {
-    let rq = projection_requantizer(weight_fmt, s);
-    protea_tensor::matmul_i8_requant_packed_parallel(x, w, Some(bias), rq)
+    matmul_i8_packed_requant_parallel(x, w, &projection_epilogue(bias, weight_fmt, s))
 }
 
 /// Fused projection + activation: [`fused_projection`] with the
-/// activation LUT applied to each requantized byte in the same store
-/// loop — the FFN1 stage (`act(requant(x·W1 ⊕ b1))`) as a single pass.
+/// activation ROM read in the same store loop — the FFN2 stage
+/// (`act(requant(x·W1 ⊕ b1))`) as a single pass.
 #[must_use]
 pub fn fused_projection_act(
     x: &Matrix<i8>,
-    w: &protea_tensor::PackedWeights,
+    w: &PackedWeights,
     bias: &[i32],
     weight_fmt: QFormat,
     s: &QuantSchedule,
-    act: &protea_fixed::activation::ActivationLut,
+    act: &ActivationLut,
 ) -> Matrix<i8> {
-    let rq = projection_requantizer(weight_fmt, s);
-    protea_tensor::matmul_i8_packed_epilogue_parallel(x, w, |j, acc| {
-        act.apply(rq.apply(acc.saturating_add(bias[j])))
-    })
+    let epi = projection_epilogue(bias, weight_fmt, s).with_activation(act);
+    matmul_i8_packed_requant_parallel(x, w, &epi)
 }
 
 /// Tile-accumulated matrix product: `acc += x[:, rows_of(w_tile)] ·

@@ -8,7 +8,6 @@
 use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_fixed::Requantizer;
 use protea_model::QuantSchedule;
 use protea_tensor::{matmul_i8_i32, Matrix};
 
@@ -30,11 +29,7 @@ impl SvEngine {
     #[must_use]
     pub fn compute_head(probs: &Matrix<i8>, vi: &Matrix<i8>, s: &QuantSchedule) -> Matrix<i8> {
         let acc = matmul_i8_i32(probs, vi);
-        let rq = Requantizer::new(
-            s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(),
-            s.act_fmt,
-            s.rounding,
-        );
+        let rq = s.sv_requantizer();
         acc.map(|a| rq.apply(a))
     }
 }

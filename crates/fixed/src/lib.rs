@@ -41,6 +41,6 @@ pub use fx::{Fx16, Fx32, Fx8};
 pub use mac::{axpy_i8, dot_i8, dot_i8_unrolled, mac_i8, Mac};
 pub use qformat::QFormat;
 pub use quant::{dequantize_slice, quantize_slice, QuantParams, Quantizer};
-pub use requant::{requantize, Requantizer};
+pub use requant::{requantize, LaneRequant, Requantizer};
 pub use rounding::Rounding;
 pub use softmax::{softmax_fixed, ExpLut, SoftmaxUnit};

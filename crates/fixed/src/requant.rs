@@ -81,6 +81,16 @@ impl Requantizer {
         shifted.clamp(-128, 127) as i8
     }
 
+    /// This requantizer resolved into branch-free lane arithmetic
+    /// ([`LaneRequant`]): the rounding mode and both shifts are decided
+    /// here, once, instead of per element. Bit-identical to
+    /// [`apply`](Self::apply) for every i32 accumulator.
+    #[must_use]
+    pub fn lanes(&self) -> LaneRequant {
+        let shift = i32::from(self.acc_frac) - i32::from(self.target.frac_bits());
+        LaneRequant::new(self.mode, u32::from(self.pre_shift), shift)
+    }
+
     /// Requantize a slice of accumulators into an i8 buffer.
     pub fn apply_slice(&self, acc: &[i32], out: &mut [i8]) {
         assert_eq!(acc.len(), out.len());
@@ -94,6 +104,197 @@ impl Requantizer {
     #[must_use]
     pub fn effective_shift(&self) -> i32 {
         i32::from(self.acc_frac) - i32::from(self.target.frac_bits()) + i32::from(self.pre_shift)
+    }
+}
+
+/// One rounding right shift in i32 lanes: `floor(x / 2^sh)` plus a
+/// carry of 0 or 1 computed in u32 from the discarded bits, so no lane
+/// ever widens to i64 and no lane branches on the mode.
+///
+/// The carry is `(low + add + (floor & odd)) >> sh` with `low` the
+/// discarded bits: truncation adds nothing, half-up adds half an LSB,
+/// and round-half-to-even adds half an LSB less one plus the parity of
+/// `floor`, which carries on a tie exactly when `floor` is odd. The sum
+/// stays below `2^32` for every `sh ≤ 31`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RoundShift {
+    sh: u32,
+    low_mask: u32,
+    add: u32,
+    odd: u32,
+}
+
+impl RoundShift {
+    const IDENTITY: Self = Self { sh: 0, low_mask: 0, add: 0, odd: 0 };
+
+    /// Resolve `mode.shift_right(x, shift)` for i32 inputs.
+    fn new(mode: Rounding, shift: u32) -> Self {
+        if shift == 0 {
+            return Self::IDENTITY;
+        }
+        if shift >= 32 {
+            // A shift of 32 or more leaves an i32 only its sign:
+            // truncation floors it to −1 or 0 (as a shift by 31 does),
+            // and both rounding modes round every i32 to 0 — the carry
+            // term `floor & 2^31` adds back exactly the 1 that lifts a
+            // floor of −1 to 0.
+            return match mode {
+                Rounding::Truncate => Self { sh: 31, ..Self::IDENTITY },
+                Rounding::HalfUp | Rounding::NearestEven => {
+                    Self { sh: 31, low_mask: u32::MAX >> 1, add: 0, odd: 1 << 31 }
+                }
+            };
+        }
+        let half = 1u32 << (shift - 1);
+        let low_mask = (1u32 << shift) - 1;
+        match mode {
+            Rounding::Truncate => Self { sh: shift, ..Self::IDENTITY },
+            Rounding::HalfUp => Self { sh: shift, low_mask, add: half, odd: 0 },
+            Rounding::NearestEven => Self { sh: shift, low_mask, add: half - 1, odd: 1 },
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, x: i32) -> i32 {
+        let floor = x >> self.sh;
+        let low = x as u32 & self.low_mask;
+        let carry = (low + self.add + (floor as u32 & self.odd)) >> self.sh;
+        floor + carry as i32
+    }
+}
+
+/// Truncating (C-style, toward zero) division of an i32 by a fixed
+/// positive divisor `d ≤ 2^31`, resolved into one multiply and one
+/// shift: `|x| / d = (|x| · m) >> (31 + l)` with `l = ⌈log₂ d⌉` and
+/// `m = ⌈2^(31+l) / d⌉ < 2^32`. The rounding error `m·d − 2^(31+l)` is
+/// below `d`, so for `|x| ≤ 2^31` the product never crosses the next
+/// multiple of `d` and the quotient is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ExactDiv {
+    mul: u32,
+    shift: u32,
+}
+
+impl ExactDiv {
+    fn new(d: u32) -> Self {
+        assert!((1..=1 << 31).contains(&d), "divisor must be in 1..=2^31, got {d}");
+        let shift = 31 + d.next_power_of_two().trailing_zeros();
+        let mul = (1u64 << shift).div_ceil(u64::from(d));
+        Self { mul: u32::try_from(mul).expect("reciprocal fits 32 bits"), shift }
+    }
+
+    #[inline(always)]
+    fn apply(self, x: i32) -> i32 {
+        let q = ((u64::from(x.unsigned_abs()) * u64::from(self.mul)) >> self.shift) as i32;
+        // Restore the sign: `(q ^ s) − s` negates when `s = −1`. Only
+        // `i32::MIN / 1` wraps the magnitude, and wrapping negation
+        // maps it back onto itself.
+        let sign = x >> 31;
+        (q ^ sign).wrapping_sub(sign)
+    }
+}
+
+/// A requantization stage resolved once into branch-free i32 lane
+/// arithmetic: an optional truncating division, a rounding pre-shift,
+/// a rounding right shift or a saturating left shift, then saturation
+/// to i8. Every per-element decision — rounding mode, shift direction
+/// and amount, the divisor's reciprocal — is made at construction, so
+/// [`apply_slice`](Self::apply_slice) is straight-line lane code LLVM
+/// vectorizes on every ISA.
+///
+/// Built by [`Requantizer::lanes`] for projection and SV outputs, and
+/// with [`with_divisor`](Self::with_divisor) for the attention-logit
+/// scaling. The per-element [`Requantizer::apply`] stays the oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneRequant {
+    div: Option<ExactDiv>,
+    /// `None` when there is no pre-shift.
+    pre: Option<RoundShift>,
+    post: RoundShift,
+    /// Left shift, capped at 8: past that every non-zero value
+    /// saturates anyway.
+    left: u32,
+}
+
+impl LaneRequant {
+    /// `clamp(round(round(x / 2^pre_shift) / 2^shift))` when `shift ≥ 0`,
+    /// `clamp(round(x / 2^pre_shift) · 2^-shift)` otherwise, both
+    /// roundings per `mode` — [`Requantizer::apply`]'s two stages.
+    ///
+    /// # Panics
+    /// Panics if `shift < −31` (no 8-bit target format is that far
+    /// from an accumulator format).
+    #[must_use]
+    pub fn new(mode: Rounding, pre_shift: u32, shift: i32) -> Self {
+        assert!(shift >= -31, "left shift out of range: {shift}");
+        Self {
+            div: None,
+            pre: (pre_shift > 0).then(|| RoundShift::new(mode, pre_shift)),
+            post: RoundShift::new(mode, shift.max(0).unsigned_abs()),
+            left: shift.min(0).unsigned_abs().min(8),
+        }
+    }
+
+    /// Divide every accumulator by `denom` first, truncating toward
+    /// zero — the exact integer divide of the attention-logit scaling.
+    ///
+    /// # Panics
+    /// Panics if `denom` is 0 or above `2^31`.
+    #[must_use]
+    pub fn with_divisor(mut self, denom: u32) -> Self {
+        self.div = Some(ExactDiv::new(denom));
+        self
+    }
+
+    /// Narrow `acc` into `out` element by element. The stages this
+    /// requantizer has are picked once per call, and each combination
+    /// runs as one branch-free loop — the shape LLVM's loop vectorizer
+    /// turns into whole-register shifts, masks and saturating packs.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    #[inline]
+    pub fn apply_slice(&self, acc: &[i32], out: &mut [i8]) {
+        assert_eq!(acc.len(), out.len(), "requant slice lengths differ");
+        match self.div {
+            None => self.narrow_each(acc, out, |x| x),
+            Some(div) => self.narrow_each(acc, out, |x| div.apply(x)),
+        }
+    }
+
+    #[inline(always)]
+    fn narrow_each(&self, acc: &[i32], out: &mut [i8], first: impl Fn(i32) -> i32) {
+        let (post, left) = (self.post, self.left);
+        let right = |x: i32| post.apply(x).clamp(-128, 127) as i8;
+        // A left shift means no right shift follows the pre-shift.
+        // Clamping to 9 bits first keeps the (≤ 8-bit) shift inside i32
+        // without changing which values saturate.
+        let left = |x: i32| (x.clamp(-256, 255) << left).clamp(-128, 127) as i8;
+        match (self.pre, self.left) {
+            (None, 0) => each(acc, out, |x| right(first(x))),
+            (Some(pre), 0) => each(acc, out, |x| right(pre.apply(first(x)))),
+            (None, _) => each(acc, out, |x| left(first(x))),
+            (Some(pre), _) => each(acc, out, |x| left(pre.apply(first(x)))),
+        }
+    }
+}
+
+/// `out[i] = f(acc[i])`, sixteen lanes per step: a fixed-width body is
+/// what lets LLVM merge the narrowing into whole-register saturating
+/// packs and a single 16-byte store.
+#[inline(always)]
+fn each(acc: &[i32], out: &mut [i8], f: impl Fn(i32) -> i8) {
+    let mut outs = out.chunks_exact_mut(16);
+    let mut accs = acc.chunks_exact(16);
+    for (o, x) in (&mut outs).zip(&mut accs) {
+        let o: &mut [i8; 16] = o.try_into().expect("16-lane chunk");
+        let x: &[i32; 16] = x.try_into().expect("16-lane chunk");
+        for (o, &x) in o.iter_mut().zip(x) {
+            *o = f(x);
+        }
+    }
+    for (o, &x) in outs.into_remainder().iter_mut().zip(accs.remainder()) {
+        *o = f(x);
     }
 }
 
@@ -147,6 +348,27 @@ mod tests {
         r.apply_slice(&acc, &mut out);
         for (i, &a) in acc.iter().enumerate() {
             assert_eq!(out[i], r.apply(a));
+        }
+    }
+
+    #[test]
+    fn divisor_matches_i64_division() {
+        // Every small divisor, and the powers of two with their
+        // neighbours up to the 2^31 limit, against quotient boundaries:
+        // the extremes and `±(k·d + {−1, 0, 1})` near both ends.
+        let pow2 = (1..=31).flat_map(|b| [(1u32 << b) - 1, 1 << b, (1 << b) + 1]);
+        for d in (1u32..=3000).chain(pow2).filter(|&d| d <= 1 << 31) {
+            let div = ExactDiv::new(d);
+            let big = i64::from(i32::MAX) / i64::from(d) * i64::from(d);
+            for base in [0, i64::from(d), big - i64::from(d), big] {
+                for x in [base - 1, base, base + 1].into_iter().flat_map(|v| [v, -v]) {
+                    let x = x.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
+                    assert_eq!(i64::from(div.apply(x)), i64::from(x) / i64::from(d), "{x} / {d}");
+                }
+            }
+            for x in [i32::MIN, i32::MIN + 1, i32::MAX] {
+                assert_eq!(i64::from(div.apply(x)), i64::from(x) / i64::from(d), "{x} / {d}");
+            }
         }
     }
 

@@ -466,11 +466,7 @@ impl QuantizedDecoder {
         let k = project(kv_src, wk, bk, s);
         let v = project(kv_src, wv, bv, s);
         let mut concat = Matrix::<i8>::zeros(sl_q, cfg.d_model);
-        let rq = Requantizer::new(
-            s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(),
-            s.act_fmt,
-            s.rounding,
-        );
+        let rq = s.sv_requantizer();
         for head in 0..cfg.heads {
             let c0 = head * dk;
             let qi = q.submatrix(0, c0, sl_q, dk);
@@ -813,11 +809,7 @@ impl QuantizedDecoder {
             None => project(x, w, b, s),
         };
         let dk = self.config.d_k();
-        let rq = Requantizer::new(
-            s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(),
-            s.act_fmt,
-            s.rounding,
-        );
+        let rq = s.sv_requantizer();
         let mut h = x_row.clone();
         let pos = cache.positions;
         for (li, layer) in self.layers.iter().enumerate() {

@@ -24,7 +24,7 @@ use crate::config::{AttnScaling, EncoderConfig};
 use crate::weights::{EncoderWeights, LayerWeights};
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::layernorm::LayerNormUnit;
-use protea_fixed::{QFormat, Quantizer, Requantizer, Rounding, SoftmaxUnit};
+use protea_fixed::{LaneRequant, QFormat, Quantizer, Requantizer, Rounding, SoftmaxUnit};
 use protea_tensor::{matmul_i8_i32, transpose, Matrix};
 
 /// Global quantization decisions for one deployment.
@@ -63,6 +63,18 @@ impl QuantSchedule {
             rounding: Rounding::NearestEven,
             scaling: AttnScaling::InvSqrtDk,
         }
+    }
+
+    /// The SV_CE output stage: `probabilities · V` accumulates in
+    /// `logit_frac + act_frac` fractional bits and narrows back to the
+    /// activation format.
+    #[must_use]
+    pub fn sv_requantizer(&self) -> Requantizer {
+        Requantizer::new(
+            self.logit_fmt.frac_bits() + self.act_fmt.frac_bits(),
+            self.act_fmt,
+            self.rounding,
+        )
     }
 }
 
@@ -231,11 +243,7 @@ impl QuantizedEncoder {
 
             // SV_CE.
             let acc_sv = matmul_i8_i32(&p, &vi);
-            let rq = Requantizer::new(
-                s.logit_fmt.frac_bits() + s.act_fmt.frac_bits(),
-                s.act_fmt,
-                s.rounding,
-            );
+            let rq = s.sv_requantizer();
             let svi = acc_sv.map(|a| rq.apply(a));
             sv.write_submatrix(0, c0, &svi);
         }
@@ -311,6 +319,19 @@ impl LogitRequant {
             scaled << (-self.sh).min(62)
         };
         v.clamp(-128, 127) as i8
+    }
+
+    /// The same stage resolved for the fused GEMM epilogue: the divide
+    /// becomes a reciprocal multiply and the shift branch-free lane
+    /// arithmetic, bit-identical to [`apply`](Self::apply) for every
+    /// i32 accumulator.
+    ///
+    /// # Panics
+    /// Panics if the denominator exceeds `2^31`.
+    #[must_use]
+    pub fn lanes(&self) -> LaneRequant {
+        let denom = u32::try_from(self.denom).expect("logit denominator fits u32");
+        LaneRequant::new(self.rounding, 0, self.sh).with_divisor(denom)
     }
 }
 

@@ -51,6 +51,6 @@ pub use ops::{add_bias_row, max_abs, residual_add, transpose};
 pub use pack::{
     matmul_i8_i32_packed, matmul_i8_i32_packed_parallel, matmul_i8_packed_epilogue,
     matmul_i8_packed_epilogue_checked, matmul_i8_packed_epilogue_parallel,
-    matmul_i8_requant_packed, matmul_i8_requant_packed_parallel, PackedWeights,
+    matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, PackedWeights, RequantEpilogue,
 };
 pub use tile::{Tile, TileGrid};

@@ -25,11 +25,15 @@
 //!   weight-strip widening is never duplicated across threads — the
 //!   defect of the old row-band split), and the slabs are stitched into
 //!   the row-major output afterwards.
-//! * [`matmul_i8_packed_epilogue`] and friends — the fused epilogue:
-//!   requantization (bias add, shift, saturate — any per-element
-//!   `(col, acc) → i8` map) applied in the store loop, so the i32
+//! * [`matmul_i8_packed_requant`] and its parallel form — the fused
+//!   requantization: a [`RequantEpilogue`] (saturating bias add,
+//!   rounding shift or logit divide, saturation, optional activation
+//!   ROM) resolved once per GEMM and applied to each `CB`-column block
+//!   of microkernel results as a few vectorized passes, so the i32
 //!   accumulator matrix is never materialized and the separate
-//!   `O(m·n)` requant pass disappears.
+//!   `O(m·n)` requant pass disappears at near-zero cost.
+//! * [`matmul_i8_packed_epilogue`] and its parallel form — the same
+//!   store loop with any per-element `(col, acc) → i8` closure.
 //! * [`matmul_i8_packed_epilogue_checked`] — the ABFT hook: the same
 //!   fused kernel accumulating exact i64 row/column checksums of the
 //!   pre-epilogue i32 sums, verified against predictions from the
@@ -50,7 +54,8 @@
 use crate::abft::{AbftChecksums, AbftMismatch};
 use crate::kernels::{self, KernelIsa, CB};
 use crate::matrix::Matrix;
-use protea_fixed::Requantizer;
+use protea_fixed::activation::ActivationLut;
+use protea_fixed::LaneRequant;
 
 /// A weight matrix packed once (transposed to column-major) for
 /// repeated GEMMs.
@@ -143,67 +148,252 @@ fn widen_activations(a: &Matrix<i8>) -> Vec<i16> {
     a16
 }
 
-/// Where one strip's results go: each implementor owns a disjoint
-/// output region, so strips parallelize without synchronization. `put`
-/// receives the *global* column index and the exact i32 accumulator.
+/// What one column block's results become: the raw accumulators, or a
+/// fused epilogue's narrowed bytes. [`gemm_strip`] reduces one block of
+/// up to `CB` columns for every activation row, then hands the sink the
+/// whole block at once — `sums[di]` holds row `di`'s exact i32
+/// accumulators for the `w` columns starting at *global* column `j`
+/// (lanes past `w` are zero padding) — with the output region whose row
+/// `di` starts at `out[di * stride]`.
 trait StripSink {
-    fn put(&mut self, di: usize, j: usize, sum: i32);
+    /// The stored element type.
+    type Out: Copy + Default + Send;
+
+    fn put_block(
+        &mut self,
+        j: usize,
+        w: usize,
+        sums: &mut [[i32; CB]],
+        out: &mut [Self::Out],
+        stride: usize,
+    );
+}
+
+/// Copy the first `w` lanes of `src` into `dst`. A full block copies a
+/// fixed `CB` lanes, which compiles to a few moves instead of a
+/// `memcpy` call per row.
+#[inline(always)]
+fn copy_lanes<T: Copy>(dst: &mut [T], src: &[T], w: usize) {
+    if w == CB {
+        dst[..CB].copy_from_slice(&src[..CB]);
+    } else {
+        dst[..w].copy_from_slice(&src[..w]);
+    }
 }
 
 /// Raw accumulator store (the unfused `Matrix<i32>` product).
-struct I32Sink<'a> {
-    out: &'a mut [i32],
-    stride: usize,
-    j_base: usize,
-}
+#[derive(Clone)]
+struct I32Sink;
 
-impl StripSink for I32Sink<'_> {
+impl StripSink for I32Sink {
+    type Out = i32;
+
     #[inline]
-    fn put(&mut self, di: usize, j: usize, sum: i32) {
-        self.out[di * self.stride + (j - self.j_base)] = sum;
+    fn put_block(
+        &mut self,
+        _: usize,
+        w: usize,
+        sums: &mut [[i32; CB]],
+        out: &mut [i32],
+        stride: usize,
+    ) {
+        for (di, s) in sums.iter().enumerate() {
+            copy_lanes(&mut out[di * stride..], s, w);
+        }
     }
 }
 
-/// Fused-epilogue store: the per-element map runs in the store loop and
-/// only the narrowed i8 ever reaches memory.
-struct MapSink<'a, F> {
-    out: &'a mut [i8],
-    stride: usize,
-    j_base: usize,
-    f: &'a F,
+/// Closure-epilogue store: the per-element map runs in the store loop
+/// and only the narrowed i8 ever reaches memory.
+struct MapSink<'a, F>(&'a F);
+
+impl<F> Clone for MapSink<'_, F> {
+    fn clone(&self) -> Self {
+        Self(self.0)
+    }
 }
 
 impl<F: Fn(usize, i32) -> i8> StripSink for MapSink<'_, F> {
+    type Out = i8;
+
     #[inline]
-    fn put(&mut self, di: usize, j: usize, sum: i32) {
-        self.out[di * self.stride + (j - self.j_base)] = (self.f)(j, sum);
+    fn put_block(
+        &mut self,
+        j: usize,
+        w: usize,
+        sums: &mut [[i32; CB]],
+        out: &mut [i8],
+        stride: usize,
+    ) {
+        for (di, s) in sums.iter().enumerate() {
+            for (c, (o, &v)) in out[di * stride..di * stride + w].iter_mut().zip(s).enumerate() {
+                *o = (self.0)(j + c, v);
+            }
+        }
     }
 }
 
-/// Fused-epilogue store that additionally folds every pre-epilogue sum
-/// into exact i64 row/column checksums — the ABFT observation, obtained
-/// for free in the store loop instead of a second pass over a
+/// Closure-epilogue store that additionally folds every pre-epilogue
+/// sum into exact i64 row/column checksums — the ABFT observation,
+/// obtained for free in the store loop instead of a second pass over a
 /// materialized i32 matrix.
 struct CheckedMapSink<'a, F> {
     inner: MapSink<'a, F>,
-    row: &'a mut [i64],
-    col: &'a mut [i64],
+    row: Vec<i64>,
+    col: Vec<i64>,
 }
 
 impl<F: Fn(usize, i32) -> i8> StripSink for CheckedMapSink<'_, F> {
+    type Out = i8;
+
     #[inline]
-    fn put(&mut self, di: usize, j: usize, sum: i32) {
-        self.row[di] += i64::from(sum);
-        self.col[j - self.inner.j_base] += i64::from(sum);
-        self.inner.put(di, j, sum);
+    fn put_block(
+        &mut self,
+        j: usize,
+        w: usize,
+        sums: &mut [[i32; CB]],
+        out: &mut [i8],
+        stride: usize,
+    ) {
+        for (row, s) in self.row.iter_mut().zip(sums.iter()) {
+            for (col, &v) in self.col[j..j + w].iter_mut().zip(s) {
+                *row += i64::from(v);
+                *col += i64::from(v);
+            }
+        }
+        self.inner.put_block(j, w, sums, out, stride);
+    }
+}
+
+/// The requantizing GEMM epilogue, resolved once per GEMM: an optional
+/// bias row added with saturation, a [`LaneRequant`] narrowing to i8,
+/// and an optional activation ROM read. The store loop hands it one
+/// `CB`-column block of microkernel results for all rows at a time, and
+/// every per-element decision (rounding mode, shift, divisor, whether a
+/// bias or activation applies) is already made, so each stage is one
+/// vectorized pass over the block instead of a per-element closure.
+///
+/// Byte-identical to `act(rq.apply(acc ⊕ bias))` per element: the same
+/// saturating bias add, [`LaneRequant`] is bit-exact against
+/// [`protea_fixed::Requantizer::apply`] for every i32, and the ROM is
+/// the same table.
+#[derive(Debug, Clone, Copy)]
+pub struct RequantEpilogue<'a> {
+    rq: LaneRequant,
+    bias: Option<&'a [i32]>,
+    act: Option<&'a ActivationLut>,
+}
+
+impl<'a> RequantEpilogue<'a> {
+    /// Narrow every accumulator through `rq`.
+    #[must_use]
+    pub fn new(rq: LaneRequant) -> Self {
+        Self { rq, bias: None, act: None }
+    }
+
+    /// Add `bias[j]` (saturating) to column `j` before narrowing.
+    #[must_use]
+    pub fn with_bias(mut self, bias: &'a [i32]) -> Self {
+        self.bias = Some(bias);
+        self
+    }
+
+    /// Pass every narrowed byte through the activation ROM `act`.
+    #[must_use]
+    pub fn with_activation(mut self, act: &'a ActivationLut) -> Self {
+        self.act = Some(act);
+        self
+    }
+
+    /// Apply the epilogue to a materialized accumulator matrix — the
+    /// unfused form of the same stage, through the same block store the
+    /// fused GEMMs use.
+    ///
+    /// # Panics
+    /// Panics if the bias (when given) is not `acc.cols()` long.
+    #[must_use]
+    pub fn apply_matrix(&self, acc: &Matrix<i32>) -> Matrix<i8> {
+        let (m, n) = acc.shape();
+        self.check_width(n);
+        let mut out = vec![0i8; m * n];
+        let mut sums = vec![[0i32; CB]; m];
+        let mut sink = RequantSink::new(self);
+        for j in (0..n).step_by(CB) {
+            let w = CB.min(n - j);
+            for (di, s) in sums.iter_mut().enumerate() {
+                *s = [0; CB];
+                s[..w].copy_from_slice(&acc.row(di)[j..j + w]);
+            }
+            sink.put_block(j, w, &mut sums, &mut out[j..], n);
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    fn check_width(&self, n: usize) {
+        if let Some(b) = self.bias {
+            assert_eq!(b.len(), n, "bias length mismatch");
+        }
+    }
+}
+
+/// [`RequantEpilogue`] store: each stage runs as one pass over the
+/// whole block — bias add per row strip, the narrowing over the block
+/// flattened, the ROM read — before the rows are copied out. The
+/// narrowed block lives in a scratch buffer allocated once per GEMM
+/// (per worker), never per strip.
+#[derive(Clone)]
+struct RequantSink<'a> {
+    epi: &'a RequantEpilogue<'a>,
+    narrowed: Vec<[i8; CB]>,
+}
+
+impl<'a> RequantSink<'a> {
+    fn new(epi: &'a RequantEpilogue<'a>) -> Self {
+        Self { epi, narrowed: Vec::new() }
+    }
+}
+
+impl StripSink for RequantSink<'_> {
+    type Out = i8;
+
+    #[inline]
+    fn put_block(
+        &mut self,
+        j: usize,
+        w: usize,
+        sums: &mut [[i32; CB]],
+        out: &mut [i8],
+        stride: usize,
+    ) {
+        let epi = self.epi;
+        if let Some(bias) = epi.bias {
+            let mut b = [0i32; CB];
+            copy_lanes(&mut b, &bias[j..], w);
+            for s in sums.iter_mut() {
+                for (x, &b) in s.iter_mut().zip(&b) {
+                    *x = x.saturating_add(b);
+                }
+            }
+        }
+        self.narrowed.resize(sums.len(), [0; CB]);
+        let narrowed = self.narrowed.as_flattened_mut();
+        epi.rq.apply_slice(sums.as_flattened(), narrowed);
+        if let Some(act) = epi.act {
+            act.apply_slice(narrowed);
+        }
+        for (di, q) in self.narrowed.iter().enumerate() {
+            copy_lanes(&mut out[di * stride..], q, w);
+        }
     }
 }
 
 /// Reduce the weight columns in `cols` for all `rows` activation rows
-/// through the selected microkernel. Weight columns are widened once
-/// per `CB`-block and reused across the whole row sweep; the ragged
-/// tail (`cols.len() % CB` columns) runs a scalar widened dot with
-/// identical values.
+/// through the selected microkernel into `out`, a row-major
+/// `rows × cols.len()` slab, one `CB`-column block at a time. Weight
+/// columns are widened once per block and reused across the whole row
+/// sweep; the ragged tail (`cols.len() % CB` columns) runs a scalar
+/// widened dot with identical values.
+#[allow(clippy::too_many_arguments)]
 fn gemm_strip<S: StripSink>(
     a16: &[i16],
     rows: usize,
@@ -211,34 +401,37 @@ fn gemm_strip<S: StripSink>(
     w: &PackedWeights,
     cols: std::ops::Range<usize>,
     isa: KernelIsa,
+    out: &mut [S::Out],
     sink: &mut S,
 ) {
-    let (j0, jw) = (cols.start, cols.len());
+    let width = cols.len();
     let mut wcol16 = vec![0i16; CB * k];
-    let mut j = j0;
-    while j + CB <= j0 + jw {
+    let mut sums = vec![[0i32; CB]; rows];
+    let mut j = cols.start;
+    while j + CB <= cols.end {
         for c in 0..CB {
             widen(w.col(j + c), &mut wcol16[c * k..(c + 1) * k]);
         }
-        for di in 0..rows {
-            let sums = kernels::mk_block(isa, &a16[di * k..(di + 1) * k], &wcol16, k);
-            for (c, &s) in sums.iter().enumerate() {
-                sink.put(di, j + c, s);
-            }
+        for (di, s) in sums.iter_mut().enumerate() {
+            *s = kernels::mk_block(isa, &a16[di * k..(di + 1) * k], &wcol16, k);
         }
+        sink.put_block(j, CB, &mut sums, &mut out[j - cols.start..], width);
         j += CB;
     }
-    for jt in j..j0 + jw {
-        let col = w.col(jt);
-        for di in 0..rows {
-            let arow = &a16[di * k..(di + 1) * k];
-            let mut acc = 0i32;
-            for (&x, &wv) in arow.iter().zip(col) {
-                acc += i32::from(x) * i32::from(wv);
+    let tail = cols.end - j;
+    if tail == 0 {
+        return;
+    }
+    for (di, s) in sums.iter_mut().enumerate() {
+        let arow = &a16[di * k..(di + 1) * k];
+        *s = [0; CB];
+        for (c, acc) in s[..tail].iter_mut().enumerate() {
+            for (&x, &wv) in arow.iter().zip(w.col(j + c)) {
+                *acc += i32::from(x) * i32::from(wv);
             }
-            sink.put(di, jt, acc);
         }
     }
+    sink.put_block(j, tail, &mut sums, &mut out[j - cols.start..], width);
 }
 
 /// Below this many MACs a scoped-thread fan-out costs more than it
@@ -268,65 +461,52 @@ fn column_panels(m: usize, k: usize, n: usize) -> Option<Vec<(usize, usize)>> {
     Some(panels)
 }
 
-/// Packed GEMM: `C = A × W` with `A: m×k` i8 and `W` packed from `k×n`.
-/// Bit-identical to [`crate::matmul::matmul_i8_i32`] on every dispatch
-/// path.
-///
-/// # Panics
-/// Panics if `A.cols() != W.rows()`.
-#[must_use]
-pub fn matmul_i8_i32_packed(a: &Matrix<i8>, w: &PackedWeights) -> Matrix<i32> {
+fn check_inner(a: &Matrix<i8>, w: &PackedWeights) {
     let (m, k) = a.shape();
     let n = w.cols();
     assert_eq!(k, w.rows(), "inner dimensions must agree: {m}x{k} · {}x{n}", w.rows());
-    let isa = kernels::active_kernel();
-    let a16 = widen_activations(a);
-    let mut out = vec![0i32; m * n];
-    gemm_strip(&a16, m, k, w, 0..n, isa, &mut I32Sink { out: &mut out, stride: n, j_base: 0 });
+}
+
+/// The serial GEMM through `sink`.
+fn gemm<S: StripSink>(a: &Matrix<i8>, w: &PackedWeights, sink: &mut S) -> Matrix<S::Out> {
+    check_inner(a, w);
+    let (m, k) = a.shape();
+    let n = w.cols();
+    let mut out = vec![S::Out::default(); m * n];
+    gemm_strip(&widen_activations(a), m, k, w, 0..n, kernels::active_kernel(), &mut out, sink);
     Matrix::from_vec(m, n, out)
 }
 
-/// Panel-parallel packed GEMM: identical bytes to
-/// [`matmul_i8_i32_packed`] (each output element's reduction runs whole
-/// within one thread), parallel across column panels *inside* the
-/// product. Each worker reduces into a private slab, so no weight strip
-/// is widened twice and no two threads share a cache line; the slabs
-/// are stitched into the row-major output in one `O(m·n)` copy. Falls
-/// back to the serial kernel when the product is too small to pay for
-/// threads.
-///
-/// # Panics
-/// Panics if `A.cols() != W.rows()`.
-#[must_use]
-pub fn matmul_i8_i32_packed_parallel(a: &Matrix<i8>, w: &PackedWeights) -> Matrix<i32> {
+/// The GEMM through `sink`, parallel across column panels *inside* the
+/// product: each worker stores its panel into a private slab (so no
+/// weight strip is widened twice and no two threads share a cache
+/// line), and the slabs are stitched into the row-major output in one
+/// `O(m·n)` copy. Falls back to [`gemm`] when the product is too small
+/// to pay for threads.
+fn gemm_parallel<S: StripSink + Clone + Send + Sync>(
+    a: &Matrix<i8>,
+    w: &PackedWeights,
+    mut sink: S,
+) -> Matrix<S::Out> {
+    check_inner(a, w);
     let (m, k) = a.shape();
     let n = w.cols();
-    assert_eq!(k, w.rows(), "inner dimensions must agree: {m}x{k} · {}x{n}", w.rows());
     let Some(panels) = column_panels(m, k, n) else {
-        return matmul_i8_i32_packed(a, w);
+        return gemm(a, w, &mut sink);
     };
     let isa = kernels::active_kernel();
     let a16 = widen_activations(a);
-    let mut slabs: Vec<(usize, usize, Vec<i32>)> =
-        panels.into_iter().map(|(j0, pw)| (j0, pw, vec![0i32; m * pw])).collect();
+    let mut slabs: Vec<(usize, usize, Vec<S::Out>)> =
+        panels.into_iter().map(|(j0, pw)| (j0, pw, vec![S::Out::default(); m * pw])).collect();
     let a16 = &a16;
     rayon::scope(|s| {
         for (j0, pw, slab) in &mut slabs {
             let (j0, pw) = (*j0, *pw);
-            s.spawn(move |_| {
-                gemm_strip(
-                    a16,
-                    m,
-                    k,
-                    w,
-                    j0..j0 + pw,
-                    isa,
-                    &mut I32Sink { out: slab, stride: pw, j_base: j0 },
-                );
-            });
+            let mut sink = sink.clone();
+            s.spawn(move |_| gemm_strip(a16, m, k, w, j0..j0 + pw, isa, slab, &mut sink));
         }
     });
-    let mut out = vec![0i32; m * n];
+    let mut out = vec![S::Out::default(); m * n];
     for (j0, pw, slab) in &slabs {
         for di in 0..m {
             out[di * n + j0..di * n + j0 + pw].copy_from_slice(&slab[di * pw..(di + 1) * pw]);
@@ -335,11 +515,36 @@ pub fn matmul_i8_i32_packed_parallel(a: &Matrix<i8>, w: &PackedWeights) -> Matri
     Matrix::from_vec(m, n, out)
 }
 
+/// Packed GEMM: `C = A × W` with `A: m×k` i8 and `W` packed from `k×n`.
+/// Bit-identical to [`crate::matmul::matmul_i8_i32`] on every dispatch
+/// path.
+///
+/// # Panics
+/// Panics if `A.cols() != W.rows()`.
+#[must_use]
+pub fn matmul_i8_i32_packed(a: &Matrix<i8>, w: &PackedWeights) -> Matrix<i32> {
+    gemm(a, w, &mut I32Sink)
+}
+
+/// Panel-parallel packed GEMM: identical bytes to
+/// [`matmul_i8_i32_packed`] (each output element's reduction runs whole
+/// within one thread), parallel across column panels inside the
+/// product.
+///
+/// # Panics
+/// Panics if `A.cols() != W.rows()`.
+#[must_use]
+pub fn matmul_i8_i32_packed_parallel(a: &Matrix<i8>, w: &PackedWeights) -> Matrix<i32> {
+    gemm_parallel(a, w, I32Sink)
+}
+
 /// Packed GEMM with a fused epilogue: `C[i][j] = f(j, Σₚ A[i][p]·W[p][j])`,
 /// the per-element map applied in the store loop so the i32 accumulator
 /// matrix is never materialized. Byte-identical to computing
 /// [`matmul_i8_i32_packed`] and mapping afterwards — `f` sees the exact
-/// same accumulator values in both formulations.
+/// same accumulator values in both formulations. For requantization,
+/// [`matmul_i8_packed_requant`] narrows whole strips instead of calling
+/// a closure per element.
 ///
 /// # Panics
 /// Panics if `A.cols() != W.rows()`.
@@ -349,22 +554,7 @@ pub fn matmul_i8_packed_epilogue<F: Fn(usize, i32) -> i8>(
     w: &PackedWeights,
     f: F,
 ) -> Matrix<i8> {
-    let (m, k) = a.shape();
-    let n = w.cols();
-    assert_eq!(k, w.rows(), "inner dimensions must agree: {m}x{k} · {}x{n}", w.rows());
-    let isa = kernels::active_kernel();
-    let a16 = widen_activations(a);
-    let mut out = vec![0i8; m * n];
-    gemm_strip(
-        &a16,
-        m,
-        k,
-        w,
-        0..n,
-        isa,
-        &mut MapSink { out: &mut out, stride: n, j_base: 0, f: &f },
-    );
-    Matrix::from_vec(m, n, out)
+    gemm(a, w, &mut MapSink(&f))
 }
 
 /// Panel-parallel form of [`matmul_i8_packed_epilogue`]: identical
@@ -378,40 +568,40 @@ pub fn matmul_i8_packed_epilogue_parallel<F: Fn(usize, i32) -> i8 + Sync>(
     w: &PackedWeights,
     f: F,
 ) -> Matrix<i8> {
-    let (m, k) = a.shape();
-    let n = w.cols();
-    assert_eq!(k, w.rows(), "inner dimensions must agree: {m}x{k} · {}x{n}", w.rows());
-    let Some(panels) = column_panels(m, k, n) else {
-        return matmul_i8_packed_epilogue(a, w, f);
-    };
-    let isa = kernels::active_kernel();
-    let a16 = widen_activations(a);
-    let mut slabs: Vec<(usize, usize, Vec<i8>)> =
-        panels.into_iter().map(|(j0, pw)| (j0, pw, vec![0i8; m * pw])).collect();
-    let (a16, f) = (&a16, &f);
-    rayon::scope(|s| {
-        for (j0, pw, slab) in &mut slabs {
-            let (j0, pw) = (*j0, *pw);
-            s.spawn(move |_| {
-                gemm_strip(
-                    a16,
-                    m,
-                    k,
-                    w,
-                    j0..j0 + pw,
-                    isa,
-                    &mut MapSink { out: slab, stride: pw, j_base: j0, f },
-                );
-            });
-        }
-    });
-    let mut out = vec![0i8; m * n];
-    for (j0, pw, slab) in &slabs {
-        for di in 0..m {
-            out[di * n + j0..di * n + j0 + pw].copy_from_slice(&slab[di * pw..(di + 1) * pw]);
-        }
-    }
-    Matrix::from_vec(m, n, out)
+    gemm_parallel(a, w, MapSink(&f))
+}
+
+/// Fused requantizing GEMM: `C = epi(A × W)` in one pass, the
+/// [`RequantEpilogue`] narrowing each `CB`-wide microkernel strip as it
+/// leaves the kernel. Byte-identical to [`RequantEpilogue::apply_matrix`]
+/// over [`matmul_i8_i32_packed`], without the i32 matrix.
+///
+/// # Panics
+/// Panics if `A.cols() != W.rows()` or the epilogue's bias is not
+/// `W.cols()` long.
+#[must_use]
+pub fn matmul_i8_packed_requant(
+    a: &Matrix<i8>,
+    w: &PackedWeights,
+    epi: &RequantEpilogue<'_>,
+) -> Matrix<i8> {
+    epi.check_width(w.cols());
+    gemm(a, w, &mut RequantSink::new(epi))
+}
+
+/// Panel-parallel form of [`matmul_i8_packed_requant`]; identical bytes.
+///
+/// # Panics
+/// Panics if `A.cols() != W.rows()` or the epilogue's bias is not
+/// `W.cols()` long.
+#[must_use]
+pub fn matmul_i8_packed_requant_parallel(
+    a: &Matrix<i8>,
+    w: &PackedWeights,
+    epi: &RequantEpilogue<'_>,
+) -> Matrix<i8> {
+    epi.check_width(w.cols());
+    gemm_parallel(a, w, RequantSink::new(epi))
 }
 
 /// ABFT-checked fused GEMM: the epilogue hook. Computes
@@ -435,80 +625,11 @@ pub fn matmul_i8_packed_epilogue_checked<F: Fn(usize, i32) -> i8>(
     w: &PackedWeights,
     f: F,
 ) -> Result<Matrix<i8>, AbftMismatch> {
-    let (m, k) = a.shape();
-    let n = w.cols();
-    assert_eq!(k, w.rows(), "inner dimensions must agree: {m}x{k} · {}x{n}", w.rows());
-    let isa = kernels::active_kernel();
-    let a16 = widen_activations(a);
-    let mut out = vec![0i8; m * n];
-    let mut row = vec![0i64; m];
-    let mut col = vec![0i64; n];
-    gemm_strip(
-        &a16,
-        m,
-        k,
-        w,
-        0..n,
-        isa,
-        &mut CheckedMapSink {
-            inner: MapSink { out: &mut out, stride: n, j_base: 0, f: &f },
-            row: &mut row,
-            col: &mut col,
-        },
-    );
-    AbftChecksums::predicted(a, w).verify(&AbftChecksums { row, col })?;
-    Ok(Matrix::from_vec(m, n, out))
-}
-
-/// The requantizing projection epilogue: `out = rq(acc ⊕ bias)` with
-/// the saturating bias add the engines use. Fused form of the
-/// `finish_projection` / `Requantizer::apply` pass.
-#[inline]
-fn requant_map(bias: Option<&[i32]>, rq: Requantizer) -> impl Fn(usize, i32) -> i8 + Sync + '_ {
-    move |j, acc| {
-        let biased = match bias {
-            Some(b) => acc.saturating_add(b[j]),
-            None => acc,
-        };
-        rq.apply(biased)
-    }
-}
-
-/// Fused requantizing GEMM: `C = rq(A × W ⊕ bias)` in one pass, the
-/// projection-shaped convenience over [`matmul_i8_packed_epilogue`].
-/// Byte-identical to the separate accumulate → bias → requantize
-/// pipeline.
-///
-/// # Panics
-/// Panics if shapes disagree or `bias` (when given) is not `n`-long.
-#[must_use]
-pub fn matmul_i8_requant_packed(
-    a: &Matrix<i8>,
-    w: &PackedWeights,
-    bias: Option<&[i32]>,
-    rq: Requantizer,
-) -> Matrix<i8> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), w.cols(), "bias length mismatch");
-    }
-    matmul_i8_packed_epilogue(a, w, requant_map(bias, rq))
-}
-
-/// Panel-parallel form of [`matmul_i8_requant_packed`]; identical bytes.
-///
-/// # Panics
-/// Panics if shapes disagree or `bias` (when given) is not `n`-long.
-#[must_use]
-pub fn matmul_i8_requant_packed_parallel(
-    a: &Matrix<i8>,
-    w: &PackedWeights,
-    bias: Option<&[i32]>,
-    rq: Requantizer,
-) -> Matrix<i8> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), w.cols(), "bias length mismatch");
-    }
-    matmul_i8_packed_epilogue_parallel(a, w, requant_map(bias, rq))
+    let mut sink =
+        CheckedMapSink { inner: MapSink(&f), row: vec![0; a.rows()], col: vec![0; w.cols()] };
+    let out = gemm(a, w, &mut sink);
+    AbftChecksums::predicted(a, w).verify(&AbftChecksums { row: sink.row, col: sink.col })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -516,7 +637,7 @@ mod tests {
     use super::*;
     use crate::matmul::matmul_i8_i32;
     use crate::ops::transpose;
-    use protea_fixed::{QFormat, Rounding};
+    use protea_fixed::{QFormat, Requantizer, Rounding};
 
     fn a_mat(m: usize, k: usize) -> Matrix<i8> {
         Matrix::from_fn(m, k, |r, c| (((r * 47 + c * 31) % 255) as i64 - 127) as i8)
@@ -582,10 +703,12 @@ mod tests {
                     want[(r, c)] = rq.apply(acc[(r, c)].saturating_add(bias[c]));
                 }
             }
-            let fused = matmul_i8_requant_packed(&a, &packed, Some(&bias), rq);
+            let epi = RequantEpilogue::new(rq.lanes()).with_bias(&bias);
+            let fused = matmul_i8_packed_requant(&a, &packed, &epi);
             assert_eq!(fused.as_slice(), want.as_slice(), "{m}x{k}x{n}");
-            let fused_par = matmul_i8_requant_packed_parallel(&a, &packed, Some(&bias), rq);
+            let fused_par = matmul_i8_packed_requant_parallel(&a, &packed, &epi);
             assert_eq!(fused_par.as_slice(), want.as_slice(), "parallel {m}x{k}x{n}");
+            assert_eq!(epi.apply_matrix(&acc).as_slice(), want.as_slice(), "unfused {m}x{k}x{n}");
         }
     }
 
@@ -595,7 +718,7 @@ mod tests {
         let a = a_mat(6, 24);
         let packed = PackedWeights::pack(&w_mat(24, 10));
         let want = matmul_i8_i32_packed(&a, &packed).map(|v| rq.apply(v));
-        let fused = matmul_i8_requant_packed(&a, &packed, None, rq);
+        let fused = matmul_i8_packed_requant(&a, &packed, &RequantEpilogue::new(rq.lanes()));
         assert_eq!(fused.as_slice(), want.as_slice());
     }
 
@@ -604,7 +727,7 @@ mod tests {
         let rq = Requantizer::new(10, QFormat::new(8, 5), Rounding::NearestEven);
         let a = a_mat(9, 40);
         let packed = PackedWeights::pack(&w_mat(40, 13));
-        let plain = matmul_i8_requant_packed(&a, &packed, None, rq);
+        let plain = matmul_i8_packed_requant(&a, &packed, &RequantEpilogue::new(rq.lanes()));
         let checked = matmul_i8_packed_epilogue_checked(&a, &packed, |_, v| rq.apply(v))
             .expect("clean GEMM must verify");
         assert_eq!(checked.as_slice(), plain.as_slice());
@@ -631,7 +754,8 @@ mod tests {
         let w3 = PackedWeights::pack(&Matrix::<i8>::zeros(4, 0));
         assert_eq!(matmul_i8_i32_packed(&Matrix::<i8>::zeros(2, 4), &w3).shape(), (2, 0));
         let rq = Requantizer::new(8, QFormat::new(8, 4), Rounding::Truncate);
-        assert_eq!(matmul_i8_requant_packed(&a, &w, None, rq).shape(), (0, 3));
+        let epi = RequantEpilogue::new(rq.lanes());
+        assert_eq!(matmul_i8_packed_requant(&a, &w, &epi).shape(), (0, 3));
     }
 
     #[test]
@@ -646,6 +770,7 @@ mod tests {
     fn bias_length_mismatch_panics() {
         let w = PackedWeights::pack(&Matrix::<i8>::zeros(4, 2));
         let rq = Requantizer::new(8, QFormat::new(8, 4), Rounding::Truncate);
-        let _ = matmul_i8_requant_packed(&Matrix::<i8>::zeros(2, 4), &w, Some(&[1, 2, 3]), rq);
+        let epi = RequantEpilogue::new(rq.lanes()).with_bias(&[1, 2, 3]);
+        let _ = matmul_i8_packed_requant(&Matrix::<i8>::zeros(2, 4), &w, &epi);
     }
 }

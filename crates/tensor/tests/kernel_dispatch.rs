@@ -13,8 +13,8 @@
 use protea_fixed::{QFormat, Requantizer, Rounding};
 use protea_tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
-    matmul_i8_packed_epilogue_checked, matmul_i8_requant_packed, matmul_i8_requant_packed_parallel,
-    supported_kernels, Matrix, PackedWeights,
+    matmul_i8_packed_epilogue_checked, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel,
+    supported_kernels, Matrix, PackedWeights, RequantEpilogue,
 };
 
 fn mat(rows: usize, cols: usize, salt: u64) -> Matrix<i8> {
@@ -40,6 +40,7 @@ fn all_isas_agree_under_forced_parallelism() {
 
     let rq = Requantizer::new(9, QFormat::new(8, 5), Rounding::NearestEven);
     let bias: Vec<i32> = (0..n as i32).map(|j| (j - 60) * 513).collect();
+    let epi = RequantEpilogue::new(rq.lanes()).with_bias(&bias);
     let mut fused_want = vec![0i8; m * n];
     for r in 0..m {
         for c in 0..n {
@@ -60,12 +61,12 @@ fn all_isas_agree_under_forced_parallelism() {
             "panel-parallel, kernel {isa}"
         );
         assert_eq!(
-            matmul_i8_requant_packed(&a, &packed, Some(&bias), rq).as_slice(),
+            matmul_i8_packed_requant(&a, &packed, &epi).as_slice(),
             &fused_want[..],
             "fused serial, kernel {isa}"
         );
         assert_eq!(
-            matmul_i8_requant_packed_parallel(&a, &packed, Some(&bias), rq).as_slice(),
+            matmul_i8_packed_requant_parallel(&a, &packed, &epi).as_slice(),
             &fused_want[..],
             "fused panel-parallel, kernel {isa}"
         );

@@ -5,8 +5,8 @@ use protea_fixed::{QFormat, Requantizer, Rounding};
 use protea_tensor::ops::{residual_add_i8, transpose};
 use protea_tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
-    matmul_i8_packed_epilogue_checked, matmul_i8_requant_packed, matmul_i8_requant_packed_parallel,
-    matmul_naive, supported_kernels, Matrix, PackedWeights, TileGrid,
+    matmul_i8_packed_epilogue_checked, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel,
+    matmul_naive, supported_kernels, Matrix, PackedWeights, RequantEpilogue, TileGrid,
 };
 
 fn arb_matrix(max: usize) -> impl Strategy<Value = Matrix<i8>> {
@@ -105,16 +105,22 @@ proptest! {
     #[test]
     fn fused_requant_epilogue_matches_separate_pass(
         a in arb_matrix(24), n in 1usize..24, seed in any::<u64>(),
-        shift in 0u8..12, use_bias in any::<bool>(),
+        acc_frac in 0u8..=31, target_frac in 0u8..=31, pre_shift in 0u8..=12,
+        mode in 0usize..3,
+        use_bias in any::<bool>(),
     ) {
-        // The fusion contract: requantizing in the kernel's store loop
-        // is byte-for-byte the separate accumulate → bias → requant
-        // pipeline, for arbitrary shapes, shifts and bias vectors, on
-        // the serial and the panel-parallel path alike.
+        // The fusion contract: requantizing whole strips in the
+        // kernel's store loop is byte-for-byte the separate accumulate
+        // → bias → per-element requant pipeline, for arbitrary shapes,
+        // rounding modes, target formats (right and left shifts),
+        // pre-shifts and bias vectors, on the serial and the
+        // panel-parallel path alike.
         let w = Matrix::from_fn(a.cols(), n, |i, j| {
             (seed.wrapping_mul(i as u64 + 17).wrapping_add(j as u64 * 29) % 255) as i8
         });
-        let rq = Requantizer::new(shift, QFormat::new(8, 5), Rounding::NearestEven);
+        let mode = [Rounding::Truncate, Rounding::HalfUp, Rounding::NearestEven][mode];
+        let rq = Requantizer::new(acc_frac, QFormat::new(8, target_frac), mode)
+            .with_pre_shift(pre_shift);
         let bias: Option<Vec<i32>> = use_bias.then(|| {
             (0..n).map(|j| ((seed.wrapping_add(j as u64) % 4001) as i32 - 2000) * 37).collect()
         });
@@ -127,9 +133,13 @@ proptest! {
                 want[r * n + c] = rq.apply(acc[(r, c)].saturating_add(b));
             }
         }
-        let fused = matmul_i8_requant_packed(&a, &packed, bias.as_deref(), rq);
+        let mut epi = RequantEpilogue::new(rq.lanes());
+        if let Some(b) = &bias {
+            epi = epi.with_bias(b);
+        }
+        let fused = matmul_i8_packed_requant(&a, &packed, &epi);
         prop_assert_eq!(fused.as_slice(), &want[..]);
-        let fused_par = matmul_i8_requant_packed_parallel(&a, &packed, bias.as_deref(), rq);
+        let fused_par = matmul_i8_packed_requant_parallel(&a, &packed, &epi);
         prop_assert_eq!(fused_par.as_slice(), &want[..]);
         let checked = matmul_i8_packed_epilogue_checked(&a, &packed, |j, v| {
             let b = bias.as_ref().map_or(0, |b| b[j]);
