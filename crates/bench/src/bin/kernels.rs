@@ -8,13 +8,16 @@
 //! shape (`128×768×768`):
 //!
 //! * dispatched kernel ≥ 8× the tiled reference when an explicit SIMD
-//!   variant (AVX2/AVX-512/NEON) was selected, ≥ 3× otherwise;
+//!   variant (AVX2/AVX-512/AVX-512 VNNI/NEON) was selected, ≥ 3×
+//!   otherwise;
 //! * the portable fallback kernel ≥ 3× regardless of dispatch — the
 //!   floor a runner without SIMD support must still clear;
-//! * the panel-parallel entry point no slower than the serial kernel
+//! * the parallel entry point no slower than the serial kernel
 //!   (within a 10% + 50µs noise allowance) on *every* sweep shape;
 //! * the fused bias + requant epilogue at most 1.15× the bare serial
 //!   GEMM on the encoder-sized sweep shapes (`k`, `n` ≥ 768);
+//! * on hosts with AVX-512 VNNI, the `avx512vnni` kernel ≥ 1.5× faster
+//!   than the widened-i16 `avx512` kernel on the gate shape (serial);
 //! * the timing memo wins the serving sweep.
 
 use protea_bench::kernels;
@@ -28,6 +31,11 @@ const FUSED_MAX_RATIO: f64 = 1.15;
 /// of the narrowing — and are reported, not gated; the 768-wide rows
 /// measure at most 1.08× under every kernel ISA.
 const FUSED_GATE_MIN_DIM: usize = 768;
+
+/// The VNNI gate: `vpdpbusd` on the raw bytes must beat the widened
+/// `vpmaddwd` kernel by at least this factor. Three full runs on a
+/// 2-core AVX-512 VNNI host measured 3.8–4.0× at 128×768×768.
+const VNNI_MIN_SPEEDUP: f64 = 1.5;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -69,16 +77,22 @@ fn main() {
             failures.push("portable fallback kernel below 3x on the gate shape".to_string());
         }
         if !regressions.is_empty() {
-            failures.push(format!(
-                "panel-parallel GEMM slower than serial on: {}",
-                regressions.join(", ")
-            ));
+            failures
+                .push(format!("parallel GEMM slower than serial on: {}", regressions.join(", ")));
         }
         if !fused.is_empty() {
             failures.push(format!(
                 "fused requant epilogue above {FUSED_MAX_RATIO}x the bare GEMM on: {}",
                 fused.join(", ")
             ));
+        }
+        if let Some(vnni) = report.vnni_speedup() {
+            println!("check: avx512vnni vs avx512 @128x768x768 = {vnni:.2}x (need >= {VNNI_MIN_SPEEDUP})");
+            if vnni < VNNI_MIN_SPEEDUP {
+                failures.push(format!(
+                    "avx512vnni kernel below {VNNI_MIN_SPEEDUP}x the avx512 kernel on the gate shape"
+                ));
+            }
         }
         if memo <= 1.0 {
             failures.push("timing memo does not speed up the serving sweep".to_string());

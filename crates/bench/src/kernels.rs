@@ -40,7 +40,8 @@ use std::time::Instant;
 /// Serial packed-GEMM timing under one forced microkernel ISA.
 #[derive(Debug, Clone)]
 pub struct IsaMs {
-    /// Kernel name (`scalar`, `packed`, `avx2`, `avx512`, `neon`).
+    /// Kernel name (`scalar`, `packed`, `avx2`, `avx512`, `avx512vnni`,
+    /// `neon`).
     pub isa: String,
     /// Min-of-iters wall clock, ms.
     pub ms: f64,
@@ -61,7 +62,7 @@ pub struct GemmRow {
     pub dense_ms: f64,
     /// Packed microkernel (serial, auto-dispatched ISA), ms.
     pub packed_ms: f64,
-    /// Packed microkernel through the panel-parallel entry point, ms.
+    /// Packed microkernel through the parallel entry point, ms.
     pub packed_parallel_ms: f64,
     /// Fused bias + requant epilogue (`matmul_i8_packed_requant`,
     /// serial), ms — the GEMM *plus* the narrowing stage the separate
@@ -154,11 +155,22 @@ impl KernelsReport {
     }
 
     /// True when the auto-dispatched kernel is an explicit SIMD variant
-    /// (AVX2/AVX-512/NEON) rather than the portable fallback — decides
-    /// which gate threshold applies.
+    /// (AVX2/AVX-512/AVX-512 VNNI/NEON) rather than the portable
+    /// fallback — decides which gate threshold applies.
     #[must_use]
     pub fn simd_dispatched(&self) -> bool {
         self.kernel != KernelIsa::Packed.to_string() && self.kernel != KernelIsa::Scalar.to_string()
+    }
+
+    /// The VNNI gate: how many times faster the `avx512vnni` kernel runs
+    /// the gate shape than the widened-i16 `avx512` kernel (serial,
+    /// per-ISA rows); `None` when the host lacks either.
+    #[must_use]
+    pub fn vnni_speedup(&self) -> Option<f64> {
+        let row = self.gemm.last()?;
+        let ms =
+            |isa: KernelIsa| row.per_isa.iter().find(|e| e.isa == isa.to_string()).map(|e| e.ms);
+        Some(ms(KernelIsa::Avx512)? / ms(KernelIsa::Avx512Vnni)?)
     }
 
     /// Shapes with `k` and `n` of at least `min_dim` where the fused
@@ -175,7 +187,7 @@ impl KernelsReport {
             .collect()
     }
 
-    /// Shapes where the panel-parallel entry point ran slower than the
+    /// Shapes where the parallel entry point ran slower than the
     /// serial kernel beyond `tol_frac` (+ a fixed 50µs noise floor) —
     /// empty means parallel ≥ serial everywhere, the regression gate.
     #[must_use]
@@ -237,8 +249,10 @@ impl KernelsReport {
              \"speedup\": {:.3}}},\n",
             f.requests, f.memo_ms, f.no_memo_ms, f.speedup
         ));
+        let vnni = self.vnni_speedup().map_or("null".to_string(), |v| format!("{v:.3}"));
         s.push_str(&format!(
-            "  \"gate_speedup_768\": {:.3},\n  \"fallback_speedup_768\": {:.3}\n}}\n",
+            "  \"gate_speedup_768\": {:.3},\n  \"fallback_speedup_768\": {:.3},\n  \
+             \"vnni_speedup_768\": {vnni}\n}}\n",
             self.gate(),
             self.fallback_gate()
         ));
@@ -570,6 +584,14 @@ mod tests {
             fleet: FleetRow { requests: 1, memo_ms: 1.0, no_memo_ms: 1.0, speedup: 1.0 },
         };
         assert_eq!(rep.fused_regressions(1.15, 12), vec!["4x16x12 (1.20x)".to_string()]);
+        // The VNNI gate reads the last (gate-shape) row's per-ISA times.
+        let mut rep = rep;
+        let avx512 = IsaMs { isa: KernelIsa::Avx512.to_string(), ms: 3.0 };
+        let vnni = IsaMs { isa: KernelIsa::Avx512Vnni.to_string(), ms: 1.5 };
+        rep.gemm.last_mut().expect("rows").per_isa = vec![avx512.clone()];
+        assert_eq!(rep.vnni_speedup(), None, "no VNNI row, no VNNI gate");
+        rep.gemm.last_mut().expect("rows").per_isa = vec![avx512, vnni];
+        assert_eq!(rep.vnni_speedup(), Some(2.0));
     }
 
     #[test]
@@ -593,6 +615,7 @@ mod tests {
         let j = rep.to_json();
         assert!(j.contains("\"gate_speedup_768\""));
         assert!(j.contains("\"fallback_speedup_768\""));
+        assert!(j.contains("\"vnni_speedup_768\""));
         assert!(j.contains("\"kernel\""));
         assert!(j.contains("\"isa_ms\""));
         assert!(j.contains("\"fused_ms\"") && j.contains("\"fused_ratio\""));

@@ -421,11 +421,12 @@ impl Accelerator {
     /// (`PROTEA_KERNEL` selects the ISA) with its requantization fused
     /// into the store loop — the separate i32→i8 pass over each
     /// materialized accumulator matrix is gone. Projections parallelize
-    /// across column panels *inside* the GEMM; attention heads fan out
-    /// across threads on top. The narrowing stages are derived from the
-    /// same definitions as the reference path ([`LogitRequant`],
-    /// `QuantSchedule::sv_requantizer`, `projection_epilogue`, the
-    /// activation LUT), resolved once per GEMM into strip epilogues
+    /// across bands of activation rows *inside* the GEMM; attention
+    /// heads fan out across threads on top. The narrowing stages are
+    /// derived from the same definitions as the reference path
+    /// ([`LogitRequant`], `QuantSchedule::sv_requantizer`,
+    /// `projection_epilogue`, the activation LUT), resolved once per
+    /// GEMM into strip epilogues
     /// that are bit-exact against the per-element stages; every kernel
     /// reproduces `matmul_i8_i32`'s accumulators exactly, so the two
     /// paths cannot diverge — `tests/backend_equiv.rs` pins this across

@@ -77,7 +77,7 @@ pub fn finish_projection(
 /// [`projection_epilogue`] narrowing each microkernel strip in the
 /// store loop instead of a second sweep over a materialized i32
 /// matrix. Byte-identical to `matmul` + [`finish_projection`].
-/// Parallel across column panels inside the GEMM.
+/// Parallel across bands of activation rows inside the GEMM.
 #[must_use]
 pub fn fused_projection(
     x: &Matrix<i8>,

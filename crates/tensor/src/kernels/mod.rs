@@ -17,6 +17,11 @@
 //!   (one per `CB` column) live across the k sweep ([`x86`]).
 //! * [`KernelIsa::Avx512`] — the zmm version (`avx512bw`): 32 MACs per
 //!   `vpmaddwd` ([`x86`]).
+//! * [`KernelIsa::Avx512Vnni`] — `vpdpbusd` (`avx512vnni`) straight on
+//!   the raw packed i8 strips, 64 MACs per instruction, register-blocked
+//!   over [`x86::MR`] activation rows ([`x86::mk_vnni_block`]). It is
+//!   the one kernel that does not widen: activations are biased to u8
+//!   once per GEMM and the bias is subtracted per column (see below).
 //! * [`KernelIsa::Neon`] — `vmlal_s16` widening multiply-accumulate on
 //!   aarch64 ([`neon`]).
 //!
@@ -32,16 +37,24 @@
 //! SIMD lanes is bit-invisible. The `kernel_dispatch` integration tests
 //! and `backend_equiv` pin this across every selectable variant.
 //!
+//! `vpdpbusd` is exact where `maddubs` is not: it multiplies u8 by i8
+//! and adds the four products of each dword straight into an i32 lane,
+//! without an i16 intermediate and without saturation. Biasing each i8
+//! activation to `x + 128 ∈ [0, 255]` makes it a valid u8 operand, and
+//! `Σ (x+128)·w = Σ x·w + 128·Σ w`, so the kernel subtracts
+//! `128 · col_sums[j]` ([`crate::PackedWeights::col_sums`]) per column.
+//! The biased sum is bounded by `255·128·k < 2³¹` for `k ≤ 2¹⁶`.
+//!
 //! ## Selection
 //!
 //! The active kernel is resolved **once** per process:
-//! `PROTEA_KERNEL=scalar|packed|avx2|avx512|neon|auto` overrides;
-//! otherwise the best ISA the CPU reports is used (AVX-512 ≻ AVX2 ≻
-//! NEON ≻ portable packed). Requesting an ISA the host lacks falls back
-//! to the portable packed kernel — deterministically, never to an
-//! illegal-instruction fault. Benchmarks and tests can re-route at
-//! runtime with [`force_kernel`]; because all variants are bit-exact,
-//! forcing changes wall-clock only.
+//! `PROTEA_KERNEL=scalar|packed|avx2|avx512|avx512vnni|neon|auto`
+//! overrides; otherwise the best ISA the CPU reports is used (AVX-512
+//! VNNI ≻ AVX-512 ≻ AVX2 ≻ NEON ≻ portable packed). Requesting an ISA
+//! the host lacks falls back to the portable packed kernel —
+//! deterministically, never to an illegal-instruction fault. Benchmarks
+//! and tests can re-route at runtime with [`force_kernel`]; because all
+//! variants are bit-exact, forcing changes wall-clock only.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -71,13 +84,17 @@ pub enum KernelIsa {
     Avx2,
     /// Explicit AVX-512 (`vpmaddwd` zmm, needs `avx512bw`), x86-64 only.
     Avx512,
+    /// AVX-512 VNNI (`vpdpbusd` on raw i8, needs `avx512bw` and
+    /// `avx512vnni`), x86-64 only.
+    Avx512Vnni,
     /// Explicit NEON (`vmlal_s16`), aarch64 only.
     Neon,
 }
 
 impl KernelIsa {
     /// All variants, in ascending preference order.
-    pub const ALL: [Self; 5] = [Self::Scalar, Self::Packed, Self::Avx2, Self::Avx512, Self::Neon];
+    pub const ALL: [Self; 6] =
+        [Self::Scalar, Self::Packed, Self::Avx2, Self::Avx512, Self::Avx512Vnni, Self::Neon];
 
     /// Parse a `PROTEA_KERNEL` value (case-insensitive). `auto` and
     /// unknown strings return `None` (→ auto-detect).
@@ -88,6 +105,7 @@ impl KernelIsa {
             "packed" => Some(Self::Packed),
             "avx2" => Some(Self::Avx2),
             "avx512" => Some(Self::Avx512),
+            "avx512vnni" => Some(Self::Avx512Vnni),
             "neon" => Some(Self::Neon),
             _ => None,
         }
@@ -105,6 +123,8 @@ impl KernelIsa {
                 std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512bw")
             }
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512Vnni => x86::vnni_supported(),
             #[cfg(target_arch = "aarch64")]
             Self::Neon => true,
             #[allow(unreachable_patterns)] // arms above are cfg-gated
@@ -116,7 +136,7 @@ impl KernelIsa {
     /// kernel exists as a forced baseline, not a serving path).
     #[must_use]
     pub fn detect() -> Self {
-        [Self::Avx512, Self::Avx2, Self::Neon]
+        [Self::Avx512Vnni, Self::Avx512, Self::Avx2, Self::Neon]
             .into_iter()
             .find(|isa| isa.is_supported())
             .unwrap_or(Self::Packed)
@@ -130,6 +150,7 @@ impl std::fmt::Display for KernelIsa {
             Self::Packed => "packed",
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
+            Self::Avx512Vnni => "avx512vnni",
             Self::Neon => "neon",
         })
     }
@@ -185,6 +206,64 @@ pub fn active_kernel() -> KernelIsa {
     }
 }
 
+/// The activation rows in the form the selected kernel reads, built
+/// once per GEMM (once per band of rows in the parallel GEMM).
+pub(crate) enum Activations {
+    /// Rows widened to i16, for the `vpmaddwd`/`vmlal`/portable kernels.
+    Wide(Vec<i16>),
+    /// Rows biased to u8 (`x ^ 0x80 = x + 128`), for the VNNI kernel.
+    Biased(Vec<u8>),
+}
+
+impl Activations {
+    /// Prepare the row-major activations `a` for `isa`.
+    pub(crate) fn prepare(isa: KernelIsa, a: &[i8]) -> Self {
+        if isa == KernelIsa::Avx512Vnni {
+            Self::Biased(a.iter().map(|&x| x.cast_unsigned() ^ 0x80).collect())
+        } else {
+            Self::Wide(a.iter().map(|&x| i16::from(x)).collect())
+        }
+    }
+}
+
+/// Reduce one block of `CB` packed weight columns — `wstrip`, the raw
+/// column-major `CB × k` bytes, with their `col_sums` — against every
+/// activation row, into `sums[r]`. The widening kernels widen the strip
+/// into the caller's per-worker scratch `wide` once per block and reuse
+/// it across the row sweep; the VNNI kernel reads the bytes as they are.
+pub(crate) fn reduce_block(
+    isa: KernelIsa,
+    acts: &Activations,
+    k: usize,
+    wstrip: &[i8],
+    col_sums: &[i32],
+    wide: &mut Vec<i16>,
+    sums: &mut [[i32; CB]],
+) {
+    match acts {
+        Activations::Biased(a8) => biased_block(a8, k, wstrip, col_sums, sums),
+        Activations::Wide(a16) => {
+            wide.resize(CB * k, 0);
+            for (d, &s) in wide.iter_mut().zip(wstrip) {
+                *d = i16::from(s);
+            }
+            for (r, s) in sums.iter_mut().enumerate() {
+                *s = mk_block(isa, &a16[r * k..(r + 1) * k], wide, k);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn biased_block(a8: &[u8], k: usize, wstrip: &[i8], col_sums: &[i32], sums: &mut [[i32; CB]]) {
+    x86::mk_vnni_block(a8, k, wstrip, col_sums, sums);
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn biased_block(_: &[u8], _: usize, _: &[i8], _: &[i32], _: &mut [[i32; CB]]) {
+    unreachable!("biased activations are prepared only for avx512vnni, an x86-64 kernel")
+}
+
 /// One microkernel invocation: reduce the widened activation row
 /// against `CB` widened weight columns (`wcol16[c*k..(c+1)*k]`) into
 /// `CB` exact i32 sums. `isa` is resolved once per GEMM by the caller
@@ -196,7 +275,7 @@ pub fn active_kernel() -> KernelIsa {
 // kernels; the safety contract (CPU probed before selection) is noted
 // on each arm.
 #[allow(unsafe_code)]
-pub(crate) fn mk_block(isa: KernelIsa, arow16: &[i16], wcol16: &[i16], k: usize) -> [i32; CB] {
+fn mk_block(isa: KernelIsa, arow16: &[i16], wcol16: &[i16], k: usize) -> [i32; CB] {
     debug_assert_eq!(arow16.len(), k);
     debug_assert_eq!(wcol16.len(), CB * k);
     match isa {
@@ -220,21 +299,36 @@ pub(crate) fn mk_block(isa: KernelIsa, arow16: &[i16], wcol16: &[i16], k: usize)
 mod tests {
     use super::*;
 
-    fn operands(k: usize) -> (Vec<i16>, Vec<i16>) {
-        let a: Vec<i16> = (0..k).map(|i| ((i * 47 + 3) % 255) as i16 - 127).collect();
-        let w: Vec<i16> = (0..CB * k).map(|i| ((i * 29 + 11) % 255) as i16 - 127).collect();
+    fn operands(k: usize) -> (Vec<i8>, Vec<i8>) {
+        let a: Vec<i8> = (0..k).map(|i| (((i * 47 + 3) % 255) as i32 - 127) as i8).collect();
+        let w: Vec<i8> = (0..CB * k).map(|i| (((i * 29 + 11) % 255) as i32 - 127) as i8).collect();
         (a, w)
+    }
+
+    fn widen(v: &[i8]) -> Vec<i16> {
+        v.iter().map(|&x| i16::from(x)).collect()
+    }
+
+    /// One activation row against one `CB` block through `isa`'s
+    /// block path (widening or biased), as the GEMM drives it.
+    fn block(isa: KernelIsa, a: &[i8], w: &[i8], k: usize) -> [i32; CB] {
+        let acts = Activations::prepare(isa, a);
+        let col_sums: Vec<i32> =
+            (0..CB).map(|c| w[c * k..(c + 1) * k].iter().map(|&x| i32::from(x)).sum()).collect();
+        let mut sums = [[0; CB]];
+        reduce_block(isa, &acts, k, w, &col_sums, &mut Vec::new(), &mut sums);
+        sums[0]
     }
 
     #[test]
     fn every_supported_isa_matches_scalar() {
-        // Straddle the 16- and 32-wide chunk boundaries and the empty
-        // reduction.
-        for k in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 96, 257] {
+        // Straddle the 16-, 32- and 64-wide chunk boundaries and the
+        // empty reduction.
+        for k in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96, 257] {
             let (a, w) = operands(k);
-            let want = portable::mk_scalar(&a, &w, k);
+            let want = portable::mk_scalar(&widen(&a), &widen(&w), k);
             for isa in supported_kernels() {
-                assert_eq!(mk_block(isa, &a, &w, k), want, "isa={isa} k={k}");
+                assert_eq!(block(isa, &a, &w, k), want, "isa={isa} k={k}");
             }
         }
     }
@@ -244,10 +338,10 @@ mod tests {
         // Worst case: every product is (-128)·(-128) at transformer
         // depth — the magnitude bound the no-overflow argument uses.
         let k = 3072;
-        let a = vec![-128i16; k];
-        let w = vec![-128i16; CB * k];
+        let a = vec![-128i8; k];
+        let w = vec![-128i8; CB * k];
         for isa in supported_kernels() {
-            assert_eq!(mk_block(isa, &a, &w, k), [k as i32 * 128 * 128; CB], "isa={isa}");
+            assert_eq!(block(isa, &a, &w, k), [k as i32 * 128 * 128; CB], "isa={isa}");
         }
     }
 
@@ -272,6 +366,18 @@ mod tests {
     fn detect_never_picks_scalar() {
         assert_ne!(KernelIsa::detect(), KernelIsa::Scalar);
         assert!(KernelIsa::detect().is_supported());
+    }
+
+    #[test]
+    fn detect_prefers_vnni_then_avx512() {
+        // VNNI is a superset of the AVX-512 kernel's features, so a
+        // host without it still gets the widened zmm kernel.
+        if KernelIsa::Avx512Vnni.is_supported() {
+            assert!(KernelIsa::Avx512.is_supported());
+            assert_eq!(KernelIsa::detect(), KernelIsa::Avx512Vnni);
+        } else if KernelIsa::Avx512.is_supported() {
+            assert_eq!(KernelIsa::detect(), KernelIsa::Avx512);
+        }
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //!   rayon-parallel floating point, plus the exact i8→i32 quantized kernel
 //!   the hardware implements.
 //! * [`pack`] — the throughput path: weights transposed once into
-//!   column-major strips ([`PackedWeights`]), a widened-i16 i8→i32 GEMM
-//!   with column-panel parallelism inside the product, and fused
+//!   column-major strips ([`PackedWeights`]), an i8→i32 GEMM with
+//!   row-band parallelism inside the product, and fused
 //!   requant/activation epilogues — all bit-identical to
 //!   [`matmul_i8_i32`].
-//! * [`kernels`] — the explicit SIMD microkernels (AVX2, AVX-512, NEON)
-//!   behind runtime CPU-feature dispatch, the portable autovectorized
-//!   kernel as fallback, overridable with `PROTEA_KERNEL`.
+//! * [`kernels`] — the explicit SIMD microkernels (AVX2, AVX-512,
+//!   AVX-512 VNNI, NEON) behind runtime CPU-feature dispatch, the
+//!   portable autovectorized kernel as fallback, overridable with
+//!   `PROTEA_KERNEL`.
 //! * [`ops`] — elementwise and broadcast helpers (bias add, residual add,
 //!   transpose, max-abs reduction).
 //! * [`abft`] — algorithm-based fault tolerance: exact i64 row/column
@@ -50,7 +51,7 @@ pub use matrix::Matrix;
 pub use ops::{add_bias_row, max_abs, residual_add, transpose};
 pub use pack::{
     matmul_i8_i32_packed, matmul_i8_i32_packed_parallel, matmul_i8_packed_epilogue,
-    matmul_i8_packed_epilogue_checked, matmul_i8_packed_epilogue_parallel,
-    matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, PackedWeights, RequantEpilogue,
+    matmul_i8_packed_epilogue_checked, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel,
+    PackedWeights, RequantEpilogue,
 };
 pub use tile::{Tile, TileGrid};

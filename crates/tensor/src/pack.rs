@@ -13,18 +13,18 @@
 //!   inner loop streams, and for attention's `Q·Kᵀ` it means packing
 //!   `Kᵀ` is a straight copy of `K`'s row-major bytes
 //!   ([`PackedWeights::from_transpose`]).
-//! * [`matmul_i8_i32_packed`] — widens the activations to i16 once,
-//!   widens weight columns block by block, and reduces each output
-//!   element through the microkernel selected by the runtime dispatch
-//!   layer ([`crate::kernels`]): explicit AVX2/AVX-512/NEON where the
-//!   host supports it, the original autovectorized kernel as the
-//!   portable fallback, overridable via `PROTEA_KERNEL`.
+//! * [`matmul_i8_i32_packed`] — prepares the activations once (widened
+//!   to i16, or biased to u8 for the VNNI kernel), hands the kernel one
+//!   block of `CB` weight columns at a time (widened per block, or raw
+//!   for VNNI), and reduces each output element through the microkernel
+//!   selected by the runtime dispatch layer ([`crate::kernels`]):
+//!   explicit AVX-512 VNNI/AVX-512/AVX2/NEON where the host supports
+//!   it, the original autovectorized kernel as the portable fallback,
+//!   overridable via `PROTEA_KERNEL`.
 //! * [`matmul_i8_i32_packed_parallel`] — the same GEMM with parallelism
-//!   *inside* the product: the column space is split into panels, each
-//!   worker reduces its panel into a private accumulator slab (so
-//!   weight-strip widening is never duplicated across threads — the
-//!   defect of the old row-band split), and the slabs are stitched into
-//!   the row-major output afterwards.
+//!   *inside* the product: the activation rows are split into one band
+//!   per worker, and each worker stores its band straight into its own
+//!   rows of the output.
 //! * [`matmul_i8_packed_requant`] and its parallel form — the fused
 //!   requantization: a [`RequantEpilogue`] (saturating bias add,
 //!   rounding shift or logit divide, saturation, optional activation
@@ -32,8 +32,8 @@
 //!   of microkernel results as a few vectorized passes, so the i32
 //!   accumulator matrix is never materialized and the separate
 //!   `O(m·n)` requant pass disappears at near-zero cost.
-//! * [`matmul_i8_packed_epilogue`] and its parallel form — the same
-//!   store loop with any per-element `(col, acc) → i8` closure.
+//! * [`matmul_i8_packed_epilogue`] — the same store loop with any
+//!   per-element `(col, acc) → i8` closure.
 //! * [`matmul_i8_packed_epilogue_checked`] — the ABFT hook: the same
 //!   fused kernel accumulating exact i64 row/column checksums of the
 //!   pre-epilogue i32 sums, verified against predictions from the
@@ -42,9 +42,11 @@
 //!
 //! Bit-exactness: each `C[i][j]` is a sum of `A[i][p]·W[p][j]` products
 //! accumulated exactly in i32 (widening to i16 is value-preserving for
-//! i8, and `|sum| ≤ k·2¹⁴` cannot wrap for any realistic `k`). Integer
-//! addition is associative and commutative, so every dispatchable
-//! microkernel and every panel split produces the same bytes as
+//! i8, the VNNI kernel's u8 bias is removed exactly through
+//! [`PackedWeights::col_sums`], and `|sum| ≤ k·2¹⁴` cannot wrap for any
+//! realistic `k`). Integer addition is associative and commutative, so
+//! every dispatchable
+//! microkernel and every band split produces the same bytes as
 //! [`crate::matmul::matmul_i8_i32`] by construction, not merely within
 //! tolerance — each output element's reduction runs whole within one
 //! thread and one kernel. The property tests in `tests/props.rs` and
@@ -52,7 +54,7 @@
 //! thread counts.
 
 use crate::abft::{AbftChecksums, AbftMismatch};
-use crate::kernels::{self, KernelIsa, CB};
+use crate::kernels::{self, Activations, KernelIsa, CB};
 use crate::matrix::Matrix;
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::LaneRequant;
@@ -70,6 +72,8 @@ pub struct PackedWeights {
     cols: usize,
     /// Column-major: logical column `j` lives at `data[j*rows..(j+1)*rows]`.
     data: Vec<i8>,
+    /// `col_sums[j] = Σₚ W[p][j]`: the VNNI kernel's bias correction.
+    col_sums: Vec<i32>,
 }
 
 impl PackedWeights {
@@ -78,13 +82,17 @@ impl PackedWeights {
     pub fn pack(w: &Matrix<i8>) -> Self {
         let (rows, cols) = w.shape();
         let mut data = vec![0i8; rows * cols];
+        let mut col_sums = vec![0i32; cols];
         for r in 0..rows {
             let src = w.row(r);
             for c in 0..cols {
                 data[c * rows + r] = src[c];
             }
+            for (s, &x) in col_sums.iter_mut().zip(src) {
+                *s += i32::from(x);
+            }
         }
-        Self { rows, cols, data }
+        Self { rows, cols, data, col_sums }
     }
 
     /// Pack the *transpose* of `wt`: the packed matrix is `wtᵀ`, i.e.
@@ -95,7 +103,8 @@ impl PackedWeights {
     #[must_use]
     pub fn from_transpose(wt: &Matrix<i8>) -> Self {
         let (n, k) = wt.shape();
-        Self { rows: k, cols: n, data: wt.as_slice().to_vec() }
+        let col_sums = (0..n).map(|j| wt.row(j).iter().map(|&x| i32::from(x)).sum()).collect();
+        Self { rows: k, cols: n, data: wt.as_slice().to_vec(), col_sums }
     }
 
     /// Logical (unpacked) shape `(rows, cols)` — `rows` is the reduction
@@ -123,29 +132,18 @@ impl PackedWeights {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
+    /// Per-column weight sums, `col_sums()[j] = Σₚ W[p][j]`, computed at
+    /// packing time.
+    #[must_use]
+    pub fn col_sums(&self) -> &[i32] {
+        &self.col_sums
+    }
+
     /// Reconstruct the unpacked matrix (test/debug aid).
     #[must_use]
     pub fn unpack(&self) -> Matrix<i8> {
         Matrix::from_fn(self.rows, self.cols, |r, c| self.data[c * self.rows + r])
     }
-}
-
-/// Widen an i8 strip to i16 (value-preserving).
-fn widen(src: &[i8], dst: &mut [i16]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = i16::from(s);
-    }
-}
-
-/// Widen all `m` activation rows once; shared read-only by every panel
-/// worker so the widening pass is never duplicated.
-fn widen_activations(a: &Matrix<i8>) -> Vec<i16> {
-    let (m, k) = a.shape();
-    let mut a16 = vec![0i16; m * k];
-    for r in 0..m {
-        widen(a.row(r), &mut a16[r * k..(r + 1) * k]);
-    }
-    a16
 }
 
 /// What one column block's results become: the raw accumulators, or a
@@ -206,12 +204,6 @@ impl StripSink for I32Sink {
 /// Closure-epilogue store: the per-element map runs in the store loop
 /// and only the narrowed i8 ever reaches memory.
 struct MapSink<'a, F>(&'a F);
-
-impl<F> Clone for MapSink<'_, F> {
-    fn clone(&self) -> Self {
-        Self(self.0)
-    }
-}
 
 impl<F: Fn(usize, i32) -> i8> StripSink for MapSink<'_, F> {
     type Out = i8;
@@ -387,43 +379,37 @@ impl StripSink for RequantSink<'_> {
     }
 }
 
-/// Reduce the weight columns in `cols` for all `rows` activation rows
-/// through the selected microkernel into `out`, a row-major
-/// `rows × cols.len()` slab, one `CB`-column block at a time. Weight
-/// columns are widened once per block and reused across the whole row
-/// sweep; the ragged tail (`cols.len() % CB` columns) runs a scalar
-/// widened dot with identical values.
-#[allow(clippy::too_many_arguments)]
+/// Reduce the `rows` activation rows `a` against every column of `w`
+/// into the row-major `out`: the activations are prepared for `isa`
+/// once, then each `CB`-column block runs through
+/// [`kernels::reduce_block`] and goes to the sink; the ragged tail
+/// (`w.cols() % CB` columns) runs a scalar dot over the i8 operands
+/// with identical values.
 fn gemm_strip<S: StripSink>(
-    a16: &[i16],
+    a: &[i8],
     rows: usize,
-    k: usize,
     w: &PackedWeights,
-    cols: std::ops::Range<usize>,
     isa: KernelIsa,
     out: &mut [S::Out],
     sink: &mut S,
 ) {
-    let width = cols.len();
-    let mut wcol16 = vec![0i16; CB * k];
+    let (k, n) = w.shape();
+    let acts = Activations::prepare(isa, a);
+    let mut wide = Vec::new();
     let mut sums = vec![[0i32; CB]; rows];
-    let mut j = cols.start;
-    while j + CB <= cols.end {
-        for c in 0..CB {
-            widen(w.col(j + c), &mut wcol16[c * k..(c + 1) * k]);
-        }
-        for (di, s) in sums.iter_mut().enumerate() {
-            *s = kernels::mk_block(isa, &a16[di * k..(di + 1) * k], &wcol16, k);
-        }
-        sink.put_block(j, CB, &mut sums, &mut out[j - cols.start..], width);
+    let mut j = 0;
+    while j + CB <= n {
+        let strip = &w.data[j * k..(j + CB) * k];
+        kernels::reduce_block(isa, &acts, k, strip, &w.col_sums[j..j + CB], &mut wide, &mut sums);
+        sink.put_block(j, CB, &mut sums, &mut out[j..], n);
         j += CB;
     }
-    let tail = cols.end - j;
+    let tail = n - j;
     if tail == 0 {
         return;
     }
     for (di, s) in sums.iter_mut().enumerate() {
-        let arow = &a16[di * k..(di + 1) * k];
+        let arow = &a[di * k..(di + 1) * k];
         *s = [0; CB];
         for (c, acc) in s[..tail].iter_mut().enumerate() {
             for (&x, &wv) in arow.iter().zip(w.col(j + c)) {
@@ -431,34 +417,30 @@ fn gemm_strip<S: StripSink>(
             }
         }
     }
-    sink.put_block(j, tail, &mut sums, &mut out[j - cols.start..], width);
+    sink.put_block(j, tail, &mut sums, &mut out[j..], n);
 }
 
-/// Below this many MACs a scoped-thread fan-out costs more than it
-/// saves; the parallel entry points fall back to the serial kernel.
-const MIN_PAR_MACS: usize = 1 << 20;
+/// Below this many MACs a row-band fan-out costs more than it saves,
+/// and the parallel entry points fall back to the serial one: the
+/// vendored rayon starts an OS thread per spawned band. Parallel over
+/// serial time, medians of interleaved pairs on a 2-core AVX-512 VNNI
+/// host, VNNI kernel: 1.5× at 4.2M MACs (64×256×256), 1.02–1.03× at
+/// 8.4M (128×256×256), 0.81× at 18.9M (128×384×384), 0.61× at 75.5M
+/// (128×768×768). The widening kernels break even lower (`avx512`
+/// 1.11×, `avx2` 1.14×, `packed` 0.74× at 1.6M; 0.63–0.88× at 4.2M),
+/// so this one threshold leaves them serial on the few shapes between
+/// 4.2M and 16.8M MACs, none of which an encoder projection has.
+const MIN_PAR_MACS: usize = 1 << 24;
 
-/// The column panels a parallel GEMM is split into: one `(j0, width)`
-/// per worker, widths `CB`-aligned except possibly the last so panel
-/// interiors stay on the block microkernel. Returns `None` when the
-/// product is too small (or too narrow) to pay for threads.
-fn column_panels(m: usize, k: usize, n: usize) -> Option<Vec<(usize, usize)>> {
+/// Rows per band of a parallel GEMM: one band per worker. Returns
+/// `None` when the product is too small (or too short) to pay for
+/// threads.
+fn row_band(m: usize, k: usize, n: usize) -> Option<usize> {
     let threads = rayon::current_num_threads();
-    if threads <= 1 || n < 2 * CB || m.saturating_mul(k).saturating_mul(n) < MIN_PAR_MACS {
+    if threads <= 1 || m < 2 || m.saturating_mul(k).saturating_mul(n) < MIN_PAR_MACS {
         return None;
     }
-    let width = n.div_ceil(threads).next_multiple_of(CB);
-    let mut panels = Vec::with_capacity(n.div_ceil(width));
-    let mut j0 = 0;
-    while j0 < n {
-        let w = width.min(n - j0);
-        panels.push((j0, w));
-        j0 += w;
-    }
-    if panels.len() < 2 {
-        return None;
-    }
-    Some(panels)
+    Some(m.div_ceil(threads))
 }
 
 fn check_inner(a: &Matrix<i8>, w: &PackedWeights) {
@@ -470,20 +452,18 @@ fn check_inner(a: &Matrix<i8>, w: &PackedWeights) {
 /// The serial GEMM through `sink`.
 fn gemm<S: StripSink>(a: &Matrix<i8>, w: &PackedWeights, sink: &mut S) -> Matrix<S::Out> {
     check_inner(a, w);
-    let (m, k) = a.shape();
-    let n = w.cols();
+    let (m, n) = (a.rows(), w.cols());
     let mut out = vec![S::Out::default(); m * n];
-    gemm_strip(&widen_activations(a), m, k, w, 0..n, kernels::active_kernel(), &mut out, sink);
+    gemm_strip(a.as_slice(), m, w, kernels::active_kernel(), &mut out, sink);
     Matrix::from_vec(m, n, out)
 }
 
-/// The GEMM through `sink`, parallel across column panels *inside* the
-/// product: each worker stores its panel into a private slab (so no
-/// weight strip is widened twice and no two threads share a cache
-/// line), and the slabs are stitched into the row-major output in one
-/// `O(m·n)` copy. Falls back to [`gemm`] when the product is too small
-/// to pay for threads.
-fn gemm_parallel<S: StripSink + Clone + Send + Sync>(
+/// The GEMM through `sink`, parallel across bands of activation rows:
+/// each worker prepares its own rows and stores straight into its
+/// disjoint rows of the output, while every worker streams the same
+/// packed weights. The calling thread takes the first band. Falls back
+/// to [`gemm`] when the product is too small to pay for threads.
+fn gemm_parallel<S: StripSink + Clone + Send>(
     a: &Matrix<i8>,
     w: &PackedWeights,
     mut sink: S,
@@ -491,27 +471,20 @@ fn gemm_parallel<S: StripSink + Clone + Send + Sync>(
     check_inner(a, w);
     let (m, k) = a.shape();
     let n = w.cols();
-    let Some(panels) = column_panels(m, k, n) else {
+    let Some(band) = row_band(m, k, n) else {
         return gemm(a, w, &mut sink);
     };
     let isa = kernels::active_kernel();
-    let a16 = widen_activations(a);
-    let mut slabs: Vec<(usize, usize, Vec<S::Out>)> =
-        panels.into_iter().map(|(j0, pw)| (j0, pw, vec![S::Out::default(); m * pw])).collect();
-    let a16 = &a16;
-    rayon::scope(|s| {
-        for (j0, pw, slab) in &mut slabs {
-            let (j0, pw) = (*j0, *pw);
-            let mut sink = sink.clone();
-            s.spawn(move |_| gemm_strip(a16, m, k, w, j0..j0 + pw, isa, slab, &mut sink));
-        }
-    });
     let mut out = vec![S::Out::default(); m * n];
-    for (j0, pw, slab) in &slabs {
-        for di in 0..m {
-            out[di * n + j0..di * n + j0 + pw].copy_from_slice(&slab[di * pw..(di + 1) * pw]);
+    rayon::scope(|s| {
+        let mut bands = a.as_slice().chunks(band * k).zip(out.chunks_mut(band * n));
+        let (a0, out0) = bands.next().expect("m >= 2 rows make at least one band");
+        for (ab, ob) in bands {
+            let mut sink = sink.clone();
+            s.spawn(move |_| gemm_strip(ab, ab.len() / k, w, isa, ob, &mut sink));
         }
-    }
+        gemm_strip(a0, a0.len() / k, w, isa, out0, &mut sink);
+    });
     Matrix::from_vec(m, n, out)
 }
 
@@ -526,10 +499,9 @@ pub fn matmul_i8_i32_packed(a: &Matrix<i8>, w: &PackedWeights) -> Matrix<i32> {
     gemm(a, w, &mut I32Sink)
 }
 
-/// Panel-parallel packed GEMM: identical bytes to
-/// [`matmul_i8_i32_packed`] (each output element's reduction runs whole
-/// within one thread), parallel across column panels inside the
-/// product.
+/// Parallel packed GEMM: identical bytes to [`matmul_i8_i32_packed`]
+/// (each output element's reduction runs whole within one thread),
+/// parallel across bands of activation rows inside the product.
 ///
 /// # Panics
 /// Panics if `A.cols() != W.rows()`.
@@ -555,20 +527,6 @@ pub fn matmul_i8_packed_epilogue<F: Fn(usize, i32) -> i8>(
     f: F,
 ) -> Matrix<i8> {
     gemm(a, w, &mut MapSink(&f))
-}
-
-/// Panel-parallel form of [`matmul_i8_packed_epilogue`]: identical
-/// bytes, the epilogue runs inside each worker's store loop.
-///
-/// # Panics
-/// Panics if `A.cols() != W.rows()`.
-#[must_use]
-pub fn matmul_i8_packed_epilogue_parallel<F: Fn(usize, i32) -> i8 + Sync>(
-    a: &Matrix<i8>,
-    w: &PackedWeights,
-    f: F,
-) -> Matrix<i8> {
-    gemm_parallel(a, w, MapSink(&f))
 }
 
 /// Fused requantizing GEMM: `C = epi(A × W)` in one pass, the
@@ -678,10 +636,10 @@ mod tests {
 
     #[test]
     fn packed_parallel_matches_serial_bitwise() {
-        // Large enough to clear the parallel threshold when threads are
-        // available; the contract holds either way.
-        let a = a_mat(64, 160);
-        let w = w_mat(160, 128);
+        // 18.9M MACs clears the parallel threshold, so on a multi-core
+        // host the row bands genuinely split.
+        let a = a_mat(128, 384);
+        let w = w_mat(384, 384);
         let packed = PackedWeights::pack(&w);
         assert_eq!(
             matmul_i8_i32_packed_parallel(&a, &packed).as_slice(),

@@ -1,13 +1,13 @@
 //! Runtime kernel dispatch under forced multithreading.
 //!
 //! The host running CI may have a single core, which would let the
-//! panel-parallel GEMM silently fall back to the serial path and leave
-//! the stitch logic untested. This binary forces the vendored rayon
+//! parallel GEMM silently fall back to the serial path and leave the
+//! band split untested. This binary forces the vendored rayon
 //! shim to 4 workers via `RAYON_NUM_THREADS` *before its first
 //! parallel call* (the shim caches the thread count on first use, which
 //! is why this lives in its own test binary with a single `#[test]`),
 //! then drives every supported microkernel ISA through the serial,
-//! panel-parallel, fused and fused-checked entry points, requiring the
+//! parallel, fused and fused-checked entry points, requiring the
 //! exact bytes of the naive oracle from all of them.
 
 use protea_fixed::{QFormat, Requantizer, Rounding};
@@ -29,10 +29,11 @@ fn all_isas_agree_under_forced_parallelism() {
     std::env::set_var("RAYON_NUM_THREADS", "4");
     assert!(rayon::current_num_threads() >= 4, "shim must honor RAYON_NUM_THREADS");
 
-    // Big enough to clear MIN_PAR_MACS (2^20 MACs) so the column panels
-    // genuinely split; n deliberately not a multiple of the panel width
-    // so the last panel is ragged.
-    let (m, k, n) = (48, 192, 131);
+    // Big enough to clear the parallel threshold (2^24 MACs) so the
+    // row bands genuinely split; m deliberately not a multiple of the 4 workers
+    // (bands of 13, 13, 13, 11 rows, none a multiple of the 3-row VNNI
+    // tile) and n not a multiple of the 8-column block.
+    let (m, k, n) = (50, 384, 917);
     let a = mat(m, k, 3);
     let w = mat(k, n, 7);
     let packed = PackedWeights::pack(&w);
@@ -58,7 +59,7 @@ fn all_isas_agree_under_forced_parallelism() {
         assert_eq!(
             matmul_i8_i32_packed_parallel(&a, &packed).as_slice(),
             oracle.as_slice(),
-            "panel-parallel, kernel {isa}"
+            "parallel, kernel {isa}"
         );
         assert_eq!(
             matmul_i8_packed_requant(&a, &packed, &epi).as_slice(),
@@ -68,7 +69,7 @@ fn all_isas_agree_under_forced_parallelism() {
         assert_eq!(
             matmul_i8_packed_requant_parallel(&a, &packed, &epi).as_slice(),
             &fused_want[..],
-            "fused panel-parallel, kernel {isa}"
+            "fused parallel, kernel {isa}"
         );
         let checked = matmul_i8_packed_epilogue_checked(&a, &packed, |j, v| {
             rq.apply(v.saturating_add(bias[j]))

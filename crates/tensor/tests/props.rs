@@ -88,7 +88,7 @@ proptest! {
     fn packed_gemm_matches_naive_bitwise(
         a in arb_matrix(24), n in 1usize..24, seed in any::<u64>()
     ) {
-        // The fast-backend contract: the widened-i16 packed kernel is
+        // The fast-backend contract: the dispatched packed kernel is
         // bit-identical to the hardware oracle for arbitrary shapes,
         // including ragged column blocks and k == 1 edges.
         let w = Matrix::from_fn(a.cols(), n, |i, j| {
@@ -114,7 +114,7 @@ proptest! {
         // → bias → per-element requant pipeline, for arbitrary shapes,
         // rounding modes, target formats (right and left shifts),
         // pre-shifts and bias vectors, on the serial and the
-        // panel-parallel path alike.
+        // parallel path alike.
         let w = Matrix::from_fn(a.cols(), n, |i, j| {
             (seed.wrapping_mul(i as u64 + 17).wrapping_add(j as u64 * 29) % 255) as i8
         });
