@@ -60,14 +60,14 @@ pub enum ServeError {
         /// What went wrong.
         msg: String,
     },
-    /// Snapshot version negotiation or seal verification failed: the
-    /// header names an unknown grammar version, or the `hash` trailer
+    /// Snapshot header or seal verification failed: the header is not
+    /// the one grammar this build reads, or the `hash` trailer
     /// does not match the body (tampering / bit-rot). Distinct from
     /// [`ServeError::Snapshot`] because the file itself is untrusted —
     /// retrying, migrating, or resuming from it would be unsound — so
     /// CLI surfaces map it to its own exit code.
     SnapshotIntegrity {
-        /// What the negotiation or seal check found.
+        /// What the header or seal check found.
         msg: String,
     },
 }

@@ -16,9 +16,7 @@
 //!   resulting report latency to a service interval;
 //! * a *completion* frees the card and greedily re-dispatches.
 //!
-//! Every run goes through [`Fleet::run`] on a [`ServePlan`]; the legacy
-//! `serve*` methods are deprecated shims over it, pinned byte-exact by
-//! the `serve_equiv` tests.
+//! Every run goes through [`Fleet::run`] on a [`ServePlan`].
 //!
 //! With a [`FaultConfig`] attached, the same simulation runs under
 //! deterministic fault injection: per-card seeded `FaultStream`s feed
@@ -53,26 +51,29 @@
 //!   handler (what PR 5 expressed as boxed closures);
 //! * [`dispatch`] — the dispatch, completion, failure, crash, and
 //!   hedging logic plus the greedy dispatch loop;
-//! * [`snapshot`] — versioned [`FleetSnapshot`] capture/restore;
-//! * [`report`] — final [`ServeReport`] assembly.
+//! * [`snapshot`] — [`FleetSnapshot`] capture/restore;
+//! * [`report`] — final [`ServeReport`](crate::report::ServeReport)
+//!   assembly.
 //!
 //! ## Tracing
 //!
 //! [`ServePlan::traced`] runs the identical simulation with a
 //! fleet-level span recorder armed: every reprogram, batch service
 //! window, hedge leg, and hedge cancellation lands in a bounded
-//! [`ExecTrace`] ring buffer on per-card tracks, exportable as Chrome
-//! trace-event JSON. Tracing is observational — the report of a traced
-//! run is byte-identical to the untraced one.
+//! [`ExecTrace`](protea_hwsim::ExecTrace) ring buffer on per-card
+//! tracks, exportable as Chrome trace-event JSON. Tracing is
+//! observational — the report of a traced run is byte-identical to the
+//! untraced one.
 //!
 //! ## Snapshot / resume
 //!
-//! [`ServePlan::snapshot_every`] captures a versioned [`FleetSnapshot`]
-//! every N arrivals: pending events, scheduler queues, card and
-//! fault/overload state, RNG positions, the metrics accumulator, and
-//! the source cursor. [`ServePlan::resume`] restores one and continues;
-//! the resumed run's remaining snapshots, final state hash, and
-//! [`ServeReport`] are bit-identical to the uninterrupted run's.
+//! [`ServePlan::snapshot_every`] captures a [`FleetSnapshot`] every N
+//! arrivals: pending events, scheduler queues, card and fault/overload
+//! state, RNG positions, the metrics accumulator, and the source
+//! cursor. [`ServePlan::resume`] restores one and continues; the
+//! resumed run's remaining snapshots, final state hash, and
+//! [`ServeReport`](crate::report::ServeReport) are bit-identical to the
+//! uninterrupted run's.
 
 mod card;
 mod dispatch;
@@ -88,14 +89,11 @@ use crate::error::ServeError;
 use crate::faults::{FaultConfig, SdcConfig};
 use crate::overload::OverloadConfig;
 use crate::plan::{MetricsMode, ServeOutcome, ServePlan};
-use crate::report::ServeReport;
-use crate::request::ServeResponse;
 use crate::scheduler::{BatchPolicy, BatchScheduler};
 use crate::source::WorkloadSource;
-use crate::trace::Workload;
 use events::FleetEvent;
 use protea_core::{Accelerator, CoreError, SynthesisConfig};
-use protea_hwsim::{Cycles, EventQueue, ExecTrace};
+use protea_hwsim::{Cycles, EventQueue};
 use protea_platform::FpgaDevice;
 use sim::{MetricsAccum, SimModel};
 use snapshot::FleetSnapshot;
@@ -108,12 +106,9 @@ pub struct FleetConfig {
     /// The bitstream all cards are synthesized from.
     pub synthesis: SynthesisConfig,
     /// Uniform-roster shorthand: the device a card is built on when
-    /// [`roster`](Self::roster) is `None`. (The old doc claimed this was
-    /// "the device every card is built on" — since heterogeneous
-    /// rosters exist, that is only true of the shorthand.) Prefer
-    /// `roster` for anything heterogeneous; this field stays because a
-    /// `Some(vec![device; cards])` roster is pinned byte-identical to
-    /// it by `tests/serve_equiv.rs`, so existing configs lose nothing.
+    /// [`roster`](Self::roster) is `None`. Prefer `roster` for anything
+    /// heterogeneous; a `Some(vec![device; cards])` roster produces the
+    /// byte-identical report (pinned by `tests/serve_equiv.rs`).
     pub device: FpgaDevice,
     /// Batching policy.
     pub policy: BatchPolicy,
@@ -187,22 +182,9 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Whether any elastic feature is in force — a roster, a
-    /// non-historical placement policy, churn, tenancy, or brownout.
-    /// Gates the snapshot grammar version: an elastic config captures
-    /// v2, everything else keeps emitting byte-identical v1.
-    #[must_use]
-    pub fn elastic_active(&self) -> bool {
-        self.roster.is_some()
-            || self.placement != PlacementPolicy::FirstFree
-            || self.churn.is_some()
-            || self.tenants.is_some()
-            || self.brownout.is_some()
-    }
-
     /// Whether the SDC defense layer is in force (any injection,
     /// detection, or scrub knob set). Gates the SDC state allocation,
-    /// the managed simulation path, and the v3 snapshot grammar; an
+    /// the managed simulation path, and the snapshot's SDC block; an
     /// unarmed config keeps every byte of the SDC-free behavior.
     #[must_use]
     pub fn sdc_active(&self) -> bool {
@@ -498,55 +480,5 @@ impl Fleet {
             snapshots: Vec::new(),
             state_hash: None,
         })
-    }
-
-    /// Serve `workload` with batching across all cards. Returns the
-    /// aggregate report.
-    ///
-    /// # Errors
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use `Fleet::run` with a `ServePlan`")]
-    pub fn serve(&self, workload: &Workload) -> Result<ServeReport, ServeError> {
-        Ok(self.run(ServePlan::workload(workload))?.report)
-    }
-
-    /// Like `serve`, but also returns the individual completion
-    /// records, so callers (property tests, traces) can audit
-    /// per-request outcomes — e.g. that hedging never records a request
-    /// twice.
-    ///
-    /// # Errors
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use `Fleet::run` with `ServePlan::collect_responses`")]
-    pub fn serve_with_responses(
-        &self,
-        workload: &Workload,
-    ) -> Result<(ServeReport, Vec<ServeResponse>), ServeError> {
-        let out = self.run(ServePlan::workload(workload).collect_responses())?;
-        Ok((out.report, out.responses.expect("exact-mode run collects responses")))
-    }
-
-    /// Like `serve`, but with the fleet-level span recorder armed (see
-    /// the module docs). The report is byte-identical to the untraced
-    /// run — tracing never perturbs the schedule.
-    ///
-    /// # Errors
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use `Fleet::run` with `ServePlan::traced`")]
-    pub fn serve_traced(
-        &self,
-        workload: &Workload,
-    ) -> Result<(ServeReport, ExecTrace), ServeError> {
-        let out = self.run(ServePlan::workload(workload).traced())?;
-        Ok((out.report, out.trace.expect("traced run records a trace")))
-    }
-
-    /// The serial (one card, no batching) baseline report.
-    ///
-    /// # Errors
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use `Fleet::run` with `ServePlan::serial_baseline`")]
-    pub fn serve_serial_baseline(&self, workload: &Workload) -> Result<ServeReport, ServeError> {
-        Ok(self.run(ServePlan::workload(workload).serial_baseline())?.report)
     }
 }

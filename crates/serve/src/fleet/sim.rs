@@ -466,7 +466,8 @@ impl SimModel {
     }
 
     /// The generation state, allocated on first touch (an encoder-only
-    /// run never allocates it, so its snapshots stay pre-v4).
+    /// run never allocates it, so its snapshots carry an empty
+    /// generation block).
     pub(super) fn sessions_mut(&mut self) -> &mut SessionState {
         let cards = self.cards.len();
         self.sessions.get_or_insert_with(|| SessionState::new(cards, &self.kv_budgets))

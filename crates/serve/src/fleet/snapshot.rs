@@ -1,4 +1,4 @@
-//! Versioned fleet snapshots: capture a mid-run simulation, restore it
+//! Fleet snapshots: capture a mid-run simulation, restore it
 //! bit-identically.
 //!
 //! A [`FleetSnapshot`] is a plain-text record of everything the
@@ -24,35 +24,27 @@
 //! `hash <16 hex digits>`. Floats travel as `f64::to_bits` so the
 //! round-trip is exact.
 //!
-//! ## Versions
+//! ## Grammar
 //!
-//! Four grammar versions coexist. `protea-fleet-snapshot v1` is the
-//! original: 8-token requests, no churn state, no tenant ledger. A run
-//! emits `protea-fleet-snapshot v2` only when the elastic machinery is
-//! visible — an explicit roster, a non-default placement policy, churn,
-//! tenant classes, brownout, or traffic tagged with a nonzero tenant id
-//! — so classic fleets keep producing byte-identical v1 snapshots.
-//! v2 appends the tenant id as a ninth request token, adds `J`/`D`
-//! churn events and the `brownout` fail reason, and closes the fault
-//! section with roster presence, drain flags, pending joins, churn
-//! counters, and the per-tenant ledger. `protea-fleet-snapshot v3` is
-//! emitted only when the SDC defense is armed: it adds `S` (scrub) and
-//! `Q` (requalify) events and closes the fault section with the SDC
-//! block — counters, scrub arming, per-card quarantine/dirty/pending
-//! state, the re-execution seq set, and each card's corruption-stream
-//! RNG position. `protea-fleet-snapshot v4` is emitted once
-//! autoregressive generation is visible — mid-run session state (live
-//! or retired) or a decode-tagged arrival still pending: it extends
-//! requests to eleven tokens (`decode_steps`, per-token deadline), adds
-//! the `G` (generation round) event, and appends the generation block —
-//! session queues, the token conservation ledger, phase latency
-//! accumulators, and each card's running generation batch. KV residency
-//! is not serialized; restore re-derives it by re-reserving each
-//! restored session's worst-case footprint. `parse` accepts all four; a
-//! v1 snapshot restores with the fleet fully present and its history
-//! folded into tenant 0, and a v1/v2 snapshot is rejected up front when
-//! the resuming config arms machinery its grammar cannot carry (elastic
-//! for v1, SDC for both).
+//! One grammar, headed `protea-fleet-snapshot v5`; any other header is
+//! rejected. Requests always travel as eleven tokens (id, arrival,
+//! shape, priority, deadline, tenant, decode steps, per-token
+//! deadline). The optional sections are tied to state the restoring
+//! side rebuilds from the digest-pinned config, so capture and restore
+//! each test one predicate:
+//!
+//! * the fault section appears iff the run is managed, and always
+//!   closes with the elastic state — roster presence, drain flags,
+//!   pending joins, churn counters, and the per-tenant ledger;
+//! * inside it, the SDC block — counters, scrub arming, per-card
+//!   quarantine/dirty/pending state, the re-execution seq set, and each
+//!   card's corruption-stream RNG position — appears iff the config
+//!   arms the SDC defense;
+//! * the generation block — session queues, the token conservation
+//!   ledger, phase latency accumulators, and each card's running
+//!   generation batch — is always written (two lines when no session
+//!   exists). KV residency is not serialized; restore re-derives it by
+//!   re-reserving each restored session's worst-case footprint.
 //!
 //! A wrong header, a missing or malformed `hash` trailer, or a body
 //! that does not re-hash to the trailer is an *integrity* failure
@@ -77,10 +69,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-const HEADER_V1: &str = "protea-fleet-snapshot v1";
-const HEADER_V2: &str = "protea-fleet-snapshot v2";
-const HEADER_V3: &str = "protea-fleet-snapshot v3";
-const HEADER_V4: &str = "protea-fleet-snapshot v4";
+const HEADER: &str = "protea-fleet-snapshot v5";
 
 fn snap_err(msg: impl Into<String>) -> ServeError {
     ServeError::Snapshot { msg: msg.into() }
@@ -90,91 +79,16 @@ fn integrity_err(msg: impl Into<String>) -> ServeError {
     ServeError::SnapshotIntegrity { msg: msg.into() }
 }
 
-/// The fleet config digest a snapshot pins. A v3 snapshot digests the
-/// config's full debug form (which covers every field, including the
-/// SDC knobs). A v2 snapshot digests only the fourteen fields that
-/// existed before the SDC era, and a v1 snapshot only the nine
-/// pre-elastic ones — each in its historical order, so snapshots taken
-/// by older builds keep verifying against configs whose newer knobs
-/// are all at rest.
-fn config_digest(config: &FleetConfig, version: u8) -> u64 {
-    match version {
-        3 | 4 => Fnv64::hash(format!("{config:?}").as_bytes()),
-        2 => elastic_config_digest(config),
-        _ => legacy_config_digest(config),
+/// The fleet config digest a snapshot pins: FNV-1a over the config's
+/// `Debug` form. A disarmed SDC config changes nothing about a run, so
+/// it is normalised to `None` first and its snapshots stay
+/// byte-identical to an undefended fleet's.
+fn config_digest(config: &FleetConfig) -> u64 {
+    if config.sdc.is_some() && !config.sdc_active() {
+        let normalised = FleetConfig { sdc: None, ..config.clone() };
+        return Fnv64::hash(format!("{normalised:?}").as_bytes());
     }
-}
-
-fn elastic_config_digest(c: &FleetConfig) -> u64 {
-    // Same shadow-struct trick as `legacy_config_digest`, over the
-    // fourteen fields the elastic-era config had — so pre-SDC v2
-    // snapshots (and their pinned state hashes) keep verifying.
-    #[derive(Debug)]
-    #[allow(dead_code)]
-    struct FleetConfig<A, B, C, D, E, F, G, H, I, J, K, L, M, N> {
-        cards: A,
-        synthesis: B,
-        device: C,
-        policy: D,
-        functional: E,
-        reload_gbps: F,
-        faults: G,
-        overload: H,
-        timing_memo: I,
-        roster: J,
-        placement: K,
-        churn: L,
-        tenants: M,
-        brownout: N,
-    }
-    let shadow = FleetConfig {
-        cards: &c.cards,
-        synthesis: &c.synthesis,
-        device: &c.device,
-        policy: &c.policy,
-        functional: &c.functional,
-        reload_gbps: &c.reload_gbps,
-        faults: &c.faults,
-        overload: &c.overload,
-        timing_memo: &c.timing_memo,
-        roster: &c.roster,
-        placement: &c.placement,
-        churn: &c.churn,
-        tenants: &c.tenants,
-        brownout: &c.brownout,
-    };
-    Fnv64::hash(format!("{shadow:?}").as_bytes())
-}
-
-fn legacy_config_digest(c: &FleetConfig) -> u64 {
-    // `Debug` for `&T` forwards to `T`, and a derived `Debug` prints the
-    // struct's own name — so this shadow reproduces the pre-elastic
-    // config's debug output byte-for-byte without cloning anything.
-    #[derive(Debug)]
-    #[allow(dead_code)]
-    struct FleetConfig<A, B, C, D, E, F, G, H, I> {
-        cards: A,
-        synthesis: B,
-        device: C,
-        policy: D,
-        functional: E,
-        reload_gbps: F,
-        faults: G,
-        overload: H,
-        timing_memo: I,
-    }
-    let shadow = FleetConfig {
-        cards: &c.cards,
-        synthesis: &c.synthesis,
-        device: &c.device,
-        policy: &c.policy,
-        functional: &c.functional,
-        reload_gbps: &c.reload_gbps,
-        faults: &c.faults,
-        overload: &c.overload,
-        timing_memo: &c.timing_memo,
-    };
-    Fnv64::hash(format!("{shadow:?}").as_bytes())
+    Fnv64::hash(format!("{config:?}").as_bytes())
 }
 
 fn opt_u64(v: Option<u64>) -> String {
@@ -221,9 +135,9 @@ fn health_from(code: u64) -> Result<CardHealth, ServeError> {
     })
 }
 
-fn req_tokens(r: &ServeRequest, version: u8) -> String {
-    let mut line = format!(
-        "{} {} {} {} {} {} {} {}",
+fn req_tokens(r: &ServeRequest) -> String {
+    format!(
+        "{} {} {} {} {} {} {} {} {} {} {}",
         r.id,
         r.arrival_ns,
         r.d_model,
@@ -231,20 +145,16 @@ fn req_tokens(r: &ServeRequest, version: u8) -> String {
         r.layers,
         r.seq_len,
         r.priority.index(),
-        opt_u64(r.deadline_ns)
-    );
-    if version >= 2 {
-        line.push_str(&format!(" {}", r.tenant));
-    }
-    if version >= 4 {
-        line.push_str(&format!(" {} {}", r.decode_steps, opt_u64(r.token_deadline_ns)));
-    }
-    line
+        opt_u64(r.deadline_ns),
+        r.tenant,
+        r.decode_steps,
+        opt_u64(r.token_deadline_ns)
+    )
 }
 
-fn event_tokens(ev: &FleetEvent, version: u8) -> String {
+fn event_tokens(ev: &FleetEvent) -> String {
     match ev {
-        FleetEvent::Arrival(r) => format!("A {}", req_tokens(r, version)),
+        FleetEvent::Arrival(r) => format!("A {}", req_tokens(r)),
         FleetEvent::Crash { card } => format!("X {card}"),
         FleetEvent::Free { card } => format!("F {card}"),
         FleetEvent::Complete { card, epoch, start_ns } => format!("C {card} {epoch} {start_ns}"),
@@ -336,14 +246,9 @@ fn popt(tok: Option<&&str>, what: &str) -> Result<Option<u64>, ServeError> {
     }
 }
 
-fn parse_request(toks: &[&str], version: u8) -> Result<ServeRequest, ServeError> {
-    let want = match version {
-        0..=1 => 8,
-        2..=3 => 9,
-        _ => 11,
-    };
-    if toks.len() != want {
-        return Err(snap_err(format!("request wants {want} tokens, got {}", toks.len())));
+fn parse_request(toks: &[&str]) -> Result<ServeRequest, ServeError> {
+    if toks.len() != 11 {
+        return Err(snap_err(format!("request wants 11 tokens, got {}", toks.len())));
     }
     let mut it = toks.iter();
     let (id, arrival_ns) = (pu64(it.next(), "request id")?, pu64(it.next(), "arrival")?);
@@ -355,10 +260,6 @@ fn parse_request(toks: &[&str], version: u8) -> Result<ServeRequest, ServeError>
     let priority = *Priority::ALL
         .get(prio)
         .ok_or_else(|| snap_err(format!("unknown priority index {prio}")))?;
-    let deadline_ns = popt(it.next(), "deadline")?;
-    let tenant = if version >= 2 { pu64(it.next(), "tenant")? as u32 } else { 0 };
-    let decode_steps = if version >= 4 { pu64(it.next(), "decode_steps")? as u32 } else { 0 };
-    let token_deadline_ns = if version >= 4 { popt(it.next(), "token deadline")? } else { None };
     Ok(ServeRequest {
         id,
         arrival_ns,
@@ -367,18 +268,18 @@ fn parse_request(toks: &[&str], version: u8) -> Result<ServeRequest, ServeError>
         layers,
         seq_len,
         priority,
-        deadline_ns,
-        tenant,
-        decode_steps,
-        token_deadline_ns,
+        deadline_ns: popt(it.next(), "deadline")?,
+        tenant: pu64(it.next(), "tenant")? as u32,
+        decode_steps: pu64(it.next(), "decode_steps")? as u32,
+        token_deadline_ns: popt(it.next(), "token deadline")?,
     })
 }
 
-fn parse_event(toks: &[&str], version: u8) -> Result<FleetEvent, ServeError> {
+fn parse_event(toks: &[&str]) -> Result<FleetEvent, ServeError> {
     let (tag, rest) = toks.split_first().ok_or_else(|| snap_err("empty event"))?;
     let mut it = rest.iter();
     Ok(match *tag {
-        "A" => FleetEvent::Arrival(parse_request(rest, version)?),
+        "A" => FleetEvent::Arrival(parse_request(rest)?),
         "X" => FleetEvent::Crash { card: pusize(it.next(), "crash card")? },
         "F" => FleetEvent::Free { card: pusize(it.next(), "free card")? },
         "C" => FleetEvent::Complete {
@@ -434,7 +335,7 @@ fn parse_sketch(toks: &[&str]) -> Result<LatencySketch, ServeError> {
     let count = pu64(it.next(), "sketch count")?;
     let max = f64::from_bits(pu64(it.next(), "sketch max")?);
     let npairs = pusize(it.next(), "sketch pair count")?;
-    let mut pairs = Vec::with_capacity(npairs);
+    let mut pairs = Vec::new();
     for _ in 0..npairs {
         let bin = pusize(it.next(), "sketch bin")?;
         let n = pu64(it.next(), "sketch bin count")?;
@@ -457,8 +358,6 @@ pub struct FleetSnapshot {
     hash: u64,
     /// Arrivals processed when captured (the snapshot's epoch).
     arrivals: u64,
-    /// Grammar version (1 through 4), read from the header line.
-    version: u8,
 }
 
 impl FleetSnapshot {
@@ -477,27 +376,12 @@ impl FleetSnapshot {
         self.arrivals
     }
 
-    /// The snapshot grammar version: 1 for classic fleets, 2 once the
-    /// elastic machinery (roster, churn, tenants, brownout) is visible,
-    /// 3 once the SDC defense is armed, 4 once autoregressive decode
-    /// traffic or mid-generation session state is visible.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     fn seal(body: Vec<String>, arrivals: u64) -> Self {
         let hash = Fnv64::hash(body.join("\n").as_bytes());
-        let version = match body.first().map(String::as_str) {
-            Some(h) if h == HEADER_V4 => 4,
-            Some(h) if h == HEADER_V3 => 3,
-            Some(h) if h == HEADER_V2 => 2,
-            _ => 1,
-        };
-        Self { body, hash, arrivals, version }
+        Self { body, hash, arrivals }
     }
 
-    /// Parse the canonical text form, verifying the version header and
+    /// Parse the canonical text form, verifying the header and
     /// the integrity hash.
     ///
     /// # Errors
@@ -515,19 +399,15 @@ impl FleetSnapshot {
             .ok_or_else(|| integrity_err("snapshot does not end with a `hash` trailer"))?;
         let stated = u64::from_str_radix(stated.trim(), 16)
             .map_err(|_| integrity_err("malformed hash trailer"))?;
-        let version = match body.first().map(String::as_str) {
-            Some(h) if h == HEADER_V1 => 1,
-            Some(h) if h == HEADER_V2 => 2,
-            Some(h) if h == HEADER_V3 => 3,
-            Some(h) if h == HEADER_V4 => 4,
+        match body.first() {
+            Some(h) if h == HEADER => {}
             got => {
                 return Err(integrity_err(format!(
-                    "unsupported snapshot header `{}` (want `{HEADER_V1}`, `{HEADER_V2}`, \
-                     `{HEADER_V3}`, or `{HEADER_V4}`)",
-                    got.unwrap_or("")
+                    "unsupported snapshot header `{}` (want `{HEADER}`)",
+                    got.map_or("", String::as_str)
                 )))
             }
-        };
+        }
         let computed = Fnv64::hash(body.join("\n").as_bytes());
         if computed != stated {
             return Err(integrity_err(format!(
@@ -540,7 +420,7 @@ impl FleetSnapshot {
             .ok_or_else(|| snap_err("snapshot has no arrivals line"))?
             .parse()
             .map_err(|_| snap_err("malformed arrivals line"))?;
-        Ok(Self { body, hash: computed, arrivals, version })
+        Ok(Self { body, hash: computed, arrivals })
     }
 
     /// Capture the complete state of a mid-run (or finished) simulation.
@@ -555,55 +435,8 @@ impl FleetSnapshot {
     ) -> Self {
         let events = q.sorted_events();
         let rows = m.scheduler.export_queues();
-        let srows = m.scheduler.export_session_queues();
-        // v4 once generation is visible: live or finished session state,
-        // or a decode request still pending as an arrival (a pre-v4
-        // grammar would silently drop its decode_steps on restore and
-        // the resumed run would diverge from the uninterrupted one).
-        // v3 only when the SDC defense is armed; v2 only when the
-        // elastic machinery is visible: an elastic config, or traffic
-        // already tagged with a nonzero tenant id anywhere the snapshot
-        // will store a request. Classic fleets keep emitting
-        // byte-identical v1 snapshots, elastic-but-undefended fleets
-        // byte-identical v2 ones.
-        let v4 = m.sessions.is_some()
-            || events
-                .iter()
-                .any(|(_, _, ev)| matches!(ev, FleetEvent::Arrival(r) if r.is_decode()));
-        let sdc = m.faulty.as_ref().is_some_and(|f| f.sdc.is_some());
-        let v2 = sdc
-            || config.elastic_active()
-            || events
-                .iter()
-                .any(|(_, _, ev)| matches!(ev, FleetEvent::Arrival(r) if r.tenant != 0))
-            || rows.iter().any(|(_, _, reqs)| reqs.iter().any(|r| r.tenant != 0))
-            || m.faulty.as_ref().is_some_and(|f| {
-                f.tenants.keys().any(|&t| t != 0)
-                    || f.inflight
-                        .iter()
-                        .flatten()
-                        .any(|i| i.batch.requests.iter().any(|r| r.tenant != 0))
-            });
-        let version = if v4 {
-            4
-        } else if sdc {
-            3
-        } else if v2 {
-            2
-        } else {
-            1
-        };
-        let mut w: Vec<String> = Vec::new();
-        w.push(
-            match version {
-                4 => HEADER_V4,
-                3 => HEADER_V3,
-                2 => HEADER_V2,
-                _ => HEADER_V1,
-            }
-            .into(),
-        );
-        w.push(format!("config {:016x}", config_digest(config, version)));
+        let mut w: Vec<String> = vec![HEADER.into()];
+        w.push(format!("config {:016x}", config_digest(config)));
         let cursor = source.state();
         let mut line = format!("source {}", source.kind());
         for word in &cursor.words {
@@ -618,7 +451,7 @@ impl FleetSnapshot {
         w.push(format!("next_flush {}", opt_u64(m.next_flush)));
         w.push(format!("events {}", events.len()));
         for (t, rank, ev) in &events {
-            w.push(format!("event {} {rank} {}", t.get(), event_tokens(ev, version)));
+            w.push(format!("event {} {rank} {}", t.get(), event_tokens(ev)));
         }
         w.push(format!("queues {}", rows.len()));
         for (class, padded_seq_len, requests) in &rows {
@@ -630,7 +463,7 @@ impl FleetSnapshot {
                 requests.len()
             ));
             for r in requests {
-                w.push(format!("req {}", req_tokens(r, version)));
+                w.push(format!("req {}", req_tokens(r)));
             }
         }
         w.push(format!("cards {}", m.cards.len()));
@@ -688,13 +521,10 @@ impl FleetSnapshot {
             }
             None => w.push("memo 0 0 0 0".into()),
         }
-        match &m.faulty {
-            None => w.push("faults 0".into()),
-            Some(f) => capture_faults(&mut w, f, version, sdc),
+        if let Some(f) = &m.faulty {
+            capture_faults(&mut w, f);
         }
-        if version >= 4 {
-            capture_sessions(&mut w, m, &srows, version);
-        }
+        capture_sessions(&mut w, m);
         Self::seal(w, arrivals)
     }
 
@@ -710,26 +540,9 @@ impl FleetSnapshot {
         source: &mut dyn WorkloadSource,
     ) -> Result<(EventQueue<FleetEvent>, SimModel, u64), ServeError> {
         let mut c = Cursor::new(&self.body);
-        let v2 = self.version >= 2;
-        let v3 = self.version >= 3;
-        // A v3 body always carries the SDC block; a v4 body carries it
-        // exactly when the (digest-pinned) config arms the defense.
-        let sdc = self.version == 3 || (self.version >= 4 && config.sdc_active());
-        if !v2 && config.elastic_active() {
-            return Err(snap_err(
-                "v1 snapshot cannot resume under an elastic fleet config \
-                 (roster/placement/churn/tenant/brownout knobs are set)",
-            ));
-        }
-        if !v3 && config.sdc_active() {
-            return Err(snap_err(
-                "pre-v3 snapshot cannot resume under an SDC-armed fleet config \
-                 (its grammar carries no corruption-stream or quarantine state)",
-            ));
-        }
         c.pos = 1;
         let digest = self.read_digest(&mut c)?;
-        let want = config_digest(config, self.version);
+        let want = config_digest(config);
         if digest != want {
             return Err(snap_err(format!(
                 "snapshot was captured under a different fleet config \
@@ -782,11 +595,11 @@ impl FleetSnapshot {
                     "pending event at {t} ns predates the snapshot clock {time} ns"
                 )));
             }
-            q.push(Cycles(t), rank, parse_event(&toks[2..], self.version)?);
+            q.push(Cycles(t), rank, parse_event(&toks[2..])?);
         }
 
         let n_queues = pusize(c.expect("queues")?.first(), "queue count")?;
-        let mut rows = Vec::with_capacity(n_queues);
+        let mut rows = Vec::new();
         for _ in 0..n_queues {
             let toks = c.expect("queue")?;
             let class = CapacityClass {
@@ -796,9 +609,9 @@ impl FleetSnapshot {
             };
             let padded = pusize(toks.get(3), "queue padded_seq_len")?;
             let k = pusize(toks.get(4), "queue length")?;
-            let mut requests = Vec::with_capacity(k);
+            let mut requests = Vec::new();
             for _ in 0..k {
-                requests.push(parse_request(&c.expect("req")?, self.version)?);
+                requests.push(parse_request(&c.expect("req")?)?);
             }
             rows.push((class, padded, requests));
         }
@@ -849,7 +662,7 @@ impl FleetSnapshot {
         match (toks.first(), sketch) {
             (Some(&"exact"), false) => {
                 let n = pusize(toks.get(1), "response count")?;
-                let mut responses = Vec::with_capacity(n);
+                let mut responses = Vec::new();
                 for _ in 0..n {
                     let toks = c.expect("resp")?;
                     responses.push(ServeResponse {
@@ -916,16 +729,13 @@ impl FleetSnapshot {
             model.memo.as_mut().expect("presence checked").set_counters(hits, misses);
         }
 
-        let have_faults = pbool(c.expect("faults")?.first(), "faults flag")?;
-        if have_faults != model.faulty.is_some() {
-            return Err(snap_err("snapshot fault state does not match the managed mode"));
+        // The managed flag was checked above, so the fault state exists
+        // on both sides or on neither.
+        let cards = model.cards.len();
+        if let Some(f) = model.faulty.as_mut() {
+            restore_faults(&mut c, f, cards)?;
         }
-        if have_faults {
-            restore_faults(&mut c, &mut model, self.version, sdc)?;
-        }
-        if self.version >= 4 {
-            restore_sessions(&mut c, &mut model)?;
-        }
+        restore_sessions(&mut c, &mut model)?;
 
         // Self-check: the restored state must re-hash to exactly this
         // snapshot — anything less means the resumed run would diverge.
@@ -945,8 +755,7 @@ impl FleetSnapshot {
     }
 }
 
-fn capture_faults(w: &mut Vec<String>, f: &FaultState, version: u8, sdc: bool) {
-    w.push("faults 1".into());
+fn capture_faults(w: &mut Vec<String>, f: &FaultState) {
     w.push(format!("f.submitted {}", f.submitted));
     w.push(format!("f.trackdl {}", u64::from(f.track_deadlines)));
     w.push(format!("f.batchseq {}", f.batch_seq));
@@ -1011,7 +820,7 @@ fn capture_faults(w: &mut Vec<String>, f: &FaultState, version: u8, sdc: bool) {
                     i.batch.requests.len()
                 ));
                 for r in &i.batch.requests {
-                    w.push(format!("req {}", req_tokens(r, version)));
+                    w.push(format!("req {}", req_tokens(r)));
                 }
             }
         }
@@ -1040,29 +849,26 @@ fn capture_faults(w: &mut Vec<String>, f: &FaultState, version: u8, sdc: bool) {
         line.push_str(&format!(" {v}"));
     }
     w.push(line);
-    if version >= 2 {
-        let mut line = String::from("f.present");
-        for p in &f.present {
-            line.push_str(&format!(" {}", u64::from(*p)));
-        }
-        w.push(line);
-        let mut line = String::from("f.draining");
-        for d in &f.draining {
-            line.push_str(&format!(" {}", u64::from(*d)));
-        }
-        w.push(line);
-        w.push(format!("f.pending_joins {}", f.pending_joins));
-        w.push(format!("f.churn {} {}", f.joins, f.drains));
-        w.push(format!("tenants {}", f.tenants.len()));
-        for (t, l) in &f.tenants {
-            w.push(format!(
-                "tenant {t} {} {} {} {} {} {}",
-                l.submitted, l.completed, l.shed, l.expired, l.failed, l.good
-            ));
-        }
+    let mut line = String::from("f.present");
+    for p in &f.present {
+        line.push_str(&format!(" {}", u64::from(*p)));
     }
-    if sdc {
-        let s = f.sdc.as_ref().expect("the SDC block is only emitted with SDC state");
+    w.push(line);
+    let mut line = String::from("f.draining");
+    for d in &f.draining {
+        line.push_str(&format!(" {}", u64::from(*d)));
+    }
+    w.push(line);
+    w.push(format!("f.pending_joins {}", f.pending_joins));
+    w.push(format!("f.churn {} {}", f.joins, f.drains));
+    w.push(format!("tenants {}", f.tenants.len()));
+    for (t, l) in &f.tenants {
+        w.push(format!(
+            "tenant {t} {} {} {} {} {} {}",
+            l.submitted, l.completed, l.shed, l.expired, l.failed, l.good
+        ));
+    }
+    if let Some(s) = &f.sdc {
         w.push(format!(
             "s.counters {} {} {} {} {}",
             s.injected, s.detected, s.missed, s.re_execs, s.scrubs
@@ -1098,14 +904,15 @@ fn capture_faults(w: &mut Vec<String>, f: &FaultState, version: u8, sdc: bool) {
     }
 }
 
-fn restore_faults(
-    c: &mut Cursor<'_>,
-    model: &mut SimModel,
-    version: u8,
-    sdc: bool,
-) -> Result<(), ServeError> {
-    let cards = model.cards.len();
-    let f = model.faulty.as_mut().expect("managed model has fault state");
+/// A line of exactly one flag per card.
+fn card_flags(toks: &[&str], cards: usize, what: &str) -> Result<Vec<bool>, ServeError> {
+    if toks.len() != cards {
+        return Err(snap_err(format!("{what} line wants {cards} entries, got {}", toks.len())));
+    }
+    toks.iter().map(|t| pbool(Some(t), what)).collect()
+}
+
+fn restore_faults(c: &mut Cursor<'_>, f: &mut FaultState, cards: usize) -> Result<(), ServeError> {
     f.submitted = pusize(c.expect("f.submitted")?.first(), "submitted")?;
     f.track_deadlines = pbool(c.expect("f.trackdl")?.first(), "track_deadlines")?;
     f.batch_seq = pu64(c.expect("f.batchseq")?.first(), "batch_seq")?;
@@ -1155,7 +962,7 @@ fn restore_faults(
     for (i, e) in f.epochs.iter_mut().enumerate() {
         *e = pu64(toks.get(i), "epoch")?;
     }
-    for slot in 0..cards {
+    for slot in &mut f.inflight {
         let toks = c.expect("inflight")?;
         if toks.first() == Some(&"-") {
             continue;
@@ -1171,12 +978,11 @@ fn restore_faults(
             seq_len: pusize(toks.get(7), "inflight seq_len")?,
         };
         let k = pusize(toks.get(8), "inflight batch size")?;
-        let mut requests = Vec::with_capacity(k);
+        let mut requests = Vec::new();
         for _ in 0..k {
-            requests.push(parse_request(&c.expect("req")?, version)?);
+            requests.push(parse_request(&c.expect("req")?)?);
         }
-        let f = model.faulty.as_mut().expect("managed model has fault state");
-        f.inflight[slot] = Some(Inflight {
+        *slot = Some(Inflight {
             batch: Batch { requests, runtime },
             seq,
             resolve_ns,
@@ -1184,18 +990,18 @@ fn restore_faults(
             partner,
         });
     }
-    let f = model.faulty.as_mut().expect("managed model has fault state");
     let n = pusize(c.expect("attempts")?.first(), "attempts count")?;
-    let mut attempts = BTreeMap::new();
+    f.attempts = BTreeMap::new();
     for _ in 0..n {
         let toks = c.expect("att")?;
-        attempts
+        f.attempts
             .insert(pu64(toks.first(), "attempt id")?, pu64(toks.get(1), "attempt count")? as u32);
     }
-    f.attempts = attempts;
-    for tag in ["failed", "shed", "expired"] {
+    for (tag, list) in
+        [("failed", &mut f.failed), ("shed", &mut f.shed), ("expired", &mut f.expired)]
+    {
         let n = pusize(c.expect(tag)?.first(), "failure count")?;
-        let mut list = Vec::with_capacity(n);
+        list.clear();
         for _ in 0..n {
             let toks = c.expect("fr")?;
             list.push(FailedRequest {
@@ -1203,14 +1009,7 @@ fn restore_faults(
                 reason: parse_reason(&toks[1..])?,
             });
         }
-        let f = model.faulty.as_mut().expect("managed model has fault state");
-        match tag {
-            "failed" => f.failed = list,
-            "shed" => f.shed = list,
-            _ => f.expired = list,
-        }
     }
-    let f = model.faulty.as_mut().expect("managed model has fault state");
     match (c.expect("limiter")?.first(), f.limiter.as_mut()) {
         (Some(&"-"), None) => {}
         (Some(bits), Some(l)) => {
@@ -1227,156 +1026,85 @@ fn restore_faults(
     }
     let toks = c.expect("svc")?;
     let n = pusize(toks.first(), "service-time count")?;
-    let mut samples = Vec::with_capacity(n);
+    let mut samples = Vec::new();
     for i in 0..n {
         samples.push(pu64(toks.get(1 + i), "service-time sample")?);
     }
     f.svc.import(samples);
-    if version >= 2 {
-        let toks = c.expect("f.present")?;
-        if toks.len() != cards {
-            return Err(snap_err(format!(
-                "f.present line wants {cards} entries, got {}",
-                toks.len()
-            )));
-        }
-        for (i, slot) in f.present.iter_mut().enumerate() {
-            *slot = pbool(toks.get(i), "present flag")?;
-        }
-        let toks = c.expect("f.draining")?;
-        if toks.len() != cards {
-            return Err(snap_err(format!(
-                "f.draining line wants {cards} entries, got {}",
-                toks.len()
-            )));
-        }
-        for (i, slot) in f.draining.iter_mut().enumerate() {
-            *slot = pbool(toks.get(i), "draining flag")?;
-        }
-        f.pending_joins = pusize(c.expect("f.pending_joins")?.first(), "pending joins")?;
-        let toks = c.expect("f.churn")?;
-        f.joins = pu64(toks.first(), "join count")?;
-        f.drains = pu64(toks.get(1), "drain count")?;
-        let n = pusize(c.expect("tenants")?.first(), "tenant count")?;
-        let mut tenants = BTreeMap::new();
-        for _ in 0..n {
-            let toks = c.expect("tenant")?;
-            tenants.insert(
-                pu64(toks.first(), "tenant id")? as u32,
-                TenantLedger {
-                    submitted: pusize(toks.get(1), "tenant submitted")?,
-                    completed: pusize(toks.get(2), "tenant completed")?,
-                    shed: pusize(toks.get(3), "tenant shed")?,
-                    expired: pusize(toks.get(4), "tenant expired")?,
-                    failed: pusize(toks.get(5), "tenant failed")?,
-                    good: pusize(toks.get(6), "tenant good")?,
-                },
-            );
-        }
-        f.tenants = tenants;
-    } else {
-        // v1 snapshots predate churn and tenancy: the fleet is fully
-        // present, nothing is draining, and the run's entire history
-        // belongs to tenant 0. Reconstructing that ledger keeps the
-        // per-tenant conservation law holding across a v1 resume
-        // without perturbing the recapture hash (v1 emission never
-        // serializes it).
-        f.present = vec![true; cards];
-        f.draining = vec![false; cards];
-        f.pending_joins = 0;
-        f.joins = 0;
-        f.drains = 0;
-        f.tenants = BTreeMap::new();
-        if f.submitted > 0 {
-            f.tenants.insert(
-                0,
-                TenantLedger {
-                    submitted: f.submitted,
-                    completed: f.prio_completed.iter().sum(),
-                    shed: f.shed.len(),
-                    expired: f.expired.len(),
-                    failed: f.failed.len(),
-                    good: f.good_completions,
-                },
-            );
-        }
+    f.present = card_flags(&c.expect("f.present")?, cards, "f.present")?;
+    f.draining = card_flags(&c.expect("f.draining")?, cards, "f.draining")?;
+    f.pending_joins = pusize(c.expect("f.pending_joins")?.first(), "pending joins")?;
+    let toks = c.expect("f.churn")?;
+    f.joins = pu64(toks.first(), "join count")?;
+    f.drains = pu64(toks.get(1), "drain count")?;
+    let n = pusize(c.expect("tenants")?.first(), "tenant count")?;
+    f.tenants = BTreeMap::new();
+    for _ in 0..n {
+        let toks = c.expect("tenant")?;
+        f.tenants.insert(
+            pu64(toks.first(), "tenant id")? as u32,
+            TenantLedger {
+                submitted: pusize(toks.get(1), "tenant submitted")?,
+                completed: pusize(toks.get(2), "tenant completed")?,
+                shed: pusize(toks.get(3), "tenant shed")?,
+                expired: pusize(toks.get(4), "tenant expired")?,
+                failed: pusize(toks.get(5), "tenant failed")?,
+                good: pusize(toks.get(6), "tenant good")?,
+            },
+        );
     }
-    if sdc {
-        let f = model.faulty.as_mut().expect("managed model has fault state");
-        let s = f.sdc.as_mut().ok_or_else(|| {
-            snap_err("the snapshot's SDC block requires an SDC-armed fleet config")
-        })?;
-        let toks = c.expect("s.counters")?;
-        s.injected = pu64(toks.first(), "sdc injected")?;
-        s.detected = pu64(toks.get(1), "sdc detected")?;
-        s.missed = pu64(toks.get(2), "sdc missed")?;
-        s.re_execs = pu64(toks.get(3), "sdc re_execs")?;
-        s.scrubs = pu64(toks.get(4), "sdc scrubs")?;
-        s.scrub_armed = popt(c.expect("s.scrub_armed")?.first(), "scrub_armed")?;
-        for stream in &mut s.streams {
-            let toks = c.expect("sstream")?;
-            let rng = pu64(toks.first(), "sdc stream rng state")?;
-            let next_scripted = pusize(toks.get(1), "sdc stream scripted cursor")?;
-            stream.restore(rng, next_scripted);
-        }
-        let toks = c.expect("s.quarantined")?;
-        if toks.len() != cards {
-            return Err(snap_err(format!(
-                "s.quarantined line wants {cards} entries, got {}",
-                toks.len()
-            )));
-        }
-        for (i, slot) in s.quarantined.iter_mut().enumerate() {
-            *slot = pbool(toks.get(i), "quarantined flag")?;
-        }
-        let toks = c.expect("s.dirty")?;
-        if toks.len() != cards {
-            return Err(snap_err(format!(
-                "s.dirty line wants {cards} entries, got {}",
-                toks.len()
-            )));
-        }
-        for (i, slot) in s.dirty.iter_mut().enumerate() {
-            *slot = pu64(toks.get(i), "dirty count")? as u32;
-        }
-        let toks = c.expect("s.pending")?;
-        if toks.len() != cards {
-            return Err(snap_err(format!(
-                "s.pending line wants {cards} entries, got {}",
-                toks.len()
-            )));
-        }
-        for (i, slot) in s.pending.iter_mut().enumerate() {
-            *slot = match toks.get(i) {
-                Some(&"-") => None,
-                tok => Some(pbool(tok, "pending draw")?),
-            };
-        }
-        let toks = c.expect("s.reexec")?;
-        let n = pusize(toks.first(), "reexec count")?;
-        let mut reexec = std::collections::BTreeSet::new();
-        for i in 0..n {
-            reexec.insert(pu64(toks.get(1 + i), "reexec seq")?);
-        }
-        s.reexec = reexec;
+    let Some(s) = f.sdc.as_mut() else { return Ok(()) };
+    let toks = c.expect("s.counters")?;
+    s.injected = pu64(toks.first(), "sdc injected")?;
+    s.detected = pu64(toks.get(1), "sdc detected")?;
+    s.missed = pu64(toks.get(2), "sdc missed")?;
+    s.re_execs = pu64(toks.get(3), "sdc re_execs")?;
+    s.scrubs = pu64(toks.get(4), "sdc scrubs")?;
+    s.scrub_armed = popt(c.expect("s.scrub_armed")?.first(), "scrub_armed")?;
+    for stream in &mut s.streams {
+        let toks = c.expect("sstream")?;
+        let rng = pu64(toks.first(), "sdc stream rng state")?;
+        let next_scripted = pusize(toks.get(1), "sdc stream scripted cursor")?;
+        stream.restore(rng, next_scripted);
     }
+    s.quarantined = card_flags(&c.expect("s.quarantined")?, cards, "s.quarantined")?;
+    let toks = c.expect("s.dirty")?;
+    if toks.len() != cards {
+        return Err(snap_err(format!("s.dirty line wants {cards} entries, got {}", toks.len())));
+    }
+    for (i, slot) in s.dirty.iter_mut().enumerate() {
+        *slot = pu64(toks.get(i), "dirty count")? as u32;
+    }
+    let toks = c.expect("s.pending")?;
+    if toks.len() != cards {
+        return Err(snap_err(format!("s.pending line wants {cards} entries, got {}", toks.len())));
+    }
+    for (i, slot) in s.pending.iter_mut().enumerate() {
+        *slot = match toks.get(i) {
+            Some(&"-") => None,
+            tok => Some(pbool(tok, "pending draw")?),
+        };
+    }
+    let toks = c.expect("s.reexec")?;
+    let n = pusize(toks.first(), "reexec count")?;
+    let mut reexec = std::collections::BTreeSet::new();
+    for i in 0..n {
+        reexec.insert(pu64(toks.get(1 + i), "reexec seq")?);
+    }
+    s.reexec = reexec;
     Ok(())
 }
 
-/// The v4 generation block: queued sessions (the session-queue twin of
+/// The generation block: queued sessions (the session-queue twin of
 /// the one-shot queues), the token conservation ledger, the phase
 /// latency accumulators, and each card's running generation batch.
 /// KV residency is deliberately **not** serialized — reservations are
 /// worst-case up-front, so [`restore_sessions`] re-derives them by
 /// re-reserving per restored session.
-fn capture_sessions(
-    w: &mut Vec<String>,
-    m: &SimModel,
-    srows: &[(CapacityClass, usize, Vec<ServeRequest>)],
-    version: u8,
-) {
+fn capture_sessions(w: &mut Vec<String>, m: &SimModel) {
+    let srows = m.scheduler.export_session_queues();
     w.push(format!("squeues {}", srows.len()));
-    for (class, padded_seq_len, requests) in srows {
+    for (class, padded_seq_len, requests) in &srows {
         w.push(format!(
             "squeue {} {} {} {padded_seq_len} {}",
             class.d_model,
@@ -1385,7 +1113,7 @@ fn capture_sessions(
             requests.len()
         ));
         for r in requests {
-            w.push(format!("req {}", req_tokens(r, version)));
+            w.push(format!("req {}", req_tokens(r)));
         }
     }
     match &m.sessions {
@@ -1418,7 +1146,7 @@ fn capture_sessions(
                                 "sess {} {} {} {}",
                                 sess.start_ns, sess.emitted, sess.last_emit_ns, sess.on_time
                             ));
-                            w.push(format!("req {}", req_tokens(&sess.req, version)));
+                            w.push(format!("req {}", req_tokens(&sess.req)));
                         }
                     }
                 }
@@ -1429,7 +1157,7 @@ fn capture_sessions(
 
 fn restore_sessions(c: &mut Cursor<'_>, model: &mut SimModel) -> Result<(), ServeError> {
     let n = pusize(c.expect("squeues")?.first(), "session queue count")?;
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::new();
     for _ in 0..n {
         let toks = c.expect("squeue")?;
         let class = CapacityClass {
@@ -1439,9 +1167,9 @@ fn restore_sessions(c: &mut Cursor<'_>, model: &mut SimModel) -> Result<(), Serv
         };
         let padded = pusize(toks.get(3), "squeue padded_seq_len")?;
         let k = pusize(toks.get(4), "squeue length")?;
-        let mut requests = Vec::with_capacity(k);
+        let mut requests = Vec::new();
         for _ in 0..k {
-            requests.push(parse_request(&c.expect("req")?, 4)?);
+            requests.push(parse_request(&c.expect("req")?)?);
         }
         rows.push((class, padded, requests));
     }
@@ -1476,14 +1204,14 @@ fn restore_sessions(c: &mut Cursor<'_>, model: &mut SimModel) -> Result<(), Serv
         let padded_prompt = pusize(toks.get(3), "gcard padded prompt")?;
         let pending_step = pbool(toks.get(4), "gcard pending_step")?;
         let k = pusize(toks.get(5), "gcard session count")?;
-        let mut sessions = Vec::with_capacity(k);
+        let mut sessions = Vec::new();
         for _ in 0..k {
             let toks = c.expect("sess")?;
             let start_ns = pu64(toks.first(), "session start")?;
             let emitted = pu64(toks.get(1), "session emitted")? as u32;
             let last_emit_ns = pu64(toks.get(2), "session last emit")?;
             let on_time = pu64(toks.get(3), "session on_time")? as u32;
-            let req = parse_request(&c.expect("req")?, 4)?;
+            let req = parse_request(&c.expect("req")?)?;
             sessions.push(GenSession { req, start_ns, emitted, last_emit_ns, on_time });
         }
         // Decode windows (and joiner prefills) are priced off the
@@ -1542,13 +1270,12 @@ mod tests {
     #[test]
     fn parse_round_trips_and_checks_hash() {
         let snap = FleetSnapshot::seal(
-            vec![HEADER_V1.into(), "config 0123456789abcdef".into(), "arrivals 7".into()],
+            vec![HEADER.into(), "config 0123456789abcdef".into(), "arrivals 7".into()],
             7,
         );
         let back = round_trip(&snap);
         assert_eq!(back, snap);
         assert_eq!(back.arrivals(), 7);
-        assert_eq!(back.version(), 1);
 
         let mut text = snap.to_string();
         text = text.replace("arrivals 7", "arrivals 8");
@@ -1563,36 +1290,23 @@ mod tests {
         assert!(FleetSnapshot::parse("not-a-snapshot\nhash 0").is_err());
         let headerless = FleetSnapshot::seal(vec!["wrong v9".into(), "arrivals 0".into()], 0);
         assert!(FleetSnapshot::parse(&headerless.to_string()).is_err());
-        assert!("protea-fleet-snapshot v1\narrivals 3".parse::<FleetSnapshot>().is_err());
+        assert!(format!("{HEADER}\narrivals 3").parse::<FleetSnapshot>().is_err());
     }
 
     #[test]
-    fn unknown_version_and_tampered_seal_are_integrity_errors() {
-        let unknown =
-            FleetSnapshot::seal(vec!["protea-fleet-snapshot v9".into(), "arrivals 0".into()], 0);
-        let err = FleetSnapshot::parse(&unknown.to_string()).unwrap_err();
+    fn other_versions_and_tampered_seals_are_integrity_errors() {
+        // Earlier grammars (v1-v4) and unknown future ones alike fail
+        // the header check, even under a valid seal.
+        for v in [1, 2, 3, 4, 9] {
+            let header = format!("protea-fleet-snapshot v{v}");
+            let other = FleetSnapshot::seal(vec![header, "arrivals 0".into()], 0);
+            let err = FleetSnapshot::parse(&other.to_string()).unwrap_err();
+            assert!(matches!(err, ServeError::SnapshotIntegrity { .. }), "{err}");
+            assert!(err.to_string().contains("unsupported snapshot header"), "{err}");
+        }
+
+        let err = FleetSnapshot::parse(&format!("{HEADER}\narrivals 3")).unwrap_err();
         assert!(matches!(err, ServeError::SnapshotIntegrity { .. }), "{err}");
-
-        let err = FleetSnapshot::parse("protea-fleet-snapshot v1\narrivals 3").unwrap_err();
-        assert!(matches!(err, ServeError::SnapshotIntegrity { .. }), "{err}");
-
-        let v2 = FleetSnapshot::seal(
-            vec![HEADER_V2.into(), "config 0123456789abcdef".into(), "arrivals 2".into()],
-            2,
-        );
-        assert_eq!(round_trip(&v2).version(), 2);
-
-        let v3 = FleetSnapshot::seal(
-            vec![HEADER_V3.into(), "config 0123456789abcdef".into(), "arrivals 5".into()],
-            5,
-        );
-        assert_eq!(round_trip(&v3).version(), 3);
-
-        let v4 = FleetSnapshot::seal(
-            vec![HEADER_V4.into(), "config 0123456789abcdef".into(), "arrivals 6".into()],
-            6,
-        );
-        assert_eq!(round_trip(&v4).version(), 4);
     }
 
     #[test]
@@ -1624,46 +1338,15 @@ mod tests {
             FleetEvent::Generate { card: 2, epoch: 8 },
             FleetEvent::Wake,
         ];
-        for version in [1u8, 2, 4] {
-            for ev in &events {
-                let text = event_tokens(ev, version);
-                let toks: Vec<&str> = text.split_whitespace().collect();
-                assert_eq!(parse_event(&toks, version).unwrap(), *ev, "{text}");
-            }
+        for ev in &events {
+            let text = event_tokens(ev);
+            let toks: Vec<&str> = text.split_whitespace().collect();
+            assert_eq!(parse_event(&toks).unwrap(), *ev, "{text}");
         }
     }
 
     #[test]
-    fn v2_request_tokens_carry_the_tenant() {
-        let req = ServeRequest {
-            id: 7,
-            arrival_ns: 500,
-            d_model: 64,
-            heads: 4,
-            layers: 1,
-            seq_len: 9,
-            priority: Priority::BestEffort,
-            deadline_ns: None,
-            tenant: 31,
-            decode_steps: 0,
-            token_deadline_ns: None,
-        };
-        let toks_line = req_tokens(&req, 2);
-        let toks: Vec<&str> = toks_line.split_whitespace().collect();
-        assert_eq!(toks.len(), 9);
-        assert_eq!(parse_request(&toks, 2).unwrap(), req);
-        // The v1 grammar has no ninth token: the tenant id is dropped on
-        // emit and rejected on parse.
-        let v1_line = req_tokens(&req, 1);
-        let v1: Vec<&str> = v1_line.split_whitespace().collect();
-        assert_eq!(v1.len(), 8);
-        assert_eq!(parse_request(&v1, 1).unwrap().tenant, 0);
-        assert!(parse_request(&toks, 1).is_err());
-        assert!(parse_request(&v1, 2).is_err());
-    }
-
-    #[test]
-    fn v4_request_tokens_carry_the_generation_fields() {
+    fn request_tokens_carry_every_field() {
         let req = ServeRequest {
             id: 11,
             arrival_ns: 900,
@@ -1673,24 +1356,17 @@ mod tests {
             seq_len: 12,
             priority: Priority::Normal,
             deadline_ns: Some(9_000),
-            tenant: 2,
+            tenant: 31,
             decode_steps: 16,
             token_deadline_ns: Some(1_500),
         };
-        let line = req_tokens(&req, 4);
+        let line = req_tokens(&req);
         let toks: Vec<&str> = line.split_whitespace().collect();
         assert_eq!(toks.len(), 11);
-        assert_eq!(parse_request(&toks, 4).unwrap(), req);
-        // Pre-v4 grammars drop the generation fields on emit and reject
-        // the eleven-token form on parse.
-        let v2_line = req_tokens(&req, 2);
-        let v2: Vec<&str> = v2_line.split_whitespace().collect();
-        assert_eq!(v2.len(), 9);
-        let back = parse_request(&v2, 2).unwrap();
-        assert_eq!(back.decode_steps, 0);
-        assert_eq!(back.token_deadline_ns, None);
-        assert!(parse_request(&toks, 2).is_err());
-        assert!(parse_request(&v2, 4).is_err());
+        assert_eq!(parse_request(&toks).unwrap(), req);
+        // The shorter request forms of earlier grammars are rejected.
+        assert!(parse_request(&toks[..9]).is_err());
+        assert!(parse_request(&toks[..8]).is_err());
     }
 
     #[test]

@@ -1,15 +1,10 @@
 //! Fleet unit tests.
-//!
-//! These deliberately keep driving the deprecated `serve*` shims: they
-//! are the regression net proving the shims still reproduce the
-//! historical behavior on top of `Fleet::run`. New-API coverage lives
-//! in `tests/serve_equiv.rs` and `tests/snapshot.rs`.
-#![allow(deprecated)]
 
 use super::{Fleet, FleetConfig};
 use crate::error::ServeError;
 use crate::faults::{FailReason, FaultConfig};
 use crate::overload::{AimdConfig, HedgeConfig, OverloadConfig, RetryBudgetConfig};
+use crate::plan::ServePlan;
 use crate::request::{Priority, ServeRequest};
 use crate::scheduler::BatchPolicy;
 use crate::trace::Workload;
@@ -52,14 +47,17 @@ fn infeasible_bitstream_rejected() {
 #[test]
 fn empty_trace_rejected() {
     let fleet = small_fleet(2);
-    assert_eq!(fleet.serve(&Workload::default()).unwrap_err(), ServeError::EmptyTrace);
+    assert_eq!(
+        fleet.run(ServePlan::workload(&Workload::default())).map(|o| o.report).unwrap_err(),
+        ServeError::EmptyTrace
+    );
 }
 
 #[test]
 fn serves_every_request_exactly_once() {
     let fleet = small_fleet(2);
     let w = dense_workload(32);
-    let report = fleet.serve(&w).unwrap();
+    let report = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(report.completed, 32);
     assert!(report.mean_batch > 1.0, "dense arrivals must batch: {}", report.mean_batch);
     assert!(report.latency_ms.p50 > 0.0);
@@ -71,7 +69,10 @@ fn serves_every_request_exactly_once() {
 fn deterministic_replay() {
     let fleet = small_fleet(3);
     let w = dense_workload(24);
-    assert_eq!(fleet.serve(&w).unwrap(), fleet.serve(&w).unwrap());
+    assert_eq!(
+        fleet.run(ServePlan::workload(&w)).unwrap().report,
+        fleet.run(ServePlan::workload(&w)).unwrap().report
+    );
 }
 
 #[test]
@@ -88,7 +89,10 @@ fn unservable_request_surfaces_as_error() {
             ..ServeRequest::default()
         }],
     };
-    assert!(matches!(fleet.serve(&w).unwrap_err(), ServeError::Unservable { id: 0, .. }));
+    assert!(matches!(
+        fleet.run(ServePlan::workload(&w)).map(|o| o.report).unwrap_err(),
+        ServeError::Unservable { id: 0, .. }
+    ));
 }
 
 #[test]
@@ -97,8 +101,8 @@ fn functional_mode_matches_timing_mode_schedule() {
     let functional =
         Fleet::try_new(FleetConfig { functional: true, ..base.config().clone() }).unwrap();
     let w = dense_workload(8);
-    let a = base.serve(&w).unwrap();
-    let b = functional.serve(&w).unwrap();
+    let a = base.run(ServePlan::workload(&w)).unwrap().report;
+    let b = functional.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(a, b, "functional execution must not change the timing");
 }
 
@@ -106,7 +110,7 @@ fn functional_mode_matches_timing_mode_schedule() {
 fn reprograms_counted_across_classes() {
     let fleet = small_fleet(1);
     let w = Workload::poisson(12, 50_000.0, &[(96, 4, 2), (128, 4, 2)], (8, 16), 3);
-    let report = fleet.serve(&w).unwrap();
+    let report = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert!(report.reprograms >= 2, "two classes on one card must reload: {report:?}");
 }
 
@@ -119,8 +123,8 @@ fn zero_rate_fault_config_reproduces_the_fault_free_schedule() {
     })
     .unwrap();
     let w = dense_workload(24);
-    let a = base.serve(&w).unwrap();
-    let b = faulty.serve(&w).unwrap();
+    let a = base.run(ServePlan::workload(&w)).unwrap().report;
+    let b = faulty.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.latency_ms, b.latency_ms, "zero-rate injection must not perturb timing");
     assert_eq!(a.throughput_rps, b.throughput_rps);
@@ -137,7 +141,10 @@ fn faulty_replay_is_deterministic() {
     })
     .unwrap();
     let w = dense_workload(24);
-    assert_eq!(fleet.serve(&w).unwrap(), fleet.serve(&w).unwrap());
+    assert_eq!(
+        fleet.run(ServePlan::workload(&w)).unwrap().report,
+        fleet.run(ServePlan::workload(&w)).unwrap().report
+    );
 }
 
 #[test]
@@ -149,7 +156,7 @@ fn no_request_is_ever_dropped_under_faults() {
         })
         .unwrap();
         let w = dense_workload(32);
-        let r = fleet.serve(&w).unwrap();
+        let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
         assert_eq!(r.submitted, 32);
         assert_eq!(
             r.completed + r.failed.len(),
@@ -175,7 +182,7 @@ fn unrecoverable_faults_fail_over_to_the_surviving_card() {
     })
     .unwrap();
     let w = dense_workload(8);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(r.completed, 8, "all requests must survive via requeue: {r:?}");
     assert!(r.failed.is_empty());
     assert!(r.retried > 0, "the failed batch must have been requeued");
@@ -200,7 +207,7 @@ fn single_card_fleet_with_dead_card_fails_typed_not_hangs() {
     })
     .unwrap();
     let w = dense_workload(6);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(r.completed, 0);
     assert_eq!(r.failed.len(), 6, "every request fails with a typed reason: {r:?}");
     assert!(r.failed.iter().all(|fr| matches!(fr.reason, crate::faults::FailReason::AllCardsDead)));
@@ -224,7 +231,7 @@ fn crash_mid_run_requeues_inflight_onto_survivor() {
     })
     .unwrap();
     let w = dense_workload(24);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(r.completed + r.failed.len(), 24, "no drops: {r:?}");
     assert_eq!(r.crashes, 1);
     assert_eq!(r.card_health[0], crate::health::CardHealth::Dead);
@@ -256,8 +263,8 @@ fn invalid_fault_config_rejected_up_front() {
 fn serial_baseline_is_slower_than_batched_fleet() {
     let fleet = small_fleet(4);
     let w = dense_workload(40);
-    let batched = fleet.serve(&w).unwrap();
-    let serial = fleet.serve_serial_baseline(&w).unwrap();
+    let batched = fleet.run(ServePlan::workload(&w)).unwrap().report;
+    let serial = fleet.run(ServePlan::workload(&w).serial_baseline()).unwrap().report;
     assert_eq!(serial.completed, batched.completed);
     assert!(
         batched.throughput_rps > serial.throughput_rps,
@@ -273,8 +280,9 @@ fn serial_baseline_is_slower_than_batched_fleet() {
 fn traced_serve_is_bit_identical_and_records_spans() {
     let fleet = small_fleet(2);
     let w = dense_workload(24);
-    let plain = fleet.serve(&w).unwrap();
-    let (traced, trace) = fleet.serve_traced(&w).unwrap();
+    let plain = fleet.run(ServePlan::workload(&w)).unwrap().report;
+    let out = fleet.run(ServePlan::workload(&w).traced()).unwrap();
+    let (traced, trace) = (out.report, out.trace.unwrap());
     assert_eq!(plain, traced, "tracing must never perturb the schedule");
     assert!(!trace.is_empty(), "a served workload must record spans");
     assert_eq!(trace.dropped(), 0);
@@ -316,8 +324,9 @@ fn traced_hedged_run_records_hedge_and_cancel_spans() {
     })
     .unwrap();
     let w = dense_workload(32);
-    let plain = fleet.serve(&w).unwrap();
-    let (traced, trace) = fleet.serve_traced(&w).unwrap();
+    let plain = fleet.run(ServePlan::workload(&w)).unwrap().report;
+    let out = fleet.run(ServePlan::workload(&w).traced()).unwrap();
+    let (traced, trace) = (out.report, out.trace.unwrap());
     assert_eq!(plain, traced);
     assert!(plain.hedges > 0, "this config must hedge: {plain:?}");
     let kinds: Vec<SpanKind> = trace.spans().map(|s| s.kind).collect();
@@ -335,8 +344,8 @@ fn memo_counters_surface_without_affecting_equality() {
     let plain =
         Fleet::try_new(FleetConfig { timing_memo: false, ..memoized.config().clone() }).unwrap();
     let w = dense_workload(24);
-    let a = memoized.serve(&w).unwrap();
-    let b = plain.serve(&w).unwrap();
+    let a = memoized.run(ServePlan::workload(&w)).unwrap().report;
+    let b = plain.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(a, b, "the memo must be invisible in report equality");
     assert!(a.memo_misses >= 1, "the memoized run must price at least one key: {a:?}");
     assert!(a.memo_hits >= 1, "a dense single-class workload must hit the cache: {a:?}");
@@ -367,7 +376,10 @@ fn unarmed_overload_config_changes_nothing() {
     })
     .unwrap();
     let w = dense_workload(24);
-    assert_eq!(base.serve(&w).unwrap(), off.serve(&w).unwrap());
+    assert_eq!(
+        base.run(ServePlan::workload(&w)).unwrap().report,
+        off.run(ServePlan::workload(&w)).unwrap().report
+    );
 }
 
 #[test]
@@ -384,8 +396,8 @@ fn managed_path_without_pressure_keeps_fault_free_timing() {
     })
     .unwrap();
     let w = dense_workload(24);
-    let a = base.serve(&w).unwrap();
-    let b = armed.serve(&w).unwrap();
+    let a = base.run(ServePlan::workload(&w)).unwrap().report;
+    let b = armed.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.latency_ms, b.latency_ms, "idle overload controls must not perturb timing");
     assert_eq!(a.throughput_rps, b.throughput_rps);
@@ -408,14 +420,14 @@ fn bounded_queue_sheds_with_exact_accounting() {
     .unwrap();
     // Arrival rate far above one card's service rate forces the cap.
     let w = Workload::poisson(64, 1_000_000.0, &[(96, 4, 2)], (8, 16), 5);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert!(!r.shed.is_empty(), "a 2-deep queue under this burst must shed: {r:?}");
     assert!(r.shed.iter().all(|s| s.reason == FailReason::Shed));
     assert_eq!(r.submitted, 64);
     assert!(r.accounted(), "conservation must hold: {r:?}");
     assert!(r.overloaded());
     // Determinism under shedding.
-    assert_eq!(fleet.serve(&w).unwrap(), r);
+    assert_eq!(fleet.run(ServePlan::workload(&w)).unwrap().report, r);
 }
 
 #[test]
@@ -423,7 +435,7 @@ fn expired_requests_are_shed_before_dispatch() {
     let fleet = small_fleet(1);
     // Deadlines shorter than the queueing delay this burst builds up.
     let w = deadline_workload(48, 400_000);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert!(!r.expired.is_empty(), "tight deadlines under a burst must expire: {r:?}");
     assert!(r.expired.iter().all(|e| e.reason == FailReason::DeadlineExpired));
     assert!(r.accounted(), "{r:?}");
@@ -454,7 +466,7 @@ fn priority_displaces_best_effort_under_full_queue() {
     for (i, r) in w.requests.iter_mut().enumerate() {
         r.priority = if i % 2 == 0 { Priority::BestEffort } else { Priority::Interactive };
     }
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert!(r.accounted(), "{r:?}");
     let shed_ids: std::collections::BTreeSet<u64> = r.shed.iter().map(|s| s.id).collect();
     let best_effort_shed = w
@@ -481,7 +493,8 @@ fn hedging_completes_every_request_exactly_once() {
     })
     .unwrap();
     let w = dense_workload(32);
-    let (r, responses) = fleet.serve_with_responses(&w).unwrap();
+    let out = fleet.run(ServePlan::workload(&w).collect_responses()).unwrap();
+    let (r, responses) = (out.report, out.responses.unwrap());
     assert_eq!(r.completed, 32);
     assert!(r.hedges > 0, "an aggressive hedge policy must fire: {r:?}");
     assert!(r.hedge_wins <= r.hedges && r.hedge_cancels <= r.hedges);
@@ -491,7 +504,7 @@ fn hedging_completes_every_request_exactly_once() {
     assert_eq!(ids.len(), 32, "no request may complete twice under hedging");
     assert!(r.accounted(), "{r:?}");
     // Deterministic replay with hedging on.
-    assert_eq!(fleet.serve(&w).unwrap(), r);
+    assert_eq!(fleet.run(ServePlan::workload(&w)).unwrap().report, r);
 }
 
 #[test]
@@ -513,7 +526,7 @@ fn retry_budget_bounds_requeue_storms() {
     })
     .unwrap();
     let w = dense_workload(8);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert_eq!(r.retried, 0, "an empty budget must forbid every requeue: {r:?}");
     assert!(r.failed.iter().any(|fr| matches!(fr.reason, FailReason::RetryBudgetExhausted { .. })));
     assert!(r.accounted(), "{r:?}");
@@ -531,10 +544,14 @@ fn aimd_limiter_sheds_past_its_limit() {
     })
     .unwrap();
     let w = Workload::poisson(64, 2_000_000.0, &[(96, 4, 2)], (8, 16), 13);
-    let r = fleet.serve(&w).unwrap();
+    let r = fleet.run(ServePlan::workload(&w)).unwrap().report;
     assert!(!r.shed.is_empty(), "a limit of ~4-8 under 64 rushed arrivals must shed: {r:?}");
     assert!(r.accounted(), "{r:?}");
-    assert_eq!(fleet.serve(&w).unwrap(), r, "AIMD state must replay deterministically");
+    assert_eq!(
+        fleet.run(ServePlan::workload(&w)).unwrap().report,
+        r,
+        "AIMD state must replay deterministically"
+    );
 }
 
 #[test]

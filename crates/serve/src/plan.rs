@@ -1,16 +1,12 @@
 //! The unified run description: one [`ServePlan`] in, one
 //! [`ServeOutcome`] out.
 //!
-//! PR 5 grew four parallel `Fleet` entry points (`serve`,
-//! `serve_with_responses`, `serve_traced`, `serve_serial_baseline`),
-//! each hard-wired to an eager [`Workload`](crate::Workload) and each
-//! returning a different tuple. A plan collapses them into data: *what*
-//! to serve (any [`WorkloadSource`]), *how* to account it
-//! ([`MetricsMode`]), and *which* extras to produce (per-request
-//! responses, an execution trace, periodic [`FleetSnapshot`]s, or a
-//! resume from one). The legacy methods survive as deprecated shims
-//! over [`Fleet::run`](crate::Fleet::run), pinned byte-exact by the
-//! `serve_equiv` tests.
+//! A plan describes a run as data: *what* to serve (any
+//! [`WorkloadSource`], e.g. an eager [`Workload`](crate::Workload)),
+//! *how* to account it ([`MetricsMode`]), and *which* extras to produce
+//! (per-request responses, an execution trace, periodic
+//! [`FleetSnapshot`]s, or a resume from one). Every run goes through
+//! [`Fleet::run`](crate::Fleet::run).
 //!
 //! Invalid combinations are rejected up front by
 //! [`Fleet::run`](crate::Fleet::run) as [`ServeError::Plan`] — e.g.

@@ -521,8 +521,8 @@ impl BatchScheduler {
         }
     }
 
-    /// Session-queue twin of [`export_queues`](Self::export_queues)
-    /// (serialized only into v4 snapshots).
+    /// Session-queue twin of [`export_queues`](Self::export_queues),
+    /// serialized into the snapshot's generation block.
     pub(crate) fn export_session_queues(&self) -> Vec<(CapacityClass, usize, Vec<ServeRequest>)> {
         self.session_queues
             .iter()

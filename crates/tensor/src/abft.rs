@@ -31,7 +31,7 @@
 use core::fmt;
 
 use crate::matrix::Matrix;
-use crate::pack::{matmul_i8_i32_packed, PackedWeights};
+use crate::pack::PackedWeights;
 
 /// Row and column checksums of a GEMM output, exact in `i64`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,29 +132,10 @@ impl fmt::Display for AbftMismatch {
     }
 }
 
-/// Packed GEMM with an ABFT-verified epilogue: computes
-/// `C = A × W` via [`matmul_i8_i32_packed`], then checks the output's
-/// row/column sums against their predictions.
-///
-/// # Errors
-/// An [`AbftMismatch`] if any checksum disagrees (on a fault-free host
-/// this cannot happen; the entry point exists so integrity-sensitive
-/// callers exercise the same epilogue the fleet simulation charges for).
-///
-/// # Panics
-/// Panics if `A.cols() != W.rows()`.
-pub fn matmul_i8_i32_packed_verified(
-    a: &Matrix<i8>,
-    w: &PackedWeights,
-) -> Result<Matrix<i32>, AbftMismatch> {
-    let c = matmul_i8_i32_packed(a, w);
-    AbftChecksums::predicted(a, w).verify(&AbftChecksums::observed(&c))?;
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::matmul_i8_i32_packed;
 
     fn a_mat(m: usize, k: usize) -> Matrix<i8> {
         Matrix::from_fn(m, k, |r, c| (((r * 47 + c * 31) % 255) as i64 - 127) as i8)
@@ -169,8 +150,9 @@ mod tests {
         for (m, k, n) in [(17, 23, 13), (4, 64, 8), (1, 7, 1), (5, 1, 17), (8, 33, 16)] {
             let a = a_mat(m, k);
             let w = PackedWeights::pack(&w_mat(k, n));
-            let c = matmul_i8_i32_packed_verified(&a, &w).expect("clean GEMM must verify");
-            assert_eq!(c.as_slice(), matmul_i8_i32_packed(&a, &w).as_slice());
+            let c = matmul_i8_i32_packed(&a, &w);
+            let predicted = AbftChecksums::predicted(&a, &w);
+            assert_eq!(predicted.verify(&AbftChecksums::observed(&c)), Ok(()), "{m}x{k}x{n}");
         }
     }
 
@@ -179,7 +161,8 @@ mod tests {
         // Worst-case magnitudes: every product is 128·128, k = 3072.
         let a = Matrix::from_vec(2, 3072, vec![i8::MIN; 2 * 3072]);
         let w = PackedWeights::pack(&Matrix::from_vec(3072, 2, vec![i8::MIN; 3072 * 2]));
-        assert!(matmul_i8_i32_packed_verified(&a, &w).is_ok());
+        let c = matmul_i8_i32_packed(&a, &w);
+        assert_eq!(AbftChecksums::predicted(&a, &w).verify(&AbftChecksums::observed(&c)), Ok(()));
     }
 
     #[test]
@@ -233,9 +216,14 @@ mod tests {
     fn degenerate_shapes_verify() {
         let a = Matrix::<i8>::zeros(0, 4);
         let w = PackedWeights::pack(&Matrix::<i8>::zeros(4, 3));
-        assert!(matmul_i8_i32_packed_verified(&a, &w).is_ok());
+        let c = matmul_i8_i32_packed(&a, &w);
+        assert_eq!(AbftChecksums::predicted(&a, &w).verify(&AbftChecksums::observed(&c)), Ok(()));
         let a2 = Matrix::<i8>::zeros(3, 0);
         let w2 = PackedWeights::pack(&Matrix::<i8>::zeros(0, 2));
-        assert!(matmul_i8_i32_packed_verified(&a2, &w2).is_ok());
+        let c2 = matmul_i8_i32_packed(&a2, &w2);
+        assert_eq!(
+            AbftChecksums::predicted(&a2, &w2).verify(&AbftChecksums::observed(&c2)),
+            Ok(())
+        );
     }
 }

@@ -42,7 +42,7 @@ pub mod ops;
 pub mod pack;
 pub mod tile;
 
-pub use abft::{matmul_i8_i32_packed_verified, AbftChecksums, AbftMismatch};
+pub use abft::{AbftChecksums, AbftMismatch};
 pub use kernels::{active_kernel, force_kernel, supported_kernels, KernelIsa};
 pub use matmul::{
     matmul_blocked, matmul_i8_i32, matmul_i8_i32_parallel, matmul_naive, matmul_parallel,

@@ -569,8 +569,8 @@ pub fn matmul_i8_packed_requant_parallel(
 /// inputs alone ([`AbftChecksums::predicted`]). Fusing the requant
 /// epilogue therefore costs none of the silent-data-corruption
 /// coverage: the checksums observe the accumulators *before* the
-/// narrowing map, the same quantity the unfused
-/// [`crate::abft::matmul_i8_i32_packed_verified`] checks.
+/// narrowing map, the same quantity [`AbftChecksums::observed`] sums
+/// over an unfused [`matmul_i8_i32_packed`] output.
 ///
 /// # Errors
 /// An [`AbftMismatch`] if any checksum disagrees (on a fault-free host

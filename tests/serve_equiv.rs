@@ -1,13 +1,7 @@
-//! The `ServePlan` contract: every legacy `Fleet` entry point is a
-//! byte-exact shim over `Fleet::run`, the streaming sources reproduce
-//! the eager workload bit-for-bit, and contradictory plans are rejected
-//! up front.
-//!
-//! These tests are the freeze on the PR-6 API collapse: if `run()`
-//! drifts from what `serve`/`serve_with_responses`/`serve_traced`/
-//! `serve_serial_baseline` used to produce — in any field, including
-//! the rendered report — this suite fails.
-#![allow(deprecated)]
+//! The `ServePlan` contract: the streaming sources reproduce the eager
+//! workload bit-for-bit, sketch metrics keep every counting field,
+//! contradictory plans are rejected up front, and an explicit uniform
+//! roster matches the device shorthand byte for byte.
 
 use protea::prelude::*;
 use protea::serve::{PoissonSource, ServeError};
@@ -32,54 +26,6 @@ fn managed_fleet(cards: usize) -> Fleet {
         ..FleetConfig::default()
     })
     .unwrap()
-}
-
-#[test]
-fn serve_shim_is_byte_exact_against_run() {
-    let w = trace();
-    for fleet in [plain_fleet(3), managed_fleet(2)] {
-        let legacy = fleet.serve(&w).unwrap();
-        let unified = fleet.run(ServePlan::workload(&w)).unwrap().report;
-        assert_eq!(legacy, unified);
-        // Equality ignores memo counters by design, so also pin the
-        // *rendered* report — every number the user sees.
-        assert_eq!(legacy.to_string(), unified.to_string());
-    }
-}
-
-#[test]
-fn serve_with_responses_shim_is_byte_exact_against_run() {
-    let w = trace().with_deadline(50_000_000);
-    let fleet = managed_fleet(2);
-    let (legacy_report, legacy_responses) = fleet.serve_with_responses(&w).unwrap();
-    let out = fleet.run(ServePlan::workload(&w).collect_responses()).unwrap();
-    assert_eq!(legacy_report, out.report);
-    assert_eq!(legacy_report.to_string(), out.report.to_string());
-    assert_eq!(legacy_responses, out.responses.unwrap());
-}
-
-#[test]
-fn serve_traced_shim_is_byte_exact_against_run() {
-    let w = trace();
-    let fleet = plain_fleet(2);
-    let (legacy_report, legacy_trace) = fleet.serve_traced(&w).unwrap();
-    let out = fleet.run(ServePlan::workload(&w).traced()).unwrap();
-    assert_eq!(legacy_report, out.report);
-    let trace = out.trace.unwrap();
-    assert_eq!(legacy_trace.len(), trace.len());
-    assert_eq!(legacy_trace.to_chrome_json(), trace.to_chrome_json());
-    // And tracing stays observational under the unified pipeline too.
-    assert_eq!(out.report, fleet.run(ServePlan::workload(&w)).unwrap().report);
-}
-
-#[test]
-fn serial_baseline_shim_is_byte_exact_against_run() {
-    let w = trace();
-    let fleet = plain_fleet(4);
-    let legacy = fleet.serve_serial_baseline(&w).unwrap();
-    let unified = fleet.run(ServePlan::workload(&w).serial_baseline()).unwrap().report;
-    assert_eq!(legacy, unified);
-    assert_eq!(legacy.to_string(), unified.to_string());
 }
 
 #[test]
