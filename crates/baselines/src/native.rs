@@ -67,11 +67,11 @@ impl<'a> NativeCpuEngine<'a> {
         }
 
         let attn = par_project(&sv, &w.wo, &w.bo, s);
-        let x1 = add_norm(x, &attn, &w.ln1, s);
+        let x1 = add_norm(x, &attn, &w.ln1);
         let mut hidden = par_project(&x1, &w.w1, &w.b1, s);
         self.act.apply_slice(hidden.as_mut_slice());
         let ffn = par_project(&hidden, &w.w2, &w.b2, s);
-        add_norm(&x1, &ffn, &w.ln2, s)
+        add_norm(&x1, &ffn, &w.ln2)
     }
 }
 

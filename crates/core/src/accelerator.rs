@@ -422,9 +422,9 @@ impl Accelerator {
     /// into the store loop — the separate i32→i8 pass over each
     /// materialized accumulator matrix is gone. Projections parallelize
     /// across bands of activation rows *inside* the GEMM; attention
-    /// heads fan out across threads on top. The narrowing stages are
-    /// derived from the same definitions as the reference path
-    /// ([`LogitRequant`], `QuantSchedule::sv_requantizer`,
+    /// heads split into one contiguous run per worker thread. The
+    /// narrowing stages are derived from the same definitions as the
+    /// reference path ([`LogitRequant`], `QuantSchedule::sv_requantizer`,
     /// `projection_epilogue`, the activation LUT), resolved once per
     /// GEMM into strip epilogues
     /// that are bit-exact against the per-element stages; every kernel
@@ -453,33 +453,38 @@ impl Accelerator {
             let q = fused_projection(&h, &pl.wq, &layer.bq, layer.wq.fmt, s);
             let k = fused_projection(&h, &pl.wk, &layer.bk, layer.wk.fmt, s);
             let v = fused_projection(&h, &pl.wv, &layer.bv, layer.wv.fmt, s);
+            let head_out = |head: usize| {
+                let c0 = head * dk;
+                let qi = q.submatrix(0, c0, sl, dk);
+                let ki = k.submatrix(0, c0, sl, dk);
+                let vi = v.submatrix(0, c0, sl, dk);
+                // Packing `kiᵀ` column-major is `ki`'s row-major bytes — a
+                // straight copy, so Q·Kᵀ runs on the packed kernel at
+                // negligible packing cost. The logit scale/narrow runs in
+                // the store loop.
+                let logits =
+                    matmul_i8_packed_requant(&qi, &PackedWeights::from_transpose(&ki), &logit_epi);
+                let probs = softmax.compute_head(&logits);
+                // SV with its requantizer fused the same way.
+                matmul_i8_packed_requant(&probs, &PackedWeights::pack(&vi), &sv_epi)
+            };
+            // One contiguous run of heads per worker: all but the last run
+            // are spawned, the last runs on this thread.
             let mut head_outs: Vec<Option<Matrix<i8>>> = (0..rt.heads).map(|_| None).collect();
+            let per_worker = rt.heads.div_ceil(rayon::current_num_threads());
+            let mut runs = head_outs.chunks_mut(per_worker).enumerate();
+            let last = runs.next_back();
+            let fill = |(run, slots): (usize, &mut [Option<Matrix<i8>>])| {
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(head_out(run * per_worker + i));
+                }
+            };
             rayon::scope(|sc| {
-                for (head, slot) in head_outs.iter_mut().enumerate() {
-                    let (q, k, v, softmax) = (&q, &k, &v, &softmax);
-                    let (logit_epi, sv_epi) = (&logit_epi, &sv_epi);
-                    sc.spawn(move |_| {
-                        let c0 = head * dk;
-                        let qi = q.submatrix(0, c0, sl, dk);
-                        let ki = k.submatrix(0, c0, sl, dk);
-                        let vi = v.submatrix(0, c0, sl, dk);
-                        // Packing `kiᵀ` column-major is `ki`'s row-major
-                        // bytes — a straight copy, so Q·Kᵀ runs on the
-                        // packed kernel at negligible packing cost. The
-                        // logit scale/narrow runs in the store loop.
-                        let logits = matmul_i8_packed_requant(
-                            &qi,
-                            &PackedWeights::from_transpose(&ki),
-                            logit_epi,
-                        );
-                        let probs = softmax.compute_head(&logits);
-                        // SV with its requantizer fused the same way.
-                        *slot = Some(matmul_i8_packed_requant(
-                            &probs,
-                            &PackedWeights::pack(&vi),
-                            sv_epi,
-                        ));
-                    });
+                for run in runs {
+                    sc.spawn(move |_| fill(run));
+                }
+                if let Some(run) = last {
+                    fill(run);
                 }
             });
             let mut sv_concat = Matrix::<i8>::zeros(sl, rt.d_model);

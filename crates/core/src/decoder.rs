@@ -362,7 +362,7 @@ fn decoder_layer(
         &syn, &rt, dec, x, x, &w.self_wq, &w.self_wk, &w.self_wv, &w.self_bq, &w.self_bk,
         &w.self_bv, &w.self_wo, &w.self_bo, true, s,
     );
-    let x1 = add_norm(x, &sa, &w.ln[0], s);
+    let x1 = add_norm(x, &sa, &w.ln[0]);
     let ca = tiled_attention(
         &syn,
         &rt,
@@ -380,10 +380,10 @@ fn decoder_layer(
         false,
         s,
     );
-    let x2 = add_norm(&x1, &ca, &w.ln[1], s);
+    let x2 = add_norm(&x1, &ca, &w.ln[1]);
     let hidden = FfnEngine::compute(&x2, &w.w1, &w.b1, &rt, &syn, s, Some(act));
     let ffn = FfnEngine::compute(&hidden, &w.w2, &w.b2, &rt, &syn, s, None);
-    add_norm(&x2, &ffn, &w.ln[2], s)
+    add_norm(&x2, &ffn, &w.ln[2])
 }
 
 /// Engine-tiled attention: projections accumulate over the frozen MHA

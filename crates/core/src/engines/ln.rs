@@ -23,15 +23,17 @@ impl LnEngine {
     }
 
     /// Functional compute: `LN(x + sub)` — delegates to the golden
-    /// model's shared stage so divergence is impossible.
+    /// model's shared stage so divergence is impossible. The schedule is
+    /// not read: layer norm is scale-free, and the residual operands
+    /// already share the activation format.
     #[must_use]
     pub fn compute(
         x: &Matrix<i8>,
         sub: &Matrix<i8>,
         unit: &LayerNormUnit,
-        s: &QuantSchedule,
+        _s: &QuantSchedule,
     ) -> Matrix<i8> {
-        add_norm(x, sub, unit, s)
+        add_norm(x, sub, unit)
     }
 }
 

@@ -5,6 +5,20 @@
 //! computes row mean, variance, an integer square root, and a reciprocal
 //! multiply, all in fixed point with LUT/FF resources. This module is that
 //! datapath, bit-exact and deterministic.
+//!
+//! The divisor is resolved once per row, not once per element. After the
+//! row's mean `μ` and `σ = max(1, isqrt(var))` are known, the normalized
+//! value `t = round((x − μ)·2⁸ / σ)` (ties away from zero) depends only on
+//! the 8-bit input code `x`, so the unit fills a 256-entry table over the
+//! codes, stepping the quotient and remainder by `2⁸ / σ` and `2⁸ mod σ`
+//! per code — one division per row. The element loop is then a table
+//! read, one multiply by γ, an add of β (aligned to the accumulator's
+//! fraction once, at construction) and a branch-free round-to-nearest-even
+//! shift. `|x − μ| ≤ 255` bounds `|t| ≤ 255·2⁸`, so
+//! `|t·γ + β|` stays within an `i32` whenever β's alignment shift and the
+//! output shift are small enough; [`LayerNormUnit::new`] checks that bound
+//! from the formats and keeps an `i64` element loop for formats that do
+//! not satisfy it.
 
 use crate::qformat::QFormat;
 use crate::rounding::Rounding;
@@ -13,6 +27,12 @@ use crate::rounding::Rounding;
 /// the normalized value of a layer-normed row is bounded by `±sqrt(n)` but
 /// in practice ±8 covers it; Q8.8 in an i32 never overflows here.
 const NORM_FRAC: u32 = 8;
+
+/// Largest `|t|`: `|x − μ| ≤ 255` for i8 codes and `σ ≥ 1`.
+const T_MAX: i64 = 255 << NORM_FRAC;
+
+/// Elements per strip of the `i32` element loop.
+const LN_STRIP: usize = 64;
 
 /// Integer square root: largest `s` with `s² ≤ x`. Newton's method, exact.
 #[must_use]
@@ -36,10 +56,20 @@ pub fn isqrt_u64(x: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct LayerNormUnit {
     gamma: Vec<i8>,
-    beta: Vec<i8>,
-    gamma_fmt: QFormat,
-    beta_fmt: QFormat,
+    beta: BetaAcc,
+    /// Right shift from the accumulator fraction to the output fraction
+    /// (negative: left shift).
+    out_shift: i32,
     out_fmt: QFormat,
+}
+
+/// β per column, already aligned to the accumulator fraction
+/// (`NORM_FRAC + γ_frac`), in the accumulator width the formats allow.
+#[derive(Debug, Clone)]
+enum BetaAcc {
+    /// `t·γ + β` and its rounding provably fit an `i32`.
+    Narrow(Vec<i32>),
+    Wide(Vec<i64>),
 }
 
 impl LayerNormUnit {
@@ -54,7 +84,20 @@ impl LayerNormUnit {
         out_fmt: QFormat,
     ) -> Self {
         assert_eq!(gamma.len(), beta.len(), "gamma/beta length mismatch");
-        Self { gamma, beta, gamma_fmt, beta_fmt, out_fmt }
+        let acc_frac = NORM_FRAC as i32 + i32::from(gamma_fmt.frac_bits());
+        let beta_shift = acc_frac - i32::from(beta_fmt.frac_bits());
+        let aligned = beta.iter().map(|&b| shift_signed(i64::from(b), beta_shift));
+        let out_shift = acc_frac - i32::from(out_fmt.frac_bits());
+        // Worst case over every i8 γ/β code: |t·γ| + |β_acc|, plus the
+        // rounding addend of the output shift.
+        let beta_max = shift_signed(-128, beta_shift).abs();
+        let bound = T_MAX * 128 + beta_max + (1i64 << out_shift.clamp(0, 62));
+        let beta = if (0..31).contains(&out_shift) && bound <= i64::from(i32::MAX) {
+            BetaAcc::Narrow(aligned.map(|b| b as i32).collect())
+        } else {
+            BetaAcc::Wide(aligned.collect())
+        };
+        Self { gamma, beta, out_shift, out_fmt }
     }
 
     /// An identity-affine unit (γ=1, β=0) over `dim` features.
@@ -77,11 +120,11 @@ impl LayerNormUnit {
         self.out_fmt
     }
 
-    /// Normalize one row (`row.len()` may be ≤ `dim()` when the runtime
-    /// `d_model` is below the synthesized maximum; the affine parameters
-    /// are indexed from 0).
-    pub fn forward_row(&self, row: &[i8], in_fmt: QFormat, out: &mut [i8]) {
-        assert_eq!(row.len(), out.len());
+    /// Normalize one row in place (`row.len()` may be ≤ `dim()` when the
+    /// runtime `d_model` is below the synthesized maximum; the affine
+    /// parameters are indexed from 0). The input scale never enters:
+    /// `(x − μ)/σ` cancels it.
+    pub fn forward_row(&self, row: &mut [i8]) {
         assert!(row.len() <= self.dim(), "row exceeds synthesized dimension");
         let n = row.len();
         if n == 0 {
@@ -102,35 +145,74 @@ impl LayerNormUnit {
         // Standard deviation in raw units; epsilon = keep σ ≥ 1 LSB, the
         // integer analogue of the float eps guard.
         let sigma = isqrt_u64(var as u64).max(1);
-        let inv_gain = 1i64 << NORM_FRAC;
-        for i in 0..n {
-            let c = i64::from(row[i]) - mean;
-            // normalized t = c/σ in Q.NORM_FRAC
-            let t = div_round_nearest(c * inv_gain, sigma as i64);
-            // y = t*γ + β, accumulated at frac (NORM_FRAC + γ_frac)
-            let acc_frac = NORM_FRAC + u32::from(self.gamma_fmt.frac_bits());
-            let mut acc = t * i64::from(self.gamma[i]);
-            let beta_shift = acc_frac as i32 - i32::from(self.beta_fmt.frac_bits());
-            let beta_aligned = shift_signed(i64::from(self.beta[i]), beta_shift);
-            acc += beta_aligned;
-            // requantize acc (frac = acc_frac) to out_fmt
-            let dst = i32::from(self.out_fmt.frac_bits());
-            let shifted = shift_round(acc, acc_frac as i32 - dst);
-            out[i] = shifted.clamp(-128, 127) as i8;
-            // in_fmt participates only through the normalization being
-            // scale-free: (x-μ)/σ cancels the input scale entirely.
-            let _ = in_fmt;
+        // The rounded mean of i8 codes is itself an i8 code.
+        let t = norm_table(mean as i8, sigma);
+        let gamma = &self.gamma[..n];
+        match &self.beta {
+            BetaAcc::Narrow(beta) => {
+                let sh = self.out_shift as u32;
+                // Branch-free nearest-even: add `half − 1` plus the kept LSB.
+                let (bias, lsb) = if sh > 0 { ((1i32 << (sh - 1)) - 1, 1) } else { (0, 0) };
+                // Table reads first, then the affine step over the whole
+                // strip with no loads in between, which keeps it
+                // vectorizable and its clamp free of branches.
+                let mut strip = [0i32; LN_STRIP];
+                for ((xs, gs), bs) in
+                    row.chunks_mut(LN_STRIP).zip(gamma.chunks(LN_STRIP)).zip(beta.chunks(LN_STRIP))
+                {
+                    let strip = &mut strip[..xs.len()];
+                    for (tv, &x) in strip.iter_mut().zip(xs.iter()) {
+                        *tv = t[x as u8 as usize];
+                    }
+                    for (((x, &tv), &g), &b) in xs.iter_mut().zip(strip.iter()).zip(gs).zip(bs) {
+                        let acc = tv * i32::from(g) + b;
+                        let y = (acc + bias + ((acc >> sh) & lsb)) >> sh;
+                        *x = y.clamp(-128, 127) as i8;
+                    }
+                }
+            }
+            BetaAcc::Wide(beta) => {
+                for ((x, &g), &b) in row.iter_mut().zip(gamma).zip(beta) {
+                    let acc = i64::from(t[*x as u8 as usize]) * i64::from(g) + b;
+                    *x = shift_round(acc, self.out_shift).clamp(-128, 127) as i8;
+                }
+            }
         }
     }
+}
 
-    /// Normalize a row-major `rows × cols` matrix.
-    pub fn forward_matrix(&self, data: &[i8], cols: usize, in_fmt: QFormat, out: &mut [i8]) {
-        assert_eq!(data.len(), out.len());
-        assert!(cols > 0 && data.len().is_multiple_of(cols));
-        for (ri, ro) in data.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
-            self.forward_row(ri, in_fmt, ro);
+/// A row's normalized values `t(x) = round((x − μ)·2⁸ / σ)`, ties away
+/// from zero, for every i8 code `x`, indexed by `x as u8`. `σ ≥ 1`. One
+/// division: the quotient and remainder step by `2⁸ / σ` and `2⁸ mod σ`
+/// per code, and `t` is odd in `x − μ`.
+#[must_use]
+pub fn norm_table(mean: i8, sigma: u64) -> [i32; 256] {
+    assert!(sigma >= 1, "norm_table needs sigma >= 1");
+    // Any σ > 2¹⁷ already rounds every |c|·2⁸ ≤ 65280 to 0.
+    let sigma = sigma.min(1 << 32) as i64;
+    let mean = i64::from(mean);
+    let (above, below) = (127 - mean, mean + 128);
+    let mut t = [0i32; 256];
+    let (dq, dr) = ((1i64 << NORM_FRAC) / sigma, (1i64 << NORM_FRAC) % sigma);
+    // c = 0: (0 + ⌊σ/2⌋) / σ = 0, remainder ⌊σ/2⌋.
+    let (mut q, mut r) = (0i64, sigma / 2);
+    for c in 0..=above.max(below) {
+        if c > 0 {
+            q += dq;
+            r += dr;
+            if r >= sigma {
+                r -= sigma;
+                q += 1;
+            }
+        }
+        if c <= above {
+            t[(mean + c) as i8 as u8 as usize] = q as i32;
+        }
+        if c <= below {
+            t[(mean - c) as i8 as u8 as usize] = -q as i32;
         }
     }
+    t
 }
 
 /// `num/den` rounded to nearest, ties away from zero. `den > 0`.
@@ -192,8 +274,8 @@ mod tests {
     fn constant_row_normalizes_to_beta() {
         let unit = LayerNormUnit::identity(8, q85());
         let row = vec![42i8; 8];
-        let mut out = vec![0i8; 8];
-        unit.forward_row(&row, q85(), &mut out);
+        let mut out = row.clone();
+        unit.forward_row(&mut out);
         // zero variance → centered values are 0 → output β = 0.
         assert!(out.iter().all(|&y| y == 0), "{out:?}");
     }
@@ -202,8 +284,8 @@ mod tests {
     fn output_mean_near_zero_identity_affine() {
         let unit = LayerNormUnit::identity(16, q85());
         let row: Vec<i8> = (0..16).map(|i| (i * 8 - 60) as i8).collect();
-        let mut out = vec![0i8; 16];
-        unit.forward_row(&row, q85(), &mut out);
+        let mut out = row.clone();
+        unit.forward_row(&mut out);
         let mean: f64 = out.iter().map(|&y| f64::from(y)).sum::<f64>() / 16.0;
         assert!(mean.abs() < 4.0, "mean = {mean}");
     }
@@ -212,8 +294,8 @@ mod tests {
     fn matches_float_layernorm() {
         let unit = LayerNormUnit::identity(32, q85());
         let row: Vec<i8> = (0..32).map(|i| ((i * 37 % 101) as i8).wrapping_sub(50)).collect();
-        let mut out = vec![0i8; 32];
-        unit.forward_row(&row, q85(), &mut out);
+        let mut out = row.clone();
+        unit.forward_row(&mut out);
         // float reference (on raw values; LN is scale-invariant)
         let xs: Vec<f64> = row.iter().map(|&x| f64::from(x)).collect();
         let m = xs.iter().sum::<f64>() / 32.0;
@@ -239,8 +321,8 @@ mod tests {
             QFormat::new(8, 4),
         );
         let row: Vec<i8> = vec![-40, -30, -20, -10, 10, 20, 30, 40];
-        let mut out = vec![0i8; 8];
-        unit.forward_row(&row, q85(), &mut out);
+        let mut out = row.clone();
+        unit.forward_row(&mut out);
         // expectation: 2*(x-0)/σ + 1
         let v: f64 = row.iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>() / 8.0;
         let s = v.sqrt();
@@ -255,8 +337,8 @@ mod tests {
     fn runtime_dim_below_synthesized_max() {
         let unit = LayerNormUnit::identity(768, q85());
         let row: Vec<i8> = (0..256).map(|i| (i % 100) as i8).collect();
-        let mut out = vec![0i8; 256];
-        unit.forward_row(&row, q85(), &mut out); // must not panic
+        let mut out = row.clone();
+        unit.forward_row(&mut out); // must not panic
     }
 
     #[test]
@@ -264,8 +346,25 @@ mod tests {
     fn over_dim_row_rejected() {
         let unit = LayerNormUnit::identity(4, q85());
         let row = vec![0i8; 8];
-        let mut out = vec![0i8; 8];
-        unit.forward_row(&row, q85(), &mut out);
+        let mut out = row.clone();
+        unit.forward_row(&mut out);
+    }
+
+    #[test]
+    fn formats_choose_the_i32_datapath_only_when_they_bound_it() {
+        let unit = |g, b, o| {
+            let f = |frac| QFormat::new(8, frac);
+            LayerNormUnit::new(vec![-128; 4], vec![-128; 4], f(g), f(b), f(o))
+        };
+        // The paper's formats, a zero output shift, a rounding β shift.
+        for (g, b, o) in [(5, 5, 5), (0, 0, 8), (5, 20, 3), (7, 0, 0)] {
+            assert!(matches!(unit(g, b, o).beta, BetaAcc::Narrow(_)), "({g}, {b}, {o})");
+        }
+        // β aligned up past i32, an output left shift, both at once.
+        for (g, b, o) in [(20, 0, 5), (0, 0, 20), (31, 0, 0)] {
+            assert!(matches!(unit(g, b, o).beta, BetaAcc::Wide(_)), "({g}, {b}, {o})");
+        }
+        assert!(matches!(LayerNormUnit::identity(8, q85()).beta, BetaAcc::Narrow(_)));
     }
 
     #[test]

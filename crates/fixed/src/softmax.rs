@@ -9,8 +9,12 @@
 //!    difference (the table is burned into LUTs at synthesis, one per
 //!    input format),
 //! 3. integer sum of the table outputs,
-//! 4. normalization `exp_i / sum` by integer division (a small sequential
-//!    divider or reciprocal multiply in hardware).
+//! 4. normalization `⌊exp_i · 2⁷ / sum⌋`, as a reciprocal multiply
+//!    resolved once per row: `m = ⌈2⁶⁴ / sum⌉`, then each element is the
+//!    high half of `(exp_i · 2⁷) · m`. This is the exact quotient: with
+//!    `exp_i · 2⁷ < 2²³` and `2¹⁵ ≤ sum ≤ 512 · 2¹⁵ < 2²⁵`, the rounding
+//!    error of `m` adds less than `2²³ / 2⁶⁴` to a quotient whose
+//!    fractional part is at most `1 − 2⁻²⁵`, so the floor never moves.
 //!
 //! Output probabilities are Q0.7 (`i8`, 7 fractional bits), the natural
 //! format for values in `[0, 1)`.
@@ -109,10 +113,13 @@ impl SoftmaxUnit {
             *e = self.lut.lookup(raw);
             sum += u32::from(*e);
         }
-        // Normalize: p = e * 128 / sum, clamped to Q0.7 max (127).
-        // sum >= exp(0) = 2^15 > 0 always, since the max element maps to 1.0.
+        // Normalize: p = ⌊e · 128 / sum⌋, clamped to Q0.7 max (127), by
+        // the row's reciprocal ⌈2⁶⁴ / sum⌉ = ⌊(2⁶⁴ − 1) / sum⌋ + 1 (module
+        // docs, step 4). sum ≥ exp(0) = 2^15 always, since the max
+        // element maps to 1.0.
+        let recip = u64::MAX / u64::from(sum) + 1;
         for (o, &e) in out.iter_mut().zip(exps.iter().take(row.len())) {
-            let p = (u64::from(e) << 7) / u64::from(sum);
+            let p = (u128::from(u64::from(e) << 7) * u128::from(recip)) >> 64;
             *o = p.min(127) as i8;
         }
     }

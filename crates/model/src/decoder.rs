@@ -498,7 +498,7 @@ impl QuantizedDecoder {
             x, x, &w.self_wq, &w.self_wk, &w.self_wv, &w.self_bq, &w.self_bk, &w.self_bv,
             &w.self_wo, &w.self_bo, true,
         );
-        let x1 = add_norm(x, &sa, &w.ln[0], s);
+        let x1 = add_norm(x, &sa, &w.ln[0]);
         let ca = self.attention(
             &x1,
             memory,
@@ -512,11 +512,11 @@ impl QuantizedDecoder {
             &w.cross_bo,
             false,
         );
-        let x2 = add_norm(&x1, &ca, &w.ln[1], s);
+        let x2 = add_norm(&x1, &ca, &w.ln[1]);
         let mut hidden = project(&x2, &w.w1, &w.b1, s);
         self.act.apply_slice(hidden.as_mut_slice());
         let ffn = project(&hidden, &w.w2, &w.b2, s);
-        add_norm(&x2, &ffn, &w.ln[2], s)
+        add_norm(&x2, &ffn, &w.ln[2])
     }
 
     /// Quantize an f32 matrix into the activation format.
@@ -838,7 +838,7 @@ impl QuantizedDecoder {
                 concat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
             }
             let sa = proj(&concat, &layer.self_wo, pl.map(|p| &p.self_wo), &layer.self_bo);
-            let x1 = add_norm(&h, &sa, &layer.ln[0], s);
+            let x1 = add_norm(&h, &sa, &layer.ln[0]);
 
             // --- cross-attention with precomputed memory K/V ------------
             let qc = proj(&x1, &layer.cross_wq, pl.map(|p| &p.cross_wq), &layer.cross_bq);
@@ -859,13 +859,13 @@ impl QuantizedDecoder {
                 ccat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
             }
             let ca = proj(&ccat, &layer.cross_wo, pl.map(|p| &p.cross_wo), &layer.cross_bo);
-            let x2 = add_norm(&x1, &ca, &layer.ln[1], s);
+            let x2 = add_norm(&x1, &ca, &layer.ln[1]);
 
             // --- FFN -----------------------------------------------------
             let mut hidden = proj(&x2, &layer.w1, pl.map(|p| &p.w1), &layer.b1);
             self.act.apply_slice(hidden.as_mut_slice());
             let ffn = proj(&hidden, &layer.w2, pl.map(|p| &p.w2), &layer.b2);
-            h = add_norm(&x2, &ffn, &layer.ln[2], s);
+            h = add_norm(&x2, &ffn, &layer.ln[2]);
         }
         cache.positions += 1;
         Ok(h)

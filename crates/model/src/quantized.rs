@@ -26,6 +26,7 @@ use protea_fixed::activation::ActivationLut;
 use protea_fixed::layernorm::LayerNormUnit;
 use protea_fixed::{LaneRequant, QFormat, Quantizer, Requantizer, Rounding, SoftmaxUnit};
 use protea_tensor::{matmul_i8_i32, transpose, Matrix};
+use rayon::prelude::*;
 
 /// Global quantization decisions for one deployment.
 #[derive(Debug, Clone, Copy)]
@@ -250,7 +251,7 @@ impl QuantizedEncoder {
 
         // --- FFN1_CE: output projection, residual, LN -------------------
         let attn_out = project(&sv, &w.wo, &w.bo, s);
-        let x1 = add_norm(x, &attn_out, &w.ln1, s);
+        let x1 = add_norm(x, &attn_out, &w.ln1);
 
         // --- FFN2_CE: first transformation + activation -----------------
         let mut hidden = project(&x1, &w.w1, &w.b1, s);
@@ -258,7 +259,7 @@ impl QuantizedEncoder {
 
         // --- FFN3_CE: second transformation, residual, LN ---------------
         let ffn_out = project(&hidden, &w.w2, &w.b2, s);
-        let out = add_norm(&x1, &ffn_out, &w.ln2, s);
+        let out = add_norm(&x1, &ffn_out, &w.ln2);
 
         LayerTrace { q, k, v, probs, sv, attn_out, x1, hidden, out }
     }
@@ -343,18 +344,22 @@ pub fn requant_logits(acc: &Matrix<i32>, cfg: &EncoderConfig, s: &QuantSchedule)
     acc.map(|a| lr.apply(a))
 }
 
-/// Residual add (saturating, shared format) then layer norm. Shared with
-/// the accelerator path.
+/// Residual add (saturating, shared format) then layer norm, one row at a
+/// time: each output row is first the row's sum, then normalized in
+/// place, so no intermediate sum matrix exists. Rows are independent and
+/// split across worker threads. Shared with the accelerator path and the
+/// decoders.
 #[must_use]
-pub fn add_norm(
-    x: &Matrix<i8>,
-    sub: &Matrix<i8>,
-    ln: &LayerNormUnit,
-    s: &QuantSchedule,
-) -> Matrix<i8> {
-    let summed = protea_tensor::ops::residual_add_i8(x, sub);
-    let mut out = Matrix::<i8>::zeros(summed.rows(), summed.cols());
-    ln.forward_matrix(summed.as_slice(), summed.cols(), s.act_fmt, out.as_mut_slice());
+pub fn add_norm(x: &Matrix<i8>, sub: &Matrix<i8>, ln: &LayerNormUnit) -> Matrix<i8> {
+    assert_eq!(x.shape(), sub.shape(), "residual shapes must match");
+    let cols = x.cols();
+    let mut out = Matrix::<i8>::zeros(x.rows(), cols);
+    out.as_mut_slice().par_chunks_exact_mut(cols).enumerate().for_each(|(r, row)| {
+        for ((o, &a), &b) in row.iter_mut().zip(x.row(r)).zip(sub.row(r)) {
+            *o = a.saturating_add(b);
+        }
+        ln.forward_row(row);
+    });
     out
 }
 
@@ -510,7 +515,7 @@ mod tests {
         let cfg = EncoderConfig::new(16, 2, 1, 2);
         let (_, q, _) = setup(cfg);
         let big = Matrix::from_vec(2, 16, vec![120i8; 32]);
-        let out = add_norm(&big, &big, &q.layers[0].ln1, &q.schedule);
+        let out = add_norm(&big, &big, &q.layers[0].ln1);
         // all-equal rows normalize to β: finite, no panic, deterministic
         assert_eq!(out.shape(), (2, 16));
     }

@@ -37,13 +37,6 @@ pub fn residual_add(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
     Matrix::from_fn(a.rows(), a.cols(), |r, c| a[(r, c)] + b[(r, c)])
 }
 
-/// Saturating residual connection on quantized data in a shared format.
-#[must_use]
-pub fn residual_add_i8(a: &Matrix<i8>, b: &Matrix<i8>) -> Matrix<i8> {
-    assert_eq!(a.shape(), b.shape(), "residual shapes must match");
-    Matrix::from_fn(a.rows(), a.cols(), |r, c| a[(r, c)].saturating_add(b[(r, c)]))
-}
-
 /// Maximum absolute value (for quantizer calibration). NaNs are skipped.
 #[must_use]
 pub fn max_abs(m: &Matrix<f32>) -> f32 {
@@ -110,14 +103,6 @@ mod tests {
         let b = Matrix::from_fn(2, 2, |_, _| 1f32);
         let c = residual_add(&a, &b);
         assert_eq!(c[(1, 1)], 3.0);
-    }
-
-    #[test]
-    fn residual_i8_saturates() {
-        let a = Matrix::from_vec(1, 2, vec![100i8, -100]);
-        let b = Matrix::from_vec(1, 2, vec![100i8, -100]);
-        let c = residual_add_i8(&a, &b);
-        assert_eq!(c.as_slice(), &[127, -128]);
     }
 
     #[test]

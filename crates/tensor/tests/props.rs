@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use protea_fixed::{QFormat, Requantizer, Rounding};
-use protea_tensor::ops::{residual_add_i8, transpose};
+use protea_tensor::ops::transpose;
 use protea_tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
     matmul_i8_packed_epilogue_checked, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel,
@@ -58,16 +58,6 @@ proptest! {
                 prop_assert_eq!(left[(i, j)], right_t[(i, j)] as i32);
             }
         }
-    }
-
-    #[test]
-    fn residual_add_is_commutative(a in arb_matrix(10), seed in any::<u64>()) {
-        let b = Matrix::from_fn(a.rows(), a.cols(), |i, j| {
-            (seed.wrapping_add(i as u64 * 5 + j as u64) % 255) as i8
-        });
-        let ab = residual_add_i8(&a, &b);
-        let ba = residual_add_i8(&b, &a);
-        prop_assert_eq!(ab.as_slice(), ba.as_slice());
     }
 
     #[test]
