@@ -18,6 +18,8 @@
 //!   GEMM on the encoder-sized sweep shapes (`k`, `n` ≥ 768);
 //! * on hosts with AVX-512 VNNI, the `avx512vnni` kernel ≥ 1.5× faster
 //!   than the widened-i16 `avx512` kernel on the gate shape (serial);
+//! * on hosts with AMX-INT8, the `amx` tile kernel ≥ 1.5× faster than
+//!   the `avx512vnni` kernel on the gate shape (serial);
 //! * the timing memo wins the serving sweep.
 
 use protea_bench::kernels;
@@ -36,6 +38,11 @@ const FUSED_GATE_MIN_DIM: usize = 768;
 /// `vpmaddwd` kernel by at least this factor. Three full runs on a
 /// 2-core AVX-512 VNNI host measured 3.8–4.0× at 128×768×768.
 const VNNI_MIN_SPEEDUP: f64 = 1.5;
+
+/// The AMX gate: `tdpbssd` tiles must beat the VNNI kernel by at least
+/// this factor at the gate shape, serial. Three full runs on a 2-core
+/// AMX host measured 1.81–2.50× at 128×768×768.
+const AMX_MIN_SPEEDUP: f64 = 1.5;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -91,6 +98,16 @@ fn main() {
             if vnni < VNNI_MIN_SPEEDUP {
                 failures.push(format!(
                     "avx512vnni kernel below {VNNI_MIN_SPEEDUP}x the avx512 kernel on the gate shape"
+                ));
+            }
+        }
+        if let Some(amx) = report.amx_speedup() {
+            println!(
+                "check: amx vs avx512vnni @128x768x768 = {amx:.2}x (need >= {AMX_MIN_SPEEDUP})"
+            );
+            if amx < AMX_MIN_SPEEDUP {
+                failures.push(format!(
+                    "amx kernel below {AMX_MIN_SPEEDUP}x the avx512vnni kernel on the gate shape"
                 ));
             }
         }

@@ -41,7 +41,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct IsaMs {
     /// Kernel name (`scalar`, `packed`, `avx2`, `avx512`, `avx512vnni`,
-    /// `neon`).
+    /// `amx`, `neon`).
     pub isa: String,
     /// Min-of-iters wall clock, ms.
     pub ms: f64,
@@ -162,15 +162,29 @@ impl KernelsReport {
         self.kernel != KernelIsa::Packed.to_string() && self.kernel != KernelIsa::Scalar.to_string()
     }
 
+    /// How many times faster `fast` runs the gate shape than `slow`
+    /// (serial, per-ISA rows); `None` when the host lacks either.
+    fn isa_speedup(&self, fast: KernelIsa, slow: KernelIsa) -> Option<f64> {
+        let row = self.gemm.last()?;
+        let ms =
+            |isa: KernelIsa| row.per_isa.iter().find(|e| e.isa == isa.to_string()).map(|e| e.ms);
+        Some(ms(slow)? / ms(fast)?)
+    }
+
     /// The VNNI gate: how many times faster the `avx512vnni` kernel runs
     /// the gate shape than the widened-i16 `avx512` kernel (serial,
     /// per-ISA rows); `None` when the host lacks either.
     #[must_use]
     pub fn vnni_speedup(&self) -> Option<f64> {
-        let row = self.gemm.last()?;
-        let ms =
-            |isa: KernelIsa| row.per_isa.iter().find(|e| e.isa == isa.to_string()).map(|e| e.ms);
-        Some(ms(KernelIsa::Avx512)? / ms(KernelIsa::Avx512Vnni)?)
+        self.isa_speedup(KernelIsa::Avx512Vnni, KernelIsa::Avx512)
+    }
+
+    /// The AMX gate: how many times faster the `amx` tile kernel runs the
+    /// gate shape than the `avx512vnni` kernel (serial, per-ISA rows);
+    /// `None` when the host lacks either.
+    #[must_use]
+    pub fn amx_speedup(&self) -> Option<f64> {
+        self.isa_speedup(KernelIsa::Amx, KernelIsa::Avx512Vnni)
     }
 
     /// Shapes with `k` and `n` of at least `min_dim` where the fused
@@ -249,10 +263,11 @@ impl KernelsReport {
              \"speedup\": {:.3}}},\n",
             f.requests, f.memo_ms, f.no_memo_ms, f.speedup
         ));
-        let vnni = self.vnni_speedup().map_or("null".to_string(), |v| format!("{v:.3}"));
+        let opt = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{v:.3}"));
+        let (vnni, amx) = (opt(self.vnni_speedup()), opt(self.amx_speedup()));
         s.push_str(&format!(
             "  \"gate_speedup_768\": {:.3},\n  \"fallback_speedup_768\": {:.3},\n  \
-             \"vnni_speedup_768\": {vnni}\n}}\n",
+             \"vnni_speedup_768\": {vnni},\n  \"amx_speedup_768\": {amx}\n}}\n",
             self.gate(),
             self.fallback_gate()
         ));
@@ -427,11 +442,15 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
 }
 
 /// The GEMM sweep: small/medium shapes plus the 768-wide gate shape
-/// (one QKV projection of the 12-head encoder at SL=128) last.
+/// (one QKV projection of the 12-head encoder at SL=128) last. The first
+/// two rows straddle the parallel GEMM's 2¹⁹-MAC threshold: 32×96×96
+/// (0.3M MACs) runs its serial fallback, 64×96×128 (0.8M) splits into
+/// bands.
 #[must_use]
 pub fn gemm_sweep(iters: u32) -> Vec<GemmRow> {
     vec![
         gemm_row(32, 96, 96, iters.max(8)),
+        gemm_row(64, 96, 128, iters.max(8)),
         gemm_row(64, 256, 256, iters.max(4)),
         gemm_row(128, 768, 3072, iters),
         gemm_row(128, 768, 768, iters),
@@ -590,8 +609,12 @@ mod tests {
         let vnni = IsaMs { isa: KernelIsa::Avx512Vnni.to_string(), ms: 1.5 };
         rep.gemm.last_mut().expect("rows").per_isa = vec![avx512.clone()];
         assert_eq!(rep.vnni_speedup(), None, "no VNNI row, no VNNI gate");
-        rep.gemm.last_mut().expect("rows").per_isa = vec![avx512, vnni];
+        rep.gemm.last_mut().expect("rows").per_isa = vec![avx512, vnni.clone()];
         assert_eq!(rep.vnni_speedup(), Some(2.0));
+        assert_eq!(rep.amx_speedup(), None, "no AMX row, no AMX gate");
+        let amx = IsaMs { isa: KernelIsa::Amx.to_string(), ms: 0.5 };
+        rep.gemm.last_mut().expect("rows").per_isa = vec![vnni, amx];
+        assert_eq!(rep.amx_speedup(), Some(3.0));
     }
 
     #[test]
@@ -616,6 +639,7 @@ mod tests {
         assert!(j.contains("\"gate_speedup_768\""));
         assert!(j.contains("\"fallback_speedup_768\""));
         assert!(j.contains("\"vnni_speedup_768\""));
+        assert!(j.contains("\"amx_speedup_768\""));
         assert!(j.contains("\"kernel\""));
         assert!(j.contains("\"isa_ms\""));
         assert!(j.contains("\"fused_ms\"") && j.contains("\"fused_ratio\""));

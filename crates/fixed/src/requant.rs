@@ -257,13 +257,31 @@ impl LaneRequant {
     pub fn apply_slice(&self, acc: &[i32], out: &mut [i8]) {
         assert_eq!(acc.len(), out.len(), "requant slice lengths differ");
         match self.div {
-            None => self.narrow_each(acc, out, |x| x),
-            Some(div) => self.narrow_each(acc, out, |x| div.apply(x)),
+            None => self.narrow_each(acc, out, |_, x| x),
+            Some(div) => self.narrow_each(acc, out, |_, x| div.apply(x)),
         }
     }
 
+    /// [`apply_slice`](Self::apply_slice) of `acc[i] + offset[i % 16]`,
+    /// the add folded into the same lane loop: a per-column bias over
+    /// rows whose width divides 16. The add wraps, so the caller must
+    /// know that no sum overflows i32 (a saturating add would differ
+    /// only then).
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    #[inline]
+    pub fn apply_slice_offset(&self, acc: &[i32], offset: &[i32; 16], out: &mut [i8]) {
+        assert_eq!(acc.len(), out.len(), "requant slice lengths differ");
+        match self.div {
+            None => self.narrow_each(acc, out, |l, x| x.wrapping_add(offset[l])),
+            Some(div) => self.narrow_each(acc, out, |l, x| div.apply(x.wrapping_add(offset[l]))),
+        }
+    }
+
+    /// `first` gets each element with its lane (index mod 16).
     #[inline(always)]
-    fn narrow_each(&self, acc: &[i32], out: &mut [i8], first: impl Fn(i32) -> i32) {
+    fn narrow_each(&self, acc: &[i32], out: &mut [i8], first: impl Fn(usize, i32) -> i32) {
         let (post, left) = (self.post, self.left);
         let right = |x: i32| post.apply(x).clamp(-128, 127) as i8;
         // A left shift means no right shift follows the pre-shift.
@@ -271,30 +289,30 @@ impl LaneRequant {
         // without changing which values saturate.
         let left = |x: i32| (x.clamp(-256, 255) << left).clamp(-128, 127) as i8;
         match (self.pre, self.left) {
-            (None, 0) => each(acc, out, |x| right(first(x))),
-            (Some(pre), 0) => each(acc, out, |x| right(pre.apply(first(x)))),
-            (None, _) => each(acc, out, |x| left(first(x))),
-            (Some(pre), _) => each(acc, out, |x| left(pre.apply(first(x)))),
+            (None, 0) => each(acc, out, |l, x| right(first(l, x))),
+            (Some(pre), 0) => each(acc, out, |l, x| right(pre.apply(first(l, x)))),
+            (None, _) => each(acc, out, |l, x| left(first(l, x))),
+            (Some(pre), _) => each(acc, out, |l, x| left(pre.apply(first(l, x)))),
         }
     }
 }
 
-/// `out[i] = f(acc[i])`, sixteen lanes per step: a fixed-width body is
-/// what lets LLVM merge the narrowing into whole-register saturating
-/// packs and a single 16-byte store.
+/// `out[i] = f(i % 16, acc[i])`, sixteen lanes per step: a fixed-width
+/// body is what lets LLVM merge the narrowing into whole-register
+/// saturating packs and a single 16-byte store.
 #[inline(always)]
-fn each(acc: &[i32], out: &mut [i8], f: impl Fn(i32) -> i8) {
+fn each(acc: &[i32], out: &mut [i8], f: impl Fn(usize, i32) -> i8) {
     let mut outs = out.chunks_exact_mut(16);
     let mut accs = acc.chunks_exact(16);
     for (o, x) in (&mut outs).zip(&mut accs) {
         let o: &mut [i8; 16] = o.try_into().expect("16-lane chunk");
         let x: &[i32; 16] = x.try_into().expect("16-lane chunk");
-        for (o, &x) in o.iter_mut().zip(x) {
-            *o = f(x);
+        for (l, (o, &x)) in o.iter_mut().zip(x).enumerate() {
+            *o = f(l, x);
         }
     }
-    for (o, &x) in outs.into_remainder().iter_mut().zip(accs.remainder()) {
-        *o = f(x);
+    for (l, (o, &x)) in outs.into_remainder().iter_mut().zip(accs.remainder()).enumerate() {
+        *o = f(l, x);
     }
 }
 
@@ -348,6 +366,30 @@ mod tests {
         r.apply_slice(&acc, &mut out);
         for (i, &a) in acc.iter().enumerate() {
             assert_eq!(out[i], r.apply(a));
+        }
+    }
+
+    #[test]
+    fn offset_slice_is_the_slice_of_the_added_values() {
+        // Lengths with and without a 16-lane remainder, a left-shifting
+        // and a right-shifting requantizer, each with and without the
+        // divisor stage.
+        let offset: [i32; 16] = core::array::from_fn(|l| (l as i32 - 7) * 40_961);
+        for (acc_frac, denom) in [(9, None), (2, None), (9, Some(12)), (2, Some(3))] {
+            for mode in [Rounding::Truncate, Rounding::HalfUp, Rounding::NearestEven] {
+                let rq = Requantizer::new(acc_frac, QFormat::new(8, 4), mode).lanes();
+                let rq = denom.map_or(rq, |d| rq.with_divisor(d));
+                for len in [0usize, 7, 16, 40] {
+                    let acc: Vec<i32> = (0..len as i32).map(|i| (i - 20) * 3_001).collect();
+                    let added: Vec<i32> =
+                        acc.iter().enumerate().map(|(i, &x)| x + offset[i % 16]).collect();
+                    let mut want = vec![0i8; len];
+                    rq.apply_slice(&added, &mut want);
+                    let mut got = vec![0i8; len];
+                    rq.apply_slice_offset(&acc, &offset, &mut got);
+                    assert_eq!(got, want, "{mode:?} frac {acc_frac} div {denom:?} len {len}");
+                }
+            }
         }
     }
 

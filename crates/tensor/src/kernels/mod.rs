@@ -22,6 +22,12 @@
 //!   over [`x86::MR`] activation rows ([`x86::mk_vnni_block`]). It is
 //!   the one kernel that does not widen: activations are biased to u8
 //!   once per GEMM and the bias is subtracted per column (see below).
+//! * [`KernelIsa::Amx`] — AMX-INT8 `tdpbssd` tiles on the same raw
+//!   strips (`x86::AmxTiles`), computing `Cᵀ = Wᵀ·Aᵀ` so the packed
+//!   weights load as tiles as they are. It takes a band of at least 16
+//!   activation rows at a depth that is a multiple of 64, over whole
+//!   32-column blocks ([`tile_blocks`]); every other block and shape
+//!   runs the VNNI kernel.
 //! * [`KernelIsa::Neon`] — `vmlal_s16` widening multiply-accumulate on
 //!   aarch64 ([`neon`]).
 //!
@@ -45,13 +51,18 @@
 //! `128 · col_sums[j]` ([`crate::PackedWeights::col_sums`]) per column.
 //! The biased sum is bounded by `255·128·k < 2³¹` for `k ≤ 2¹⁶`.
 //!
+//! `tdpbssd` needs no bias at all: it multiplies signed by signed bytes
+//! and adds each group of four products into an i32 lane without
+//! saturation, so every tile lane holds an exact partial of the signed
+//! sum, bounded by `|sum| ≤ k·2¹⁴`.
+//!
 //! ## Selection
 //!
 //! The active kernel is resolved **once** per process:
-//! `PROTEA_KERNEL=scalar|packed|avx2|avx512|avx512vnni|neon|auto`
-//! overrides; otherwise the best ISA the CPU reports is used (AVX-512
-//! VNNI ≻ AVX-512 ≻ AVX2 ≻ NEON ≻ portable packed). Requesting an ISA
-//! the host lacks falls back to the portable packed kernel —
+//! `PROTEA_KERNEL=scalar|packed|avx2|avx512|avx512vnni|amx|neon|auto`
+//! overrides; otherwise the best ISA the CPU reports is used (AMX ≻
+//! AVX-512 VNNI ≻ AVX-512 ≻ AVX2 ≻ NEON ≻ portable packed). Requesting
+//! an ISA the host lacks falls back to the portable packed kernel —
 //! deterministically, never to an illegal-instruction fault. Benchmarks
 //! and tests can re-route at runtime with [`force_kernel`]; because all
 //! variants are bit-exact, forcing changes wall-clock only.
@@ -87,14 +98,25 @@ pub enum KernelIsa {
     /// AVX-512 VNNI (`vpdpbusd` on raw i8, needs `avx512bw` and
     /// `avx512vnni`), x86-64 only.
     Avx512Vnni,
+    /// AMX-INT8 tiles (`tdpbssd`, needs `amx-tile`, `amx-int8`, the
+    /// kernel's tile-data permission and AVX-512 VNNI for the shapes
+    /// tiles do not cover), x86-64 only.
+    Amx,
     /// Explicit NEON (`vmlal_s16`), aarch64 only.
     Neon,
 }
 
 impl KernelIsa {
     /// All variants, in ascending preference order.
-    pub const ALL: [Self; 6] =
-        [Self::Scalar, Self::Packed, Self::Avx2, Self::Avx512, Self::Avx512Vnni, Self::Neon];
+    pub const ALL: [Self; 7] = [
+        Self::Scalar,
+        Self::Packed,
+        Self::Avx2,
+        Self::Avx512,
+        Self::Avx512Vnni,
+        Self::Amx,
+        Self::Neon,
+    ];
 
     /// Parse a `PROTEA_KERNEL` value (case-insensitive). `auto` and
     /// unknown strings return `None` (→ auto-detect).
@@ -106,6 +128,7 @@ impl KernelIsa {
             "avx2" => Some(Self::Avx2),
             "avx512" => Some(Self::Avx512),
             "avx512vnni" => Some(Self::Avx512Vnni),
+            "amx" => Some(Self::Amx),
             "neon" => Some(Self::Neon),
             _ => None,
         }
@@ -125,6 +148,8 @@ impl KernelIsa {
             }
             #[cfg(target_arch = "x86_64")]
             Self::Avx512Vnni => x86::vnni_supported(),
+            #[cfg(target_arch = "x86_64")]
+            Self::Amx => x86::amx_supported(),
             #[cfg(target_arch = "aarch64")]
             Self::Neon => true,
             #[allow(unreachable_patterns)] // arms above are cfg-gated
@@ -136,7 +161,7 @@ impl KernelIsa {
     /// kernel exists as a forced baseline, not a serving path).
     #[must_use]
     pub fn detect() -> Self {
-        [Self::Avx512Vnni, Self::Avx512, Self::Avx2, Self::Neon]
+        [Self::Amx, Self::Avx512Vnni, Self::Avx512, Self::Avx2, Self::Neon]
             .into_iter()
             .find(|isa| isa.is_supported())
             .unwrap_or(Self::Packed)
@@ -151,6 +176,7 @@ impl std::fmt::Display for KernelIsa {
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
             Self::Avx512Vnni => "avx512vnni",
+            Self::Amx => "amx",
             Self::Neon => "neon",
         })
     }
@@ -211,14 +237,15 @@ pub fn active_kernel() -> KernelIsa {
 pub(crate) enum Activations {
     /// Rows widened to i16, for the `vpmaddwd`/`vmlal`/portable kernels.
     Wide(Vec<i16>),
-    /// Rows biased to u8 (`x ^ 0x80 = x + 128`), for the VNNI kernel.
+    /// Rows biased to u8 (`x ^ 0x80 = x + 128`), for the VNNI kernel
+    /// (which also runs the blocks the AMX tiles leave).
     Biased(Vec<u8>),
 }
 
 impl Activations {
     /// Prepare the row-major activations `a` for `isa`.
     pub(crate) fn prepare(isa: KernelIsa, a: &[i8]) -> Self {
-        if isa == KernelIsa::Avx512Vnni {
+        if matches!(isa, KernelIsa::Avx512Vnni | KernelIsa::Amx) {
             Self::Biased(a.iter().map(|&x| x.cast_unsigned() ^ 0x80).collect())
         } else {
             Self::Wide(a.iter().map(|&x| i16::from(x)).collect())
@@ -254,6 +281,54 @@ pub(crate) fn reduce_block(
     }
 }
 
+/// Run the AMX tile kernel over every whole 32-column block of the
+/// packed weights `wdata` (`k × n`, column-major) for the `rows`
+/// activation rows `a`, when `isa` is [`KernelIsa::Amx`] and the band is
+/// tall and deep enough: at least 16 rows (one activation tile) and `k`
+/// a positive multiple of 64 (one tile row). Each block's four `CB`
+/// sub-blocks go to `put(j, sums)` in column order, `sums[r]` holding
+/// row `r`'s sums for the `CB` columns from `j`. Returns how many
+/// leading columns were covered (0 when the tiles do not apply); the
+/// rest are left to [`reduce_block`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tile_blocks(
+    isa: KernelIsa,
+    a: &[i8],
+    rows: usize,
+    k: usize,
+    wdata: &[i8],
+    n: usize,
+    mut put: impl FnMut(usize, &mut [[i32; CB]]),
+) -> usize {
+    use x86::{AmxTiles, AMX_NB, TILE, TILE_K};
+    if isa != KernelIsa::Amx || rows < TILE || k == 0 || !k.is_multiple_of(TILE_K) || n < AMX_NB {
+        return 0;
+    }
+    let mut tiles = AmxTiles::new(a, rows, k);
+    let mut sums = vec![[0i32; CB]; AMX_NB / CB * rows];
+    let done = n / AMX_NB * AMX_NB;
+    for j in (0..done).step_by(AMX_NB) {
+        tiles.block(&wdata[j * k..(j + AMX_NB) * k], &mut sums);
+        for (c, s) in sums.chunks_exact_mut(rows).enumerate() {
+            put(j + c * CB, s);
+        }
+    }
+    done
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn tile_blocks(
+    _: KernelIsa,
+    _: &[i8],
+    _: usize,
+    _: usize,
+    _: &[i8],
+    _: usize,
+    _: impl FnMut(usize, &mut [[i32; CB]]),
+) -> usize {
+    0
+}
+
 #[cfg(target_arch = "x86_64")]
 fn biased_block(a8: &[u8], k: usize, wstrip: &[i8], col_sums: &[i32], sums: &mut [[i32; CB]]) {
     x86::mk_vnni_block(a8, k, wstrip, col_sums, sums);
@@ -261,7 +336,7 @@ fn biased_block(a8: &[u8], k: usize, wstrip: &[i8], col_sums: &[i32], sums: &mut
 
 #[cfg(not(target_arch = "x86_64"))]
 fn biased_block(_: &[u8], _: usize, _: &[i8], _: &[i32], _: &mut [[i32; CB]]) {
-    unreachable!("biased activations are prepared only for avx512vnni, an x86-64 kernel")
+    unreachable!("biased activations are prepared only for avx512vnni and amx, x86-64 kernels")
 }
 
 /// One microkernel invocation: reduce the widened activation row
@@ -351,6 +426,8 @@ mod tests {
             assert_eq!(KernelIsa::parse(&isa.to_string()), Some(isa));
             assert_eq!(KernelIsa::parse(&isa.to_string().to_uppercase()), Some(isa));
         }
+        assert_eq!(KernelIsa::parse("amx"), Some(KernelIsa::Amx));
+        assert_eq!(KernelIsa::parse("AMX"), Some(KernelIsa::Amx));
         assert_eq!(KernelIsa::parse("auto"), None);
         assert_eq!(KernelIsa::parse("sse9"), None);
     }
@@ -369,10 +446,14 @@ mod tests {
     }
 
     #[test]
-    fn detect_prefers_vnni_then_avx512() {
-        // VNNI is a superset of the AVX-512 kernel's features, so a
-        // host without it still gets the widened zmm kernel.
-        if KernelIsa::Avx512Vnni.is_supported() {
+    fn detect_prefers_amx_then_vnni_then_avx512() {
+        // Each kernel's features are a superset of the next one's (AMX
+        // runs its column tails on VNNI), so a host without the better
+        // one still gets the next.
+        if KernelIsa::Amx.is_supported() {
+            assert!(KernelIsa::Avx512Vnni.is_supported());
+            assert_eq!(KernelIsa::detect(), KernelIsa::Amx);
+        } else if KernelIsa::Avx512Vnni.is_supported() {
             assert!(KernelIsa::Avx512.is_supported());
             assert_eq!(KernelIsa::detect(), KernelIsa::Avx512Vnni);
         } else if KernelIsa::Avx512.is_supported() {

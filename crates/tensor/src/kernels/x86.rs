@@ -1,6 +1,7 @@
 //! Explicit x86-64 microkernels: AVX2 (ymm) and AVX-512 (zmm)
-//! `vpmaddwd` over the widened-i16 strips, and the AVX-512 VNNI
-//! `vpdpbusd` kernel over the raw packed i8 strips.
+//! `vpmaddwd` over the widened-i16 strips, the AVX-512 VNNI `vpdpbusd`
+//! kernel over the raw packed i8 strips, and the AMX-INT8 `tdpbssd`
+//! tile kernel (`AmxTiles`) over the same strips.
 //!
 //! Exactness argument (why re-association to SIMD lanes is bit-safe):
 //! every i16 operand is a widened i8, so each product is bounded by
@@ -14,22 +15,27 @@
 //! `unsafe` is confined to this module (and its aarch64 sibling): the
 //! crate otherwise keeps `deny(unsafe_code)`. The only obligations are
 //! (a) the CPU supports the feature — guaranteed by the dispatch layer,
-//! which probes `is_x86_feature_detected!` before ever selecting these
-//! variants — and (b) in-bounds pointers, discharged by the explicit
-//! slice bounds asserted below.
+//! which probes `is_x86_feature_detected!` (and, for AMX, CPUID and the
+//! kernel's tile-data permission) before ever selecting these variants —
+//! and (b) in-bounds pointers, discharged by the explicit slice bounds
+//! asserted below.
 #![allow(unsafe_code)]
 
 use super::CB;
+use core::arch::asm;
+use core::marker::PhantomData;
+use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{
-    __m128i, __m256i, __m512i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_extracti128_si256,
-    _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256, _mm256_slli_epi32,
-    _mm256_storeu_si256, _mm256_sub_epi32, _mm512_add_epi32, _mm512_castsi512_si256,
-    _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_maskz_loadu_epi8,
-    _mm512_reduce_add_epi32, _mm512_setzero_si512, _mm512_shuffle_i64x2, _mm512_unpackhi_epi32,
-    _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm_add_epi32,
-    _mm_cvtsi128_si32, _mm_shuffle_epi32,
+    __cpuid_count, __get_cpuid_max, __m128i, __m256i, __m512i, _mm256_add_epi32,
+    _mm256_castsi256_si128, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
+    _mm256_setzero_si256, _mm256_slli_epi32, _mm256_storeu_si256, _mm256_sub_epi32,
+    _mm512_add_epi32, _mm512_castsi512_si256, _mm512_dpbusd_epi32, _mm512_loadu_si512,
+    _mm512_madd_epi16, _mm512_maskz_loadu_epi8, _mm512_permutex2var_epi64, _mm512_reduce_add_epi32,
+    _mm512_setzero_si512, _mm512_shuffle_i32x4, _mm512_shuffle_i64x2, _mm512_storeu_si512,
+    _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
+    _mm_add_epi32, _mm_cvtsi128_si32, _mm_shuffle_epi32,
 };
 
 /// Exact horizontal sum of the eight i32 lanes of a ymm accumulator.
@@ -270,6 +276,421 @@ fn hsum8(v: &[__m512i; CB]) -> __m256i {
     _mm512_castsi512_si256(folded)
 }
 
+/// Rows (and 4-byte columns) of one AMX tile: a weight tile holds 16
+/// weight columns, an activation tile 16 activation rows, and an
+/// accumulator tile 16 × 16 i32 sums.
+pub(crate) const TILE: usize = 16;
+/// Bytes of one tile row: the reduction depth of one `tdpbssd` step.
+pub(crate) const TILE_K: usize = 64;
+/// Output columns per tile block: two weight tiles.
+pub(crate) const AMX_NB: usize = 2 * TILE;
+
+/// Whether this host runs the AMX tile kernel: CPUID leaf 7 reports AMX-TILE
+/// (EDX bit 24) and AMX-INT8 (EDX bit 25), the VNNI kernel that runs the
+/// column tails is present, and the kernel grants this process the tile
+/// data state (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`,
+/// requested once and cached). Stable Rust cannot name the `amx-int8`
+/// target feature, so the probe is by hand.
+#[must_use]
+pub(crate) fn amx_supported() -> bool {
+    static GRANTED: OnceLock<bool> = OnceLock::new();
+    *GRANTED.get_or_init(|| vnni_supported() && amx_cpuid() && request_tile_data())
+}
+
+fn amx_cpuid() -> bool {
+    // Leaf 7 is read only when the maximum leaf reaches it.
+    let (max_leaf, _) = __get_cpuid_max(0);
+    if max_leaf < 7 {
+        return false;
+    }
+    let edx = __cpuid_count(7, 0).edx;
+    edx & (1 << 24) != 0 && edx & (1 << 25) != 0
+}
+
+#[cfg(target_os = "linux")]
+fn request_tile_data() -> bool {
+    const SYS_ARCH_PRCTL: i64 = 158;
+    const ARCH_REQ_XCOMP_PERM: i64 = 0x1023;
+    const XFEATURE_XTILEDATA: i64 = 18;
+    let ret: i64;
+    // SAFETY: this `arch_prctl` only widens the set of XSAVE features
+    // the process may use; it reads no memory. `syscall` clobbers `rcx`
+    // and `r11`.
+    unsafe {
+        asm!(
+            "syscall",
+            inlateout("rax") SYS_ARCH_PRCTL => ret,
+            in("rdi") ARCH_REQ_XCOMP_PERM,
+            in("rsi") XFEATURE_XTILEDATA,
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack),
+        );
+    }
+    ret == 0
+}
+
+#[cfg(not(target_os = "linux"))]
+fn request_tile_data() -> bool {
+    false
+}
+
+/// The `ldtilecfg` operand: palette 1, eight tiles of 16 rows × 64
+/// bytes. Tiles 0–3 accumulate, 4–5 hold weights, 6–7 activations.
+#[repr(C, align(64))]
+struct TileConfig {
+    palette: u8,
+    start_row: u8,
+    reserved: [u8; 14],
+    colsb: [u16; 16],
+    rows: [u8; 16],
+}
+
+/// One 16 × 16 i32 accumulator tile, as `tilestored` writes it.
+#[repr(C, align(64))]
+struct AccTile([i32; TILE * TILE]);
+
+/// One 64-byte tile row of interleaved activations. Tile loads are
+/// several times slower when their rows straddle cache lines, so the
+/// buffer is built from cache-line-aligned rows.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct TileRow([u32; TILE]);
+
+/// The AMX-INT8 tile kernel for one band of activation rows.
+///
+/// `tdpbssd` multiplies signed by signed bytes and adds each group of
+/// four products into an i32 lane, exactly (no bias, no saturation:
+/// `|sum| ≤ k·2¹⁴`). It computes `C += A·B` with `A` a 16-row × 64-byte
+/// tile and `B` a 16-row tile whose row `q` holds, for each of 16
+/// output columns, the four bytes of depth `4q..4q+4`. The kernel runs
+/// it as `Cᵀ = Wᵀ·Aᵀ`: the packed weights' column-major strips already
+/// are `Wᵀ` row-major, so 16 weight columns × 64 depth bytes load as an
+/// `A` tile as they are (stride `k`), and only the activations are
+/// rearranged — once per band, by [`AmxTiles::new`] — into `B` tiles
+/// laid out `[group of 16 rows][k/64][k/4 mod 16][16 rows][4 bytes]`,
+/// rows past the band's end zero. Each accumulator tile is then a
+/// 16-column × 16-row block of `Cᵀ`, transposed back with AVX-512
+/// shuffles into the row-major `[[i32; CB]]` blocks the store loop
+/// takes.
+///
+/// Creating one loads the tile configuration on the calling thread and
+/// dropping it releases the tiles, so the value is tied to its thread
+/// (`!Send`). Two alive on one thread would share that configuration,
+/// and dropping either would release it under the other, so the type is
+/// crate-private: its one user, `kernels::tile_blocks`, holds one for the
+/// length of a band and runs nothing in between that could make another.
+pub(crate) struct AmxTiles {
+    /// Interleaved activations, one dword (4 depth bytes) per element.
+    b: Vec<TileRow>,
+    rows: usize,
+    k: usize,
+    _thread: PhantomData<*const ()>,
+}
+
+impl AmxTiles {
+    /// Interleave the `rows` row-major activation rows `a` (`k` bytes
+    /// each) into `B` tiles and configure this thread's tiles.
+    ///
+    /// # Panics
+    /// Panics if the host lacks AMX ([`amx_supported`]), `k` is not a
+    /// positive multiple of [`TILE_K`], or `a` is not `rows × k` bytes.
+    #[must_use]
+    pub(crate) fn new(a: &[i8], rows: usize, k: usize) -> Self {
+        assert!(amx_supported(), "amx kernel on a host without AMX-INT8");
+        assert!(
+            k > 0 && k.is_multiple_of(TILE_K),
+            "AMX tiles need k a positive multiple of {TILE_K}"
+        );
+        assert_eq!(a.len(), rows * k);
+        let steps = k / TILE_K;
+        let mut b = vec![TileRow([0; TILE]); rows.div_ceil(TILE) * steps * TILE];
+        for (g, tiles) in b.chunks_exact_mut(steps * TILE).enumerate() {
+            let group = &a[g * TILE * k..((g + 1) * TILE).min(rows) * k];
+            // SAFETY: AVX-512 is implied by `amx_supported`; `group`
+            // holds whole rows of `k` bytes and `tiles` one 1 KiB tile
+            // per 64-byte step.
+            unsafe { interleave_group(group, k, tiles) };
+        }
+        let config = TileConfig {
+            palette: 1,
+            start_row: 0,
+            reserved: [0; 14],
+            colsb: core::array::from_fn(|t| if t < 8 { TILE_K as u16 } else { 0 }),
+            rows: core::array::from_fn(|t| if t < 8 { TILE as u8 } else { 0 }),
+        };
+        // SAFETY: AMX is present and this process holds the tile-data
+        // permission; the config is a valid palette-1 layout.
+        unsafe { asm!("ldtilecfg [{}]", in(reg) &config, options(nostack, readonly)) };
+        Self { b, rows, k, _thread: PhantomData }
+    }
+
+    /// Reduce [`AMX_NB`] weight columns — `wstrip`, their raw
+    /// column-major `AMX_NB × k` bytes — against every activation row:
+    /// `sums[c * rows + r]` receives row `r`'s exact sums for columns
+    /// `c·CB .. (c+1)·CB` of the strip, for each of its four `CB`
+    /// blocks.
+    ///
+    /// # Panics
+    /// Panics if the slices disagree with the band's `rows` and `k`.
+    pub(crate) fn block(&mut self, wstrip: &[i8], sums: &mut [[i32; CB]]) {
+        assert_eq!(wstrip.len(), AMX_NB * self.k);
+        assert_eq!(sums.len(), AMX_NB / CB * self.rows);
+        // SAFETY: the tiles were configured by `new` on this thread
+        // (the type is `!Send`), and the asserts bound every tile load
+        // to `wstrip` and `self.b` and every store to `sums`.
+        unsafe { tile_block(&self.b, self.rows, self.k, wstrip, sums) }
+    }
+}
+
+impl Drop for AmxTiles {
+    fn drop(&mut self) {
+        // SAFETY: releases the tile state `new` configured.
+        unsafe { asm!("tilerelease", options(nostack, nomem)) };
+    }
+}
+
+/// Interleave one group of at most [`TILE`] activation rows into its
+/// `B` tiles: for every 64-byte depth step, the 16 × 16 dword block of
+/// the rows is transposed, so tile row `q` holds depth `4q..4q+4` of
+/// each row in turn. Missing rows read as zero.
+///
+/// # Safety
+/// AVX-512F must be present; `group` must hold whole rows of `k` bytes
+/// (`k % 64 == 0`) and `tiles` `(k/64) · 16` rows.
+#[target_feature(enable = "avx512f")]
+unsafe fn interleave_group(group: &[i8], k: usize, tiles: &mut [TileRow]) {
+    let present = group.len() / k;
+    for (s, tile) in tiles.chunks_exact_mut(TILE).enumerate() {
+        let rows: [__m512i; TILE] = core::array::from_fn(|r| {
+            if r < present {
+                // SAFETY: row r < present spans k bytes, and
+                // s·64 + 64 <= k.
+                _mm512_loadu_si512(group.as_ptr().add(r * k + s * TILE_K).cast())
+            } else {
+                _mm512_setzero_si512()
+            }
+        });
+        for (row, v) in tile.iter_mut().zip(transpose16(rows)) {
+            _mm512_storeu_si512(row.0.as_mut_ptr().cast(), v);
+        }
+    }
+}
+
+/// The tile loop of [`AmxTiles::block`]: for each pair of 16-row
+/// groups, a 2 × 2 register block — two weight tiles (`tmm4`, `tmm5`)
+/// against two activation tiles (`tmm6`, `tmm7`) into four accumulators
+/// (`tmm0`–`tmm3`) — swept over the depth, then transposed out. An odd
+/// last group runs the 2 × 1 half of the block. Each tile is loaded
+/// just before its first `tdpbssd`, not all four up front: tiles are
+/// not renamed, so a load waits for the previous step's readers of its
+/// register, and interleaving ran the block loop 4–6% faster (A/B in one
+/// process on a 2-core AMX host).
+///
+/// # Safety
+/// The tiles must be configured as [`AmxTiles::new`] does; `b` must hold
+/// the band's interleaved groups, `wstrip` `AMX_NB × k` bytes and `sums`
+/// `4 · rows` blocks.
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_block(b: &[TileRow], rows: usize, k: usize, wstrip: &[i8], sums: &mut [[i32; CB]]) {
+    let groups = rows.div_ceil(TILE);
+    let steps = k / TILE_K;
+    let group_rows = steps * TILE;
+    let mut acc = [AccTile([0; TILE * TILE]), AccTile([0; TILE * TILE])];
+    let mut acc_hi = [AccTile([0; TILE * TILE]), AccTile([0; TILE * TILE])];
+    let w0 = wstrip.as_ptr();
+    let w1 = w0.add(TILE * k);
+    let mut g = 0;
+    while g < groups {
+        let pair = g + 1 < groups;
+        let b0 = b.as_ptr().add(g * group_rows);
+        asm!(
+            "tilezero tmm0",
+            "tilezero tmm1",
+            "tilezero tmm2",
+            "tilezero tmm3",
+            options(nostack, nomem)
+        );
+        for s in 0..steps {
+            // SAFETY: weight tile rows start at column c·k + s·64 and
+            // span 64 bytes inside the column; activation tiles are
+            // whole 1 KiB tiles of `b`.
+            let wa = w0.add(s * TILE_K);
+            let wb = w1.add(s * TILE_K);
+            let ba = b0.add(s * TILE);
+            if pair {
+                let bb = ba.add(group_rows);
+                asm!(
+                    "tileloadd tmm4, [{wa} + {k}*1]",
+                    "tileloadd tmm6, [{ba} + {bs}*1]",
+                    "tdpbssd tmm0, tmm4, tmm6",
+                    "tileloadd tmm7, [{bb} + {bs}*1]",
+                    "tdpbssd tmm1, tmm4, tmm7",
+                    "tileloadd tmm5, [{wb} + {k}*1]",
+                    "tdpbssd tmm2, tmm5, tmm6",
+                    "tdpbssd tmm3, tmm5, tmm7",
+                    wa = in(reg) wa,
+                    wb = in(reg) wb,
+                    ba = in(reg) ba,
+                    bb = in(reg) bb,
+                    k = in(reg) k,
+                    bs = in(reg) TILE_K,
+                    options(nostack, readonly)
+                );
+            } else {
+                asm!(
+                    "tileloadd tmm4, [{wa} + {k}*1]",
+                    "tileloadd tmm6, [{ba} + {bs}*1]",
+                    "tdpbssd tmm0, tmm4, tmm6",
+                    "tileloadd tmm5, [{wb} + {k}*1]",
+                    "tdpbssd tmm2, tmm5, tmm6",
+                    wa = in(reg) wa,
+                    wb = in(reg) wb,
+                    ba = in(reg) ba,
+                    k = in(reg) k,
+                    bs = in(reg) TILE_K,
+                    options(nostack, readonly)
+                );
+            }
+        }
+        // tmm0/tmm1: weight columns 0–15 for groups g, g+1; tmm2/tmm3:
+        // columns 16–31.
+        asm!(
+            "tilestored [{a0} + {bs}*1], tmm0",
+            "tilestored [{a1} + {bs}*1], tmm1",
+            "tilestored [{h0} + {bs}*1], tmm2",
+            "tilestored [{h1} + {bs}*1], tmm3",
+            a0 = in(reg) acc[0].0.as_mut_ptr(),
+            a1 = in(reg) acc[1].0.as_mut_ptr(),
+            h0 = in(reg) acc_hi[0].0.as_mut_ptr(),
+            h1 = in(reg) acc_hi[1].0.as_mut_ptr(),
+            bs = in(reg) TILE_K,
+            options(nostack)
+        );
+        for gg in 0..if pair { 2 } else { 1 } {
+            let first = (g + gg) * TILE;
+            let valid = TILE.min(rows - first);
+            for (half, tile) in [&acc[gg], &acc_hi[gg]].into_iter().enumerate() {
+                let (lo, hi) = sums.split_at_mut((2 * half + 1) * rows);
+                let lo = &mut lo[2 * half * rows + first..][..valid];
+                let hi = &mut hi[first..first + valid];
+                if valid == TILE {
+                    store_transposed(tile, lo, hi);
+                } else {
+                    let mut full = [[[0i32; CB]; TILE]; 2];
+                    let [flo, fhi] = &mut full;
+                    store_transposed(tile, flo, fhi);
+                    lo.copy_from_slice(&flo[..valid]);
+                    hi.copy_from_slice(&fhi[..valid]);
+                }
+            }
+        }
+        g += if pair { 2 } else { 1 };
+    }
+}
+
+/// Store the transpose of the accumulator tile `c` — row `j` holds
+/// weight column `j`'s sums over the 16 activation rows — as activation
+/// rows: `lo[r]` gets row `r`'s sums for weight columns 0–7, `hi[r]`
+/// for columns 8–15. The first two rounds of [`transpose16`] leave each
+/// 128-bit lane holding four rows of one column; two-source qword
+/// permutes then pair those lanes into the 8-column halves, two
+/// activation rows per register, so each store writes two adjacent
+/// `[i32; CB]` rows (64 shuffles and 16 stores per tile).
+///
+/// # Safety
+/// AVX-512F must be present; `lo` and `hi` must hold 16 rows each.
+#[target_feature(enable = "avx512f")]
+unsafe fn store_transposed(c: &AccTile, lo: &mut [[i32; CB]], hi: &mut [[i32; CB]]) {
+    // Lanes 0 and 1 (or 2 and 3) of `a` and `b`, interleaved:
+    // [a.L, b.L, a.L', b.L'].
+    const LANES_01: [i64; 8] = [0, 1, 8, 9, 2, 3, 10, 11];
+    const LANES_23: [i64; 8] = [4, 5, 12, 13, 6, 7, 14, 15];
+    let r: [__m512i; TILE] =
+        core::array::from_fn(|j| _mm512_loadu_si512(c.0.as_ptr().add(j * TILE).cast()));
+    let u = transpose16_lanes(r);
+    let idx01 = _mm512_loadu_si512(LANES_01.as_ptr().cast());
+    let idx23 = _mm512_loadu_si512(LANES_23.as_ptr().cast());
+    for (out, base) in [(lo, 0), (hi, 8)] {
+        // u[base + x] and u[base + 4 + x] hold columns x, 4 + x, 8 + x,
+        // 12 + x (one per lane) of rows base..base + 4 and base + 4..
+        // base + 8: so `p01[x]` is [row x, row 4 + x] and `p23[x]`
+        // [row 8 + x, row 12 + x] of this 8-column half.
+        let p01: [__m512i; 4] = core::array::from_fn(|x| {
+            _mm512_permutex2var_epi64(u[base + x], idx01, u[base + 4 + x])
+        });
+        let p23: [__m512i; 4] = core::array::from_fn(|x| {
+            _mm512_permutex2var_epi64(u[base + x], idx23, u[base + 4 + x])
+        });
+        let o = out.as_mut_ptr();
+        for x in [0, 2] {
+            for (p, row) in [(&p01, x), (&p23, 8 + x)] {
+                let near = _mm512_shuffle_i64x2::<0b01_00_01_00>(p[x], p[x + 1]);
+                let far = _mm512_shuffle_i64x2::<0b11_10_11_10>(p[x], p[x + 1]);
+                _mm512_storeu_si512(o.add(row).cast(), near);
+                _mm512_storeu_si512(o.add(row + 4).cast(), far);
+            }
+        }
+    }
+}
+
+/// The first two rounds of [`transpose16`]: lane `L` of result
+/// `4q + c` holds rows `4q..4q+4` of column `4L + c`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn transpose16_lanes(r: [__m512i; TILE]) -> [__m512i; TILE] {
+    // Lane L of t[2i] / t[2i+1]: rows 2i, 2i+1 at columns 4L..4L+1 /
+    // 4L+2..4L+3, interleaved.
+    let t: [__m512i; TILE] = core::array::from_fn(|i| {
+        let (a, b) = (r[i & !1], r[i | 1]);
+        if i % 2 == 0 {
+            _mm512_unpacklo_epi32(a, b)
+        } else {
+            _mm512_unpackhi_epi32(a, b)
+        }
+    });
+    core::array::from_fn(|i| {
+        let (q, c) = (i / 4, i % 4);
+        let (a, b) = (t[4 * q + c / 2], t[4 * q + 2 + c / 2]);
+        if c % 2 == 0 {
+            _mm512_unpacklo_epi64(a, b)
+        } else {
+            _mm512_unpackhi_epi64(a, b)
+        }
+    })
+}
+
+/// Transpose a 16 × 16 matrix of i32 held one row per register:
+/// dword pairs, then qword pairs, then two rounds of 128-bit lanes
+/// (64 shuffles).
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn transpose16(r: [__m512i; TILE]) -> [__m512i; TILE] {
+    let u = transpose16_lanes(r);
+    // v[8h + 4j + c] for row half h (rows 8h..8h+8) and column c + 4j:
+    // lanes [rows 8h..+4 col c+4j, rows 8h..+4 col c+4j+8, rows 8h+4..+8
+    // col c+4j, rows 8h+4..+8 col c+4j+8].
+    let v: [__m512i; TILE] = core::array::from_fn(|i| {
+        let (h, j, c) = (i / 8, (i / 4) % 2, i % 4);
+        let (a, b) = (u[8 * h + c], u[8 * h + 4 + c]);
+        if j == 0 {
+            _mm512_shuffle_i32x4::<0b10_00_10_00>(a, b)
+        } else {
+            _mm512_shuffle_i32x4::<0b11_01_11_01>(a, b)
+        }
+    });
+    // Column n = c + 4j + 8m: the four row quarters in order.
+    core::array::from_fn(|n| {
+        let (m, j, c) = (n / 8, (n / 4) % 2, n % 4);
+        let (a, b) = (v[4 * j + c], v[8 + 4 * j + c]);
+        if m == 0 {
+            _mm512_shuffle_i32x4::<0b10_00_10_00>(a, b)
+        } else {
+            _mm512_shuffle_i32x4::<0b11_01_11_01>(a, b)
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,6 +735,32 @@ mod tests {
                     let arow: Vec<i16> =
                         a[r * k..(r + 1) * k].iter().map(|&x| i16::from(x)).collect();
                     assert_eq!(*got, mk_scalar(&arow, &w16, k), "vnni k={k} rows={rows} row={r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn amx_tiles_match_scalar_when_supported() {
+        if !amx_supported() {
+            return;
+        }
+        // One and two tile steps; a whole group, a ragged second group
+        // (2 × 1 half block), and a pair plus a ragged third group.
+        for k in [64usize, 128] {
+            let w: Vec<i8> = (0..AMX_NB * k).map(|i| ((i * 53 + 5) % 256) as u8 as i8).collect();
+            let w16: Vec<i16> = w.iter().map(|&x| i16::from(x)).collect();
+            for rows in [16usize, 17, 33] {
+                let a: Vec<i8> = (0..rows * k).map(|i| ((i * 91 + 17) % 256) as u8 as i8).collect();
+                let mut sums = vec![[0i32; CB]; AMX_NB / CB * rows];
+                AmxTiles::new(&a, rows, k).block(&w, &mut sums);
+                for (c, block) in sums.chunks_exact(rows).enumerate() {
+                    let wc = &w16[c * CB * k..(c + 1) * CB * k];
+                    for (r, got) in block.iter().enumerate() {
+                        let arow: Vec<i16> =
+                            a[r * k..(r + 1) * k].iter().map(|&x| i16::from(x)).collect();
+                        assert_eq!(*got, mk_scalar(&arow, wc, k), "k={k} rows={rows} c={c} r={r}");
+                    }
                 }
             }
         }

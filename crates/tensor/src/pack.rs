@@ -14,13 +14,14 @@
 //!   `Kᵀ` is a straight copy of `K`'s row-major bytes
 //!   ([`PackedWeights::from_transpose`]).
 //! * [`matmul_i8_i32_packed`] — prepares the activations once (widened
-//!   to i16, or biased to u8 for the VNNI kernel), hands the kernel one
-//!   block of `CB` weight columns at a time (widened per block, or raw
-//!   for VNNI), and reduces each output element through the microkernel
+//!   to i16, biased to u8 for the VNNI kernel, or interleaved into AMX
+//!   tiles), hands the kernel one block of `CB` weight columns at a time
+//!   (widened per block, or raw for VNNI; 32 raw columns per AMX tile
+//!   block), and reduces each output element through the microkernel
 //!   selected by the runtime dispatch layer ([`crate::kernels`]):
-//!   explicit AVX-512 VNNI/AVX-512/AVX2/NEON where the host supports
-//!   it, the original autovectorized kernel as the portable fallback,
-//!   overridable via `PROTEA_KERNEL`.
+//!   explicit AMX/AVX-512 VNNI/AVX-512/AVX2/NEON where the host
+//!   supports it, the original autovectorized kernel as the portable
+//!   fallback, overridable via `PROTEA_KERNEL`.
 //! * [`matmul_i8_i32_packed_parallel`] — the same GEMM with parallelism
 //!   *inside* the product: the activation rows are split into one band
 //!   per worker, and each worker stores its band straight into its own
@@ -59,6 +60,62 @@ use crate::matrix::Matrix;
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::LaneRequant;
 
+/// Bytes whose first element sits on a 64-byte boundary, so that every
+/// packed column of a depth that is a multiple of 64 starts on a cache
+/// line: an AMX tile row (64 bytes) or a zmm load then never splits
+/// across two lines, which made unaligned tile loads several times
+/// slower. The buffer over-allocates by up to 63 bytes and keeps the
+/// offset of the aligned start; a clone re-aligns its own allocation.
+struct AlignedBytes {
+    buf: Vec<i8>,
+    start: usize,
+    len: usize,
+}
+
+impl AlignedBytes {
+    const ALIGN: usize = 64;
+
+    fn zeroed(len: usize) -> Self {
+        let buf = vec![0i8; len + Self::ALIGN - 1];
+        let start = buf.as_ptr().align_offset(Self::ALIGN);
+        Self { buf, start, len }
+    }
+
+    fn from_slice(src: &[i8]) -> Self {
+        let mut out = Self::zeroed(src.len());
+        out.as_mut_slice().copy_from_slice(src);
+        out
+    }
+
+    fn as_slice(&self) -> &[i8] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [i8] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl Clone for AlignedBytes {
+    fn clone(&self) -> Self {
+        Self::from_slice(self.as_slice())
+    }
+}
+
+impl PartialEq for AlignedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for AlignedBytes {}
+
+impl std::fmt::Debug for AlignedBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// A weight matrix packed once (transposed to column-major) for
 /// repeated GEMMs.
 ///
@@ -71,7 +128,7 @@ pub struct PackedWeights {
     rows: usize,
     cols: usize,
     /// Column-major: logical column `j` lives at `data[j*rows..(j+1)*rows]`.
-    data: Vec<i8>,
+    data: AlignedBytes,
     /// `col_sums[j] = Σₚ W[p][j]`: the VNNI kernel's bias correction.
     col_sums: Vec<i32>,
 }
@@ -81,7 +138,8 @@ impl PackedWeights {
     #[must_use]
     pub fn pack(w: &Matrix<i8>) -> Self {
         let (rows, cols) = w.shape();
-        let mut data = vec![0i8; rows * cols];
+        let mut bytes = AlignedBytes::zeroed(rows * cols);
+        let data = bytes.as_mut_slice();
         let mut col_sums = vec![0i32; cols];
         for r in 0..rows {
             let src = w.row(r);
@@ -92,7 +150,7 @@ impl PackedWeights {
                 *s += i32::from(x);
             }
         }
-        Self { rows, cols, data, col_sums }
+        Self { rows, cols, data: bytes, col_sums }
     }
 
     /// Pack the *transpose* of `wt`: the packed matrix is `wtᵀ`, i.e.
@@ -104,7 +162,7 @@ impl PackedWeights {
     pub fn from_transpose(wt: &Matrix<i8>) -> Self {
         let (n, k) = wt.shape();
         let col_sums = (0..n).map(|j| wt.row(j).iter().map(|&x| i32::from(x)).sum()).collect();
-        Self { rows: k, cols: n, data: wt.as_slice().to_vec(), col_sums }
+        Self { rows: k, cols: n, data: AlignedBytes::from_slice(wt.as_slice()), col_sums }
     }
 
     /// Logical (unpacked) shape `(rows, cols)` — `rows` is the reduction
@@ -129,7 +187,7 @@ impl PackedWeights {
     /// One packed column: the `k` weights feeding output column `j`.
     #[must_use]
     pub fn col(&self, j: usize) -> &[i8] {
-        &self.data[j * self.rows..(j + 1) * self.rows]
+        &self.data.as_slice()[j * self.rows..(j + 1) * self.rows]
     }
 
     /// Per-column weight sums, `col_sums()[j] = Σₚ W[p][j]`, computed at
@@ -142,7 +200,8 @@ impl PackedWeights {
     /// Reconstruct the unpacked matrix (test/debug aid).
     #[must_use]
     pub fn unpack(&self) -> Matrix<i8> {
-        Matrix::from_fn(self.rows, self.cols, |r, c| self.data[c * self.rows + r])
+        let data = self.data.as_slice();
+        Matrix::from_fn(self.rows, self.cols, |r, c| data[c * self.rows + r])
     }
 }
 
@@ -309,7 +368,7 @@ impl<'a> RequantEpilogue<'a> {
         self.check_width(n);
         let mut out = vec![0i8; m * n];
         let mut sums = vec![[0i32; CB]; m];
-        let mut sink = RequantSink::new(self);
+        let mut sink = RequantSink::new(self, None);
         for j in (0..n).step_by(CB) {
             let w = CB.min(n - j);
             for (di, s) in sums.iter_mut().enumerate() {
@@ -333,15 +392,34 @@ impl<'a> RequantEpilogue<'a> {
 /// flattened, the ROM read — before the rows are copied out. The
 /// narrowed block lives in a scratch buffer allocated once per GEMM
 /// (per worker), never per strip.
+///
+/// The bias add saturates, but when the GEMM's depth bounds every sum
+/// so that no bias can overflow it, a plain add gives the same i32, and
+/// it runs inside the narrowing loop ([`LaneRequant::apply_slice_offset`]).
+/// The saturating pass compiles to a scalar loop on the baseline target,
+/// which made the fused GEMM ~1.3× the bare one under AMX at
+/// 128×768×768.
 #[derive(Clone)]
 struct RequantSink<'a> {
     epi: &'a RequantEpilogue<'a>,
     narrowed: Vec<[i8; CB]>,
+    bias_wraps: bool,
 }
 
 impl<'a> RequantSink<'a> {
-    fn new(epi: &'a RequantEpilogue<'a>) -> Self {
-        Self { epi, narrowed: Vec::new() }
+    /// The sink for sums of a GEMM of reduction depth `depth`, or of
+    /// arbitrary i32 values when `None`.
+    fn new(epi: &'a RequantEpilogue<'a>, depth: Option<usize>) -> Self {
+        // |Σₚ x·w| ≤ k·2¹⁴, so |bias| ≤ i32::MAX − k·2¹⁴ keeps every
+        // bias + sum inside i32.
+        let bias_wraps = match (epi.bias, depth) {
+            (Some(bias), Some(k)) => {
+                let room = (i32::MAX as u64).saturating_sub((k as u64) << 14);
+                bias.iter().all(|&b| u64::from(b.unsigned_abs()) <= room)
+            }
+            _ => false,
+        };
+        Self { epi, narrowed: Vec::new(), bias_wraps }
     }
 }
 
@@ -358,18 +436,26 @@ impl StripSink for RequantSink<'_> {
         stride: usize,
     ) {
         let epi = self.epi;
-        if let Some(bias) = epi.bias {
-            let mut b = [0i32; CB];
-            copy_lanes(&mut b, &bias[j..], w);
-            for s in sums.iter_mut() {
-                for (x, &b) in s.iter_mut().zip(&b) {
-                    *x = x.saturating_add(b);
-                }
-            }
-        }
         self.narrowed.resize(sums.len(), [0; CB]);
         let narrowed = self.narrowed.as_flattened_mut();
-        epi.rq.apply_slice(sums.as_flattened(), narrowed);
+        match epi.bias {
+            Some(bias) => {
+                let mut b = [0i32; 2 * CB];
+                copy_lanes(&mut b, &bias[j..], w);
+                if self.bias_wraps {
+                    b.copy_within(..CB, CB);
+                    epi.rq.apply_slice_offset(sums.as_flattened(), &b, narrowed);
+                } else {
+                    for s in sums.iter_mut() {
+                        for (x, &b) in s.iter_mut().zip(&b) {
+                            *x = x.saturating_add(b);
+                        }
+                    }
+                    epi.rq.apply_slice(sums.as_flattened(), narrowed);
+                }
+            }
+            None => epi.rq.apply_slice(sums.as_flattened(), narrowed),
+        }
         if let Some(act) = epi.act {
             act.apply_slice(narrowed);
         }
@@ -380,11 +466,12 @@ impl StripSink for RequantSink<'_> {
 }
 
 /// Reduce the `rows` activation rows `a` against every column of `w`
-/// into the row-major `out`: the activations are prepared for `isa`
-/// once, then each `CB`-column block runs through
-/// [`kernels::reduce_block`] and goes to the sink; the ragged tail
-/// (`w.cols() % CB` columns) runs a scalar dot over the i8 operands
-/// with identical values.
+/// into the row-major `out`. On AMX, whole 32-column blocks run through
+/// the tile kernel first ([`kernels::tile_blocks`]). The remaining
+/// columns' activations are prepared for `isa` once, then each
+/// `CB`-column block runs through [`kernels::reduce_block`]; every block
+/// goes to the sink. The ragged tail (`w.cols() % CB` columns) runs a
+/// scalar dot over the i8 operands with identical values.
 fn gemm_strip<S: StripSink>(
     a: &[i8],
     rows: usize,
@@ -394,15 +481,28 @@ fn gemm_strip<S: StripSink>(
     sink: &mut S,
 ) {
     let (k, n) = w.shape();
-    let acts = Activations::prepare(isa, a);
-    let mut wide = Vec::new();
+    let wdata = w.data.as_slice();
+    let mut j = kernels::tile_blocks(isa, a, rows, k, wdata, n, |j, sums| {
+        sink.put_block(j, CB, sums, &mut out[j..], n);
+    });
     let mut sums = vec![[0i32; CB]; rows];
-    let mut j = 0;
-    while j + CB <= n {
-        let strip = &w.data[j * k..(j + CB) * k];
-        kernels::reduce_block(isa, &acts, k, strip, &w.col_sums[j..j + CB], &mut wide, &mut sums);
-        sink.put_block(j, CB, &mut sums, &mut out[j..], n);
-        j += CB;
+    if j + CB <= n {
+        let acts = Activations::prepare(isa, a);
+        let mut wide = Vec::new();
+        while j + CB <= n {
+            let strip = &wdata[j * k..(j + CB) * k];
+            kernels::reduce_block(
+                isa,
+                &acts,
+                k,
+                strip,
+                &w.col_sums[j..j + CB],
+                &mut wide,
+                &mut sums,
+            );
+            sink.put_block(j, CB, &mut sums, &mut out[j..], n);
+            j += CB;
+        }
     }
     let tail = n - j;
     if tail == 0 {
@@ -421,16 +521,17 @@ fn gemm_strip<S: StripSink>(
 }
 
 /// Below this many MACs a row-band fan-out costs more than it saves,
-/// and the parallel entry points fall back to the serial one: the
-/// vendored rayon starts an OS thread per spawned band. Parallel over
-/// serial time, medians of interleaved pairs on a 2-core AVX-512 VNNI
-/// host, VNNI kernel: 1.5× at 4.2M MACs (64×256×256), 1.02–1.03× at
-/// 8.4M (128×256×256), 0.81× at 18.9M (128×384×384), 0.61× at 75.5M
-/// (128×768×768). The widening kernels break even lower (`avx512`
-/// 1.11×, `avx2` 1.14×, `packed` 0.74× at 1.6M; 0.63–0.88× at 4.2M),
-/// so this one threshold leaves them serial on the few shapes between
-/// 4.2M and 16.8M MACs, none of which an encoder projection has.
-const MIN_PAR_MACS: usize = 1 << 24;
+/// and the parallel entry points fall back to the serial one. Handing a
+/// band to a pooled worker costs a few microseconds (the vendored
+/// rayon's workers persist and poll between regions). Parallel over
+/// serial time, medians of interleaved pairs in three runs on a 2-core
+/// AMX host: at 0.3M MACs (32×96×96) 0.86–1.03× on `amx`, 0.95–0.99×
+/// on `avx512vnni` and 0.55–1.09× on the widening kernels; at 0.8M
+/// (64×96×128) 0.68–0.89×, 0.71–0.94× and 0.53–1.01×; at 1.6M
+/// (128×96×128) 0.69–1.03×, 0.69–0.80× and 0.55–1.01×. So the
+/// break-even lies between 0.3M and 0.8M. Before the pool, each band
+/// started an OS thread and it sat near 2²⁴.
+const MIN_PAR_MACS: usize = 1 << 19;
 
 /// Rows per band of a parallel GEMM: one band per worker. Returns
 /// `None` when the product is too small (or too short) to pay for
@@ -544,7 +645,7 @@ pub fn matmul_i8_packed_requant(
     epi: &RequantEpilogue<'_>,
 ) -> Matrix<i8> {
     epi.check_width(w.cols());
-    gemm(a, w, &mut RequantSink::new(epi))
+    gemm(a, w, &mut RequantSink::new(epi, Some(w.rows())))
 }
 
 /// Panel-parallel form of [`matmul_i8_packed_requant`]; identical bytes.
@@ -559,7 +660,7 @@ pub fn matmul_i8_packed_requant_parallel(
     epi: &RequantEpilogue<'_>,
 ) -> Matrix<i8> {
     epi.check_width(w.cols());
-    gemm_parallel(a, w, RequantSink::new(epi))
+    gemm_parallel(a, w, RequantSink::new(epi, Some(w.rows())))
 }
 
 /// ABFT-checked fused GEMM: the epilogue hook. Computes

@@ -13,6 +13,14 @@
 //! tile, and widths that straddle the 8-column block. The bias trick's
 //! extremes — activations biased to 0 and to 255 against weights of
 //! −128 and 127 at the FFN depth — are pinned separately.
+//!
+//! The AMX tile kernel takes only bands of at least 16 rows at depths
+//! that are multiples of 64, over whole 32-column blocks, so a second
+//! grid reaches it: 16–48 rows (whole, ragged and odd counts of 16-row
+//! groups), depths of one, two, 12 and 48 tile steps plus one the tiles
+//! refuse (96), and widths that leave no tail, a scalar tail, a VNNI
+//! block, and both. It runs on the AMX kernel and on the host's default
+//! kernel, which the small grid already pins against every other ISA.
 
 use std::sync::Mutex;
 
@@ -27,6 +35,10 @@ const DEPTHS: [usize; 9] = [0, 1, 63, 64, 65, 96, 127, 768, 3072];
 const ROWS: [usize; 6] = [1, 2, 3, 4, 5, 7];
 const WIDTHS: [usize; 5] = [1, 7, 8, 9, 17];
 
+const TILE_ROWS: [usize; 6] = [16, 17, 31, 32, 33, 48];
+const TILE_DEPTHS: [usize; 5] = [64, 96, 128, 768, 3072];
+const TILE_WIDTHS: [usize; 5] = [32, 33, 40, 63, 96];
+
 /// `force_kernel` is process-wide; the tests in this binary take turns.
 static FORCE: Mutex<()> = Mutex::new(());
 
@@ -34,6 +46,20 @@ static FORCE: Mutex<()> = Mutex::new(());
 fn for_each_isa(mut f: impl FnMut(KernelIsa)) {
     let _turn = FORCE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     for isa in supported_kernels() {
+        force_kernel(Some(isa));
+        f(isa);
+    }
+    force_kernel(None);
+}
+
+/// Run `f` with the AMX kernel forced, then with the host's default
+/// kernel, skipping either when unsupported or already run.
+fn for_tile_isas(mut f: impl FnMut(KernelIsa)) {
+    let _turn = FORCE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut isas = vec![KernelIsa::Amx, KernelIsa::detect()];
+    isas.retain(|isa| isa.is_supported());
+    isas.dedup();
+    for isa in isas {
         force_kernel(Some(isa));
         f(isa);
     }
@@ -88,6 +114,40 @@ fn every_kernel_matches_the_oracle_across_the_shape_grid() {
                 }
             }
         }
+    });
+}
+
+#[test]
+fn tile_shapes_match_the_oracle() {
+    for_tile_isas(|isa| {
+        for k in TILE_DEPTHS {
+            // The shallow depths take the whole rows × widths grid; the
+            // encoder depths pair each row count with one width.
+            let pairs: Vec<(usize, usize)> = if k <= 128 {
+                TILE_ROWS.iter().flat_map(|&m| TILE_WIDTHS.map(|n| (m, n))).collect()
+            } else {
+                TILE_ROWS.into_iter().zip(TILE_WIDTHS.into_iter().cycle()).collect()
+            };
+            for (m, n) in pairs {
+                let w = mat(k, n, 4);
+                assert_exact(&mat(m, k, 8), &w, &PackedWeights::pack(&w), isa);
+            }
+        }
+    });
+}
+
+#[test]
+fn tile_extremes_are_exact_at_ffn_depth() {
+    // Every product (−128)·(−128): each i32 tile lane reaches its
+    // largest magnitude, k·2¹⁴.
+    let (m, k, n) = (33, 3072, 40);
+    let a = Matrix::from_vec(m, k, vec![i8::MIN; m * k]);
+    let w = Matrix::from_vec(k, n, vec![i8::MIN; k * n]);
+    let packed = PackedWeights::pack(&w);
+    for_tile_isas(|isa| {
+        assert_exact(&a, &w, &packed, isa);
+        let got = matmul_i8_i32_packed(&a, &packed);
+        assert!(got.as_slice().iter().all(|&v| v == k as i32 * 128 * 128), "{isa}");
     });
 }
 

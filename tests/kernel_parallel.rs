@@ -4,16 +4,21 @@
 //! The vendored rayon caches its worker count on first use, so this
 //! binary holds a single test that sets `RAYON_NUM_THREADS=4` before
 //! any parallel call; a single-core host would otherwise take the
-//! serial fallback and leave the band split untested. The shape clears
-//! the 2²⁴-MAC parallel threshold with a ragged row count: four bands
-//! of 13, 13, 13 and 11 rows, none a multiple of the 3-row VNNI tile,
-//! and a width that is not a multiple of the 8-column block.
+//! serial fallback and leave the band split untested. Both shapes clear
+//! the parallel threshold with a ragged row count and a width that is
+//! not a multiple of the 8-column block. The first splits into four
+//! bands of 13, 13, 13 and 11 rows, none a multiple of the 3-row VNNI
+//! tile and all below the 16-row AMX tile. The second splits into bands
+//! of 18, 18, 18 and 16 rows, so every band takes the AMX tile path on
+//! hosts that have it, the first three ending in a ragged 2-row group.
+//! Only the tile path is new at that shape, so it runs on the AMX kernel
+//! and the host's default kernel, not on every ISA.
 
 use protea::fixed::{QFormat, Requantizer, Rounding};
 use protea::tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
-    matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, supported_kernels, Matrix,
-    PackedWeights, RequantEpilogue,
+    matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, supported_kernels, KernelIsa,
+    Matrix, PackedWeights, RequantEpilogue,
 };
 
 fn mat(rows: usize, cols: usize, salt: u64) -> Matrix<i8> {
@@ -28,8 +33,16 @@ fn parallel_bands_match_the_oracle_on_every_kernel() {
     std::env::set_var("RAYON_NUM_THREADS", "4");
     assert_eq!(rayon::current_num_threads(), 4, "shim must honor RAYON_NUM_THREADS");
 
-    let (m, k, n) = (50, 384, 917);
-    assert!(m * k * n >= 1 << 24, "shape must clear the parallel threshold");
+    let mut tile_isas = vec![KernelIsa::Amx, KernelIsa::detect()];
+    tile_isas.retain(|isa| isa.is_supported());
+    tile_isas.dedup();
+    for ((m, k, n), isas) in [((50, 384, 917), supported_kernels()), ((70, 384, 917), tile_isas)] {
+        assert!(m * k * n >= 1 << 19, "shape must clear the parallel threshold");
+        check_kernels(m, k, n, isas);
+    }
+}
+
+fn check_kernels(m: usize, k: usize, n: usize, isas: Vec<KernelIsa>) {
     let a = mat(m, k, 3);
     let w = mat(k, n, 7);
     let packed = PackedWeights::pack(&w);
@@ -39,24 +52,25 @@ fn parallel_bands_match_the_oracle_on_every_kernel() {
     let epi = RequantEpilogue::new(rq.lanes()).with_bias(&bias);
     let want8 = epi.apply_matrix(&want);
 
-    for isa in supported_kernels() {
+    for isa in isas {
         force_kernel(Some(isa));
         let serial = matmul_i8_i32_packed(&a, &packed);
-        assert_eq!(serial.as_slice(), want.as_slice(), "serial on {isa}");
+        let shape = format!("{m}x{k}x{n} on {isa}");
+        assert_eq!(serial.as_slice(), want.as_slice(), "serial {shape}");
         assert_eq!(
             matmul_i8_i32_packed_parallel(&a, &packed).as_slice(),
             want.as_slice(),
-            "parallel on {isa}"
+            "parallel {shape}"
         );
         assert_eq!(
             matmul_i8_packed_requant_parallel(&a, &packed, &epi).as_slice(),
             want8.as_slice(),
-            "requant parallel on {isa}"
+            "requant parallel {shape}"
         );
         assert_eq!(
             matmul_i8_packed_requant(&a, &packed, &epi).as_slice(),
             want8.as_slice(),
-            "requant serial on {isa}"
+            "requant serial {shape}"
         );
     }
     force_kernel(None);
