@@ -21,6 +21,10 @@
 //! * on hosts with AMX-INT8, the `amx` tile kernel ≥ 1.5× faster than
 //!   the `avx512vnni` kernel on the gate shape (serial);
 //! * the timing memo wins the serving sweep.
+//!
+//! The VNNI and AMX gates compare two kernels as the median ratio of
+//! interleaved serial pairs, as the fused gate compares its GEMMs; the
+//! other gates compare minimums.
 
 use protea_bench::kernels;
 
@@ -40,8 +44,8 @@ const FUSED_GATE_MIN_DIM: usize = 768;
 const VNNI_MIN_SPEEDUP: f64 = 1.5;
 
 /// The AMX gate: `tdpbssd` tiles must beat the VNNI kernel by at least
-/// this factor at the gate shape, serial. Three full runs on a 2-core
-/// AMX host measured 1.81–2.50× at 128×768×768.
+/// this factor at the gate shape, serial. Ten full runs on a 2-core AMX
+/// host measured 1.76–2.96× at 128×768×768.
 const AMX_MIN_SPEEDUP: f64 = 1.5;
 
 fn main() {

@@ -47,6 +47,18 @@ pub struct IsaMs {
     pub ms: f64,
 }
 
+/// A gated speed ratio between two serial GEMMs of one shape: the
+/// median of `slow / fast` wall-clock ratios over interleaved pairs.
+#[derive(Debug, Clone)]
+pub struct IsaRatio {
+    /// The slower kernel.
+    pub slow: String,
+    /// The faster kernel.
+    pub fast: String,
+    /// Median `slow / fast` time.
+    pub ratio: f64,
+}
+
 /// One GEMM shape measurement (milliseconds are min-of-iters).
 #[derive(Debug, Clone)]
 pub struct GemmRow {
@@ -73,6 +85,9 @@ pub struct GemmRow {
     pub fused_ratio: f64,
     /// Serial timing with each supported ISA forced in turn.
     pub per_isa: Vec<IsaMs>,
+    /// The cross-kernel gates' ratios ([`gate_ratios`]); measured on the
+    /// gate shape only, empty on the other rows.
+    pub ratios: Vec<IsaRatio>,
     /// `tiled_ms / packed_ms` — the headline per-kernel speedup.
     pub speedup: f64,
 }
@@ -87,6 +102,14 @@ impl GemmRow {
             .iter()
             .find(|e| e.isa == KernelIsa::Packed.to_string())
             .map_or(0.0, |e| self.tiled_ms / e.ms)
+    }
+
+    /// How many times faster `fast` ran this shape than `slow`, when the
+    /// row measured that pair.
+    #[must_use]
+    pub fn ratio(&self, slow: KernelIsa, fast: KernelIsa) -> Option<f64> {
+        let (slow, fast) = (slow.to_string(), fast.to_string());
+        self.ratios.iter().find(|r| r.slow == slow && r.fast == fast).map(|r| r.ratio)
     }
 }
 
@@ -163,25 +186,23 @@ impl KernelsReport {
     }
 
     /// How many times faster `fast` runs the gate shape than `slow`
-    /// (serial, per-ISA rows); `None` when the host lacks either.
+    /// (serial, median of interleaved pairs); `None` when the host lacks
+    /// either.
     fn isa_speedup(&self, fast: KernelIsa, slow: KernelIsa) -> Option<f64> {
-        let row = self.gemm.last()?;
-        let ms =
-            |isa: KernelIsa| row.per_isa.iter().find(|e| e.isa == isa.to_string()).map(|e| e.ms);
-        Some(ms(slow)? / ms(fast)?)
+        self.gemm.last()?.ratio(slow, fast)
     }
 
     /// The VNNI gate: how many times faster the `avx512vnni` kernel runs
-    /// the gate shape than the widened-i16 `avx512` kernel (serial,
-    /// per-ISA rows); `None` when the host lacks either.
+    /// the gate shape than the widened-i16 `avx512` kernel; `None` when
+    /// the host lacks either.
     #[must_use]
     pub fn vnni_speedup(&self) -> Option<f64> {
         self.isa_speedup(KernelIsa::Avx512Vnni, KernelIsa::Avx512)
     }
 
     /// The AMX gate: how many times faster the `amx` tile kernel runs the
-    /// gate shape than the `avx512vnni` kernel (serial, per-ISA rows);
-    /// `None` when the host lacks either.
+    /// gate shape than the `avx512vnni` kernel; `None` when the host
+    /// lacks either.
     #[must_use]
     pub fn amx_speedup(&self) -> Option<f64> {
         self.isa_speedup(KernelIsa::Amx, KernelIsa::Avx512Vnni)
@@ -364,6 +385,24 @@ fn min_ms<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     best
 }
 
+/// Time `a` and `b` in interleaved pairs, at least `min_pairs` of them
+/// and 300 ms, and return the median `a / b` ratio with the fastest
+/// time of `a`. Host noise then lands on both sides of each pair: the
+/// cores of a shared host drift by up to 2× over seconds, which skews a
+/// ratio of two separately timed minimums.
+fn paired(min_pairs: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let mut a_ms = f64::INFINITY;
+    let mut ratios = Vec::new();
+    let start = Instant::now();
+    while ratios.len() < min_pairs as usize || start.elapsed().as_secs_f64() < 0.3 {
+        let ta = min_ms(1, &mut a);
+        a_ms = a_ms.min(ta);
+        ratios.push(ta / min_ms(1, &mut b));
+    }
+    ratios.sort_by(f64::total_cmp);
+    (ratios[ratios.len() / 2], a_ms)
+}
+
 /// Measure one GEMM shape with `iters` repetitions per kernel.
 #[must_use]
 pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
@@ -390,27 +429,20 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
     });
     // Every encoder projection carries a bias, so the fused epilogue
     // is timed with one. It is gated against the bare GEMM as the
-    // median ratio of interleaved pairs, over at least 10 pairs and
-    // 300 ms: host noise then lands on both sides of each pair, and the
-    // microsecond-scale shapes get enough pairs for a stable median.
+    // median ratio of interleaved pairs, so the microsecond-scale
+    // shapes get enough pairs for a stable median.
     let rq = Requantizer::new(10, QFormat::new(8, 5), Rounding::NearestEven);
     let bias: Vec<i32> = (0..n).map(|j| (j as i32 % 97 - 48) * 211).collect();
     let epi = RequantEpilogue::new(rq.lanes()).with_bias(&bias);
-    let mut fused_ms = f64::INFINITY;
-    let mut ratios = Vec::new();
-    let start = Instant::now();
-    while ratios.len() < iters.max(10) as usize || start.elapsed().as_secs_f64() < 0.3 {
-        let bare = min_ms(1, || {
-            std::hint::black_box(matmul_i8_i32_packed(&a, &packed));
-        });
-        let fused = min_ms(1, || {
+    let (fused_ratio, fused_ms) = paired(
+        iters.max(10),
+        || {
             std::hint::black_box(matmul_i8_packed_requant(&a, &packed, &epi));
-        });
-        fused_ms = fused_ms.min(fused);
-        ratios.push(fused / bare);
-    }
-    ratios.sort_by(f64::total_cmp);
-    let fused_ratio = ratios[ratios.len() / 2];
+        },
+        || {
+            std::hint::black_box(matmul_i8_i32_packed(&a, &packed));
+        },
+    );
     // Per-ISA rows: the same serial GEMM with each supported kernel
     // forced. The scalar control is slow at the large shapes, so it gets
     // fewer repetitions.
@@ -437,23 +469,53 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
         fused_ms,
         fused_ratio,
         per_isa,
+        ratios: Vec::new(),
         speedup: tiled_ms / packed_ms,
     }
+}
+
+/// The cross-kernel gates' ratios on one shape, each the median of
+/// interleaved serial pairs ([`paired`]): `avx512vnni` over `avx512`,
+/// and `amx` over `avx512vnni`, each when the host runs both kernels.
+#[must_use]
+pub fn gate_ratios(m: usize, k: usize, n: usize, iters: u32) -> Vec<IsaRatio> {
+    let a = mat(m, k, 1);
+    let packed = PackedWeights::pack(&mat(k, n, 2));
+    let gemm_on = |isa: KernelIsa| {
+        force_kernel(Some(isa));
+        std::hint::black_box(matmul_i8_i32_packed(&a, &packed));
+    };
+    let supported = supported_kernels();
+    let mut ratios = Vec::new();
+    for (slow, fast) in
+        [(KernelIsa::Avx512, KernelIsa::Avx512Vnni), (KernelIsa::Avx512Vnni, KernelIsa::Amx)]
+    {
+        if supported.contains(&slow) && supported.contains(&fast) {
+            let (ratio, _) = paired(iters.max(10), || gemm_on(slow), || gemm_on(fast));
+            ratios.push(IsaRatio { slow: slow.to_string(), fast: fast.to_string(), ratio });
+        }
+    }
+    force_kernel(None);
+    ratios
 }
 
 /// The GEMM sweep: small/medium shapes plus the 768-wide gate shape
 /// (one QKV projection of the 12-head encoder at SL=128) last. The first
 /// two rows straddle the parallel GEMM's 2¹⁹-MAC threshold: 32×96×96
 /// (0.3M MACs) runs its serial fallback, 64×96×128 (0.8M) splits into
-/// bands.
+/// bands. They take microseconds, well inside the parallel gate's 50 µs
+/// allowance, so they report the break-even rather than gate it. Only
+/// the gate shape measures the cross-kernel ratios ([`gate_ratios`]).
 #[must_use]
 pub fn gemm_sweep(iters: u32) -> Vec<GemmRow> {
+    let mut gate = gemm_row(128, 768, 768, iters);
+    gate.ratios = gate_ratios(128, 768, 768, iters);
     vec![
         gemm_row(32, 96, 96, iters.max(8)),
         gemm_row(64, 96, 128, iters.max(8)),
         gemm_row(64, 256, 256, iters.max(4)),
         gemm_row(128, 768, 3072, iters),
-        gemm_row(128, 768, 768, iters),
+        gate,
     ]
 }
 
@@ -579,6 +641,20 @@ mod tests {
     }
 
     #[test]
+    fn gate_ratios_cover_every_supported_pair() {
+        let ratios = gate_ratios(4, 16, 12, 1);
+        let pairs: Vec<(&str, &str)> =
+            ratios.iter().map(|r| (r.slow.as_str(), r.fast.as_str())).collect();
+        assert!(ratios.iter().all(|r| r.ratio > 0.0));
+        for (slow, fast) in
+            [(KernelIsa::Avx512, KernelIsa::Avx512Vnni), (KernelIsa::Avx512Vnni, KernelIsa::Amx)]
+        {
+            let both = slow.is_supported() && fast.is_supported();
+            assert_eq!(pairs.contains(&(&*slow.to_string(), &*fast.to_string())), both);
+        }
+    }
+
+    #[test]
     fn fused_gate_flags_only_wide_rows_over_the_ratio() {
         let mut slow = gemm_row(4, 16, 12, 1);
         slow.fused_ratio = 1.2;
@@ -603,17 +679,19 @@ mod tests {
             fleet: FleetRow { requests: 1, memo_ms: 1.0, no_memo_ms: 1.0, speedup: 1.0 },
         };
         assert_eq!(rep.fused_regressions(1.15, 12), vec!["4x16x12 (1.20x)".to_string()]);
-        // The VNNI gate reads the last (gate-shape) row's per-ISA times.
+        // The cross-kernel gates read the last (gate-shape) row's ratios.
         let mut rep = rep;
-        let avx512 = IsaMs { isa: KernelIsa::Avx512.to_string(), ms: 3.0 };
-        let vnni = IsaMs { isa: KernelIsa::Avx512Vnni.to_string(), ms: 1.5 };
-        rep.gemm.last_mut().expect("rows").per_isa = vec![avx512.clone()];
-        assert_eq!(rep.vnni_speedup(), None, "no VNNI row, no VNNI gate");
-        rep.gemm.last_mut().expect("rows").per_isa = vec![avx512, vnni.clone()];
+        let ratio = |slow: KernelIsa, fast: KernelIsa, ratio| IsaRatio {
+            slow: slow.to_string(),
+            fast: fast.to_string(),
+            ratio,
+        };
+        let vnni = ratio(KernelIsa::Avx512, KernelIsa::Avx512Vnni, 2.0);
+        rep.gemm.last_mut().expect("rows").ratios = vec![vnni.clone()];
         assert_eq!(rep.vnni_speedup(), Some(2.0));
-        assert_eq!(rep.amx_speedup(), None, "no AMX row, no AMX gate");
-        let amx = IsaMs { isa: KernelIsa::Amx.to_string(), ms: 0.5 };
-        rep.gemm.last_mut().expect("rows").per_isa = vec![vnni, amx];
+        assert_eq!(rep.amx_speedup(), None, "no AMX ratio, no AMX gate");
+        rep.gemm.last_mut().expect("rows").ratios =
+            vec![vnni, ratio(KernelIsa::Avx512Vnni, KernelIsa::Amx, 3.0)];
         assert_eq!(rep.amx_speedup(), Some(3.0));
     }
 

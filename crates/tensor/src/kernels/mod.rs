@@ -281,11 +281,25 @@ pub(crate) fn reduce_block(
     }
 }
 
+/// The rows of one AMX register block — two 16-row activation tiles —
+/// when `isa` runs a `k × n` GEMM's whole 32-column blocks on the tiles:
+/// `isa` is [`KernelIsa::Amx`], `k` a positive multiple of 64 (one tile
+/// row) and `n` at least one block. `None` when the tiles do not apply.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tile_band(isa: KernelIsa, k: usize, n: usize) -> Option<usize> {
+    use x86::{AMX_NB, TILE, TILE_K};
+    (isa == KernelIsa::Amx && k > 0 && k.is_multiple_of(TILE_K) && n >= AMX_NB).then_some(2 * TILE)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn tile_band(_: KernelIsa, _: usize, _: usize) -> Option<usize> {
+    None
+}
+
 /// Run the AMX tile kernel over every whole 32-column block of the
 /// packed weights `wdata` (`k × n`, column-major) for the `rows`
-/// activation rows `a`, when `isa` is [`KernelIsa::Amx`] and the band is
-/// tall and deep enough: at least 16 rows (one activation tile) and `k`
-/// a positive multiple of 64 (one tile row). Each block's four `CB`
+/// activation rows `a`, when [`tile_band`] applies to the shape and the
+/// band holds at least one 16-row activation tile. Each block's four `CB`
 /// sub-blocks go to `put(j, sums)` in column order, `sums[r]` holding
 /// row `r`'s sums for the `CB` columns from `j`. Returns how many
 /// leading columns were covered (0 when the tiles do not apply); the
@@ -300,11 +314,11 @@ pub(crate) fn tile_blocks(
     n: usize,
     mut put: impl FnMut(usize, &mut [[i32; CB]]),
 ) -> usize {
-    use x86::{AmxTiles, AMX_NB, TILE, TILE_K};
-    if isa != KernelIsa::Amx || rows < TILE || k == 0 || !k.is_multiple_of(TILE_K) || n < AMX_NB {
+    use x86::{AmxTiles, AMX_NB, TILE};
+    if tile_band(isa, k, n).is_none() || rows < TILE {
         return 0;
     }
-    let mut tiles = AmxTiles::new(a, rows, k);
+    let tiles = AmxTiles::new(a, rows, k);
     let mut sums = vec![[0i32; CB]; AMX_NB / CB * rows];
     let done = n / AMX_NB * AMX_NB;
     for j in (0..done).step_by(AMX_NB) {

@@ -23,7 +23,6 @@
 
 use super::CB;
 use core::arch::asm;
-use core::marker::PhantomData;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -374,23 +373,21 @@ struct TileRow([u32; TILE]);
 /// shuffles into the row-major `[[i32; CB]]` blocks the store loop
 /// takes.
 ///
-/// Creating one loads the tile configuration on the calling thread and
-/// dropping it releases the tiles, so the value is tied to its thread
-/// (`!Send`). Two alive on one thread would share that configuration,
-/// and dropping either would release it under the other, so the type is
-/// crate-private: its one user, `kernels::tile_blocks`, holds one for the
-/// length of a band and runs nothing in between that could make another.
+/// Each [`AmxTiles::block`] call configures the calling thread's tiles,
+/// runs the tile loop and releases them, so no tile state outlives a
+/// call: whatever runs between two blocks — the GEMM's sink, a caller's
+/// epilogue closure, another tile GEMM — finds no configuration to
+/// disturb.
 pub(crate) struct AmxTiles {
     /// Interleaved activations, one dword (4 depth bytes) per element.
     b: Vec<TileRow>,
     rows: usize,
     k: usize,
-    _thread: PhantomData<*const ()>,
 }
 
 impl AmxTiles {
     /// Interleave the `rows` row-major activation rows `a` (`k` bytes
-    /// each) into `B` tiles and configure this thread's tiles.
+    /// each) into `B` tiles.
     ///
     /// # Panics
     /// Panics if the host lacks AMX ([`amx_supported`]), `k` is not a
@@ -412,17 +409,7 @@ impl AmxTiles {
             // per 64-byte step.
             unsafe { interleave_group(group, k, tiles) };
         }
-        let config = TileConfig {
-            palette: 1,
-            start_row: 0,
-            reserved: [0; 14],
-            colsb: core::array::from_fn(|t| if t < 8 { TILE_K as u16 } else { 0 }),
-            rows: core::array::from_fn(|t| if t < 8 { TILE as u8 } else { 0 }),
-        };
-        // SAFETY: AMX is present and this process holds the tile-data
-        // permission; the config is a valid palette-1 layout.
-        unsafe { asm!("ldtilecfg [{}]", in(reg) &config, options(nostack, readonly)) };
-        Self { b, rows, k, _thread: PhantomData }
+        Self { b, rows, k }
     }
 
     /// Reduce [`AMX_NB`] weight columns — `wstrip`, their raw
@@ -433,20 +420,27 @@ impl AmxTiles {
     ///
     /// # Panics
     /// Panics if the slices disagree with the band's `rows` and `k`.
-    pub(crate) fn block(&mut self, wstrip: &[i8], sums: &mut [[i32; CB]]) {
+    pub(crate) fn block(&self, wstrip: &[i8], sums: &mut [[i32; CB]]) {
         assert_eq!(wstrip.len(), AMX_NB * self.k);
         assert_eq!(sums.len(), AMX_NB / CB * self.rows);
-        // SAFETY: the tiles were configured by `new` on this thread
-        // (the type is `!Send`), and the asserts bound every tile load
-        // to `wstrip` and `self.b` and every store to `sums`.
-        unsafe { tile_block(&self.b, self.rows, self.k, wstrip, sums) }
-    }
-}
-
-impl Drop for AmxTiles {
-    fn drop(&mut self) {
-        // SAFETY: releases the tile state `new` configured.
-        unsafe { asm!("tilerelease", options(nostack, nomem)) };
+        let config = TileConfig {
+            palette: 1,
+            start_row: 0,
+            reserved: [0; 14],
+            colsb: core::array::from_fn(|t| if t < 8 { TILE_K as u16 } else { 0 }),
+            rows: core::array::from_fn(|t| if t < 8 { TILE as u8 } else { 0 }),
+        };
+        // SAFETY: `new` checked that AMX is present and this process
+        // holds the tile-data permission; the config is a valid palette-1
+        // layout, loaded on this thread right before the tile loop, and
+        // the asserts bound every tile load to `wstrip` and `self.b` and
+        // every store to `sums`. `tilerelease` returns the tile state to
+        // its initial form.
+        unsafe {
+            asm!("ldtilecfg [{}]", in(reg) &config, options(nostack, readonly));
+            tile_block(&self.b, self.rows, self.k, wstrip, sums);
+            asm!("tilerelease", options(nostack, nomem));
+        }
     }
 }
 
@@ -488,7 +482,7 @@ unsafe fn interleave_group(group: &[i8], k: usize, tiles: &mut [TileRow]) {
 /// process on a 2-core AMX host).
 ///
 /// # Safety
-/// The tiles must be configured as [`AmxTiles::new`] does; `b` must hold
+/// The tiles must be configured as [`AmxTiles::block`] does; `b` must hold
 /// the band's interleaved groups, `wstrip` `AMX_NB × k` bytes and `sums`
 /// `4 · rows` blocks.
 #[target_feature(enable = "avx512f")]

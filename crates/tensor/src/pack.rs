@@ -531,17 +531,41 @@ fn gemm_strip<S: StripSink>(
 /// (128×96×128) 0.69–1.03×, 0.69–0.80× and 0.55–1.01×. So the
 /// break-even lies between 0.3M and 0.8M. Before the pool, each band
 /// started an OS thread and it sat near 2²⁴.
+///
+/// The threshold is not gated. The `kernels` sweep's 32×96×96 and
+/// 64×96×128 rows sit on either side of it, but they run in 5–20 µs,
+/// inside the 50 µs allowance of its parallel ≥ serial gate, and the
+/// ranges above overlap 1.0; those rows are reported, not enforced.
 const MIN_PAR_MACS: usize = 1 << 19;
 
-/// Rows per band of a parallel GEMM: one band per worker. Returns
-/// `None` when the product is too small (or too short) to pay for
-/// threads.
-fn row_band(m: usize, k: usize, n: usize) -> Option<usize> {
+/// Rows per band of a parallel GEMM under `isa`. Returns `None` when the
+/// product is too small (or too short) to pay for threads.
+///
+/// Bands on the AMX tiles are one 2 × 2 register block tall (32 rows),
+/// and the GEMM stays serial unless it makes at least two of them.
+/// There are then more bands than workers, and the queue hands them out
+/// as threads free up: the cores of a shared host run the tiles at
+/// speeds that drift by up to 2× over seconds, and with one band per
+/// worker the slower core set the pace — parallel ran 0.84 vs 0.71 ms
+/// serial at 128×768×3072 and 0.34 vs 0.14 ms at 128×768×768 (2-core
+/// AMX host). In one process on that host, over 60 rounds of min-of-5
+/// timings per shape, parallel over serial averaged 0.68, 0.72 and 0.63
+/// (128×768×768, 128×768×3072, 128×3072×768) with 32-row bands and
+/// never missed the `kernels` gate's 10% + 50 µs allowance; one 64-row
+/// band per worker averaged 0.71, 0.63 and 0.73 and missed it 11 times,
+/// all at 128×3072×768. Chunks of whole tile blocks over all rows, each
+/// into its own buffer stitched afterwards, averaged 0.84, 0.81 and
+/// 0.71 and missed it twice. Every other kernel takes one band per
+/// worker.
+fn row_band(m: usize, k: usize, n: usize, isa: KernelIsa) -> Option<usize> {
     let threads = rayon::current_num_threads();
     if threads <= 1 || m < 2 || m.saturating_mul(k).saturating_mul(n) < MIN_PAR_MACS {
         return None;
     }
-    Some(m.div_ceil(threads))
+    match kernels::tile_band(isa, k, n) {
+        Some(band) => (m >= 2 * band).then_some(band),
+        None => Some(m.div_ceil(threads)),
+    }
 }
 
 fn check_inner(a: &Matrix<i8>, w: &PackedWeights) {
@@ -559,11 +583,12 @@ fn gemm<S: StripSink>(a: &Matrix<i8>, w: &PackedWeights, sink: &mut S) -> Matrix
     Matrix::from_vec(m, n, out)
 }
 
-/// The GEMM through `sink`, parallel across bands of activation rows:
-/// each worker prepares its own rows and stores straight into its
-/// disjoint rows of the output, while every worker streams the same
-/// packed weights. The calling thread takes the first band. Falls back
-/// to [`gemm`] when the product is too small to pay for threads.
+/// The GEMM through `sink`, parallel across bands of activation rows
+/// ([`row_band`]): each band prepares its own rows and stores straight
+/// into its disjoint rows of the output, while every band streams the
+/// same packed weights. The calling thread takes the first band, then
+/// runs queued ones while it waits. Falls back to [`gemm`] when the
+/// product is too small to pay for threads.
 fn gemm_parallel<S: StripSink + Clone + Send>(
     a: &Matrix<i8>,
     w: &PackedWeights,
@@ -572,10 +597,10 @@ fn gemm_parallel<S: StripSink + Clone + Send>(
     check_inner(a, w);
     let (m, k) = a.shape();
     let n = w.cols();
-    let Some(band) = row_band(m, k, n) else {
+    let isa = kernels::active_kernel();
+    let Some(band) = row_band(m, k, n, isa) else {
         return gemm(a, w, &mut sink);
     };
-    let isa = kernels::active_kernel();
     let mut out = vec![S::Out::default(); m * n];
     rayon::scope(|s| {
         let mut bands = a.as_slice().chunks(band * k).zip(out.chunks_mut(band * n));

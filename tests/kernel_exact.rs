@@ -21,14 +21,18 @@
 //! refuse (96), and widths that leave no tail, a scalar tail, a VNNI
 //! block, and both. It runs on the AMX kernel and on the host's default
 //! kernel, which the small grid already pins against every other ISA.
+//! The epilogue closure runs between two tile blocks, so one test runs
+//! a tile GEMM from inside it and requires the outer GEMM's later blocks
+//! to be unharmed.
 
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use protea::fixed::{QFormat, Requantizer, Rounding};
 use protea::tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
-    matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, supported_kernels, transpose,
-    KernelIsa, Matrix, PackedWeights, RequantEpilogue,
+    matmul_i8_packed_epilogue, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel,
+    supported_kernels, transpose, KernelIsa, Matrix, PackedWeights, RequantEpilogue,
 };
 
 const DEPTHS: [usize; 9] = [0, 1, 63, 64, 65, 96, 127, 768, 3072];
@@ -148,6 +152,36 @@ fn tile_extremes_are_exact_at_ffn_depth() {
         assert_exact(&a, &w, &packed, isa);
         let got = matmul_i8_i32_packed(&a, &packed);
         assert!(got.as_slice().iter().all(|&v| v == k as i32 * 128 * 128), "{isa}");
+    });
+}
+
+#[test]
+fn a_tile_gemm_inside_the_epilogue_leaves_the_outer_tiles_usable() {
+    // Two 32-column tile blocks: the closure runs a whole tile GEMM,
+    // which releases this thread's tiles, while the outer GEMM's first
+    // block is stored and before its second is computed.
+    let (a, w) = (mat(32, 128, 1), mat(128, 64, 2));
+    let packed = PackedWeights::pack(&w);
+    let (ia, iw) = (mat(16, 64, 3), mat(64, 32, 4));
+    let inner = PackedWeights::pack(&iw);
+    let narrow = |j: usize, acc: i32| (acc >> 12).wrapping_add(j as i32) as i8;
+    let want: Vec<i8> = matmul_i8_i32(&a, &w)
+        .as_slice()
+        .iter()
+        .enumerate()
+        .map(|(i, &acc)| narrow(i % w.cols(), acc))
+        .collect();
+    for_tile_isas(|isa| {
+        let nested = Cell::new(false);
+        let got = matmul_i8_packed_epilogue(&a, &packed, |j, acc| {
+            if !nested.replace(true) {
+                let sums = matmul_i8_i32_packed(&ia, &inner);
+                assert_eq!(sums.as_slice(), matmul_i8_i32(&ia, &iw).as_slice(), "inner on {isa}");
+            }
+            narrow(j, acc)
+        });
+        assert!(nested.get());
+        assert_eq!(got.as_slice(), &want[..], "outer on {isa}");
     });
 }
 

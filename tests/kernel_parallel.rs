@@ -4,15 +4,17 @@
 //! The vendored rayon caches its worker count on first use, so this
 //! binary holds a single test that sets `RAYON_NUM_THREADS=4` before
 //! any parallel call; a single-core host would otherwise take the
-//! serial fallback and leave the band split untested. Both shapes clear
-//! the parallel threshold with a ragged row count and a width that is
-//! not a multiple of the 8-column block. The first splits into four
-//! bands of 13, 13, 13 and 11 rows, none a multiple of the 3-row VNNI
-//! tile and all below the 16-row AMX tile. The second splits into bands
-//! of 18, 18, 18 and 16 rows, so every band takes the AMX tile path on
-//! hosts that have it, the first three ending in a ragged 2-row group.
-//! Only the tile path is new at that shape, so it runs on the AMX kernel
-//! and the host's default kernel, not on every ISA.
+//! serial fallback and leave the band split untested. Every shape
+//! clears the parallel threshold with a ragged row count and a width
+//! that is not a multiple of the 8-column block. The first splits into
+//! four bands of 13, 13, 13 and 11 rows, none a multiple of the 3-row
+//! VNNI tile and all below the 16-row AMX tile. On the AMX kernel the
+//! other two split into 32-row bands, a whole 2 × 2 tile block each:
+//! 70 rows into 32, 32 and a 6-row band too short for the tiles, and
+//! 150 rows into five bands — more than the four workers — the last of
+//! 22 rows, a whole 16-row group and a ragged one. Only the tile path is
+//! new at those shapes, so they run on the AMX kernel and the host's
+//! default kernel, not on every ISA.
 
 use protea::fixed::{QFormat, Requantizer, Rounding};
 use protea::tensor::{
@@ -36,7 +38,12 @@ fn parallel_bands_match_the_oracle_on_every_kernel() {
     let mut tile_isas = vec![KernelIsa::Amx, KernelIsa::detect()];
     tile_isas.retain(|isa| isa.is_supported());
     tile_isas.dedup();
-    for ((m, k, n), isas) in [((50, 384, 917), supported_kernels()), ((70, 384, 917), tile_isas)] {
+    let shapes = [
+        ((50, 384, 917), supported_kernels()),
+        ((70, 384, 917), tile_isas.clone()),
+        ((150, 64, 917), tile_isas),
+    ];
+    for ((m, k, n), isas) in shapes {
         assert!(m * k * n >= 1 << 19, "shape must clear the parallel threshold");
         check_kernels(m, k, n, isas);
     }
