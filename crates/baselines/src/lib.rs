@@ -13,9 +13,6 @@
 //!   platforms (peak throughput, memory bandwidth, launch overhead) used
 //!   to sanity-check the published baselines and expose each result's
 //!   implied efficiency.
-//! * [`native`] — a real, measured baseline: the same quantized encoder
-//!   running on *this* machine's CPU with rayon-parallel kernels,
-//!   bit-identical to the golden model.
 //! * [`table_configs`] — the documented model-configuration assumptions
 //!   behind each Table II/III row (the paper does not publish them; see
 //!   EXPERIMENTS.md for the reconstruction method).
@@ -24,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod energy;
-pub mod native;
 pub mod published;
 pub mod roofline;
 pub mod table_configs;
 
 pub use energy::PowerModel;
-pub use native::NativeCpuEngine;
 pub use published::{PublishedAccelerator, PublishedBaseline};
 pub use roofline::PlatformModel;
 pub use table_configs::{table2_rows, table3_rows, Table2Row, Table3Row};

@@ -1,10 +1,9 @@
-//! Criterion benchmarks of the native CPU baseline: real measured
-//! latencies for the quantized encoder on this machine, serial vs
-//! rayon-parallel — the one row of the comparison story that is
-//! genuinely executed rather than published or simulated.
+//! Criterion benchmarks of the golden int8 encoder forward on this
+//! machine (serial, the oracle every host datapath is checked against)
+//! and of weight quantization. perfbench's `encoder_forward` times the
+//! accelerator's packed, thread-parallel datapath.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use protea_baselines::NativeCpuEngine;
 use protea_fixed::Quantizer;
 use protea_model::{EncoderConfig, EncoderWeights, QuantSchedule, QuantizedEncoder};
 use protea_tensor::Matrix;
@@ -23,10 +22,6 @@ fn bench_forward(c: &mut Criterion) {
         let x = Matrix::from_fn(sl, d, |r, cc| ((r * 31 + cc * 7) % 127) as i8);
         g.bench_with_input(BenchmarkId::new("golden_serial", tag), &d, |b, _| {
             b.iter(|| black_box(enc.forward(&x)))
-        });
-        let native = NativeCpuEngine::new(&enc);
-        g.bench_with_input(BenchmarkId::new("rayon_parallel", tag), &d, |b, _| {
-            b.iter(|| black_box(native.forward(&x)))
         });
     }
     g.finish();

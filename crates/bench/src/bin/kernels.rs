@@ -1,7 +1,6 @@
-//! Fast-backend kernel benchmark: packed GEMM vs reference (per
-//! microkernel ISA), encoder forward fast vs reference, and the fleet
-//! timing memo on vs off. Writes `BENCH_kernels.json` next to the
-//! working directory.
+//! Kernel benchmark: packed GEMM vs the tiled scalar product (per
+//! microkernel ISA) and the fleet timing memo on vs off. Writes
+//! `BENCH_kernels.json` next to the working directory.
 //!
 //! Flags: `--smoke` shrinks iterations for CI; `--check` additionally
 //! exits nonzero unless every gate holds on the 12-head/768-dim gate
@@ -54,7 +53,7 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
     let (iters, requests) = if smoke { (3, 600) } else { (5, 2000) };
 
-    println!("KERNELS — fast functional backend vs reference\n");
+    println!("KERNELS — packed GEMM microkernels vs the tiled scalar product\n");
     let report = kernels::run(iters, requests);
     println!("{}", report.render());
 

@@ -1,33 +1,31 @@
-//! Fast-backend kernel benchmark: packed GEMM, model forward, fleet memo.
+//! Kernel benchmark: packed GEMM and the fleet timing memo.
 //!
-//! Three measurements, all wall-clock, all over bit-identical
-//! computations (the fast path is an exact re-association of the
-//! reference path — `backend_equiv` pins the bytes):
+//! Two measurements, both wall-clock, both over bit-identical
+//! computations (every kernel reproduces `matmul_i8_i32`'s
+//! accumulators exactly — `kernel_exact` pins the bytes):
 //!
-//! 1. **GEMM sweep** — the packed widened-i16 GEMM
+//! 1. **GEMM sweep** — the packed GEMM
 //!    ([`protea_tensor::matmul_i8_i32_packed`]) on its auto-dispatched
-//!    microkernel against the reference tile-accumulated product
-//!    ([`protea_core::engines::accumulate_tiled`], the Reference
-//!    backend's inner pattern) and the dense kernel
+//!    microkernel against the tile-accumulated scalar product
+//!    ([`protea_core::engines::accumulate_tiled`], a fixed denominator
+//!    no kernel change moves) and the dense kernel
 //!    ([`protea_tensor::matmul_i8_i32`], the golden model's), plus a
 //!    per-ISA column block timing every kernel this host supports
 //!    (scalar control, portable fallback, explicit SIMD) and the fused
 //!    requant epilogue. The gate shape is `128×768×768` — one
 //!    projection of the paper's 12-head/768-dim encoder at SL=128.
-//! 2. **Model forward** — a full encoder run at d_model=768, 12 heads,
-//!    SL=128 under [`Backend::Fast`] vs [`Backend::Reference`].
-//! 3. **Fleet serving sweep** — a Poisson workload served with the
+//! 2. **Fleet serving sweep** — a Poisson workload served with the
 //!    timing memo on vs off, on a fine-tiled bitstream where the cycle
 //!    model dominates the simulation (the component the memo removes).
 //!
-//! The binary writes `BENCH_kernels.json`; CI gates on
-//! [`KernelsReport::gate`].
+//! The encoder forward itself is timed by perfbench's
+//! `encoder_forward` workload. The binary writes `BENCH_kernels.json`;
+//! CI gates on [`KernelsReport::gate`].
 
 use crate::fmt::num;
 use protea_core::engines::accumulate_tiled;
-use protea_core::{Accelerator, Backend, RuntimeConfig, SynthesisConfig};
+use protea_core::SynthesisConfig;
 use protea_fixed::{QFormat, Requantizer, Rounding};
-use protea_model::{EncoderConfig, EncoderWeights, QuantSchedule, QuantizedEncoder};
 use protea_platform::FpgaDevice;
 use protea_serve::{Fleet, FleetConfig, ServePlan, Workload};
 use protea_tensor::{
@@ -113,27 +111,6 @@ impl GemmRow {
     }
 }
 
-/// Full-encoder forward timing, fast vs reference backend.
-#[derive(Debug, Clone)]
-pub struct ModelRow {
-    /// Model width.
-    pub d_model: usize,
-    /// Attention heads.
-    pub heads: usize,
-    /// Sequence length.
-    pub seq_len: usize,
-    /// Encoder layers run.
-    pub layers: usize,
-    /// Fast-backend forward, ms (min-of-iters).
-    pub fast_ms: f64,
-    /// Reference-backend forward, ms (min-of-iters).
-    pub reference_ms: f64,
-    /// `reference_ms / fast_ms`.
-    pub speedup: f64,
-    /// Worker threads available to the fast path's fan-out.
-    pub threads: usize,
-}
-
 /// Fleet serving sweep wall-clock, memo on vs off.
 #[derive(Debug, Clone)]
 pub struct FleetRow {
@@ -156,8 +133,6 @@ pub struct KernelsReport {
     pub supported: Vec<String>,
     /// GEMM sweep rows (last row is the 768-wide gate shape).
     pub gemm: Vec<GemmRow>,
-    /// Encoder forward at the paper's 12-head/768-dim shape.
-    pub model: ModelRow,
     /// Serving sweep with the timing memo on/off.
     pub fleet: FleetRow,
 }
@@ -265,19 +240,6 @@ impl KernelsReport {
             ));
         }
         s.push_str("  ],\n");
-        let m = &self.model;
-        s.push_str(&format!(
-            "  \"model\": {{\"d_model\": {}, \"heads\": {}, \"seq_len\": {}, \"layers\": {}, \
-             \"fast_ms\": {:.3}, \"reference_ms\": {:.3}, \"speedup\": {:.3}, \"threads\": {}}},\n",
-            m.d_model,
-            m.heads,
-            m.seq_len,
-            m.layers,
-            m.fast_ms,
-            m.reference_ms,
-            m.speedup,
-            m.threads
-        ));
         let f = &self.fleet;
         s.push_str(&format!(
             "  \"fleet\": {{\"requests\": {}, \"memo_ms\": {:.3}, \"no_memo_ms\": {:.3}, \
@@ -327,14 +289,6 @@ impl KernelsReport {
                     .collect()
             })
             .collect();
-        let m = &self.model;
-        let model_rows = vec![vec![
-            format!("d={} h={} SL={} L={}", m.d_model, m.heads, m.seq_len, m.layers),
-            num(m.fast_ms),
-            num(m.reference_ms),
-            format!("{:.2}x", m.speedup),
-            m.threads.to_string(),
-        ]];
         let f = &self.fleet;
         let fleet_rows = vec![vec![
             f.requests.to_string(),
@@ -343,7 +297,7 @@ impl KernelsReport {
             format!("{:.2}x", f.speedup),
         ]];
         format!(
-            "GEMM microkernel (min-of-iters, dispatched kernel: {})\n{}\nPer-ISA serial packed GEMM\n{}\nEncoder forward\n{}\nFleet serving sweep (timing memo)\n{}",
+            "GEMM microkernel (min-of-iters, dispatched kernel: {})\n{}\nPer-ISA serial packed GEMM\n{}\nFleet serving sweep (timing memo)\n{}",
             self.kernel,
             crate::fmt::render_table(
                 &[
@@ -359,10 +313,6 @@ impl KernelsReport {
                 &gemm_rows
             ),
             crate::fmt::render_table(&isa_header_refs, &isa_rows),
-            crate::fmt::render_table(
-                &["shape", "fast ms", "reference ms", "speedup", "threads"],
-                &model_rows
-            ),
             crate::fmt::render_table(
                 &["requests", "memo ms", "no-memo ms", "speedup"],
                 &fleet_rows
@@ -409,7 +359,7 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
     let a = mat(m, k, 1);
     let w = mat(k, n, 2);
     let packed = PackedWeights::pack(&w);
-    // The Reference backend's tile width: the paper default 64, clamped
+    // The tiled denominator's tile width: the paper default 64, clamped
     // to the reduction dimension.
     let ts = 64.min(k).max(1);
     let grid = TileGrid::new(k, n, ts, n);
@@ -519,55 +469,6 @@ pub fn gemm_sweep(iters: u32) -> Vec<GemmRow> {
     ]
 }
 
-/// Forward a full encoder at the paper's 12-head/768-dim shape under
-/// both backends and time each (min of `iters` runs after one warmup).
-///
-/// # Panics
-/// Panics if the 12-head/768-wide design does not fit the U250 (it
-/// does) or the register file is rejected.
-#[must_use]
-pub fn model_forward(iters: u32) -> ModelRow {
-    let (d_model, heads, seq_len, layers) = (768, 12, 128, 2);
-    let syn = SynthesisConfig::builder()
-        .heads(heads)
-        .d_max(d_model)
-        .sl_max(seq_len)
-        .ts_mha(64)
-        .ts_ffn(64)
-        .build()
-        .expect("paper-scale synthesis config");
-    let mut acc = Accelerator::try_new(syn, &FpgaDevice::alveo_u250()).expect("fits the U250");
-    acc.program(RuntimeConfig { heads, layers, d_model, seq_len }).expect("within capacity");
-    let cfg = EncoderConfig::new(d_model, heads, layers, seq_len);
-    let qw = QuantizedEncoder::from_float(&EncoderWeights::random(cfg, 7), QuantSchedule::paper());
-    acc.try_load_weights(qw).expect("image matches registers");
-    let x = mat(seq_len, d_model, 3);
-
-    let mut time_backend = |backend: Backend| -> f64 {
-        acc.set_backend(backend);
-        let _ = acc.try_run(&x).expect("warmup run"); // warmup (packs lazily)
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let t = Instant::now();
-            let _ = acc.try_run(&x).expect("timed run");
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    };
-    let fast_ms = time_backend(Backend::Fast);
-    let reference_ms = time_backend(Backend::Reference);
-    ModelRow {
-        d_model,
-        heads,
-        seq_len,
-        layers,
-        fast_ms,
-        reference_ms,
-        speedup: reference_ms / fast_ms,
-        threads: rayon::current_num_threads(),
-    }
-}
-
 /// Serve a heavy Poisson sweep with the timing memo on and off. The
 /// bitstream is deliberately fine-tiled (ts=8 at d_max=768 → 96-strip
 /// FFN plans), making the cycle model the dominant simulation cost —
@@ -613,7 +514,6 @@ pub fn run(iters: u32, requests: usize) -> KernelsReport {
         kernel: active_kernel().to_string(),
         supported: supported_kernels().into_iter().map(|k| k.to_string()).collect(),
         gemm: gemm_sweep(iters),
-        model: model_forward(iters),
         fleet: fleet_sweep(requests),
     }
 }
@@ -666,16 +566,6 @@ mod tests {
             kernel: active_kernel().to_string(),
             supported: Vec::new(),
             gemm: vec![slow, fast, narrow],
-            model: ModelRow {
-                d_model: 1,
-                heads: 1,
-                seq_len: 1,
-                layers: 1,
-                fast_ms: 1.0,
-                reference_ms: 1.0,
-                speedup: 1.0,
-                threads: 1,
-            },
             fleet: FleetRow { requests: 1, memo_ms: 1.0, no_memo_ms: 1.0, speedup: 1.0 },
         };
         assert_eq!(rep.fused_regressions(1.15, 12), vec!["4x16x12 (1.20x)".to_string()]);
@@ -701,16 +591,6 @@ mod tests {
             kernel: active_kernel().to_string(),
             supported: supported_kernels().into_iter().map(|k| k.to_string()).collect(),
             gemm: vec![gemm_row(8, 32, 24, 1)],
-            model: ModelRow {
-                d_model: 768,
-                heads: 12,
-                seq_len: 128,
-                layers: 2,
-                fast_ms: 1.0,
-                reference_ms: 3.0,
-                speedup: 3.0,
-                threads: 1,
-            },
             fleet: FleetRow { requests: 10, memo_ms: 1.0, no_memo_ms: 9.0, speedup: 9.0 },
         };
         let j = rep.to_json();

@@ -17,7 +17,7 @@
 //! | Goodput knee under overload (extension)      | [`overload`] | `overload` |
 //! | Elastic fleets under churn (extension)       | [`elastic`] | `elastic` |
 //! | SDC defense: coverage vs overhead (extension) | [`integrity`] | `integrity` |
-//! | Fast-backend kernels (extension)             | [`kernels`] | `kernels` |
+//! | GEMM microkernels (extension)                | [`kernels`] | `kernels` |
 //! | Everything above in sequence                 | —          | `repro_all` |
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 //! The assembled accelerator: functional + timing co-simulation.
 
-use crate::backend::{Backend, PackedEncoder};
+use crate::backend::PackedEncoder;
 use crate::engines::ffn::{FfnEngine, FfnStage};
 use crate::engines::ln::LnEngine;
 use crate::engines::qk::QkEngine;
@@ -41,8 +41,6 @@ pub struct Accelerator {
     /// never touches the functional datapath) therefore never pay for
     /// packing.
     packed: OnceLock<PackedEncoder>,
-    /// Which functional datapath implementation runs the model.
-    backend: Backend,
     /// When `false`, the double-buffer overlap is disabled (loads and
     /// compute serialize) — the ablation knob for the paper's overlap
     /// claim.
@@ -88,7 +86,6 @@ impl Accelerator {
             weights: None,
             weight_digest: None,
             packed: OnceLock::new(),
-            backend: Backend::from_env(),
             overlap_enabled: true,
         })
     }
@@ -197,19 +194,6 @@ impl Accelerator {
     /// Disable/enable load-compute overlap (ablation).
     pub fn set_overlap(&mut self, enabled: bool) {
         self.overlap_enabled = enabled;
-    }
-
-    /// Select the functional datapath implementation. Both backends
-    /// produce byte-identical outputs; [`Backend::Fast`] is the default
-    /// (override with `PROTEA_BACKEND=reference`).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The active functional backend.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Whether load/compute overlap is enabled (see
@@ -398,22 +382,15 @@ impl Accelerator {
             .expect("at least one phase")
     }
 
-    /// The bit-exact functional path. Dispatches on the active
-    /// [`Backend`]; both implementations return the same bytes for any
-    /// input (integer accumulation is permutation-invariant), so the
-    /// choice affects wall-clock only.
+    /// The bit-exact functional path: [`forward_fast`](Self::forward_fast)
+    /// over the weight image packed at the first run after a load.
     pub(crate) fn forward_functional(
         &self,
         x: &Matrix<i8>,
         weights: &QuantizedEncoder,
     ) -> Matrix<i8> {
-        match self.backend {
-            Backend::Fast => {
-                let packed = self.packed.get_or_init(|| PackedEncoder::pack(weights));
-                self.forward_fast(x, weights, packed)
-            }
-            Backend::Reference => self.forward_reference(x, weights),
-        }
+        let packed = self.packed.get_or_init(|| PackedEncoder::pack(weights));
+        self.forward_fast(x, weights, packed)
     }
 
     /// Fast functional path: every projection and attention GEMM goes
@@ -423,14 +400,14 @@ impl Accelerator {
     /// materialized accumulator matrix is gone. Projections parallelize
     /// across bands of activation rows *inside* the GEMM; attention
     /// heads split into one contiguous run per worker thread. The
-    /// narrowing stages are derived from the same definitions as the
-    /// reference path ([`LogitRequant`], `QuantSchedule::sv_requantizer`,
+    /// narrowing stages are the golden model's own definitions
+    /// ([`LogitRequant`], `QuantSchedule::sv_requantizer`,
     /// `projection_epilogue`, the activation LUT), resolved once per
-    /// GEMM into strip epilogues
-    /// that are bit-exact against the per-element stages; every kernel
-    /// reproduces `matmul_i8_i32`'s accumulators exactly, so the two
-    /// paths cannot diverge — `tests/backend_equiv.rs` pins this across
-    /// every dispatchable ISA.
+    /// GEMM into strip epilogues that are bit-exact against the
+    /// per-element stages; every kernel reproduces `matmul_i8_i32`'s
+    /// accumulators exactly, so the output is the golden model's bytes —
+    /// root `tests/equivalence.rs` pins this across every dispatchable
+    /// ISA.
     fn forward_fast(
         &self,
         x: &Matrix<i8>,
@@ -501,43 +478,6 @@ impl Accelerator {
         }
         h
     }
-
-    /// Reference functional path: tile-accumulated engine compute,
-    /// structured exactly like the hardware's tile schedule.
-    fn forward_reference(&self, x: &Matrix<i8>, weights: &QuantizedEncoder) -> Matrix<i8> {
-        let syn = &self.design.config;
-        let rt = &self.runtime;
-        let s = &weights.schedule;
-        let softmax = SoftmaxEngine::new(s);
-        let act = ActivationLut::new(weights.config.activation, s.act_fmt);
-        let sl = rt.seq_len;
-        let dk = rt.dk();
-
-        let mut h = x.clone();
-        for layer in weights.layers.iter().take(rt.layers) {
-            // --- attention -------------------------------------------------
-            let (q, k, v) = QkvEngine::compute(&h, layer, rt, syn, s);
-            let mut sv_concat = Matrix::<i8>::zeros(sl, rt.d_model);
-            for head in 0..rt.heads {
-                let c0 = head * dk;
-                let qi = q.submatrix(0, c0, sl, dk);
-                let ki = k.submatrix(0, c0, sl, dk);
-                let vi = v.submatrix(0, c0, sl, dk);
-                let logits = QkEngine::compute_head(&qi, &ki, rt, s);
-                let probs = softmax.compute_head(&logits);
-                let svi = SvEngine::compute_head(&probs, &vi, s);
-                sv_concat.write_submatrix(0, c0, &svi);
-            }
-            // --- FFN1 (output projection) + add&norm -----------------------
-            let attn = FfnEngine::compute(&sv_concat, &layer.wo, &layer.bo, rt, syn, s, None);
-            let x1 = LnEngine::compute(&h, &attn, &layer.ln1, s);
-            // --- FFN2 (+activation) and FFN3 + add&norm --------------------
-            let hidden = FfnEngine::compute(&x1, &layer.w1, &layer.b1, rt, syn, s, Some(&act));
-            let ffn_out = FfnEngine::compute(&hidden, &layer.w2, &layer.b2, rt, syn, s, None);
-            h = LnEngine::compute(&x1, &ffn_out, &layer.ln2, s);
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -564,7 +504,7 @@ mod tests {
         let (acc, x, golden) = small_accel();
         let hw = acc.run(&x);
         let sw = golden.forward(&x);
-        assert_eq!(hw.output.as_slice(), sw.as_slice(), "tiled datapath must be bit-exact");
+        assert_eq!(hw.output.as_slice(), sw.as_slice(), "host datapath must be bit-exact");
     }
 
     #[test]

@@ -1,58 +1,15 @@
-//! Execution-backend selection for the functional datapath.
+//! The weight image of the host datapath, packed once per load.
 //!
-//! The accelerator's functional model has two implementations that
-//! produce **byte-identical** outputs:
-//!
-//! * [`Backend::Reference`] — the tile-accumulated engine path
-//!   (`accumulate_tiled` + `finish_projection`), structured exactly like
-//!   the hardware's tile schedule. It is the oracle: slow, obviously
-//!   faithful, and the one the equivalence tests are written against.
-//! * [`Backend::Fast`] — the throughput path: weights packed once at
-//!   load time ([`PackedEncoder`]), every projection and attention GEMM
-//!   routed through the widened-i16 packed microkernel
-//!   (`protea_tensor::pack`), heads and batch items fanned out across
-//!   threads. Integer accumulation is permutation-invariant, so the
-//!   result is the same bytes — a contract pinned by the
-//!   `backend_equiv` property tests, not an approximation.
-//!
-//! The default is [`Backend::Fast`]; set `PROTEA_BACKEND=reference` to
-//! force the oracle (useful when bisecting a miscompare, or as the
-//! control in benchmarks).
+//! `Accelerator::forward_functional` runs every projection on the
+//! packed microkernel (`protea_tensor::pack`), so each weight matrix is
+//! transposed into column-major strips once, at the first functional
+//! run after a weight load, and reused by every later run. Integer
+//! accumulation is permutation-invariant, so the packed path returns
+//! the golden model's bytes exactly; root `tests/equivalence.rs` pins
+//! that across shapes, batches and every dispatchable kernel ISA.
 
 use protea_model::QuantizedEncoder;
 use protea_tensor::PackedWeights;
-
-/// Which functional datapath implementation the accelerator runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Tile-accumulated engine path — the bit-exactness oracle.
-    Reference,
-    /// Packed-GEMM, thread-parallel path — identical bytes, much faster.
-    #[default]
-    Fast,
-}
-
-impl Backend {
-    /// Resolve the backend from the `PROTEA_BACKEND` environment
-    /// variable: `reference` (case-insensitive) selects the oracle,
-    /// anything else — including unset — selects [`Backend::Fast`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("PROTEA_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => Self::Reference,
-            _ => Self::Fast,
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Reference => write!(f, "reference"),
-            Self::Fast => write!(f, "fast"),
-        }
-    }
-}
 
 /// One layer's weight matrices, transposed/packed for the fast kernel.
 #[derive(Debug, Clone)]
@@ -90,21 +47,5 @@ impl PackedEncoder {
             })
             .collect();
         Self { layers }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_fast() {
-        assert_eq!(Backend::default(), Backend::Fast);
-    }
-
-    #[test]
-    fn display_round_trips_the_env_convention() {
-        assert_eq!(Backend::Reference.to_string(), "reference");
-        assert_eq!(Backend::Fast.to_string(), "fast");
     }
 }

@@ -13,18 +13,14 @@
 
 use crate::accelerator::Accelerator;
 use crate::engines::ffn::{FfnEngine, FfnStage};
-use crate::engines::{accumulate_tiled, finish_projection, Access};
+use crate::engines::Access;
 use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::SynthesisConfig;
-use protea_fixed::activation::ActivationLut;
-use protea_fixed::SoftmaxUnit;
 use protea_hwsim::Cycles;
 use protea_mem::kv as kv_mem;
-use protea_model::decoder::{QuantizedDecoder, QuantizedDecoderLayer};
-use protea_model::quantized::{add_norm, requant_logits, QuantMatrix};
-use protea_model::QuantSchedule;
-use protea_tensor::{matmul_i8_i32, transpose, Matrix, TileGrid};
+use protea_model::decoder::QuantizedDecoder;
+use protea_tensor::Matrix;
 
 /// Result of a decoder run.
 #[derive(Debug, Clone)]
@@ -106,8 +102,8 @@ impl Accelerator {
     }
 
     /// Run a decoder stack: `x` is the target input (`SL_tgt × d`),
-    /// `memory` the encoder output (`SL_src × d`). Functionally
-    /// bit-identical to [`QuantizedDecoder::forward`]; timed with the
+    /// `memory` the encoder output (`SL_src × d`). The output is
+    /// [`QuantizedDecoder::forward`]'s; the timing comes from the
     /// calibrated engine formulas.
     ///
     /// # Panics
@@ -123,7 +119,7 @@ impl Accelerator {
         assert_eq!(x.cols(), dec.config.d_model);
         assert_eq!(memory.cols(), dec.config.d_model);
 
-        let output = decoder_functional(self.design().config, dec, x, memory);
+        let output = dec.forward(x, memory);
         let report = self.decoder_timing_report(dec, x.rows(), memory.rows());
         let latency_ms = report.latency_ms();
         DecoderRunResult { output, report, latency_ms }
@@ -179,21 +175,10 @@ impl Accelerator {
         let dk = rt.dk() as u64;
         let sl_t = tgt_len as u64;
         let sl_s = src_len as u64;
-
-        // QKV-style projection phase: `rows` activation rows, the weight
-        // strips tiled `tiles_mha` times.
-        let proj_plan = |rows: u64| -> Vec<Access> {
-            let tiles = syn.tiles_mha() as u64;
-            let w = rt.mha_tile_width(syn) as u64;
-            let h = rt.heads as u64;
-            let load = h * (3 * dk * w + rows * w);
-            let compute = t.qkv_tile_cycles(rows, dk);
-            (0..tiles).map(|_| Access { load_bytes: load, compute_cycles: compute }).collect()
-        };
         let compute_only = |cycles: u64| vec![Access { load_bytes: 0, compute_cycles: cycles }];
 
         let phase_plans: Vec<(&'static str, Vec<Access>)> = vec![
-            ("SelfQKV", proj_plan(sl_t)),
+            ("SelfQKV", proj_plan(syn, &rt, sl_t)),
             ("SelfQK", compute_only(t.qk_cycles_rect(sl_t, sl_t, dk, syn.dk_max() as u64))),
             ("SelfSoftmax", compute_only(t.softmax_cycles(sl_t))),
             ("SelfSV", compute_only(t.sv_cycles_rect(sl_t, sl_t, dk, syn.sl_unroll as u64))),
@@ -201,7 +186,7 @@ impl Accelerator {
             ("AddNorm1", compute_only(t.ln_cycles(sl_t, rt.d_model as u64))),
             // cross attention: K/V projected from the (usually longer)
             // source stream share the engine pipeline with Q.
-            ("CrossQKV", proj_plan(sl_t.max(sl_s))),
+            ("CrossQKV", proj_plan(syn, &rt, sl_t.max(sl_s))),
             ("CrossQK", compute_only(t.qk_cycles_rect(sl_t, sl_s, dk, syn.dk_max() as u64))),
             ("CrossSoftmax", compute_only(t.softmax_cycles(sl_t.max(sl_s)))),
             ("CrossSV", compute_only(t.sv_cycles_rect(sl_t, sl_s, dk, syn.sl_unroll as u64))),
@@ -325,128 +310,11 @@ pub(crate) fn prefill_plans(
     ]
 }
 
-/// The tile-accumulated functional path (bit-identical to the golden
-/// quantized decoder — integer tiling invariance again).
-fn decoder_functional(
-    syn: SynthesisConfig,
-    dec: &QuantizedDecoder,
-    x: &Matrix<i8>,
-    memory: &Matrix<i8>,
-) -> Matrix<i8> {
-    let s = &dec.schedule;
-    let act = ActivationLut::new(dec.config.activation, s.act_fmt);
-    let mut h = x.clone();
-    for layer in &dec.layers {
-        h = decoder_layer(syn, dec, layer, &h, memory, s, &act);
-    }
-    h
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decoder_layer(
-    syn: SynthesisConfig,
-    dec: &QuantizedDecoder,
-    w: &QuantizedDecoderLayer,
-    x: &Matrix<i8>,
-    memory: &Matrix<i8>,
-    s: &QuantSchedule,
-    act: &ActivationLut,
-) -> Matrix<i8> {
-    let rt = RuntimeConfig {
-        heads: dec.config.heads,
-        layers: dec.config.layers,
-        d_model: dec.config.d_model,
-        seq_len: x.rows(),
-    };
-    let sa = tiled_attention(
-        &syn, &rt, dec, x, x, &w.self_wq, &w.self_wk, &w.self_wv, &w.self_bq, &w.self_bk,
-        &w.self_bv, &w.self_wo, &w.self_bo, true, s,
-    );
-    let x1 = add_norm(x, &sa, &w.ln[0]);
-    let ca = tiled_attention(
-        &syn,
-        &rt,
-        dec,
-        &x1,
-        memory,
-        &w.cross_wq,
-        &w.cross_wk,
-        &w.cross_wv,
-        &w.cross_bq,
-        &w.cross_bk,
-        &w.cross_bv,
-        &w.cross_wo,
-        &w.cross_bo,
-        false,
-        s,
-    );
-    let x2 = add_norm(&x1, &ca, &w.ln[1]);
-    let hidden = FfnEngine::compute(&x2, &w.w1, &w.b1, &rt, &syn, s, Some(act));
-    let ffn = FfnEngine::compute(&hidden, &w.w2, &w.b2, &rt, &syn, s, None);
-    add_norm(&x2, &ffn, &w.ln[2])
-}
-
-/// Engine-tiled attention: projections accumulate over the frozen MHA
-/// tile grid; logits, masked softmax and SV follow the golden stages.
-#[allow(clippy::too_many_arguments)]
-fn tiled_attention(
-    syn: &SynthesisConfig,
-    rt: &RuntimeConfig,
-    dec: &QuantizedDecoder,
-    q_src: &Matrix<i8>,
-    kv_src: &Matrix<i8>,
-    wq: &QuantMatrix,
-    wk: &QuantMatrix,
-    wv: &QuantMatrix,
-    bq: &[i32],
-    bk: &[i32],
-    bv: &[i32],
-    wo: &QuantMatrix,
-    bo: &[i32],
-    causal: bool,
-    s: &QuantSchedule,
-) -> Matrix<i8> {
-    let d = rt.d_model;
-    let dk = rt.dk();
-    let sl_q = q_src.rows();
-    let sl_kv = kv_src.rows();
-    let grid = TileGrid::new(d, d, rt.mha_tile_width(syn), d);
-    let proj = |src: &Matrix<i8>, w: &QuantMatrix, b: &[i32]| -> Matrix<i8> {
-        let mut acc = Matrix::<i32>::zeros(src.rows(), d);
-        accumulate_tiled(&mut acc, src, &w.data, &grid);
-        finish_projection(acc, b, w.fmt, s)
-    };
-    let q = proj(q_src, wq, bq);
-    let k = proj(kv_src, wk, bk);
-    let v = proj(kv_src, wv, bv);
-
-    let softmax = SoftmaxUnit::new(s.logit_fmt);
-    let rq = s.sv_requantizer();
-    let mut concat = Matrix::<i8>::zeros(sl_q, d);
-    for head in 0..rt.heads {
-        let c0 = head * dk;
-        let qi = q.submatrix(0, c0, sl_q, dk);
-        let ki = k.submatrix(0, c0, sl_kv, dk);
-        let vi = v.submatrix(0, c0, sl_kv, dk);
-        let acc = matmul_i8_i32(&qi, &transpose(&ki));
-        let logits = requant_logits(&acc, &dec.config, s);
-        let mut p = Matrix::<i8>::zeros(sl_q, sl_kv);
-        for r in 0..sl_q {
-            let valid = if causal { r + 1 } else { sl_kv };
-            softmax.forward_row_masked(logits.row(r), valid, p.row_mut(r));
-        }
-        let acc_sv = matmul_i8_i32(&p, &vi);
-        concat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
-    }
-    // Output projection through the FFN1 tile geometry.
-    FfnEngine::compute(&concat, wo, bo, rt, syn, s, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use protea_model::decoder::DecoderWeights;
-    use protea_model::EncoderConfig;
+    use protea_model::{EncoderConfig, QuantSchedule};
     use protea_platform::FpgaDevice;
 
     fn setup(cfg: EncoderConfig, seed: u64) -> (Accelerator, QuantizedDecoder) {
@@ -458,17 +326,6 @@ mod tests {
             QuantSchedule::paper(),
         );
         (accel, dec)
-    }
-
-    #[test]
-    fn decoder_matches_golden_model_bitwise() {
-        let cfg = EncoderConfig::new(96, 4, 2, 8);
-        let (accel, dec) = setup(cfg, 41);
-        let x = Matrix::from_fn(8, 96, |r, c| (((r * 19 + c * 7) % 180) as i32 - 90) as i8);
-        let mem = Matrix::from_fn(12, 96, |r, c| (((r * 23 + c * 3) % 180) as i32 - 90) as i8);
-        let hw = accel.run_decoder(&dec, &x, &mem);
-        let sw = dec.forward(&x, &mem);
-        assert_eq!(hw.output.as_slice(), sw.as_slice());
     }
 
     #[test]
@@ -537,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn causal_property_survives_the_tiled_path() {
+    fn causal_mask_hides_future_rows() {
         let cfg = EncoderConfig::new(64, 4, 1, 6);
         let (accel, dec) = setup(cfg, 4);
         let mem = Matrix::from_fn(5, 64, |r, c| ((r * 3 + c) % 90) as i8);
@@ -549,7 +406,7 @@ mod tests {
         let y1 = accel.run_decoder(&dec, &x1, &mem).output;
         let y2 = accel.run_decoder(&dec, &x2, &mem).output;
         for r in 0..5 {
-            assert_eq!(y1.row(r), y2.row(r), "tiled path leaked future info at row {r}");
+            assert_eq!(y1.row(r), y2.row(r), "row {r} saw a later position");
         }
     }
 }

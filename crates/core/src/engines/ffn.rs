@@ -12,16 +12,13 @@
 //!
 //! Weights are tiled along **both** dimensions (Fig. 6); "results are
 //! first accumulated along the columns, followed by accumulation along
-//! the rows" — the tile-accumulated integer sums in
-//! [`accumulate_tiled`](crate::engines::accumulate_tiled).
+//! the rows". Integer sums do not depend on that order, so the tiles
+//! set the access plan here and not the output bytes, which the host
+//! datapath computes in one packed GEMM per projection.
 
-use crate::engines::{accumulate_tiled, finish_projection, Access};
+use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_fixed::activation::ActivationLut;
-use protea_model::quantized::QuantMatrix;
-use protea_model::QuantSchedule;
-use protea_tensor::{Matrix, TileGrid};
 
 /// Which of the three FFN engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,36 +80,16 @@ impl FfnEngine {
             .ffn_access_cycles(rt.seq_len as u64, Self::access_trip(stage, rt, syn) as u64);
         (0..accesses).map(|_| Access { load_bytes: load, compute_cycles: compute }).collect()
     }
-
-    /// Functional compute: tiled linear + bias + requantize, with an
-    /// optional activation ROM applied in place (FFN2).
-    #[must_use]
-    pub fn compute(
-        x: &Matrix<i8>,
-        w: &QuantMatrix,
-        bias: &[i32],
-        rt: &RuntimeConfig,
-        syn: &SynthesisConfig,
-        s: &QuantSchedule,
-        activation: Option<&ActivationLut>,
-    ) -> Matrix<i8> {
-        let tile = rt.ffn_tile_width(syn).max(1);
-        let grid = TileGrid::ffn(w.data.rows(), w.data.cols(), tile, tile);
-        let mut acc = Matrix::<i32>::zeros(x.rows(), w.data.cols());
-        accumulate_tiled(&mut acc, x, &w.data, &grid);
-        let mut out = finish_projection(acc, bias, w.fmt, s);
-        if let Some(lut) = activation {
-            lut.apply_slice(out.as_mut_slice());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::{fused_projection, fused_projection_act};
+    use protea_fixed::activation::ActivationLut;
     use protea_fixed::{Activation, QFormat};
-    use protea_model::quantized::project;
+    use protea_model::QuantSchedule;
+    use protea_tensor::{Matrix, PackedWeights};
 
     #[test]
     fn access_counts_match_paper() {
@@ -142,35 +119,20 @@ mod tests {
     }
 
     #[test]
-    fn functional_matches_untiled_project() {
-        let syn = SynthesisConfig::paper_default();
-        let rt = RuntimeConfig { heads: 8, layers: 1, d_model: 768, seq_len: 3 };
-        let s = QuantSchedule::paper();
-        let x = Matrix::from_fn(3, 768, |r, c| (((r * 37 + c * 11) % 200) as i32 - 100) as i8);
-        let w = QuantMatrix {
-            data: Matrix::from_fn(768, 768, |r, c| (((r * 7 + c * 13) % 200) as i32 - 100) as i8),
-            fmt: QFormat::new(8, 6),
-        };
-        let bias: Vec<i32> = (0..768).map(|i| (i % 64) - 32).collect();
-        let golden = project(&x, &w, &bias, &s);
-        let tiled = FfnEngine::compute(&x, &w, &bias, &rt, &syn, &s, None);
-        assert_eq!(tiled.as_slice(), golden.as_slice());
-    }
-
-    #[test]
     fn activation_applies_after_requant() {
-        let syn = SynthesisConfig::paper_default();
-        let rt = RuntimeConfig { heads: 8, layers: 1, d_model: 768, seq_len: 2 };
+        // FFN2's narrowing stage: the activation ROM reads the
+        // requantized projection in the same store loop.
         let s = QuantSchedule::paper();
         let lut = ActivationLut::new(Activation::Relu, s.act_fmt);
-        let x = Matrix::from_fn(2, 768, |_, c| if c % 2 == 0 { 50i8 } else { -50 });
-        let w = QuantMatrix {
-            data: Matrix::from_fn(768, 8, |r, c| if (r + c) % 3 == 0 { -90i8 } else { 40 }),
-            fmt: QFormat::new(8, 6),
-        };
-        let bias = vec![0i32; 8];
-        let out = FfnEngine::compute(&x, &w, &bias, &rt, &syn, &s, Some(&lut));
+        let x = Matrix::from_fn(2, 768, |r, c| ((r * 7 + c * 13) % 61) as i8 - 30);
+        let w = Matrix::from_fn(768, 8, |r, c| ((r * 5 + c * 11) % 41) as i8 - 20);
+        let (w, fmt, bias) = (PackedWeights::pack(&w), QFormat::new(8, 6), vec![0i32; 8]);
+        let out = fused_projection_act(&x, &w, &bias, fmt, &s, &lut);
         assert!(out.as_slice().iter().all(|&v| v >= 0), "ReLU output must be nonneg");
+        let mut pre = fused_projection(&x, &w, &bias, fmt, &s);
+        assert!(pre.as_slice().iter().any(|&v| v < 0), "the ROM must have work to do");
+        lut.apply_slice(pre.as_mut_slice());
+        assert_eq!(out.as_slice(), pre.as_slice());
     }
 
     #[test]

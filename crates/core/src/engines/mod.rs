@@ -1,16 +1,19 @@
 //! The seven compute engines (Figs. 3 and 4).
 //!
-//! Every engine exposes two faces:
+//! Each engine's `plan()` is its timing model: one [`Access`] per
+//! engine invocation (tile visit), carrying the weight bytes to stream
+//! and the compute cycles, consumed by the double-buffer scheduler. The
+//! hardware sums partial products across tiles ("the final output is
+//! the cumulative sum of the results computed across all tiles"), and
+//! integer sums give the same result in any order, so the tile schedule
+//! sets the cycle count and not the output bytes.
 //!
-//! * **functional** — bit-exact int8/int32 arithmetic on *tiles*,
-//!   accumulating partial sums across tile iterations exactly as the
-//!   hardware's intermediate buffers do ("the final output is the
-//!   cumulative sum of the results computed across all tiles"), finishing
-//!   through the same requantization stages as `protea-model`'s golden
-//!   model;
-//! * **timing** — an access plan: one [`Access`] per engine invocation
-//!   (tile visit), carrying the weight bytes to stream and the compute
-//!   cycles, consumed by the double-buffer scheduler.
+//! The output bytes come from one host datapath
+//! (`Accelerator::forward_fast`), checked byte for byte against the
+//! golden model in `protea-model`. It shares with the engines the
+//! narrowing stages defined here ([`projection_epilogue`],
+//! [`fused_projection`], [`fused_projection_act`]), the softmax unit
+//! ([`softmax::SoftmaxEngine`]) and add-&-norm ([`ln::LnEngine`]).
 
 pub mod ffn;
 pub mod ln;
@@ -43,10 +46,9 @@ pub fn projection_requantizer(weight_fmt: QFormat, s: &QuantSchedule) -> Requant
 
 /// A projection's whole narrowing stage — saturating bias add, then
 /// [`projection_requantizer`] — as the strip epilogue every projection
-/// path shares: fused into the GEMM ([`fused_projection`],
-/// [`fused_projection_act`], which adds the activation ROM) or over a
-/// materialized accumulator ([`finish_projection`]). One definition, so
-/// the paths cannot drift from each other or from
+/// shares, fused into the GEMM ([`fused_projection`],
+/// [`fused_projection_act`], which adds the activation ROM). One
+/// definition, so the projections cannot drift from each other or from
 /// `protea_model::quantized::project`.
 #[must_use]
 pub fn projection_epilogue<'a>(
@@ -57,26 +59,10 @@ pub fn projection_epilogue<'a>(
     RequantEpilogue::new(projection_requantizer(weight_fmt, s).lanes()).with_bias(bias)
 }
 
-/// Finish a projection: [`projection_epilogue`] over the tile-summed
-/// i32 accumulators — the identical tail to
-/// `protea_model::quantized::project`.
-///
-/// # Panics
-/// Panics if `bias` is not `acc.cols()` long.
-#[must_use]
-pub fn finish_projection(
-    acc: Matrix<i32>,
-    bias: &[i32],
-    weight_fmt: QFormat,
-    s: &QuantSchedule,
-) -> Matrix<i8> {
-    projection_epilogue(bias, weight_fmt, s).apply_matrix(&acc)
-}
-
 /// Fused linear projection: `requant(x·W ⊕ bias)` in one GEMM pass,
 /// [`projection_epilogue`] narrowing each microkernel strip in the
 /// store loop instead of a second sweep over a materialized i32
-/// matrix. Byte-identical to `matmul` + [`finish_projection`].
+/// matrix. Byte-identical to `protea_model::quantized::project`.
 /// Parallel across bands of activation rows inside the GEMM.
 #[must_use]
 pub fn fused_projection(
@@ -106,8 +92,10 @@ pub fn fused_projection_act(
 }
 
 /// Tile-accumulated matrix product: `acc += x[:, rows_of(w_tile)] ·
-/// w_tile` over every tile of `w` in the grid — the engines' inner
-/// pattern. The accumulator must be pre-shaped to `(x.rows, w.cols)`.
+/// w_tile` over every tile of `w` in the grid — the engines' tile
+/// schedule as plain scalar loops. The kernels bench keeps it as the
+/// fixed denominator of its GEMM speedups. The accumulator must be
+/// pre-shaped to `(x.rows, w.cols)`.
 pub fn accumulate_tiled(
     acc: &mut Matrix<i32>,
     x: &Matrix<i8>,
@@ -153,21 +141,6 @@ mod tests {
             accumulate_tiled(&mut acc, &x, &w, &TileGrid::new(12, 9, th, tw));
             assert_eq!(acc.as_slice(), direct.as_slice(), "tile {th}x{tw}");
         }
-    }
-
-    #[test]
-    fn finish_projection_matches_model_project() {
-        use protea_model::quantized::{project, QuantMatrix};
-        let s = QuantSchedule::paper();
-        let x = Matrix::from_fn(4, 8, |r, c| ((r * 11 + c * 3) % 120) as i8 - 60);
-        let wm = Matrix::from_fn(8, 6, |r, c| ((r * 7 + c * 19) % 120) as i8 - 60);
-        let w = QuantMatrix { data: wm.clone(), fmt: QFormat::new(8, 6) };
-        let bias: Vec<i32> = (0..6).map(|i| (i - 3) * 100).collect();
-        let golden = project(&x, &w, &bias, &s);
-        let mut acc = Matrix::<i32>::zeros(4, 6);
-        accumulate_tiled(&mut acc, &x, &wm, &TileGrid::new(8, 6, 3, 2));
-        let tiled = finish_projection(acc, &bias, w.fmt, &s);
-        assert_eq!(tiled.as_slice(), golden.as_slice());
     }
 
     #[test]

@@ -8,9 +8,6 @@
 use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_model::quantized::requant_logits;
-use protea_model::{EncoderConfig, QuantSchedule};
-use protea_tensor::{matmul_i8_i32, transpose, Matrix};
 
 /// The Q·Kᵀ engine bank.
 #[derive(Debug, Clone, Copy)]
@@ -24,24 +21,14 @@ impl QkEngine {
         let compute = syn.timing.qk_cycles(rt.seq_len as u64, rt.dk() as u64, syn.dk_max() as u64);
         vec![Access { load_bytes: 0, compute_cycles: compute }]
     }
-
-    /// Functional compute for one head: scaled, requantized logits.
-    #[must_use]
-    pub fn compute_head(
-        qi: &Matrix<i8>,
-        ki: &Matrix<i8>,
-        rt: &RuntimeConfig,
-        s: &QuantSchedule,
-    ) -> Matrix<i8> {
-        let acc = matmul_i8_i32(qi, &transpose(ki));
-        let cfg: EncoderConfig = rt.to_model_config();
-        requant_logits(&acc, &cfg, s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use protea_model::quantized::requant_logits;
+    use protea_model::QuantSchedule;
+    use protea_tensor::{matmul_i8_i32, transpose, Matrix};
 
     #[test]
     fn plan_costs_no_bandwidth() {
@@ -66,18 +53,18 @@ mod tests {
 
     #[test]
     fn logits_are_scaled_products() {
-        let syn = SynthesisConfig::paper_default();
+        // The engine's narrowing stage: Q·Kᵀ scaled and requantized by
+        // the golden model's `requant_logits` at the runtime shape.
         let rt = RuntimeConfig { heads: 8, layers: 1, d_model: 768, seq_len: 4 };
         let s = QuantSchedule::paper();
         let qi = Matrix::from_fn(4, 96, |r, c| ((r + c) % 64) as i8);
-        let ki = qi.clone();
-        let out = QkEngine::compute_head(&qi, &ki, &rt, &s);
+        let acc = matmul_i8_i32(&qi, &transpose(&qi));
+        let out = requant_logits(&acc, &rt.to_model_config(), &s);
         assert_eq!(out.shape(), (4, 4));
         // diagonal (self-similarity) should dominate each row
         for r in 0..4 {
             let diag = out[(r, r)];
             assert!(out.row(r).iter().all(|&v| v <= diag));
         }
-        let _ = syn;
     }
 }

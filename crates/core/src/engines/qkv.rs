@@ -7,24 +7,15 @@
 //! reduced by the number of heads"), with the tile **count** frozen at
 //! synthesis and the tile width scaling with the runtime `d_model`.
 
-use crate::engines::{accumulate_tiled, finish_projection, Access};
+use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_model::quantized::QuantizedLayer;
-use protea_model::QuantSchedule;
-use protea_tensor::{Matrix, TileGrid};
 
 /// The Q/K/V generation engine bank (one engine per active head).
 #[derive(Debug, Clone, Copy)]
 pub struct QkvEngine;
 
 impl QkvEngine {
-    /// The tile grid over the input dimension: `tiles_mha` strips.
-    #[must_use]
-    pub fn grid(rt: &RuntimeConfig, syn: &SynthesisConfig, out_cols: usize) -> TileGrid {
-        TileGrid::new(rt.d_model, out_cols, rt.mha_tile_width(syn), out_cols.max(1))
-    }
-
     /// Access plan for one layer's QKV phase.
     #[must_use]
     pub fn plan(rt: &RuntimeConfig, syn: &SynthesisConfig) -> Vec<Access> {
@@ -40,55 +31,11 @@ impl QkvEngine {
         let compute = syn.timing.qkv_tile_cycles(sl, dk);
         (0..tiles).map(|_| Access { load_bytes: load, compute_cycles: compute }).collect()
     }
-
-    /// Functional compute: Q, K, V for all heads (tile-accumulated; the
-    /// result is bit-identical to the golden model's `project`).
-    #[must_use]
-    pub fn compute(
-        x: &Matrix<i8>,
-        layer: &QuantizedLayer,
-        rt: &RuntimeConfig,
-        syn: &SynthesisConfig,
-        s: &QuantSchedule,
-    ) -> (Matrix<i8>, Matrix<i8>, Matrix<i8>) {
-        let d = rt.d_model;
-        let grid = TileGrid::new(d, d, rt.mha_tile_width(syn), d);
-        let run = |w: &protea_model::quantized::QuantMatrix, bias: &[i32]| -> Matrix<i8> {
-            let mut acc = Matrix::<i32>::zeros(rt.seq_len, d);
-            accumulate_tiled(&mut acc, x, &w.data, &grid);
-            finish_projection(acc, bias, w.fmt, s)
-        };
-        let q = run(&layer.wq, &layer.bq);
-        let k = run(&layer.wk, &layer.bk);
-        let v = run(&layer.wv, &layer.bv);
-        (q, k, v)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protea_model::{EncoderConfig, EncoderWeights, QuantizedEncoder};
-
-    fn setup() -> (QuantizedEncoder, RuntimeConfig, SynthesisConfig, Matrix<i8>) {
-        let cfg = EncoderConfig::new(96, 4, 1, 8);
-        let w = EncoderWeights::random(cfg, 17);
-        let q = QuantizedEncoder::from_float(&w, QuantSchedule::paper());
-        let syn = SynthesisConfig::paper_default();
-        let rt = RuntimeConfig::from_model(&cfg, &syn).unwrap();
-        let x = Matrix::from_fn(8, 96, |r, c| (((r * 29 + c * 5) % 200) as i32 - 100) as i8);
-        (q, rt, syn, x)
-    }
-
-    #[test]
-    fn matches_golden_model_bitwise() {
-        let (enc, rt, syn, x) = setup();
-        let tr = enc.forward_layer(&x, &enc.layers[0]);
-        let (q, k, v) = QkvEngine::compute(&x, &enc.layers[0], &rt, &syn, &enc.schedule);
-        assert_eq!(q.as_slice(), tr.q.as_slice());
-        assert_eq!(k.as_slice(), tr.k.as_slice());
-        assert_eq!(v.as_slice(), tr.v.as_slice());
-    }
 
     #[test]
     fn plan_has_frozen_tile_count() {

@@ -8,8 +8,6 @@
 use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_model::QuantSchedule;
-use protea_tensor::{matmul_i8_i32, Matrix};
 
 /// The S·V engine bank.
 #[derive(Debug, Clone, Copy)]
@@ -22,34 +20,27 @@ impl SvEngine {
         let compute = syn.timing.sv_cycles(rt.seq_len as u64, rt.dk() as u64, syn.sl_unroll as u64);
         vec![Access { load_bytes: 0, compute_cycles: compute }]
     }
-
-    /// Functional compute for one head: probabilities × values,
-    /// requantized to the activation format (identical stage to the
-    /// golden model).
-    #[must_use]
-    pub fn compute_head(probs: &Matrix<i8>, vi: &Matrix<i8>, s: &QuantSchedule) -> Matrix<i8> {
-        let acc = matmul_i8_i32(probs, vi);
-        let rq = s.sv_requantizer();
-        acc.map(|a| rq.apply(a))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protea_fixed::QFormat;
+    use protea_model::QuantSchedule;
+    use protea_tensor::{matmul_i8_i32, Matrix};
 
     #[test]
     fn uniform_attention_averages_values() {
+        // The engine's narrowing stage: probabilities × values through
+        // the schedule's SV requantizer.
         let s = QuantSchedule::paper();
         // 4 positions, uniform probs (32/128 = 0.25 each in Q0.7)
         let probs = Matrix::from_vec(1, 4, vec![32i8; 4]);
         let v = Matrix::from_vec(4, 2, vec![32i8, 0, 32, 0, 32, 0, 32, 0]); // 1.0 / 0.0
-        let out = SvEngine::compute_head(&probs, &v, &s);
+        let rq = s.sv_requantizer();
+        let out = matmul_i8_i32(&probs, &v).map(|a| rq.apply(a));
         // mean of four 1.0 values = 1.0 → raw 32 in Q2.5
         assert_eq!(out[(0, 0)], 32);
         assert_eq!(out[(0, 1)], 0);
-        let _ = QFormat::q8_prob();
     }
 
     #[test]

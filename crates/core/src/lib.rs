@@ -41,7 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod accelerator;
-pub mod backend;
+mod backend;
 pub mod bus;
 pub mod controller;
 pub mod decoder;
@@ -59,7 +59,6 @@ pub mod synthesis;
 pub mod timing;
 
 pub use accelerator::{Accelerator, RunResult};
-pub use backend::Backend;
 pub use bus::{AxiLiteBus, BusResponse};
 pub use controller::Controller;
 pub use decoder::DecoderRunResult;

@@ -115,7 +115,7 @@ pub struct FaultPlan<'a> {
 /// Everything one run needs, in one value. Build with
 /// [`RunPlan::timing`] or [`RunPlan::functional`], then arm options.
 ///
-/// The shape and backend come from the [`Accelerator`] the plan is
+/// The shape and weights come from the [`Accelerator`] the plan is
 /// executed on; the plan carries what varies per run.
 #[derive(Debug, Default)]
 pub struct RunPlan<'a> {
@@ -403,9 +403,9 @@ impl Accelerator {
     }
 
     /// Functional half: validate, then run every input through the
-    /// bit-exact datapath (fanned out across threads on the fast
-    /// backend — each sequence is computed whole in one task, so
-    /// outputs are unchanged by the parallelism).
+    /// bit-exact datapath (fanned out across threads — each sequence is
+    /// computed whole in one task, so outputs are unchanged by the
+    /// parallelism).
     fn forward_batch(&self, xs: &[Matrix<i8>]) -> Result<Vec<Matrix<i8>>, CoreError> {
         if xs.is_empty() {
             return Err(CoreError::EmptyBatch);
@@ -418,10 +418,7 @@ impl Accelerator {
                 return Err(CoreError::InputShape { expected, got: x.shape() });
             }
         }
-        let parallel_batch = self.backend() == crate::backend::Backend::Fast
-            && xs.len() > 1
-            && rayon::current_num_threads() > 1;
-        if parallel_batch {
+        if xs.len() > 1 && rayon::current_num_threads() > 1 {
             let mut slots: Vec<Option<Matrix<i8>>> = (0..xs.len()).map(|_| None).collect();
             rayon::scope(|sc| {
                 for (x, slot) in xs.iter().zip(slots.iter_mut()) {

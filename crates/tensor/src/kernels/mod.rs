@@ -41,7 +41,8 @@
 //! variant computes the same sum of the same products — integer addition
 //! is associative and commutative, so re-associating the reduction into
 //! SIMD lanes is bit-invisible. The `kernel_dispatch` integration tests
-//! and `backend_equiv` pin this across every selectable variant.
+//! and the root `equivalence` suite pin this across every selectable
+//! variant.
 //!
 //! `vpdpbusd` is exact where `maddubs` is not: it multiplies u8 by i8
 //! and adds the four products of each dword straight into an i32 lane,

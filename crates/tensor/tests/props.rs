@@ -78,7 +78,7 @@ proptest! {
     fn packed_gemm_matches_naive_bitwise(
         a in arb_matrix(24), n in 1usize..24, seed in any::<u64>()
     ) {
-        // The fast-backend contract: the dispatched packed kernel is
+        // The datapath contract: the dispatched packed kernel is
         // bit-identical to the hardware oracle for arbitrary shapes,
         // including ragged column blocks and k == 1 edges.
         let w = Matrix::from_fn(a.cols(), n, |i, j| {

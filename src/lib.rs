@@ -78,7 +78,7 @@
 //! | devices | [`platform`] | FPGA database, Fmax congestion model |
 //! | memory | [`mem`] | AXI bursts, HBM channels, double-buffer overlap |
 //! | **the paper** | [`core`] | engines, tiling schedules, registers, driver, co-simulation |
-//! | comparisons | [`baselines`] | published results, rooflines, native CPU engine |
+//! | comparisons | [`baselines`] | published results, rooflines, power envelopes |
 //! | deployment | [`serve`] | batched multi-card serving: scheduler, fleet DES, tail-latency report |
 
 #![forbid(unsafe_code)]
@@ -97,7 +97,7 @@ pub use protea_tensor as tensor;
 
 /// The types most programs need, in one import.
 pub mod prelude {
-    pub use protea_baselines::{NativeCpuEngine, PowerModel};
+    pub use protea_baselines::PowerModel;
     pub use protea_core::{
         Accelerator, CoreError, CycleReport, DecodeSession, Driver, FaultEvent, FaultKind,
         FaultPlan, FaultRates, FaultStats, Phase, PlanKey, RetryPolicy, RunOutcome, RunPlan,

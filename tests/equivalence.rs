@@ -1,9 +1,14 @@
-//! The central correctness contract: the accelerator's tiled, engine-
-//! structured datapath must produce **bit-identical** outputs to the
-//! software golden model, for every shape and schedule — and so must the
-//! rayon-parallel native CPU engine.
+//! The central correctness contract: the accelerator's host datapath
+//! (packed GEMMs, thread-parallel heads and batches) must produce
+//! **bit-identical** outputs to the software golden model, for every
+//! shape, schedule, batch and dispatchable kernel ISA.
+//!
+//! This is the gate on every datapath optimization: a kernel or
+//! parallelization change that alters even one output byte fails here.
 
+use proptest::prelude::*;
 use protea::prelude::*;
+use protea::tensor::{force_kernel, supported_kernels};
 
 fn input(sl: usize, d: usize, seed: usize) -> Matrix<i8> {
     Matrix::from_fn(sl, d, |r, c| (((r * 31 + c * 17 + seed * 7) % 200) as i32 - 100) as i8)
@@ -21,9 +26,50 @@ fn check_equivalence(cfg: EncoderConfig, schedule: QuantSchedule, seed: u64) {
     let hw = accel.run(&x).output;
     let sw = golden.forward(&x);
     assert_eq!(hw.as_slice(), sw.as_slice(), "accelerator != golden model for {cfg:?}");
-    // The native rayon engine must also agree.
-    let native = NativeCpuEngine::new(&golden).forward(&x);
-    assert_eq!(native.as_slice(), sw.as_slice(), "native engine != golden for {cfg:?}");
+}
+
+/// A programmed, weight-loaded accelerator synthesized for `cfg`'s own
+/// shape, so head counts and widths the paper design does not divide
+/// evenly reach the datapath too.
+fn fitted_accel(cfg: &EncoderConfig, seed: u64) -> (Accelerator, QuantizedEncoder) {
+    // Tile sizes must divide d_model, and wide tiles at high head
+    // counts blow the LUT budget: take the largest divisor ≤ 64.
+    let ts = (1..=64.min(cfg.d_model)).rev().find(|t| cfg.d_model.is_multiple_of(*t)).unwrap_or(1);
+    let syn = SynthesisConfig::builder()
+        .heads(cfg.heads)
+        .d_max(cfg.d_model)
+        .sl_max(cfg.seq_len)
+        .ts_mha(ts)
+        .ts_ffn(ts)
+        .build()
+        .expect("synthesis config must be valid");
+    let mut acc = Accelerator::try_new(syn, &FpgaDevice::alveo_u250()).expect("design must fit");
+    acc.program(RuntimeConfig {
+        heads: cfg.heads,
+        layers: cfg.layers,
+        d_model: cfg.d_model,
+        seq_len: cfg.seq_len,
+    })
+    .expect("runtime fits synthesized capacity");
+    let qw =
+        QuantizedEncoder::from_float(&EncoderWeights::random(*cfg, seed), QuantSchedule::paper());
+    acc.try_load_weights(qw.clone()).expect("weights match registers");
+    (acc, qw)
+}
+
+fn fitted_input(cfg: &EncoderConfig, salt: u64) -> Matrix<i8> {
+    Matrix::from_fn(cfg.seq_len, cfg.d_model, |r, c| {
+        let v = (r as u64 * 131).wrapping_add(c as u64 * 31).wrapping_add(salt.wrapping_mul(7));
+        ((v % 251) as i64 - 125) as i8
+    })
+}
+
+/// [`check_equivalence`] on a design synthesized for `cfg`'s shape.
+fn check_fitted(cfg: &EncoderConfig, seed: u64) {
+    let (acc, golden) = fitted_accel(cfg, seed);
+    let x = fitted_input(cfg, seed);
+    let hw = acc.try_run(&x).expect("run succeeds").output;
+    assert_eq!(hw.as_slice(), golden.forward(&x).as_slice(), "accelerator != golden for {cfg:?}");
 }
 
 #[test]
@@ -83,4 +129,68 @@ fn quantized_output_tracks_float_reference() {
     let yq = golden.dequantize(&golden.forward(&golden.quantize_input(&xf)));
     let err = protea::tensor::ops::mse(&yf, &yq);
     assert!(err < 0.5, "quantized output diverged from float reference: mse = {err}");
+}
+
+#[test]
+fn equivalence_on_fitted_designs() {
+    check_fitted(&EncoderConfig::new(96, 4, 2, 8), 31);
+    // dk = 12: ragged CB blocks inside each head's GEMMs.
+    check_fitted(&EncoderConfig::new(144, 12, 1, 9), 5);
+    check_fitted(&EncoderConfig::new(40, 1, 2, 7), 77);
+}
+
+#[test]
+fn equivalence_of_batched_and_single_runs() {
+    // Batch fan-out must not reorder or alter per-item outputs, and the
+    // timing model must not depend on the inputs.
+    let cfg = EncoderConfig::new(64, 4, 2, 8);
+    let (acc, golden) = fitted_accel(&cfg, 13);
+    let xs: Vec<Matrix<i8>> = (0..5).map(|i| fitted_input(&cfg, 100 + i)).collect();
+    let (outs, report) = acc.try_run_batch(&xs).expect("batch run");
+    for (i, x) in xs.iter().enumerate() {
+        let single = acc.try_run(x).expect("single run").output;
+        assert_eq!(outs[i].as_slice(), single.as_slice(), "item {i}");
+        assert_eq!(single.as_slice(), golden.forward(x).as_slice(), "item {i} vs golden");
+    }
+    assert_eq!(report.total, acc.timing_report_batched(xs.len()).total);
+}
+
+#[test]
+fn equivalence_under_every_kernel_isa() {
+    // The dispatch gate: force each microkernel this host can run
+    // (scalar control, portable fallback, and whatever explicit SIMD
+    // variants the CPU supports) and require the golden bytes under
+    // every one of them. `force_kernel` takes the same code path as a
+    // `PROTEA_KERNEL` override, minus the once-per-process env cache.
+    let cfg = EncoderConfig::new(144, 12, 1, 9);
+    let (acc, golden) = fitted_accel(&cfg, 41);
+    let x = fitted_input(&cfg, 41);
+    let sw = golden.forward(&x);
+    for isa in supported_kernels() {
+        force_kernel(Some(isa));
+        let hw = acc.try_run(&x).expect("run succeeds").output;
+        assert_eq!(hw.as_slice(), sw.as_slice(), "kernel {isa} diverged from the golden model");
+    }
+    force_kernel(None);
+}
+
+#[test]
+fn self_test_passes_on_a_fitted_design() {
+    let (acc, _) = fitted_accel(&EncoderConfig::new(96, 4, 2, 8), 3);
+    assert_eq!(acc.self_test(), Ok(()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn equivalence_random_shapes(
+        heads in 1usize..=6,
+        dk in 1usize..=16,
+        layers in 1usize..=2,
+        sl in 1usize..=12,
+        seed in any::<u64>(),
+    ) {
+        check_fitted(&EncoderConfig::new(heads * dk, heads, layers, sl), seed);
+    }
 }

@@ -50,7 +50,7 @@ fn kv_cached_generation_matches_accelerator_full_pass() {
     let accel = accel_for(&cfg);
     let mem = Matrix::from_fn(10, 64, |r, c| ((r * 7 + c * 3) % 120) as i8);
     let x = Matrix::from_fn(6, 64, |r, c| ((r * 11 + c * 5) % 120) as i8);
-    // full pass through the accelerator's tiled path
+    // full pass through the accelerator (the golden decoder forward)
     let full = accel.run_decoder(&dec_q, &x, &mem).output;
     // incremental with KV cache (software; same golden datapath)
     let mut cache = DecoderKvCache::new(&dec_q, &mem);

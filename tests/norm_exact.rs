@@ -4,8 +4,9 @@
 //! [`LayerNormUnit`] resolves `(x − μ)·2⁸ / σ` once per row into a
 //! table over the i8 codes and runs its affine step in `i32` when the
 //! formats bound it; [`SoftmaxUnit`] divides by the row's exponential sum
-//! through one reciprocal per row. Both backends and the decoders share
-//! these units, so `backend_equiv` cannot see an error in them. The
+//! through one reciprocal per row. The golden model, the host datapath
+//! and the decoders share these units, so `equivalence` cannot see an
+//! error in them. The
 //! oracles below are the per-element formulas: one rounded division per
 //! layer-norm element, one integer division per probability.
 
