@@ -33,7 +33,7 @@ impl PublishedAccelerator {
     /// The paper's sparsity-adjustment arithmetic: what a dense design's
     /// latency "would mathematically be" at this row's sparsity
     /// (`l − l·s`, the calculation the paper applies to ProTEA when
-    /// comparing against [21] and [29]).
+    /// comparing against \[21\] and \[29\]).
     #[must_use]
     pub fn sparsity_adjusted(dense_latency_ms: f64, sparsity: f64) -> f64 {
         assert!((0.0..=1.0).contains(&sparsity));

@@ -5,8 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use protea_fixed::layernorm::LayerNormUnit;
 use protea_fixed::{dot_i8, dot_i8_unrolled, softmax_fixed, QFormat};
 use protea_tensor::{
-    matmul_blocked, matmul_i8_i32, matmul_i8_i32_parallel, matmul_naive, matmul_parallel, Matrix,
-    PackedWeights,
+    matmul_blocked, matmul_i8_i32, matmul_naive, matmul_parallel, Matrix, PackedWeights,
 };
 
 fn i8_vec(n: usize, seed: u64) -> Vec<i8> {
@@ -58,9 +57,6 @@ fn bench_matmul_i8(c: &mut Criterion) {
         g.throughput(Throughput::Elements((n * n * n) as u64));
         g.bench_with_input(BenchmarkId::new("serial", n), &n, |bch, _| {
             bch.iter(|| matmul_i8_i32(black_box(&a), black_box(&b)))
-        });
-        g.bench_with_input(BenchmarkId::new("rayon", n), &n, |bch, _| {
-            bch.iter(|| matmul_i8_i32_parallel(black_box(&a), black_box(&b)))
         });
         let packed = PackedWeights::pack(&b);
         g.bench_with_input(BenchmarkId::new("packed", n), &n, |bch, _| {

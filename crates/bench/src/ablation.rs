@@ -5,7 +5,7 @@
 //!   tiling is what makes the design synthesizable at all.
 //! * **Overlap** — double-buffered load/compute vs serialized.
 //! * **Head parallelism** — h parallel head engines (ProTEA) vs a single
-//!   shared attention engine (the Lu et al. [18] baseline structure).
+//!   shared attention engine (the Lu et al. \[18\] baseline structure).
 //! * **Initiation intervals** — the paper-calibrated engine IIs vs an
 //!   idealized II=1 datapath.
 
@@ -78,7 +78,7 @@ pub struct HeadsAblation {
 
 /// Parallel head engines vs a shared engine bank: the same 8-head model,
 /// but with only `e` head engines the MHA phases serialize `8/e` rounds
-/// (Lu et al. [18] built a single-head engine — `e = 1`). The FFN
+/// (Lu et al. \[18\] built a single-head engine — `e = 1`). The FFN
 /// engines are unaffected; DSPs scale with the head-engine count.
 #[must_use]
 pub fn heads() -> Vec<HeadsAblation> {

@@ -425,7 +425,7 @@ pub fn gemm_row(m: usize, k: usize, n: usize, iters: u32) -> GemmRow {
 }
 
 /// The cross-kernel gates' ratios on one shape, each the median of
-/// interleaved serial pairs ([`paired`]): `avx512vnni` over `avx512`,
+/// interleaved serial pairs (`paired`): `avx512vnni` over `avx512`,
 /// and `amx` over `avx512vnni`, each when the host runs both kernels.
 #[must_use]
 pub fn gate_ratios(m: usize, k: usize, n: usize, iters: u32) -> Vec<IsaRatio> {

@@ -35,7 +35,7 @@ pub struct OverloadRow {
 /// reproduces the same tables.
 pub const SEED: u64 = 0x0AD5;
 
-/// Requests per cell in [`standard_rows`]' workloads.
+/// Requests per cell in [`run_sweep`]'s workloads.
 pub const REQUESTS: usize = 192;
 
 /// The overload controls every cell runs with: bounded per-bucket

@@ -284,7 +284,7 @@ impl Accelerator {
     ///   replays like an ECC event;
     /// * a double-bit ECC event — or a transfer whose retry budget is
     ///   exhausted — aborts the run with
-    ///   [`CoreError::Fault`](crate::error::CoreError::Fault).
+    ///   [`CoreError::Fault`].
     ///
     /// Layers are priced individually (faults land in specific layers),
     /// so with a zero-rate stream the result equals

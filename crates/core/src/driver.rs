@@ -4,7 +4,7 @@
 //! Python interpreter" for the hyperparameters, and the C++ driver on the
 //! µB softcore "utilizes the extracted data to generate instructions and
 //! control signals". Here the saved model is a `protea-model` weight
-//! blob, the interpreter is [`peek_config`](protea_model::serialize::peek_config),
+//! blob, the interpreter is [`peek_config`],
 //! and the instruction stream is an explicit [`Instruction`] list the
 //! accelerator replays.
 

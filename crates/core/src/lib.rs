@@ -27,7 +27,7 @@
 //!   program: extract hyperparameters from a serialized model, emit the
 //!   register/instruction stream, reprogram at runtime.
 //! * [`fault`] — the driver's response to injected hardware faults
-//!   (`protea-mem`'s [`FaultStream`](fault::FaultStream)): a transfer
+//!   (`protea-mem`'s [`FaultStream`]): a transfer
 //!   [`Watchdog`], exponential-backoff [`RetryPolicy`], per-class
 //!   [`FaultStats`], and the fault-injected timing path
 //!   [`Accelerator::timing_report_faulty`].

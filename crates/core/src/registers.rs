@@ -1,7 +1,7 @@
 //! Runtime-programmable registers — the paper's headline feature.
 //!
 //! "Each hyperparameter of TNN can be programmed during runtime up to a
-//! maximum value by [the] MicroBlaze softcore processor." The maximum is
+//! maximum value by \[the\] MicroBlaze softcore processor." The maximum is
 //! the synthesized capacity; this module validates register writes
 //! against it the way the AXI-lite slave + controller would, and models
 //! the register file as addressed 32-bit words.

@@ -9,7 +9,7 @@
 //!   an all-zero weight tile's engine access is skipped entirely (one
 //!   comparator on the DMA descriptor). Only block-structured pruning
 //!   produces all-zero tiles; unstructured sparsity yields almost none.
-//! * **Balanced-row reduction** — the [21]-style design point: with
+//! * **Balanced-row reduction** — the \[21\]-style design point: with
 //!   column-balanced pruning every PE keeps the same nonzero count, so
 //!   the pipelined trip shrinks by the sparsity factor (requires index
 //!   decoding hardware ProTEA does not have; modeled as the upper bound

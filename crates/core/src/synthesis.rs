@@ -4,7 +4,7 @@
 //! tile size must be set before synthesis, as it cannot be modified
 //! without resynthesizing the entire hardware." This module is that
 //! boundary: a [`SynthesisConfig`] fixes the tile sizes, head-engine
-//! count, maximum dimensions and timing preset; [`synthesize`] binds
+//! count, maximum dimensions and timing preset; [`synthesize`](SynthesisConfig::synthesize) binds
 //! resources on a device and estimates the achievable clock.
 
 use crate::timing::TimingPreset;
@@ -396,7 +396,7 @@ impl SynthesisConfigBuilder {
     /// Validate and produce the configuration.
     ///
     /// # Errors
-    /// [`CoreError::InvalidConfig`] when any field is zero, the head
+    /// [`CoreError::InvalidConfig`](crate::CoreError::InvalidConfig) when any field is zero, the head
     /// count does not divide `d_max`, or a tile size does not divide
     /// `d_max` (the frozen loop counts would misprice a ragged final
     /// tile).

@@ -44,7 +44,7 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
 /// accumulator chains that are summed at the end.
 ///
 /// The result is identical to [`dot_i8`] (integer addition is associative);
-/// both are sums of [`lane_dot_i8`] partial reductions over the same MAC
+/// both are sums of `lane_dot_i8` partial reductions over the same MAC
 /// step, differing only in how the index space is carved into lanes.
 #[must_use]
 pub fn dot_i8_unrolled(a: &[i8], b: &[i8], unroll: usize) -> i32 {

@@ -13,7 +13,7 @@
 //!   cycles; a sequential (pipeline-off) loop multiplies its body and adds
 //!   per-iteration control overhead; a fully-unrolled loop becomes
 //!   spatial hardware (PEs) instead of time.
-//! * [`array`] — `array_partition` → memory banks → BRAM18/LUTRAM binding
+//! * [`array`](mod@array) — `array_partition` → memory banks → BRAM18/LUTRAM binding
 //!   with dual-port constraints.
 //! * [`cost`] — per-PE and per-functional-unit resource costs calibrated
 //!   against Table I of the paper (the calibration is exact for the

@@ -137,7 +137,7 @@ impl EncoderConfig {
     }
 
     /// A tiny high-energy-physics style encoder in the spirit of
-    /// Wojcicki et al. [23] (their LHC trigger model is far below
+    /// Wojcicki et al. \[23\] (their LHC trigger model is far below
     /// BERT scale).
     #[must_use]
     pub fn tiny_hep() -> Self {

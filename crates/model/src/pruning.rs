@@ -2,15 +2,15 @@
 //!
 //! ProTEA itself is deliberately **dense** ("a versatile accelerator
 //! capable of efficiently managing dense matrix computations"); its
-//! Table II comparators exploit sparsity ([21]: 90 % column-balanced
-//! block pruning, [25]: 64 %, [29]: 93 % block-circulant compression),
+//! Table II comparators exploit sparsity (\[21\]: 90 % column-balanced
+//! block pruning, \[25\]: 64 %, \[29\]: 93 % block-circulant compression),
 //! and the paper's discussion applies the `latency · (1 − sparsity)`
 //! adjustment to reason about what sparse support would buy. This module
 //! supplies the pruning schemes so that comparison can be *run*, not
 //! just cited:
 //!
 //! * [`prune_magnitude`] — unstructured global magnitude pruning,
-//! * [`prune_column_balanced`] — the [21]-style scheme: an equal
+//! * [`prune_column_balanced`] — the \[21\]-style scheme: an equal
 //!   fraction pruned within every column block, preserving PE load
 //!   balance (the property their accelerator depends on),
 //! * [`prune_blocks`] — coarse structured pruning of whole `b × b`
@@ -53,7 +53,7 @@ pub fn prune_magnitude(m: &mut Matrix<f32>, sparsity: f64) {
     }
 }
 
-/// Column-balanced pruning (Peng et al. [21]): within **each column**,
+/// Column-balanced pruning (Peng et al. \[21\]): within **each column**,
 /// zero the same fraction of smallest-magnitude entries, so every output
 /// neuron (and thus every PE column in a weight-stationary design) keeps
 /// an identical nonzero count.
@@ -108,7 +108,7 @@ pub fn prune_blocks(m: &mut Matrix<f32>, sparsity: f64, block: usize) {
 pub enum PruningScheme {
     /// Unstructured magnitude pruning.
     Magnitude,
-    /// Column-balanced ([21]-style).
+    /// Column-balanced (\[21\]-style).
     ColumnBalanced,
     /// `block × block` structured pruning.
     Blocks(usize),

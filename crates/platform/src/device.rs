@@ -48,7 +48,7 @@ impl FpgaDevice {
         }
     }
 
-    /// Xilinx Alveo U200 (used by Peng et al. [21] and Qi et al. [28]).
+    /// Xilinx Alveo U200 (used by Peng et al. \[21\] and Qi et al. \[28\]).
     #[must_use]
     pub const fn alveo_u200() -> Self {
         Self {
@@ -60,7 +60,7 @@ impl FpgaDevice {
         }
     }
 
-    /// Xilinx Alveo U250 (used by Wojcicki et al. [23]).
+    /// Xilinx Alveo U250 (used by Wojcicki et al. \[23\]).
     #[must_use]
     pub const fn alveo_u250() -> Self {
         Self {
@@ -72,7 +72,7 @@ impl FpgaDevice {
         }
     }
 
-    /// Xilinx ZCU102 (ZU9EG; used by EFA-Trans [25]).
+    /// Xilinx ZCU102 (ZU9EG; used by EFA-Trans \[25\]).
     #[must_use]
     pub const fn zcu102() -> Self {
         Self {
@@ -84,7 +84,7 @@ impl FpgaDevice {
         }
     }
 
-    /// Xilinx VCU118 (VU9P; used by FTRANS [29]).
+    /// Xilinx VCU118 (VU9P; used by FTRANS \[29\]).
     #[must_use]
     pub const fn vcu118() -> Self {
         Self {

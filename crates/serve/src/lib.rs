@@ -58,11 +58,12 @@
 //! # Ok::<(), protea_serve::ServeError>(())
 //! ```
 //!
-//! Million-request runs stream instead: a [`WorkloadSource`] (lazy
-//! Poisson generation or a JSON-lines trace file) yields one request at
-//! a time, [`MetricsMode::Sketch`] folds completions into an O(1)
-//! log-histogram [`StreamMetrics`], and `snapshot_every` captures
-//! versioned [`FleetSnapshot`]s a later process resumes bit-identically.
+//! Million-request runs stream instead: a [`WorkloadSource`] (the lazy
+//! [`PoissonSource`], or any caller-supplied stream) yields one request
+//! at a time through [`ServePlan::stream`], [`MetricsMode::Sketch`]
+//! folds completions into an O(1) log-histogram [`StreamMetrics`], and
+//! `snapshot_every` captures [`FleetSnapshot`]s a later process resumes
+//! bit-identically.
 //!
 //! The elastic layer makes the fleet a moving target: a heterogeneous
 //! device roster with a [`PlacementPolicy`], a scripted [`ChurnPlan`]
@@ -109,5 +110,5 @@ pub use report::{FaultOutcome, Percentiles, PrioritySlo, ServeReport, TenantSlo}
 pub use request::{CapacityClass, Priority, ServeRequest, ServeResponse};
 pub use scheduler::{Batch, BatchPolicy, BatchScheduler};
 pub use sketch::{LatencySketch, StreamMetrics};
-pub use source::{JsonLinesSource, PoissonSource, SourceState, WorkloadSource, WorkloadStream};
+pub use source::{PoissonSource, SourceState, WorkloadSource};
 pub use trace::Workload;

@@ -29,7 +29,7 @@ pub enum MetricsMode {
     /// nearest-rank. Memory grows with the number of completions.
     #[default]
     Exact,
-    /// Fold each completion into the O(1) [`StreamMetrics`]
+    /// Fold each completion into the O(1) [`StreamMetrics`](crate::StreamMetrics)
     /// log-histogram sketch (see
     /// [`LatencySketch`](crate::LatencySketch) for the error bound).
     Sketch,
@@ -37,7 +37,7 @@ pub enum MetricsMode {
 
 /// Where a plan's requests come from.
 pub(crate) enum PlanSource<'a> {
-    /// Borrowed eager workload (the legacy entry points' path).
+    /// Borrowed eager workload ([`ServePlan::workload`]).
     Workload(WorkloadStream<'a>),
     /// Any caller-supplied streaming source.
     Dyn(&'a mut dyn WorkloadSource),

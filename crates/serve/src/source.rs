@@ -1,11 +1,8 @@
 //! Streaming workload sources: requests on demand, O(1) memory.
 //!
-//! PR 5's fleet walked a fully materialized [`Workload`] — every request
-//! resident before the simulation started, which caps a trace at what
-//! fits in RAM. [`WorkloadSource`] inverts that: the fleet *pulls* one
-//! request at a time, so a 10M-request soak holds exactly one pending
-//! arrival in memory, and a trace file streams line by line instead of
-//! being slurped.
+//! The fleet *pulls* one request at a time from a [`WorkloadSource`], so
+//! a 10M-request soak holds exactly one pending arrival in memory
+//! instead of a fully materialized [`Workload`].
 //!
 //! A source is also a *resumable cursor*: [`WorkloadSource::state`]
 //! captures its position as a few plain words and
@@ -15,44 +12,20 @@
 //!
 //! Implementations:
 //!
-//! * [`PoissonSource`] — generates the exact request sequence of
-//!   [`Workload::poisson`] lazily (bit-identical draws, property
-//!   tested), resumable from `(emitted, rng state, clock)`;
-//! * [`JsonLinesSource`] — streams the **JSON-lines trace dialect**
-//!   (below) from a file, one parsed line in memory at a time;
-//! * [`WorkloadStream`] — borrows an eager [`Workload`] as a source
-//!   (the adapter [`Fleet::run`](crate::Fleet::run) uses for the legacy
-//!   entry points);
-//! * [`Workload`] itself — a consuming source, for callers that want to
-//!   hand the whole workload off.
+//! * [`PoissonSource`] — the one Poisson arrival generator (an eager
+//!   [`Workload::poisson`] is this source drained into a `Vec`),
+//!   resumable from `(emitted, rng state, clock)`;
+//! * `WorkloadStream` — borrows an eager workload as a source; it is
+//!   the adapter behind [`ServePlan::workload`](crate::ServePlan::workload).
 //!
-//! ## The JSON-lines trace dialect
-//!
-//! One request object per line, same fields as the array dialect in
-//! [`crate::trace`] (`arrival_us`, `d_model`, `heads`, `layers`,
-//! `seq_len`, optional `deadline_us`, `priority`, and `tenant` — the
-//! tenant id defaults to `0`, the single-tenant class); blank lines are
-//! ignored; request ids are assigned from the request's ordinal (0-based
-//! count of non-blank lines before it):
-//!
-//! ```text
-//! { "arrival_us": 0,  "d_model": 96, "heads": 4, "layers": 2, "seq_len": 17 }
-//! { "arrival_us": 40, "d_model": 96, "heads": 4, "layers": 2, "seq_len": 61 }
-//! ```
-//!
-//! Unlike the array dialect — which sorts after parsing — a lazy reader
-//! cannot sort, so **arrivals must already be non-decreasing**;
-//! out-of-order lines are rejected at open. (Sort offline or load
-//! eagerly via [`Workload::from_json`] if your trace is unsorted.)
+//! Callers with their own request stream implement the trait and serve
+//! it through [`ServePlan::stream`](crate::ServePlan::stream).
 
 use crate::error::ServeError;
 use crate::request::ServeRequest;
-use crate::trace::{json, request_from_value, Workload};
+use crate::trace::Workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fs::File;
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
 
 /// A resumable cursor position, as opaque words. The layout is owned by
 /// the source that produced it; fleet snapshots store the words
@@ -126,11 +99,13 @@ fn words<const N: usize>(state: &SourceState, kind: &str) -> Result<[u64; N], Se
 // Poisson generation
 // ---------------------------------------------------------------------
 
-/// Lazy twin of [`Workload::poisson`]: yields the *bit-identical*
-/// request sequence (same RNG draw order, same arithmetic) without ever
-/// materializing it. Resume state is three words — requests emitted,
-/// RNG position, arrival clock — so a 10M-request soak can checkpoint
-/// in constant space.
+/// Poisson arrivals, generated lazily: `n` requests at `rate_per_s`
+/// mean arrival rate, shapes drawn uniformly from `classes` (each a
+/// `(d_model, heads, layers)` triple) with sequence lengths uniform in
+/// `seq_range`. Deterministic in the seed; [`Workload::poisson`] is this
+/// source drained into a `Vec`. Resume state is three words — requests
+/// emitted, RNG position, arrival clock — so a 10M-request soak can
+/// checkpoint in constant space.
 #[derive(Debug, Clone)]
 pub struct PoissonSource {
     n: u64,
@@ -148,8 +123,8 @@ pub struct PoissonSource {
 }
 
 impl PoissonSource {
-    /// Mirror of [`Workload::poisson`]'s signature and fallback rules:
-    /// non-positive rates become 1/s, an empty class list becomes
+    /// A source of `n` requests. Fallback rules: a non-positive (or
+    /// NaN) rate becomes 1/s, an empty class list becomes
     /// `[(96, 4, 2)]`, and the sequence range is clamped to `1..`.
     #[must_use]
     pub fn new(
@@ -213,18 +188,16 @@ impl PoissonSource {
     pub fn total(&self) -> u64 {
         self.n
     }
-}
 
-impl WorkloadSource for PoissonSource {
-    fn kind(&self) -> &'static str {
-        "poisson"
-    }
-
-    fn next_request(&mut self) -> Result<Option<ServeRequest>, ServeError> {
+    /// The next request, `None` when exhausted. Generation cannot fail,
+    /// so the eager [`Workload::poisson`] drains this directly.
+    pub(crate) fn draw(&mut self) -> Option<ServeRequest> {
         if self.emitted >= self.n {
-            return Ok(None);
+            return None;
         }
-        // Exactly Workload::poisson's per-request draw order.
+        // Exponential interarrival via inverse transform, then the
+        // shape class, then the sequence length: this draw order is the
+        // sequence every seeded workload and pinned state hash rests on.
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let gap_s = -u.ln() / self.rate;
         self.t_ns = self.t_ns.saturating_add((gap_s * 1e9) as u64);
@@ -232,7 +205,7 @@ impl WorkloadSource for PoissonSource {
         let seq_len = self.rng.gen_range(self.lo..=self.hi);
         let id = self.emitted;
         self.emitted += 1;
-        Ok(Some(ServeRequest {
+        Some(ServeRequest {
             id,
             arrival_ns: self.t_ns,
             d_model,
@@ -244,7 +217,17 @@ impl WorkloadSource for PoissonSource {
             decode_steps: self.decode_steps,
             token_deadline_ns: self.token_deadline_rel_ns,
             ..ServeRequest::default()
-        }))
+        })
+    }
+}
+
+impl WorkloadSource for PoissonSource {
+    fn kind(&self) -> &'static str {
+        "poisson"
+    }
+
+    fn next_request(&mut self) -> Result<Option<ServeRequest>, ServeError> {
+        Ok(self.draw())
     }
 
     fn has_deadlines(&self) -> bool {
@@ -272,201 +255,15 @@ impl WorkloadSource for PoissonSource {
 }
 
 // ---------------------------------------------------------------------
-// JSON-lines trace files
-// ---------------------------------------------------------------------
-
-/// Streams the JSON-lines trace dialect (module docs) from a file.
-///
-/// Opening performs one full validation pass — every line parsed, the
-/// non-decreasing-arrival rule enforced, deadline presence recorded —
-/// in constant memory, then rewinds; serving re-parses lazily. Two
-/// passes over the file buy exact up-front errors (a corrupt line 9
-/// million fails at open, not mid-soak) and an exact
-/// [`has_deadlines`](WorkloadSource::has_deadlines) answer, while the
-/// resident set stays one line.
-#[derive(Debug)]
-pub struct JsonLinesSource {
-    path: PathBuf,
-    reader: BufReader<File>,
-    /// Requests (non-blank lines) emitted so far.
-    emitted: u64,
-    last_arrival_ns: u64,
-    total: u64,
-    deadlines: bool,
-    decode: bool,
-}
-
-impl JsonLinesSource {
-    /// Open and validate `path`.
-    ///
-    /// # Errors
-    /// [`ServeError::Trace`] for I/O failures, malformed lines, or
-    /// out-of-order arrivals (the error names the offending line);
-    /// [`ServeError::EmptyTrace`] when no line holds a request.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ServeError> {
-        let path = path.as_ref().to_path_buf();
-        let mut reader = buf_open(&path)?;
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let (mut total, mut deadlines, mut last_arrival) = (0u64, false, 0u64);
-        let mut decode = false;
-        loop {
-            line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| trace_line_err(lineno + 1, format!("read failed: {e}")))?;
-            if n == 0 {
-                break;
-            }
-            lineno += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let req = parse_line(&line, total, lineno)?;
-            if req.arrival_ns < last_arrival {
-                return Err(trace_line_err(
-                    lineno,
-                    format!(
-                        "arrival_us went backwards ({} < {}); the JSON-lines dialect \
-                         requires non-decreasing arrivals (sort the trace, or load it \
-                         eagerly with the array dialect)",
-                        req.arrival_ns / 1_000,
-                        last_arrival / 1_000
-                    ),
-                ));
-            }
-            last_arrival = req.arrival_ns;
-            deadlines |= req.deadline_ns.is_some();
-            decode |= req.is_decode();
-            total += 1;
-        }
-        if total == 0 {
-            return Err(ServeError::EmptyTrace);
-        }
-        Ok(Self {
-            reader: buf_open(&path)?,
-            path,
-            emitted: 0,
-            last_arrival_ns: 0,
-            total,
-            deadlines,
-            decode,
-        })
-    }
-
-    /// Requests in the file (counted during the validation pass).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
-fn buf_open(path: &Path) -> Result<BufReader<File>, ServeError> {
-    File::open(path)
-        .map(BufReader::new)
-        .map_err(|e| trace_line_err(0, format!("cannot open {}: {e}", path.display())))
-}
-
-fn trace_line_err(line: usize, msg: String) -> ServeError {
-    ServeError::Trace { at: line, msg }
-}
-
-fn parse_line(line: &str, id: u64, lineno: usize) -> Result<ServeRequest, ServeError> {
-    let value =
-        json::parse(line.trim()).and_then(|v| request_from_value(&v, id)).map_err(|e| match e {
-            ServeError::Trace { msg, .. } => {
-                trace_line_err(lineno, format!("line {lineno}: {msg}"))
-            }
-            other => other,
-        })?;
-    Ok(value)
-}
-
-impl WorkloadSource for JsonLinesSource {
-    fn kind(&self) -> &'static str {
-        "json-lines"
-    }
-
-    fn next_request(&mut self) -> Result<Option<ServeRequest>, ServeError> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| trace_line_err(0, format!("read failed: {e}")))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let req = parse_line(&line, self.emitted, 0)?;
-            // Already enforced at open; re-checked so a file mutated
-            // between passes cannot smuggle in time travel.
-            if req.arrival_ns < self.last_arrival_ns {
-                return Err(trace_line_err(
-                    0,
-                    "trace changed since open: arrivals out of order".into(),
-                ));
-            }
-            self.last_arrival_ns = req.arrival_ns;
-            self.emitted += 1;
-            return Ok(Some(req));
-        }
-    }
-
-    fn has_deadlines(&self) -> bool {
-        self.deadlines
-    }
-
-    fn has_decode(&self) -> bool {
-        self.decode
-    }
-
-    fn state(&self) -> SourceState {
-        SourceState { words: vec![self.emitted, self.last_arrival_ns] }
-    }
-
-    fn restore(&mut self, state: &SourceState) -> Result<(), ServeError> {
-        let [emitted, last_arrival_ns] = words::<2>(state, "json-lines")?;
-        if emitted > self.total {
-            return Err(state_err(format!(
-                "json-lines cursor {emitted} beyond total {}",
-                self.total
-            )));
-        }
-        self.reader = buf_open(&self.path)?;
-        let mut skipped = 0u64;
-        let mut line = String::new();
-        while skipped < emitted {
-            line.clear();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| trace_line_err(0, format!("read failed: {e}")))?;
-            if n == 0 {
-                return Err(state_err("trace file shrank since the snapshot was taken"));
-            }
-            if !line.trim().is_empty() {
-                skipped += 1;
-            }
-        }
-        self.emitted = emitted;
-        self.last_arrival_ns = last_arrival_ns;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // Eager workloads as sources
 // ---------------------------------------------------------------------
 
 /// Borrows an eager [`Workload`] as a [`WorkloadSource`] — zero copies,
-/// cursor is just an index. This is the adapter the legacy `Fleet`
-/// entry points ride through [`Fleet::run`](crate::Fleet::run).
+/// cursor is just an index. This is the adapter behind
+/// [`ServePlan::workload`](crate::ServePlan::workload); its kind and
+/// one-word cursor are recorded in every snapshot it serves.
 #[derive(Debug, Clone)]
-pub struct WorkloadStream<'a> {
+pub(crate) struct WorkloadStream<'a> {
     requests: &'a [ServeRequest],
     pos: usize,
     deadlines: bool,
@@ -477,7 +274,7 @@ impl<'a> WorkloadStream<'a> {
     /// Wrap `workload` (which must already be sorted by arrival, as
     /// [`Workload`] guarantees).
     #[must_use]
-    pub fn new(workload: &'a Workload) -> Self {
+    pub(crate) fn new(workload: &'a Workload) -> Self {
         Self {
             requests: &workload.requests,
             pos: 0,
@@ -525,49 +322,6 @@ impl WorkloadSource for WorkloadStream<'_> {
     }
 }
 
-/// A [`Workload`] is itself a (consuming) source: requests pop off the
-/// front. Note each pop is O(remaining) — for long workloads prefer
-/// [`WorkloadStream`], which cursors without shifting. Resume state is
-/// the remaining-request count, so restoring assumes the same original
-/// workload.
-impl WorkloadSource for Workload {
-    fn kind(&self) -> &'static str {
-        "workload"
-    }
-
-    fn next_request(&mut self) -> Result<Option<ServeRequest>, ServeError> {
-        if self.requests.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(self.requests.remove(0)))
-        }
-    }
-
-    fn has_deadlines(&self) -> bool {
-        self.requests.iter().any(|r| r.deadline_ns.is_some())
-    }
-
-    fn has_decode(&self) -> bool {
-        self.requests.iter().any(ServeRequest::is_decode)
-    }
-
-    fn state(&self) -> SourceState {
-        SourceState { words: vec![self.requests.len() as u64] }
-    }
-
-    fn restore(&mut self, state: &SourceState) -> Result<(), ServeError> {
-        let [remaining] = words::<1>(state, "workload")?;
-        let have = self.requests.len() as u64;
-        if remaining > have {
-            return Err(state_err(format!(
-                "workload has {have} requests, cursor wants {remaining} left"
-            )));
-        }
-        self.requests.drain(..(have - remaining) as usize);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,18 +331,21 @@ mod tests {
     }
 
     #[test]
-    fn poisson_source_matches_eager_poisson_bit_for_bit() {
-        let classes = [(96, 4, 2), (128, 4, 2), (64, 2, 1)];
-        let eager = Workload::poisson(500, 20_000.0, &classes, (8, 128), 1234);
-        let mut lazy = PoissonSource::new(500, 20_000.0, &classes, (8, 128), 1234);
-        assert_eq!(drain(&mut lazy), eager.requests);
-    }
-
-    #[test]
-    fn poisson_source_honors_eager_fallbacks() {
-        let eager = Workload::poisson(40, -3.0, &[], (0, 0), 9);
-        let mut lazy = PoissonSource::new(40, -3.0, &[], (0, 0), 9);
-        assert_eq!(drain(&mut lazy), eager.requests);
+    fn poisson_source_applies_its_fallbacks() {
+        // A non-positive or NaN rate is 1/s, no classes is (96, 4, 2),
+        // and a sequence range below 1 is clamped to 1..=1.
+        let explicit = drain(&mut PoissonSource::new(40, 1.0, &[(96, 4, 2)], (1, 1), 9));
+        for rate in [-3.0, 0.0, f64::NAN] {
+            let fallback = drain(&mut PoissonSource::new(40, rate, &[], (0, 0), 9));
+            assert_eq!(fallback, explicit, "rate {rate}");
+        }
+        assert!(explicit
+            .iter()
+            .all(|r| (r.d_model, r.heads, r.layers, r.seq_len) == (96, 4, 2, 1)));
+        // A range whose upper end is below its lower end collapses to the
+        // lower end.
+        let inverted = drain(&mut PoissonSource::new(20, 1.0, &[(96, 4, 2)], (12, 3), 9));
+        assert!(inverted.iter().all(|r| r.seq_len == 12));
     }
 
     #[test]
@@ -622,141 +379,13 @@ mod tests {
             s.next_request().unwrap();
         }
         let state = s.state();
+        // Both are recorded in every snapshot, so both are pinned.
+        assert_eq!((s.kind(), state.words.as_slice()), ("workload-stream", &[10][..]));
         let rest: Vec<_> = drain(&mut s);
         let mut s2 = WorkloadStream::new(&w);
         s2.restore(&state).unwrap();
         assert_eq!(drain(&mut s2), rest);
         assert_eq!(rest.len(), 15);
-    }
-
-    #[test]
-    fn consuming_workload_source_pops_front() {
-        let w = Workload::poisson(5, 5_000.0, &[(96, 4, 2)], (8, 16), 3);
-        let reference = w.requests.clone();
-        let mut consuming = w;
-        assert_eq!(drain(&mut consuming), reference);
-        assert!(consuming.next_request().unwrap().is_none());
-    }
-
-    #[test]
-    fn workload_iter_borrows() {
-        let w = Workload::poisson(5, 5_000.0, &[(96, 4, 2)], (8, 16), 3);
-        assert_eq!(w.iter().count(), 5);
-        assert_eq!((&w).into_iter().count(), 5);
-        assert_eq!(w.requests.len(), 5, "iter must not consume");
-    }
-
-    fn temp_trace(name: &str, body: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("protea-{}-{name}", std::process::id()));
-        std::fs::write(&path, body).unwrap();
-        path
-    }
-
-    #[test]
-    fn json_lines_round_trip_and_resume() {
-        let w = Workload::poisson(20, 5_000.0, &[(96, 4, 2), (128, 4, 2)], (8, 64), 11);
-        let body: String =
-            w.requests.iter().map(single_line).collect::<Vec<_>>().join("\n") + "\n\n";
-        let path = temp_trace("jsonl-rt.jsonl", &body);
-        let mut src = JsonLinesSource::open(&path).unwrap();
-        assert_eq!(src.total(), 20);
-        assert!(!src.has_deadlines());
-        for _ in 0..8 {
-            src.next_request().unwrap();
-        }
-        let state = src.state();
-        let rest = drain(&mut src);
-        assert_eq!(rest.len(), 12);
-        src.restore(&state).unwrap();
-        assert_eq!(drain(&mut src), rest);
-        std::fs::remove_file(path).ok();
-    }
-
-    fn single_line(r: &ServeRequest) -> String {
-        format!(
-            "{{ \"arrival_us\": {}, \"d_model\": {}, \"heads\": {}, \"layers\": {}, \"seq_len\": {} }}",
-            r.arrival_ns / 1_000,
-            r.d_model,
-            r.heads,
-            r.layers,
-            r.seq_len
-        )
-    }
-
-    #[test]
-    fn json_lines_detects_deadlines_and_assigns_line_ids() {
-        let body = concat!(
-            "{ \"arrival_us\": 1, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-            "\n",
-            "{ \"arrival_us\": 2, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8, ",
-            "\"deadline_us\": 900, \"priority\": \"interactive\" }\n",
-        );
-        let path = temp_trace("jsonl-dl.jsonl", body);
-        let mut src = JsonLinesSource::open(&path).unwrap();
-        assert!(src.has_deadlines());
-        let reqs = drain(&mut src);
-        assert_eq!(reqs.len(), 2);
-        assert_eq!((reqs[0].id, reqs[1].id), (0, 1));
-        assert_eq!(reqs[1].deadline_ns, Some(900_000));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn json_lines_malformed_line_is_a_typed_error_naming_the_line() {
-        let body = concat!(
-            "{ \"arrival_us\": 1, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-            "\n",
-            "{ \"arrival_us\": 2, \"d_model\": 96, \"heads\": 4 }\n",
-        );
-        let path = temp_trace("jsonl-malformed.jsonl", body);
-        // The validation pass catches it at open — typed, no panic.
-        let err = JsonLinesSource::open(&path).unwrap_err();
-        match &err {
-            ServeError::Trace { at, msg } => {
-                assert_eq!(*at, 3, "the error must carry the 1-based line number");
-                assert!(msg.contains("line 3"), "message must name the line: {msg}");
-                assert!(msg.contains("layers"), "message must name the missing field: {msg}");
-            }
-            other => panic!("expected a Trace error, got {other:?}"),
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn json_lines_truncated_file_is_a_typed_error_not_a_panic() {
-        // A trace cut off mid-object (e.g. a partial upload): the last
-        // line is unterminated JSON and must fail with the line number.
-        let body = concat!(
-            "{ \"arrival_us\": 1, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-            "{ \"arrival_us\": 2, \"d_model\": 96, \"hea",
-        );
-        let path = temp_trace("jsonl-truncated.jsonl", body);
-        let err = JsonLinesSource::open(&path).unwrap_err();
-        match &err {
-            ServeError::Trace { at, msg } => {
-                assert_eq!(*at, 2);
-                assert!(msg.contains("line 2"), "message must name the line: {msg}");
-            }
-            other => panic!("expected a Trace error, got {other:?}"),
-        }
-        // A file truncated to nothing after a trailing newline is empty.
-        std::fs::write(&path, "").unwrap();
-        assert!(matches!(JsonLinesSource::open(&path), Err(ServeError::EmptyTrace)));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn json_lines_accepts_tenant_with_zero_default() {
-        let body = concat!(
-            "{ \"arrival_us\": 1, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-            "{ \"arrival_us\": 2, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8, ",
-            "\"tenant\": 7 }\n",
-        );
-        let path = temp_trace("jsonl-tenant.jsonl", body);
-        let mut src = JsonLinesSource::open(&path).unwrap();
-        let reqs = drain(&mut src);
-        assert_eq!((reqs[0].tenant, reqs[1].tenant), (0, 7));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -776,36 +405,5 @@ mod tests {
         assert_eq!(drain(&mut lazy), eager.requests);
         let plain = PoissonSource::new(5, 10_000.0, &[(96, 4, 2)], (8, 16), 5);
         assert!(!plain.has_decode(), "one-shot sources stay one-shot");
-    }
-
-    #[test]
-    fn json_lines_detects_decode_requests() {
-        let body = concat!(
-            "{ \"arrival_us\": 1, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-            "{ \"arrival_us\": 2, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8, ",
-            "\"decode_steps\": 3 }\n",
-        );
-        let path = temp_trace("jsonl-decode.jsonl", body);
-        let mut src = JsonLinesSource::open(&path).unwrap();
-        assert!(src.has_decode());
-        let reqs = drain(&mut src);
-        assert_eq!((reqs[0].decode_steps, reqs[1].decode_steps), (0, 3));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn json_lines_rejects_out_of_order_and_garbage() {
-        let unsorted = concat!(
-            "{ \"arrival_us\": 9, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-            "{ \"arrival_us\": 3, \"d_model\": 96, \"heads\": 4, \"layers\": 2, \"seq_len\": 8 }\n",
-        );
-        let path = temp_trace("jsonl-bad.jsonl", unsorted);
-        let err = JsonLinesSource::open(&path).unwrap_err();
-        assert!(format!("{err}").contains("non-decreasing"), "got: {err}");
-        std::fs::write(&path, "not json\n").unwrap();
-        assert!(JsonLinesSource::open(&path).is_err());
-        std::fs::write(&path, "\n\n").unwrap();
-        assert!(matches!(JsonLinesSource::open(&path), Err(ServeError::EmptyTrace)));
-        std::fs::remove_file(path).ok();
     }
 }

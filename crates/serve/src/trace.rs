@@ -1,5 +1,6 @@
 //! Workload traces: a timestamped request stream, loadable from a small
-//! JSON dialect or generated synthetically (Poisson arrivals).
+//! JSON dialect or generated synthetically (Poisson arrivals, drawn by
+//! [`PoissonSource`]).
 //!
 //! The parser is hand-rolled and total: any byte sequence either yields
 //! a [`Workload`] or a [`ServeError::Trace`] with an offset — corrupt or
@@ -25,8 +26,7 @@
 
 use crate::error::ServeError;
 use crate::request::{Priority, ServeRequest};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::source::PoissonSource;
 
 /// A finite request stream, sorted by arrival time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -100,10 +100,9 @@ impl Workload {
         out
     }
 
-    /// Generate a Poisson-arrival workload: `n` requests at `rate_per_s`
-    /// mean arrival rate, shapes drawn uniformly from `classes` (each a
-    /// `(d_model, heads, layers)` triple) with sequence lengths uniform
-    /// in `seq_range`. Deterministic in `seed`.
+    /// Generate a Poisson-arrival workload: [`PoissonSource::new`]'s
+    /// requests (same arguments, same fallback rules), drained into a
+    /// `Vec`. Deterministic in `seed`.
     #[must_use]
     pub fn poisson(
         n: usize,
@@ -112,30 +111,9 @@ impl Workload {
         seq_range: (usize, usize),
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rate = if rate_per_s > 0.0 { rate_per_s } else { 1.0 };
-        let classes: &[(usize, usize, usize)] =
-            if classes.is_empty() { &[(96, 4, 2)] } else { classes };
-        let (lo, hi) = (seq_range.0.max(1), seq_range.1.max(seq_range.0.max(1)));
-        let mut t_ns = 0u64;
+        let mut source = PoissonSource::new(n, rate_per_s, classes, seq_range, seed);
         let mut requests = Vec::with_capacity(n);
-        for id in 0..n as u64 {
-            // exponential interarrival via inverse transform
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let gap_s = -u.ln() / rate;
-            t_ns = t_ns.saturating_add((gap_s * 1e9) as u64);
-            let (d_model, heads, layers) = classes[rng.gen_range(0..classes.len())];
-            let seq_len = rng.gen_range(lo..=hi);
-            requests.push(ServeRequest {
-                id,
-                arrival_ns: t_ns,
-                d_model,
-                heads,
-                layers,
-                seq_len,
-                ..ServeRequest::default()
-            });
-        }
+        requests.extend(std::iter::from_fn(|| source.draw()));
         Self { requests }
     }
 
@@ -198,32 +176,11 @@ impl Workload {
     pub fn span_s(&self) -> f64 {
         self.requests.last().map_or(0.0, |r| r.arrival_ns as f64 / 1e9)
     }
-
-    /// Iterate the requests in arrival order without copying them —
-    /// the streaming face of an eager workload. For a source that can
-    /// be handed to [`Fleet::run`](crate::Fleet::run) see
-    /// [`WorkloadStream`](crate::WorkloadStream) (borrowing) or the
-    /// [`WorkloadSource`](crate::WorkloadSource) impl on `Workload`
-    /// itself (consuming).
-    pub fn iter(&self) -> impl Iterator<Item = &ServeRequest> {
-        self.requests.iter()
-    }
 }
 
-impl<'a> IntoIterator for &'a Workload {
-    type Item = &'a ServeRequest;
-    type IntoIter = std::slice::Iter<'a, ServeRequest>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.requests.iter()
-    }
-}
-
-/// Parse one request object from the trace dialect (shared by the eager
-/// array parser above and the lazy JSON-lines reader in
-/// [`crate::source`]). `id` is the request's index in its container —
-/// array position or line ordinal.
-pub(crate) fn request_from_value(item: &json::Value, id: u64) -> Result<ServeRequest, ServeError> {
+/// Parse one request object from the trace dialect. `id` is the
+/// request's position in the `"requests"` array.
+fn request_from_value(item: &json::Value, id: u64) -> Result<ServeRequest, ServeError> {
     let obj = item.as_object(0, "request")?;
     let field = |name: &str| -> Result<u64, ServeError> {
         obj.iter()
@@ -296,10 +253,8 @@ fn trace_err(at: usize, msg: impl Into<String>) -> ServeError {
 
 /// A minimal total JSON reader: just enough for the trace dialect, with
 /// a nesting cap so deeply nested adversarial input errors out instead
-/// of overflowing the stack. Crate-visible so the lazy JSON-lines
-/// source can parse one request object per line through the same
-/// grammar.
-pub(crate) mod json {
+/// of overflowing the stack.
+mod json {
     use super::{trace_err, ServeError};
 
     const MAX_DEPTH: usize = 32;

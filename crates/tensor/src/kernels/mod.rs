@@ -26,10 +26,10 @@
 //!   strips (`x86::AmxTiles`), computing `Cᵀ = Wᵀ·Aᵀ` so the packed
 //!   weights load as tiles as they are. It takes a band of at least 16
 //!   activation rows at a depth that is a multiple of 64, over whole
-//!   32-column blocks ([`tile_blocks`]); every other block and shape
+//!   32-column blocks (`tile_blocks`); every other block and shape
 //!   runs the VNNI kernel.
 //! * [`KernelIsa::Neon`] — `vmlal_s16` widening multiply-accumulate on
-//!   aarch64 ([`neon`]).
+//!   aarch64 (the `neon` module).
 //!
 //! Why `_mm256_madd_epi16` and not `_mm256_maddubs_epi16`: `maddubs`
 //! multiplies *unsigned* by signed bytes and **saturates** its i16 pair

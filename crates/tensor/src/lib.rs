@@ -44,9 +44,7 @@ pub mod tile;
 
 pub use abft::{AbftChecksums, AbftMismatch};
 pub use kernels::{active_kernel, force_kernel, supported_kernels, KernelIsa};
-pub use matmul::{
-    matmul_blocked, matmul_i8_i32, matmul_i8_i32_parallel, matmul_naive, matmul_parallel,
-};
+pub use matmul::{matmul_blocked, matmul_i8_i32, matmul_naive, matmul_parallel};
 pub use matrix::Matrix;
 pub use ops::{add_bias_row, max_abs, residual_add, transpose};
 pub use pack::{

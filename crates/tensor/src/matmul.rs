@@ -111,27 +111,8 @@ pub fn matmul_i8_i32(a: &Matrix<i8>, b: &Matrix<i8>) -> Matrix<i32> {
     Matrix::from_vec(m, n, out)
 }
 
-/// Rayon-parallel variant of [`matmul_i8_i32`]: identical results (each
-/// output element's integer reduction is computed whole, within one
-/// thread), parallel across output rows. This is the native-CPU baseline
-/// engine's kernel.
-#[must_use]
-pub fn matmul_i8_i32_parallel(a: &Matrix<i8>, b: &Matrix<i8>) -> Matrix<i32> {
-    check_shapes(a.shape(), b.shape());
-    let (m, _) = a.shape();
-    let n = b.cols();
-    let mut out = vec![0i32; m * n];
-    if n > 0 {
-        out.par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(i, c_row)| i8_row_product(a, b, i, c_row));
-    }
-    Matrix::from_vec(m, n, out)
-}
-
-/// One output row of the i8 product: `c_row += A[i] · B`. Both i8
-/// kernels run this same loop — with the zero-activation skip living in
-/// [`axpy_i8`] — so serial and parallel cannot drift.
+/// One output row of the i8 product: `c_row += A[i] · B`, with the
+/// zero-activation skip living in [`axpy_i8`].
 fn i8_row_product(a: &Matrix<i8>, b: &Matrix<i8>, i: usize, c_row: &mut [i32]) {
     for (p, &av) in a.row(i).iter().enumerate() {
         axpy_i8(c_row, av, b.row(p));
@@ -199,13 +180,6 @@ mod tests {
         let b = Matrix::from_vec(3072, 1, vec![i8::MIN; 3072]);
         let c = matmul_i8_i32(&a, &b);
         assert_eq!(c[(0, 0)], 3072 * 128 * 128);
-    }
-
-    #[test]
-    fn i8_parallel_matches_serial_bitwise() {
-        let a = Matrix::from_fn(17, 23, |r, c| ((r * 47 + c * 31) % 255) as i8);
-        let b = Matrix::from_fn(23, 13, |r, c| ((r * 29 + c * 13) % 255) as i8);
-        assert_eq!(matmul_i8_i32_parallel(&a, &b).as_slice(), matmul_i8_i32(&a, &b).as_slice());
     }
 
     #[test]

@@ -63,19 +63,6 @@ impl TileGrid {
         Self { rows, cols, tile_h, tile_w }
     }
 
-    /// The paper's MHA tiling: columns only (`tile_h` = full height).
-    /// `cols / ts_mha` loads per weight matrix.
-    #[must_use]
-    pub fn mha(rows: usize, cols: usize, ts_mha: usize) -> Self {
-        Self::new(rows, cols.max(1), rows.max(1), ts_mha)
-    }
-
-    /// The paper's FFN tiling: both dimensions.
-    #[must_use]
-    pub fn ffn(rows: usize, cols: usize, tile_h: usize, tile_w: usize) -> Self {
-        Self::new(rows, cols, tile_h, tile_w)
-    }
-
     /// Tiles along the row dimension (`ceil(rows / tile_h)`).
     #[must_use]
     pub fn tiles_down(&self) -> usize {
@@ -197,7 +184,8 @@ mod tests {
     #[test]
     fn mha_grid_is_column_strips() {
         // Per-head weight d_k × d_model = 96 × 768, TS_MHA = 64 → 12 loads.
-        let g = TileGrid::mha(96, 768, 64);
+        // The MHA tiling cuts columns only: one tile spans the full height.
+        let g = TileGrid::new(96, 768, 96, 64);
         assert_eq!(g.tile_count(), 12);
         assert!(g.iter().all(|t| t.h == 96));
         assert!(g.iter().all(|t| t.w == 64));
@@ -208,10 +196,10 @@ mod tests {
         // FFN1 weight d × d with tiles of d/T: accessed T² = 36 times.
         let d = 768;
         let t = 6;
-        let g = TileGrid::ffn(d, d, d / t, d / t);
+        let g = TileGrid::new(d, d, d / t, d / t);
         assert_eq!(g.tile_count(), 36);
         // FFN2 weight d × 4d: accessed 4T² = 144 times.
-        let g2 = TileGrid::ffn(d, 4 * d, d / t, d / t);
+        let g2 = TileGrid::new(d, 4 * d, d / t, d / t);
         assert_eq!(g2.tile_count(), 144);
     }
 

@@ -114,8 +114,8 @@ pub mod prelude {
     pub use protea_serve::{
         AimdConfig, BatchPolicy, BrownoutLadder, CardHealth, ChurnAction, ChurnEvent, ChurnPlan,
         FailReason, FailedRequest, FaultConfig, Fleet, FleetConfig, FleetSnapshot, HedgeConfig,
-        JsonLinesSource, MetricsMode, OverloadConfig, Percentiles, PlacementPolicy, PoissonSource,
-        Priority, RetryBudgetConfig, SdcConfig, ServeError, ServeOutcome, ServePlan, ServeReport,
+        MetricsMode, OverloadConfig, Percentiles, PlacementPolicy, PoissonSource, Priority,
+        RetryBudgetConfig, SdcConfig, ServeError, ServeOutcome, ServePlan, ServeReport,
         ServeRequest, ServeResponse, StreamMetrics, TenantPolicy, TenantSlo, Workload,
         WorkloadSource,
     };

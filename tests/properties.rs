@@ -10,7 +10,7 @@ use protea::hwsim::Cycles;
 use protea::mem::overlap::{analytic_double_buffered, simulate_double_buffered, simulate_serial};
 use protea::model::serialize::{decode, encode, peek_config};
 use protea::prelude::*;
-use protea::tensor::{matmul_i8_i32, matmul_i8_i32_parallel, TileGrid};
+use protea::tensor::TileGrid;
 
 proptest! {
     #[test]
@@ -61,22 +61,6 @@ proptest! {
             }
         }
         prop_assert!(cover.iter().all(|&n| n == 1));
-    }
-
-    #[test]
-    fn i8_matmul_parallel_equals_serial(
-        m in 1usize..8, k in 1usize..16, n in 1usize..8,
-        seed in any::<u64>()
-    ) {
-        let gen = |r: usize, c: usize, salt: u64| -> i8 {
-            (seed.wrapping_mul(r as u64 + 1).wrapping_add(c as u64 * salt) % 255) as i8
-        };
-        let a = Matrix::from_fn(m, k, |r, c| gen(r, c, 13));
-        let b = Matrix::from_fn(k, n, |r, c| gen(r, c, 29));
-        prop_assert_eq!(
-            matmul_i8_i32(&a, &b).as_slice().to_vec(),
-            matmul_i8_i32_parallel(&a, &b).as_slice().to_vec()
-        );
     }
 
     #[test]

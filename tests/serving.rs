@@ -130,3 +130,49 @@ fn functional_mode_is_bit_consistent_with_timing_mode() {
         "running the real datapath must not perturb the schedule"
     );
 }
+
+/// FNV-1a over each request's `(arrival_ns, d_model, heads, layers,
+/// seq_len)` as little-endian u64 words.
+fn arrival_digest<'a>(requests: impl IntoIterator<Item = &'a ServeRequest>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for r in requests {
+        for word in
+            [r.arrival_ns, r.d_model as u64, r.heads as u64, r.layers as u64, r.seq_len as u64]
+        {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn poisson_draw_sequence_is_pinned() {
+    // Every seeded workload, trace and pinned state hash rests on this
+    // draw sequence, so a change to the draw order, the arithmetic or a
+    // fallback rule must show up here. The second case runs through
+    // every fallback: rate -3 becomes 1/s, the empty class list
+    // (96, 4, 2), and seq range (0, 0) becomes 1..=1.
+    type Case = (usize, f64, &'static [(usize, usize, usize)], (usize, usize), u64, u64);
+    let cases: [Case; 2] = [
+        (
+            2_000,
+            20_000.0,
+            &[(96, 4, 2), (128, 4, 2), (64, 2, 1)],
+            (8, 128),
+            1234,
+            0xb5ff_0537_14bb_f29c,
+        ),
+        (40, -3.0, &[], (0, 0), 9, 0xd1c7_2edb_c90f_42e1),
+    ];
+    for (n, rate, classes, seq_range, seed, digest) in cases {
+        let eager = Workload::poisson(n, rate, classes, seq_range, seed);
+        let mut source = PoissonSource::new(n, rate, classes, seq_range, seed);
+        let streamed: Vec<ServeRequest> =
+            std::iter::from_fn(|| source.next_request().unwrap()).collect();
+        assert_eq!(eager.requests.len(), n);
+        assert_eq!(arrival_digest(&eager.requests), digest, "eager workload, seed {seed}");
+        assert_eq!(arrival_digest(&streamed), digest, "streaming source, seed {seed}");
+    }
+}
