@@ -74,12 +74,6 @@ impl PowerModel {
         assert!(latency_ms >= 0.0);
         self.average_watts() * latency_ms
     }
-
-    /// Throughput efficiency in GOPS/W.
-    #[must_use]
-    pub fn gops_per_watt(&self, gops: f64) -> f64 {
-        gops / self.average_watts()
-    }
 }
 
 #[cfg(test)]
@@ -108,12 +102,6 @@ mod tests {
         let jetson = PowerModel::jetson_tx2().energy_mj(0.673);
         let fpga = PowerModel::protea_u55c().energy_mj(4.72);
         assert!(jetson < fpga);
-    }
-
-    #[test]
-    fn gops_per_watt_scales() {
-        let p = PowerModel::protea_u55c();
-        assert!((p.gops_per_watt(51.0) - 51.0 / p.average_watts()).abs() < 1e-12);
     }
 
     #[test]

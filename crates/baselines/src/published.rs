@@ -30,16 +30,6 @@ impl PublishedAccelerator {
         self.gops / self.dsps as f64 * 1000.0
     }
 
-    /// The paper's sparsity-adjustment arithmetic: what a dense design's
-    /// latency "would mathematically be" at this row's sparsity
-    /// (`l − l·s`, the calculation the paper applies to ProTEA when
-    /// comparing against \[21\] and \[29\]).
-    #[must_use]
-    pub fn sparsity_adjusted(dense_latency_ms: f64, sparsity: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&sparsity));
-        dense_latency_ms * (1.0 - sparsity)
-    }
-
     /// Table II comparator rows, in the paper's order.
     #[must_use]
     pub fn table2() -> Vec<PublishedAccelerator> {
@@ -198,16 +188,6 @@ mod tests {
         assert!((rows[2].gops_per_dsp_x1000() - 272.0).abs() < 2.0);
         // [29]: 60/5647 × 1000 = 10.6 ≈ paper's 11.
         assert!((rows[4].gops_per_dsp_x1000() - 11.0).abs() < 0.6);
-    }
-
-    #[test]
-    fn sparsity_adjustment_reproduces_paper_arithmetic() {
-        // Paper: 4.48 ms at 90 % sparsity → 0.448 ms.
-        let adj = PublishedAccelerator::sparsity_adjusted(4.48, 0.90);
-        assert!((adj - 0.448).abs() < 1e-12);
-        // Paper: 4.48 ms at 93 % → ≈ 0.31 ms.
-        let adj93 = PublishedAccelerator::sparsity_adjusted(4.48, 0.93);
-        assert!((adj93 - 0.3136).abs() < 1e-9);
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //!
 //! ```text
 //! soak [--requests 10000000] [--cards 8] [--arrival-rate 2500]
-//!      [--max-rss-mb 256] [--seed 42] [--out BENCH_soak.json]
+//!      [--max-rss-mb 256] [--seed 42] [--out <path.json>]
 //! ```
+//!
+//! The JSON result is written only when `--out` names a file, so a
+//! quick check run from the repository root leaves the committed
+//! `BENCH_soak.json` (recorded with `--requests 1000000 --out
+//! BENCH_soak.json`) untouched.
 //!
 //! Every run is deterministic: the final fleet state hash is printed and
 //! lands in the JSON result, so two soaks of the same parameters must
@@ -68,7 +73,7 @@ fn run() -> Result<(), String> {
     let rate = flag(&flags, "arrival-rate", 2_500.0f64)?;
     let max_rss_mb = flag(&flags, "max-rss-mb", 256u64)?;
     let seed = flag(&flags, "seed", 42u64)?;
-    let out = flags.get("out").cloned().unwrap_or_else(|| "BENCH_soak.json".into());
+    let out = flags.get("out").cloned();
 
     // Three capacity classes and bucketed sequence lengths keep the
     // scheduler honest. The default arrival rate sits just below the
@@ -127,19 +132,21 @@ fn run() -> Result<(), String> {
         None => println!("peak RSS: unavailable (no /proc/self/status); ceiling not enforced"),
     }
 
-    let json = format!(
-        "{{\n  \"requests\": {requests},\n  \"cards\": {cards},\n  \"arrival_rate\": {rate},\n  \
-         \"seed\": {seed},\n  \"completed\": {},\n  \"throughput_rps\": {},\n  \
-         \"latency_p50_ms\": {},\n  \"latency_p99_ms\": {},\n  \"wall_s\": {wall_s},\n  \
-         \"peak_rss_kb\": {},\n  \"max_rss_mb\": {max_rss_mb},\n  \"state_hash\": \"{hash:016x}\"\n}}\n",
-        report.completed,
-        report.throughput_rps,
-        report.latency_ms.p50,
-        report.latency_ms.p99,
-        rss_kb.map_or_else(|| "null".into(), |kb| kb.to_string()),
-    );
-    std::fs::write(&out, json).map_err(|e| format!("cannot write '{out}': {e}"))?;
-    println!("results written to {out}");
+    if let Some(out) = out {
+        let json = format!(
+            "{{\n  \"requests\": {requests},\n  \"cards\": {cards},\n  \"arrival_rate\": {rate},\n  \
+             \"seed\": {seed},\n  \"completed\": {},\n  \"throughput_rps\": {},\n  \
+             \"latency_p50_ms\": {},\n  \"latency_p99_ms\": {},\n  \"wall_s\": {wall_s},\n  \
+             \"peak_rss_kb\": {},\n  \"max_rss_mb\": {max_rss_mb},\n  \"state_hash\": \"{hash:016x}\"\n}}\n",
+            report.completed,
+            report.throughput_rps,
+            report.latency_ms.p50,
+            report.latency_ms.p99,
+            rss_kb.map_or_else(|| "null".into(), |kb| kb.to_string()),
+        );
+        std::fs::write(&out, json).map_err(|e| format!("cannot write '{out}': {e}"))?;
+        println!("results written to {out}");
+    }
     println!("soak check: OK");
     Ok(())
 }

@@ -9,13 +9,11 @@ use crate::engines::softmax::SoftmaxEngine;
 use crate::engines::sv::SvEngine;
 use crate::engines::{fused_projection, fused_projection_act, Access};
 use crate::error::CoreError;
-use crate::fault::{FaultStats, FaultStream, RetryPolicy, Watchdog};
-use crate::pipeline::{FaultPlan, RunPlan};
+use crate::pipeline::RunPlan;
 use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::{SynthesisConfig, SynthesizedDesign};
 use protea_fixed::activation::ActivationLut;
-use protea_hwsim::Cycles;
 use protea_model::quantized::LogitRequant;
 use protea_model::QuantizedEncoder;
 use protea_platform::FpgaDevice;
@@ -115,25 +113,6 @@ impl Accelerator {
         runtime.validate(&self.design.config)?;
         self.runtime = runtime;
         Ok(())
-    }
-
-    /// Reprogram through the AXI-Lite bus functional model: the word
-    /// writes go through address decoding and per-write validation, and
-    /// the register file only changes if every transfer returns `OKAY`.
-    pub fn program_through_bus(
-        &mut self,
-        target: RuntimeConfig,
-    ) -> Result<Vec<crate::bus::BusResponse>, RegisterError> {
-        let mut bus = crate::bus::AxiLiteBus::new(self.design.config);
-        let responses = bus.program(target);
-        if responses.iter().all(|&r| r == crate::bus::BusResponse::Okay) {
-            self.program(bus.config())?;
-            Ok(responses)
-        } else {
-            // surface the underlying validation error
-            target.validate(&self.design.config)?;
-            Ok(responses)
-        }
     }
 
     /// Load quantized weights (the DDR-resident model image), checking
@@ -272,43 +251,6 @@ impl Accelerator {
         outcome.expect("fault-free timing cannot fail").report
     }
 
-    /// Batched timing under **fault injection**: the same schedule as
-    /// [`timing_report_batched`](Self::timing_report_batched), but every
-    /// tile load draws from `stream` and the driver's watchdog/retry
-    /// machinery responds:
-    ///
-    /// * an AXI stall extends that load by the stalled cycles;
-    /// * a correctable (single-bit) ECC event scrubs and replays the
-    ///   transfer after exponential backoff;
-    /// * a hung transfer costs `watchdog.timeout_cycles` to detect, then
-    ///   replays like an ECC event;
-    /// * a double-bit ECC event — or a transfer whose retry budget is
-    ///   exhausted — aborts the run with
-    ///   [`CoreError::Fault`].
-    ///
-    /// Layers are priced individually (faults land in specific layers),
-    /// so with a zero-rate stream the result equals
-    /// `timing_report_batched` exactly. Returns the per-class
-    /// [`FaultStats`] alongside the outcome; on abort,
-    /// `stats.abort_cycles` records how many cycles into the run the
-    /// fatal fault was detected, so a serving layer can price how long
-    /// the card was occupied before failing over.
-    ///
-    /// # Panics
-    /// Panics if `batch` is zero.
-    pub fn timing_report_faulty(
-        &self,
-        batch: usize,
-        stream: &mut FaultStream,
-        watchdog: Watchdog,
-        retry: RetryPolicy,
-        now_ns: u64,
-    ) -> (Result<CycleReport, CoreError>, FaultStats) {
-        let faults = FaultPlan { stream, watchdog, retry, now_ns };
-        let (outcome, stats) = self.execute(RunPlan::timing(batch).with_faults(faults));
-        (outcome.map(|o| o.report), stats)
-    }
-
     /// Run a batch functionally (each sequence independent) with the
     /// batched timing. Outputs equal per-sequence [`try_run`](Self::try_run)
     /// outputs exactly.
@@ -362,24 +304,6 @@ impl Accelerator {
             h
         };
         hw.as_slice().iter().zip(sw.as_slice()).position(|(a, b)| a != b).map_or(Ok(()), Err)
-    }
-
-    /// Steady-state sequence interval under inter-sequence **dataflow
-    /// pipelining**: with every engine double-buffered on its activation
-    /// interfaces, sequence *k+1* may occupy an engine as soon as
-    /// sequence *k* releases it, so sustained throughput is set by the
-    /// busiest engine's total per-sequence occupancy, not by the
-    /// end-to-end latency. Returns `(interval_cycles, bottleneck_name)`;
-    /// latency per sequence is unchanged.
-    #[must_use]
-    pub fn pipelined_interval(&self) -> (Cycles, &'static str) {
-        let report = self.timing_report();
-        report
-            .phases
-            .iter()
-            .map(|p| (p.cycles, p.name))
-            .max_by_key(|&(c, _)| c)
-            .expect("at least one phase")
     }
 
     /// The bit-exact functional path: [`forward_fast`](Self::forward_fast)
@@ -483,6 +407,8 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultStream, RetryPolicy, Watchdog};
+    use crate::pipeline::FaultPlan;
     use protea_model::{EncoderConfig, EncoderWeights, QuantSchedule};
 
     fn small_accel() -> (Accelerator, Matrix<i8>, QuantizedEncoder) {
@@ -598,19 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_throughput_beats_latency_bound() {
-        let (mut acc, _, _) = small_accel();
-        acc.program(RuntimeConfig { heads: 8, layers: 12, d_model: 768, seq_len: 64 }).unwrap();
-        let report = acc.timing_report();
-        let (interval, bottleneck) = acc.pipelined_interval();
-        assert_eq!(bottleneck, "FFN2_CE", "FFN2 is the busiest engine");
-        assert!(interval < report.total, "pipelining must beat serial");
-        // FFN2 is ~55 % of the layer, so throughput ≈ 1.8× of 1/latency.
-        let gain = report.total.get() as f64 / interval.get() as f64;
-        assert!((1.5..2.2).contains(&gain), "pipelining gain = {gain:.2}");
-    }
-
-    #[test]
     fn run_batch_outputs_match_individual_runs() {
         let (acc, x, _) = small_accel();
         let mut x2 = x.clone();
@@ -621,19 +534,6 @@ mod tests {
         assert_eq!(outs[0].as_slice(), acc.run(&x).output.as_slice());
         assert_eq!(outs[1].as_slice(), acc.run(&x2).output.as_slice());
         assert!(report.total.get() > 0);
-    }
-
-    #[test]
-    fn program_through_bus_round_trips() {
-        let (mut acc, _, _) = small_accel();
-        let target = RuntimeConfig { heads: 3, layers: 2, d_model: 36, seq_len: 8 };
-        let responses = acc.program_through_bus(target).unwrap();
-        assert!(responses.iter().all(|&r| r == crate::bus::BusResponse::Okay));
-        assert_eq!(*acc.runtime(), target);
-        // an over-capacity target must error
-        let bad = RuntimeConfig { heads: 8, layers: 1, d_model: 4096, seq_len: 8 };
-        assert!(acc.program_through_bus(bad).is_err());
-        assert_eq!(*acc.runtime(), target, "failed programming leaves registers intact");
     }
 
     #[test]
@@ -732,9 +632,14 @@ mod tests {
         acc.program(RuntimeConfig { heads: 8, layers: 4, d_model: 768, seq_len: 32 }).unwrap();
         let clean = acc.timing_report_batched(4);
         let mut quiet = FaultStream::seeded(7, 0, FaultRates::ZERO);
-        let (r, stats) =
-            acc.timing_report_faulty(4, &mut quiet, Watchdog::default(), RetryPolicy::default(), 0);
-        let r = r.expect("zero-rate stream must never abort");
+        let faults = FaultPlan {
+            stream: &mut quiet,
+            watchdog: Watchdog::default(),
+            retry: RetryPolicy::default(),
+            now_ns: 0,
+        };
+        let (r, stats) = acc.execute(RunPlan::timing(4).with_faults(faults));
+        let r = r.expect("zero-rate stream must never abort").report;
         assert_eq!(r.total, clean.total, "fault-free path must be bit-identical");
         assert_eq!(r.phases.len(), clean.phases.len());
         for (a, b) in r.phases.iter().zip(&clean.phases) {
@@ -757,8 +662,14 @@ mod tests {
             (2, FaultKind::AxiTimeout),
         ]);
         let wd = Watchdog { timeout_cycles: 5_000 };
-        let (r, stats) = acc.timing_report_faulty(2, &mut noisy, wd, RetryPolicy::default(), 5);
-        let r = r.expect("recoverable faults must not abort");
+        let faults = FaultPlan {
+            stream: &mut noisy,
+            watchdog: wd,
+            retry: RetryPolicy::default(),
+            now_ns: 5,
+        };
+        let (r, stats) = acc.execute(RunPlan::timing(2).with_faults(faults));
+        let r = r.expect("recoverable faults must not abort").report;
         assert!(r.total > clean, "faults must cost cycles: {} vs {clean}", r.total);
         assert_eq!(stats.stalls, 1);
         assert_eq!(stats.ecc_single, 1);
@@ -775,13 +686,13 @@ mod tests {
         let (acc, _, _) = small_accel();
         let mut lethal =
             FaultStream::seeded(7, 0, FaultRates::ZERO).with_events([(0, FaultKind::EccDouble)]);
-        let (r, stats) = acc.timing_report_faulty(
-            1,
-            &mut lethal,
-            Watchdog::default(),
-            RetryPolicy::default(),
-            0,
-        );
+        let faults = FaultPlan {
+            stream: &mut lethal,
+            watchdog: Watchdog::default(),
+            retry: RetryPolicy::default(),
+            now_ns: 0,
+        };
+        let (r, stats) = acc.execute(RunPlan::timing(1).with_faults(faults));
         let err = r.expect_err("double-bit ECC must abort");
         assert!(
             matches!(&err, CoreError::Fault { kind: FaultKind::EccDouble, context }
@@ -803,8 +714,13 @@ mod tests {
             (2, FaultKind::AxiTimeout),
             (3, FaultKind::AxiTimeout),
         ]);
-        let (r, stats) =
-            acc.timing_report_faulty(1, &mut hung, Watchdog::default(), RetryPolicy::default(), 5);
+        let faults = FaultPlan {
+            stream: &mut hung,
+            watchdog: Watchdog::default(),
+            retry: RetryPolicy::default(),
+            now_ns: 5,
+        };
+        let (r, stats) = acc.execute(RunPlan::timing(1).with_faults(faults));
         let err = r.expect_err("retry exhaustion must abort");
         assert!(matches!(err, CoreError::Fault { kind: FaultKind::AxiTimeout, .. }), "{err:?}");
         assert_eq!(stats.watchdog_trips, 4);

@@ -38,8 +38,6 @@ pub struct AxiLiteBus {
     synthesis: SynthesisConfig,
     shadow: RuntimeConfig,
     busy: bool,
-    writes_accepted: u64,
-    writes_rejected: u64,
 }
 
 impl AxiLiteBus {
@@ -56,8 +54,6 @@ impl AxiLiteBus {
             },
             synthesis,
             busy: false,
-            writes_accepted: 0,
-            writes_rejected: 0,
         }
     }
 
@@ -78,7 +74,6 @@ impl AxiLiteBus {
     /// leaves the registers unchanged and returns `SlvErr`.
     pub fn write(&mut self, addr: u32, value: u32) -> BusResponse {
         if self.busy {
-            self.writes_rejected += 1;
             return BusResponse::SlvErr;
         }
         let reg = match addr {
@@ -86,27 +81,19 @@ impl AxiLiteBus {
             0x04 => Reg::Layers,
             0x08 => Reg::DModel,
             0x0C => Reg::SeqLen,
+            // read-only block
             REG_STATUS | REG_CAPACITY_D | REG_CAPACITY_SL | REG_CAPACITY_H | REG_ID => {
-                // read-only block
-                self.writes_rejected += 1;
                 return BusResponse::SlvErr;
             }
-            _ => {
-                self.writes_rejected += 1;
-                return BusResponse::DecErr;
-            }
+            _ => return BusResponse::DecErr,
         };
         let candidate = RuntimeConfig::apply_writes(self.shadow, &[(reg, value)]);
         match candidate.validate(&self.synthesis) {
             Ok(()) => {
                 self.shadow = candidate;
-                self.writes_accepted += 1;
                 BusResponse::Okay
             }
-            Err(_) => {
-                self.writes_rejected += 1;
-                BusResponse::SlvErr
-            }
+            Err(_) => BusResponse::SlvErr,
         }
     }
 
@@ -144,12 +131,6 @@ impl AxiLiteBus {
         ];
         sequence.into_iter().map(|(a, v)| self.write(a, v)).collect()
     }
-
-    /// Accepted/rejected write counters (observability for the driver).
-    #[must_use]
-    pub fn write_stats(&self) -> (u64, u64) {
-        (self.writes_accepted, self.writes_rejected)
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +163,6 @@ mod tests {
         let before = b.config();
         assert_eq!(b.write(0x08, 1024), BusResponse::SlvErr);
         assert_eq!(b.config(), before);
-        assert_eq!(b.write_stats().1, 1);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::engines::Access;
 use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::SynthesisConfig;
-use protea_hwsim::Cycles;
 use protea_mem::kv as kv_mem;
 use protea_model::decoder::QuantizedDecoder;
 use protea_tensor::Matrix;
@@ -34,49 +33,6 @@ pub struct DecoderRunResult {
 }
 
 impl Accelerator {
-    /// Run a full sequence-to-sequence transformer: encode `source` with
-    /// the loaded encoder weights, then decode `target` against the
-    /// memory. Returns the decoder output plus the combined latency.
-    ///
-    /// # Panics
-    /// Panics if encoder weights are not loaded, or shapes/capacities
-    /// mismatch.
-    #[must_use]
-    pub fn run_transformer(
-        &self,
-        transformer: &protea_model::QuantizedTransformer,
-        source: &Matrix<i8>,
-        target: &Matrix<i8>,
-    ) -> DecoderRunResult {
-        // encode (uses the accelerator's loaded weights check indirectly:
-        // we run the encoder functionally from the transformer's own
-        // weights to keep the pair consistent)
-        let enc = &transformer.encoder;
-        assert_eq!(
-            source.shape(),
-            (enc.config.seq_len, enc.config.d_model),
-            "source must match the encoder config's SL × d_model"
-        );
-        let memory = enc.forward(source);
-        // price the encoder pass at the source shape
-        let enc_rt = RuntimeConfig {
-            heads: enc.config.heads,
-            layers: enc.config.layers,
-            d_model: enc.config.d_model,
-            seq_len: source.rows(),
-        };
-        enc_rt.validate(&self.design().config).expect("encoder fits capacity");
-        let mut enc_accel = self.clone();
-        enc_accel.program(enc_rt).expect("register write");
-        let enc_report = enc_accel.timing_report();
-        // decode
-        let mut result = self.run_decoder(&transformer.decoder, target, &memory);
-        let combined = Cycles(enc_report.total.get() + result.report.total.get());
-        result.report.total = combined;
-        result.latency_ms = result.report.latency_ms();
-        result
-    }
-
     /// Validate that a decoder workload fits the synthesized capacity:
     /// both sequence lengths bounded by `sl_max`, dims by the registers.
     pub fn validate_decoder(
@@ -365,23 +321,6 @@ mod tests {
         // and a step costs far less than a full 64-token forward
         let full = accel.decoder_timing_report(&dec, 64, 64).total;
         assert!(full.get() > 5 * late.get());
-    }
-
-    #[test]
-    fn run_transformer_combines_both_stacks() {
-        let cfg = EncoderConfig::new(64, 4, 1, 8);
-        let t = protea_model::QuantizedTransformer::random(cfg, QuantSchedule::paper(), 77);
-        let accel =
-            Accelerator::try_new(SynthesisConfig::paper_default(), &FpgaDevice::alveo_u55c())
-                .expect("design must fit the device");
-        let src = Matrix::from_fn(8, 64, |r, c| ((r * 3 + c) % 90) as i8);
-        let tgt = Matrix::from_fn(4, 64, |r, c| ((r * 7 + c * 2) % 90) as i8);
-        let out = accel.run_transformer(&t, &src, &tgt);
-        // bit-exact vs the software transformer
-        assert_eq!(out.output.as_slice(), t.forward(&src, &tgt).as_slice());
-        // combined latency exceeds the decoder-only report
-        let dec_only = accel.decoder_timing_report(&t.decoder, 4, 8).total;
-        assert!(out.report.total > dec_only);
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub enum CoreError {
     /// A hardware fault the driver could not recover from: an
     /// uncorrectable ECC event, a transfer whose retry budget was
     /// exhausted, or a card that dropped off the bus mid-run. Emitted by
-    /// the fault-injected timing path
-    /// ([`Accelerator::timing_report_faulty`](crate::accelerator::Accelerator::timing_report_faulty));
+    /// the fault-injected timing path (a [`RunPlan`](crate::pipeline::RunPlan)
+    /// armed with a [`FaultPlan`](crate::pipeline::FaultPlan));
     /// the layer above decides whether to fail over.
     Fault {
         /// The fault class that ended the run.

@@ -29,8 +29,8 @@
 //! * [`fault`] — the driver's response to injected hardware faults
 //!   (`protea-mem`'s [`FaultStream`]): a transfer
 //!   [`Watchdog`], exponential-backoff [`RetryPolicy`], per-class
-//!   [`FaultStats`], and the fault-injected timing path
-//!   [`Accelerator::timing_report_faulty`].
+//!   [`FaultStats`]; a [`RunPlan`] armed with a [`FaultPlan`] runs the
+//!   fault-injected timing path through [`Accelerator::execute`].
 //!
 //! The equivalence contract: for any weights and input,
 //! `Accelerator::run(...).output` equals
@@ -43,7 +43,6 @@
 pub mod accelerator;
 mod backend;
 pub mod bus;
-pub mod controller;
 pub mod decoder;
 pub mod desched;
 pub mod driver;
@@ -60,7 +59,6 @@ pub mod timing;
 
 pub use accelerator::{Accelerator, RunResult};
 pub use bus::{AxiLiteBus, BusResponse};
-pub use controller::Controller;
 pub use decoder::DecoderRunResult;
 pub use desched::simulate_layer_des;
 pub use driver::{Driver, DriverError, Instruction};

@@ -2,7 +2,7 @@
 //!
 //! Historically each scenario grew its own entry point on
 //! [`Accelerator`] — `try_run`, `try_run_batch`, `timing_report`,
-//! `timing_report_batched`, `timing_report_faulty` — each
+//! `timing_report_batched` and a fault-injected timing call — each
 //! re-implementing config/weight/fault/batch plumbing. This module
 //! collapses them: a [`RunPlan`] (batch size, optional functional
 //! inputs, optional fault injection, tracing on/off) flows through
@@ -99,7 +99,20 @@ pub struct DecodeSession<'a> {
 }
 
 /// Fault-injection arm of a [`RunPlan`]: the seeded stream plus the
-/// driver's recovery machinery.
+/// driver's recovery machinery. Every tile load draws from `stream`:
+///
+/// * an AXI stall extends that load by the stalled cycles;
+/// * a correctable (single-bit) ECC event scrubs and replays the
+///   transfer after exponential backoff;
+/// * a hung transfer costs `watchdog.timeout_cycles` to detect, then
+///   replays like an ECC event;
+/// * a double-bit ECC event, or a transfer whose retry budget is
+///   exhausted, aborts the run with
+///   [`CoreError::Fault`], and
+///   [`FaultStats::abort_cycles`](crate::fault::FaultStats::abort_cycles)
+///   records how many cycles into the run it was detected.
+///
+/// With a zero-rate stream the report equals the fault-free one exactly.
 #[derive(Debug)]
 pub struct FaultPlan<'a> {
     /// The per-card fault stream (stateful: each tile load draws).

@@ -132,17 +132,6 @@ impl RuntimeConfig {
         self.d_model.div_ceil(syn.tiles_ffn())
     }
 
-    /// Encode as (address, value) AXI-lite writes.
-    #[must_use]
-    pub fn register_writes(&self) -> [(Reg, u32); 4] {
-        [
-            (Reg::Heads, self.heads as u32),
-            (Reg::Layers, self.layers as u32),
-            (Reg::DModel, self.d_model as u32),
-            (Reg::SeqLen, self.seq_len as u32),
-        ]
-    }
-
     /// Decode from register writes (missing registers keep `base`'s
     /// values) — what the controller does as words arrive.
     #[must_use]
@@ -217,7 +206,8 @@ mod tests {
     fn register_write_round_trip() {
         let rt = RuntimeConfig { heads: 4, layers: 6, d_model: 256, seq_len: 32 };
         let base = RuntimeConfig { heads: 8, layers: 12, d_model: 768, seq_len: 64 };
-        let back = RuntimeConfig::apply_writes(base, &rt.register_writes());
+        let writes = [(Reg::Heads, 4), (Reg::Layers, 6), (Reg::DModel, 256), (Reg::SeqLen, 32)];
+        let back = RuntimeConfig::apply_writes(base, &writes);
         assert_eq!(back, rt);
     }
 

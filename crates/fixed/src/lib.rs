@@ -7,8 +7,6 @@
 //!
 //! * [`QFormat`] — a power-of-two fixed-point format `Qm.f` (signed, `m`
 //!   integer bits, `f` fractional bits).
-//! * [`Fx8`] / [`Fx16`] / [`Fx32`] — fixed-point values with an explicit
-//!   format, saturating conversions and arithmetic.
 //! * [`mac`] — i8×i8→i32 multiply-accumulate kernels (the PE datapath).
 //! * [`requant`] — wide-accumulator → narrow-storage requantization with
 //!   selectable [`Rounding`] and saturation, exactly as a hardware
@@ -27,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod fx;
 pub mod layernorm;
 pub mod mac;
 pub mod qformat;
@@ -37,8 +34,7 @@ pub mod rounding;
 pub mod softmax;
 
 pub use activation::{gelu_i8, relu_i8, Activation};
-pub use fx::{Fx16, Fx32, Fx8};
-pub use mac::{axpy_i8, dot_i8, dot_i8_unrolled, mac_i8, Mac};
+pub use mac::{axpy_i8, dot_i8, dot_i8_unrolled, mac_i8};
 pub use qformat::QFormat;
 pub use quant::{dequantize_slice, quantize_slice, QuantParams, Quantizer};
 pub use requant::{requantize, LaneRequant, Requantizer};

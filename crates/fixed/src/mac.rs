@@ -68,58 +68,6 @@ pub fn axpy_i8(acc: &mut [i32], x: i8, w: &[i8]) {
     }
 }
 
-/// A stateful MAC unit: one PE. Used by the engine functional models where
-/// the accumulator lives across tile iterations (the paper's intermediate
-/// buffers that are "accumulated with results from previous iterations").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Mac {
-    acc: i32,
-}
-
-impl Mac {
-    /// A fresh PE with a zeroed accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One cycle: `acc += a*b`.
-    pub fn step(&mut self, a: i8, b: i8) {
-        self.acc = self.acc.saturating_add(i32::from(a) * i32::from(b));
-    }
-
-    /// Fold a whole vector through the PE (models the pipelined loop).
-    pub fn accumulate(&mut self, a: &[i8], b: &[i8]) {
-        self.acc = self.acc.saturating_add(dot_i8(a, b));
-    }
-
-    /// Add a pre-scaled bias term directly into the accumulator (the
-    /// paper loads biases into registers and adds them to Q/K/V).
-    pub fn add_bias(&mut self, bias: i32) {
-        self.acc = self.acc.saturating_add(bias);
-    }
-
-    /// Read the accumulator.
-    #[must_use]
-    pub fn value(&self) -> i32 {
-        self.acc
-    }
-
-    /// Clear for the next output element (the `S_q ← 0` in Algorithm 1).
-    pub fn reset(&mut self) {
-        self.acc = 0;
-    }
-}
-
-/// Row-of-PEs helper: `out[j] = dot(a, b_cols[j])` for a bank of `n`
-/// parallel PEs sharing the `a` operand (one engine row step).
-pub fn pe_row(a: &[i8], b_cols: &[&[i8]], out: &mut [i32]) {
-    assert_eq!(b_cols.len(), out.len());
-    for (o, col) in out.iter_mut().zip(b_cols.iter()) {
-        *o = dot_i8(a, col);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,40 +99,6 @@ mod tests {
         for unroll in [1, 2, 3, 8, 16, 64, 97, 200] {
             assert_eq!(dot_i8_unrolled(&a, &b, unroll), reference, "unroll={unroll}");
         }
-    }
-
-    #[test]
-    fn mac_step_equals_accumulate() {
-        let a = [3i8, -5, 7, 11, -13];
-        let b = [2i8, 4, -6, 8, 10];
-        let mut pe1 = Mac::new();
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            pe1.step(x, y);
-        }
-        let mut pe2 = Mac::new();
-        pe2.accumulate(&a, &b);
-        assert_eq!(pe1.value(), pe2.value());
-    }
-
-    #[test]
-    fn mac_bias_and_reset() {
-        let mut pe = Mac::new();
-        pe.add_bias(42);
-        pe.step(2, 3);
-        assert_eq!(pe.value(), 48);
-        pe.reset();
-        assert_eq!(pe.value(), 0);
-    }
-
-    #[test]
-    fn pe_row_computes_all_columns() {
-        let a = [1i8, 2, 3];
-        let c0 = [1i8, 0, 0];
-        let c1 = [0i8, 1, 0];
-        let c2 = [1i8, 1, 1];
-        let mut out = [0i32; 3];
-        pe_row(&a, &[&c0, &c1, &c2], &mut out);
-        assert_eq!(out, [1, 2, 6]);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl QFormat {
         Self { total_bits: 8, frac_bits: 7 }
     }
 
-    /// A 32-bit accumulator format with the given fractional bits. DSP48
-    /// accumulators are 48-bit in hardware; 32 bits is sufficient for the
-    /// trip counts in this design and is what the HLS code uses for `int`
-    /// accumulators.
-    #[must_use]
-    pub const fn acc32(frac_bits: u8) -> Self {
-        Self { total_bits: 32, frac_bits }
-    }
-
     /// Total storage bits, including sign.
     #[must_use]
     pub const fn total_bits(self) -> u8 {
@@ -107,12 +98,6 @@ impl QFormat {
     #[must_use]
     pub fn real_max(self) -> f64 {
         self.raw_max() as f64 * self.lsb()
-    }
-
-    /// Smallest (most negative) representable real value.
-    #[must_use]
-    pub fn real_min(self) -> f64 {
-        self.raw_min() as f64 * self.lsb()
     }
 
     /// Convert a real number to the nearest raw value, saturating at the
@@ -193,7 +178,6 @@ mod tests {
         assert_eq!(q.raw_max(), 127);
         assert_eq!(q.raw_min(), -128);
         assert!((q.real_max() - 3.96875).abs() < 1e-12);
-        assert!((q.real_min() + 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -219,7 +203,7 @@ mod tests {
         let q = QFormat::new(8, 5);
         for i in -1000..1000 {
             let x = i as f64 * 0.003;
-            if x <= q.real_max() && x >= q.real_min() {
+            if x <= q.real_max() && x >= q.raw_min() as f64 * q.lsb() {
                 assert!((q.round_trip(x) - x).abs() <= q.lsb() / 2.0 + 1e-12, "x={x}");
             }
         }

@@ -48,16 +48,11 @@ impl QuantParams {
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
     storage_bits: u8,
-    /// Fraction of the max-abs range to actually cover; values beyond
-    /// saturate. 1.0 = cover everything (no clipping). Slight clipping
-    /// (e.g. 0.999 with outliers) can improve SQNR, but the default is
-    /// lossless-range.
-    coverage: f64,
 }
 
 impl Default for Quantizer {
     fn default() -> Self {
-        Self { storage_bits: 8, coverage: 1.0 }
+        Self { storage_bits: 8 }
     }
 }
 
@@ -65,15 +60,7 @@ impl Quantizer {
     /// A quantizer targeting `storage_bits`-wide storage.
     #[must_use]
     pub fn new(storage_bits: u8) -> Self {
-        Self { storage_bits, coverage: 1.0 }
-    }
-
-    /// Set range coverage in `(0, 1]` (1 = cover the full observed range).
-    #[must_use]
-    pub fn with_coverage(mut self, coverage: f64) -> Self {
-        assert!(coverage > 0.0 && coverage <= 1.0);
-        self.coverage = coverage;
-        self
+        Self { storage_bits }
     }
 
     /// Choose the best-precision format that covers `data`'s range.
@@ -81,7 +68,7 @@ impl Quantizer {
     pub fn calibrate(&self, data: &[f32]) -> QuantParams {
         let max_abs =
             data.iter().filter(|x| x.is_finite()).fold(0f64, |m, &x| m.max(f64::from(x).abs()));
-        QuantParams::with_format(QFormat::fit(self.storage_bits, max_abs * self.coverage))
+        QuantParams::with_format(QFormat::fit(self.storage_bits, max_abs))
     }
 
     /// Calibrate on `data` and quantize it in one pass.

@@ -98,13 +98,6 @@ impl Requantizer {
             *o = self.apply(a);
         }
     }
-
-    /// The real-valued scale this requantizer divides by, for verifying
-    /// against a float reference: `2^(acc_frac - target_frac + pre_shift)`.
-    #[must_use]
-    pub fn effective_shift(&self) -> i32 {
-        i32::from(self.acc_frac) - i32::from(self.target.frac_bits()) + i32::from(self.pre_shift)
-    }
 }
 
 /// One rounding right shift in i32 lanes: `floor(x / 2^sh)` plus a
@@ -354,7 +347,6 @@ mod tests {
         let r = Requantizer::new(10, t, Rounding::Truncate).with_pre_shift(3);
         // acc = 8.0 in Q.10 → pre-shift /8 → 1.0 → Q.5 raw 32.
         assert_eq!(r.apply(8 << 10), 32);
-        assert_eq!(r.effective_shift(), 10 - 5 + 3);
     }
 
     #[test]

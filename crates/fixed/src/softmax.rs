@@ -36,7 +36,6 @@ pub const EXP_OUT_FRAC: u8 = 15;
 #[derive(Debug, Clone)]
 pub struct ExpLut {
     table: Box<[u16; EXP_LUT_SIZE]>,
-    input_fmt: QFormat,
 }
 
 impl ExpLut {
@@ -52,26 +51,13 @@ impl ExpLut {
             let e = if x >= 0.0 { 1.0 } else { x.exp() };
             *slot = ((e * f64::from(one)).round() as u32).min(u32::from(u16::MAX)) as u16;
         }
-        Self { table, input_fmt }
-    }
-
-    /// The input format this ROM was synthesized for.
-    #[must_use]
-    pub fn input_format(&self) -> QFormat {
-        self.input_fmt
+        Self { table }
     }
 
     /// Look up `exp(x)` for a raw 8-bit input. Pure combinational read.
     #[must_use]
     pub fn lookup(&self, raw: i8) -> u16 {
         self.table[raw as u8 as usize]
-    }
-
-    /// ROM size in bits, for the resource model (256 × 16 = 4096 bits,
-    /// small enough that Vivado maps it to LUTs, matching the paper).
-    #[must_use]
-    pub const fn rom_bits() -> u32 {
-        (EXP_LUT_SIZE as u32) * 16
     }
 }
 

@@ -2,56 +2,9 @@
 
 use proptest::prelude::*;
 use protea_fixed::layernorm::isqrt_u64;
-use protea_fixed::{
-    dot_i8, dot_i8_unrolled, gelu_i8, relu_i8, requantize, Fx32, Fx8, QFormat, Rounding,
-};
+use protea_fixed::{dot_i8, dot_i8_unrolled, gelu_i8, relu_i8, requantize, QFormat, Rounding};
 
 proptest! {
-    #[test]
-    fn quantization_round_trip_error_at_most_half_lsb(
-        x in -200f64..200f64, frac in 0u8..8
-    ) {
-        let fmt = QFormat::new(8, frac);
-        let q = Fx8::from_real(x, fmt);
-        if x < fmt.real_max() && x > fmt.real_min() {
-            prop_assert!((q.to_real() - x).abs() <= fmt.lsb() / 2.0 + 1e-12);
-        } else {
-            // saturated: output clamps to the range boundary
-            prop_assert!(q.raw() == 127 || q.raw() == -128);
-        }
-    }
-
-    #[test]
-    fn sat_add_is_commutative_and_bounded(a in any::<i8>(), b in any::<i8>()) {
-        let fmt = QFormat::q8_default();
-        let x = Fx8::from_raw(a, fmt);
-        let y = Fx8::from_raw(b, fmt);
-        prop_assert_eq!(x.sat_add(y).raw(), y.sat_add(x).raw());
-        let exact = i16::from(a) + i16::from(b);
-        let got = i16::from(x.sat_add(y).raw());
-        prop_assert_eq!(got, exact.clamp(-128, 127));
-    }
-
-    #[test]
-    fn widening_mul_is_exact(a in any::<i8>(), b in any::<i8>()) {
-        let fmt = QFormat::q8_default();
-        let p = Fx8::from_raw(a, fmt).widening_mul(Fx8::from_raw(b, fmt));
-        prop_assert_eq!(i32::from(p.raw()), i32::from(a) * i32::from(b));
-    }
-
-    #[test]
-    fn mac_accumulates_exactly(pairs in prop::collection::vec((any::<i8>(), any::<i8>()), 0..64)) {
-        let acc_fmt = QFormat::acc32(10);
-        let fmt = QFormat::q8_default();
-        let mut acc = Fx32::from_raw(0, acc_fmt);
-        let mut expect = 0i64;
-        for &(a, b) in &pairs {
-            acc = acc.mac(Fx8::from_raw(a, fmt), Fx8::from_raw(b, fmt));
-            expect += i64::from(a) * i64::from(b);
-        }
-        prop_assert_eq!(i64::from(acc.raw()), expect); // 64·2^14 ≪ i32::MAX
-    }
-
     #[test]
     fn dot_matches_unrolled_for_all_factors(
         a in prop::collection::vec(any::<i8>(), 0..128),

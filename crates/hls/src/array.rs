@@ -8,13 +8,7 @@
 //!
 //! * a bank with > [`LUTRAM_MAX_BITS`] bits of data → BRAM18s (18 Kib
 //!   each, ≤ 36 bit native port width),
-//! * a smaller bank → distributed LUTRAM (SLICEM LUTs, 64 bits each),
-//! * BRAM18s are true dual-port: at most two accesses per cycle per bank.
-//!   [`ArraySpec::port_limited_reads`] reports whether a requested
-//!   parallel access pattern over-subscribes the ports — the check behind
-//!   the paper's "array partitioning and data loading are optimized to
-//!   ensure that data needed simultaneously by a DSP is stored in
-//!   separate BRAMs".
+//! * a smaller bank → distributed LUTRAM (SLICEM LUTs, 64 bits each).
 
 use crate::pragma::ArrayPartition;
 use protea_platform::ResourceVector;
@@ -24,10 +18,6 @@ pub const LUTRAM_MAX_BITS: u64 = 1024;
 
 /// Bits per BRAM18 block.
 pub const BRAM18_BITS: u64 = 18 * 1024;
-
-/// Read ports per memory bank (BRAM is true dual-port; LUTRAM modeled
-/// the same for uniformity).
-pub const PORTS_PER_BANK: u64 = 2;
 
 /// A 2-D array as declared in the HLS source.
 #[derive(Debug, Clone, Copy)]
@@ -72,13 +62,6 @@ impl ArraySpec {
             col_partition: ArrayPartition::None,
             copies: 1,
         }
-    }
-
-    /// Set the row partitioning.
-    #[must_use]
-    pub fn partition_rows(mut self, p: ArrayPartition) -> Self {
-        self.row_partition = p;
-        self
     }
 
     /// Set the column partitioning.
@@ -135,13 +118,6 @@ impl ArraySpec {
         let b = self.bind();
         ResourceVector { luts: b.lutram_luts, ffs: 0, dsps: 0, bram18: b.bram18, uram: 0 }
     }
-
-    /// Whether `parallel_reads` simultaneous reads (spread evenly across
-    /// banks by the access pattern) fit the dual-port constraint.
-    #[must_use]
-    pub fn port_limited_reads(&self, parallel_reads: u64) -> bool {
-        parallel_reads > self.banks_per_copy() * PORTS_PER_BANK
-    }
 }
 
 #[cfg(test)]
@@ -184,14 +160,6 @@ mod tests {
         assert!(coarse.bind().bram18 > 0);
         assert_eq!(fine.bind().bram18, 0);
         assert!(fine.bind().lutram_luts > 0);
-    }
-
-    #[test]
-    fn port_limits() {
-        let spec = ArraySpec::new("w", 96, 64, 8).partition_cols(ArrayPartition::Cyclic(8));
-        // 8 banks × 2 ports = 16 parallel reads OK, 17 not.
-        assert!(!spec.port_limited_reads(16));
-        assert!(spec.port_limited_reads(17));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   cycles; a sequential (pipeline-off) loop multiplies its body and adds
 //!   per-iteration control overhead; a fully-unrolled loop becomes
 //!   spatial hardware (PEs) instead of time.
-//! * [`array`](mod@array) — `array_partition` → memory banks → BRAM18/LUTRAM binding
-//!   with dual-port constraints.
+//! * [`array`](mod@array) — `array_partition` → memory banks → BRAM18/LUTRAM binding.
 //! * [`cost`] — per-PE and per-functional-unit resource costs calibrated
 //!   against Table I of the paper (the calibration is exact for the
 //!   published design point; see `cost::calibration` tests).
@@ -24,14 +23,10 @@
 
 pub mod array;
 pub mod cost;
-pub mod ii;
-pub mod parse;
 pub mod pragma;
 pub mod sched;
 
 pub use array::{ArraySpec, MemBinding};
 pub use cost::{FunctionalUnitCost, PeCost};
-pub use ii::{IiAnalysis, MemAccess, Recurrence};
-pub use parse::{parse_nest, ParseError};
 pub use pragma::{ArrayPartition, Pipeline};
 pub use sched::{pipelined_loop_cycles, sequential_loop_cycles, LoopNest, LoopSpec};

@@ -12,23 +12,6 @@ pub enum Pipeline {
     Ii(u32),
 }
 
-impl Pipeline {
-    /// The initiation interval, if pipelined.
-    #[must_use]
-    pub fn ii(self) -> Option<u32> {
-        match self {
-            Pipeline::Off => None,
-            Pipeline::Ii(ii) => Some(ii),
-        }
-    }
-
-    /// Whether this loop is pipelined.
-    #[must_use]
-    pub fn is_pipelined(self) -> bool {
-        matches!(self, Pipeline::Ii(_))
-    }
-}
-
 /// `#pragma HLS array_partition` on one dimension of an array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayPartition {
@@ -53,35 +36,11 @@ impl ArrayPartition {
             ArrayPartition::Cyclic(f) | ArrayPartition::Block(f) => u64::from(f).clamp(1, n.max(1)),
         }
     }
-
-    /// Which bank element `i` of an extent-`n` dimension maps to.
-    #[must_use]
-    pub fn bank_of(self, i: u64, n: u64) -> u64 {
-        assert!(i < n, "index {i} out of extent {n}");
-        match self {
-            ArrayPartition::None => 0,
-            ArrayPartition::Complete => i,
-            ArrayPartition::Cyclic(f) => i % u64::from(f).clamp(1, n),
-            ArrayPartition::Block(f) => {
-                let banks = u64::from(f).clamp(1, n);
-                let chunk = n.div_ceil(banks);
-                i / chunk
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipeline_accessors() {
-        assert_eq!(Pipeline::Off.ii(), None);
-        assert_eq!(Pipeline::Ii(2).ii(), Some(2));
-        assert!(Pipeline::Ii(1).is_pipelined());
-        assert!(!Pipeline::Off.is_pipelined());
-    }
 
     #[test]
     fn bank_counts() {
@@ -91,41 +50,5 @@ mod tests {
         assert_eq!(ArrayPartition::Block(8).banks(64), 8);
         // factor larger than extent clamps
         assert_eq!(ArrayPartition::Cyclic(100).banks(64), 64);
-    }
-
-    #[test]
-    fn cyclic_mapping_round_robins() {
-        let p = ArrayPartition::Cyclic(4);
-        let banks: Vec<u64> = (0..8).map(|i| p.bank_of(i, 8)).collect();
-        assert_eq!(banks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn block_mapping_chunks() {
-        let p = ArrayPartition::Block(4);
-        let banks: Vec<u64> = (0..8).map(|i| p.bank_of(i, 8)).collect();
-        assert_eq!(banks, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-    }
-
-    #[test]
-    fn every_bank_mapping_in_range() {
-        for p in [
-            ArrayPartition::None,
-            ArrayPartition::Complete,
-            ArrayPartition::Cyclic(3),
-            ArrayPartition::Block(5),
-        ] {
-            for n in [1u64, 7, 64] {
-                for i in 0..n {
-                    assert!(p.bank_of(i, n) < p.banks(n), "{p:?} n={n} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of extent")]
-    fn bank_of_oob_panics() {
-        let _ = ArrayPartition::None.bank_of(8, 8);
     }
 }

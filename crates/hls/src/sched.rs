@@ -121,27 +121,6 @@ impl LoopNest {
             }
         }
     }
-
-    /// Number of PEs (parallel multiply-accumulate lanes) this nest
-    /// synthesizes: the product of trip counts of levels *below* the first
-    /// pipelined level — those loops are fully unrolled.
-    ///
-    /// Uses the synthesized (maximum) trips, so pass the synthesis-time
-    /// nest here, not a runtime-clamped one.
-    #[must_use]
-    pub fn pe_count(&self) -> u64 {
-        let mut seen_pipelined = false;
-        let mut pes = 1u64;
-        for spec in &self.levels {
-            if seen_pipelined {
-                pes = pes.saturating_mul(spec.trip.max(1));
-            }
-            if spec.pipeline.is_pipelined() {
-                seen_pipelined = true;
-            }
-        }
-        pes
-    }
 }
 
 #[cfg(test)]
@@ -179,27 +158,11 @@ mod tests {
         );
         let per_row = u64::from(depth) + (dk - 1);
         assert_eq!(nest.cycles(), sl * (per_row + 2) + 2);
-        assert_eq!(nest.pe_count(), 64);
     }
 
     #[test]
-    fn pe_count_multiplies_inner_levels() {
-        let nest = LoopNest::new(
-            vec![
-                LoopSpec::sequential(10),
-                LoopSpec::pipelined(20, 1),
-                LoopSpec::sequential(4),
-                LoopSpec::sequential(8),
-            ],
-            10,
-        );
-        assert_eq!(nest.pe_count(), 32);
-    }
-
-    #[test]
-    fn no_pipelined_level_means_one_pe() {
+    fn fully_sequential_nest_multiplies_bodies() {
         let nest = LoopNest::new(vec![LoopSpec::sequential(10), LoopSpec::sequential(10)], 5);
-        assert_eq!(nest.pe_count(), 1);
         // fully sequential: 10 · (10·(5+2)+2 + 2) + 2
         assert_eq!(nest.cycles(), 10 * (10 * 7 + 2 + 2) + 2);
     }

@@ -29,7 +29,7 @@
 //!   exactly like the closure kernel.
 //!
 //! Determinism: replays of the same push sequence pop identically, and
-//! [`EventQueue::drain_sorted`] yields pending events in precisely the
+//! [`EventQueue::sorted_events`] yields pending events in precisely the
 //! order they would fire — so a queue serialized from that order and
 //! re-pushed into a fresh queue (fresh seqs, same order) fires
 //! identically. That round-trip is the snapshot/replay foundation.
@@ -68,7 +68,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     now: Cycles,
     seq: u64,
-    fired: u64,
     heap: BinaryHeap<Entry<E>>,
 }
 
@@ -82,7 +81,7 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     #[must_use]
     pub fn new() -> Self {
-        Self { now: Cycles::ZERO, seq: 0, fired: 0, heap: BinaryHeap::new() }
+        Self { now: Cycles::ZERO, seq: 0, heap: BinaryHeap::new() }
     }
 
     /// Current simulation time: the timestamp of the last popped event
@@ -97,13 +96,6 @@ impl<E> EventQueue<E> {
     /// the clock before re-pushing events.
     pub fn set_now(&mut self, now: Cycles) {
         self.now = now;
-    }
-
-    /// Events popped so far (not restored across snapshots — it is a
-    /// live diagnostic, not model state).
-    #[must_use]
-    pub fn fired(&self) -> u64 {
-        self.fired
     }
 
     /// Events still pending.
@@ -133,26 +125,15 @@ impl<E> EventQueue<E> {
         let e = self.heap.pop()?;
         debug_assert!(e.time >= self.now, "event queue time went backwards");
         self.now = e.time;
-        self.fired += 1;
         Some((e.time, e.event))
     }
 
-    /// Drain every pending event in exactly the order it would fire
-    /// (`(time, rank, seq)` ascending), consuming the queue. This is
-    /// the canonical serial form for snapshots: re-pushing the yielded
-    /// `(time, rank, event)` triples into a fresh queue — which assigns
-    /// fresh, ascending seqs — reproduces the identical firing order.
-    #[must_use]
-    pub fn drain_sorted(self) -> Vec<(Cycles, u8, E)> {
-        let mut entries: Vec<Entry<E>> = self.heap.into_vec();
-        entries.sort_by_key(|e| (e.time, e.rank, e.seq));
-        entries.into_iter().map(|e| (e.time, e.rank, e.event)).collect()
-    }
-
-    /// Like [`drain_sorted`](Self::drain_sorted) but non-consuming:
-    /// clones every pending event into firing order, leaving the queue
-    /// untouched. This is what a *mid-run* snapshot uses — the
-    /// simulation keeps going after the capture.
+    /// Clone every pending event in exactly the order it would fire
+    /// (`(time, rank, seq)` ascending), leaving the queue untouched.
+    /// This is the canonical serial form for snapshots: re-pushing the
+    /// yielded `(time, rank, event)` triples into a fresh queue — which
+    /// assigns fresh, ascending seqs — reproduces the identical firing
+    /// order, and the simulation keeps going after the capture.
     #[must_use]
     pub fn sorted_events(&self) -> Vec<(Cycles, u8, E)>
     where
@@ -193,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_then_repush_fires_identically() {
+    fn repush_in_sorted_order_fires_identically() {
         let mut q = EventQueue::new();
         for (t, r, n) in [(9u64, 2u8, "a"), (4, 1, "b"), (9, 0, "c"), (4, 1, "d"), (2, 2, "e")] {
             q.push(Cycles(t), r, n);
@@ -203,7 +184,7 @@ mod tests {
             reference.push(Cycles(t), r, n);
         }
         let mut rebuilt = EventQueue::new();
-        for (t, r, e) in q.drain_sorted() {
+        for (t, r, e) in q.sorted_events() {
             rebuilt.push(t, r, e);
         }
         let a: Vec<_> = std::iter::from_fn(|| reference.pop()).collect();
@@ -212,14 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn sorted_events_matches_drain_and_preserves_queue() {
+    fn sorted_events_matches_pop_order_and_preserves_queue() {
         let mut q = EventQueue::new();
         for (t, r, n) in [(9u64, 2u8, "a"), (4, 1, "b"), (9, 0, "c"), (4, 1, "d")] {
             q.push(Cycles(t), r, n);
         }
-        let peeked = q.sorted_events();
+        let peeked: Vec<_> = q.sorted_events().into_iter().map(|(t, _, e)| (t, e)).collect();
         assert_eq!(q.len(), 4, "non-consuming");
-        assert_eq!(peeked, q.drain_sorted());
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(peeked, popped);
     }
 
     #[test]

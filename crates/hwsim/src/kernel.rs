@@ -48,7 +48,6 @@ impl<M> Ord for Scheduled<M> {
 pub struct Simulator<M> {
     now: Cycles,
     seq: u64,
-    fired: u64,
     queue: BinaryHeap<Scheduled<M>>,
 }
 
@@ -62,25 +61,13 @@ impl<M> Simulator<M> {
     /// An empty simulator at cycle zero.
     #[must_use]
     pub fn new() -> Self {
-        Self { now: Cycles::ZERO, seq: 0, fired: 0, queue: BinaryHeap::new() }
+        Self { now: Cycles::ZERO, seq: 0, queue: BinaryHeap::new() }
     }
 
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> Cycles {
         self.now
-    }
-
-    /// Number of events executed so far.
-    #[must_use]
-    pub fn events_fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Number of events still pending.
-    #[must_use]
-    pub fn events_pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedule `f` at absolute cycle `time`.
@@ -114,21 +101,6 @@ impl<M> Simulator<M> {
         self.now
     }
 
-    /// Run until the queue drains or `deadline` is reached (events at
-    /// exactly `deadline` still fire; later events stay queued). The
-    /// clock is left at the last fired event — it does not jump to the
-    /// deadline, so a subsequent `run` resumes seamlessly. Returns the
-    /// final time.
-    pub fn run_until(&mut self, model: &mut M, deadline: Cycles) -> Cycles {
-        while let Some(next) = self.queue.peek().map(|e| e.time) {
-            if next > deadline {
-                break;
-            }
-            self.step(model);
-        }
-        self.now
-    }
-
     /// Fire the single earliest event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self, model: &mut M) -> bool {
@@ -136,7 +108,6 @@ impl<M> Simulator<M> {
             Some(ev) => {
                 debug_assert!(ev.time >= self.now, "event queue time went backwards");
                 self.now = ev.time;
-                self.fired += 1;
                 (ev.f)(self, model);
                 true
             }
@@ -196,20 +167,6 @@ mod tests {
         let end = sim.run(&mut m);
         assert_eq!(m.hops, 5);
         assert_eq!(end, Cycles(28)); // 0,7,14,21,28
-        assert_eq!(sim.events_fired(), 5);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulator::<Log>::new();
-        let mut log = Log::default();
-        sim.schedule_at(Cycles(10), |_, m| m.entries.push((10, "early")));
-        sim.schedule_at(Cycles(100), |_, m| m.entries.push((100, "late")));
-        sim.run_until(&mut log, Cycles(50));
-        assert_eq!(log.entries.len(), 1);
-        assert_eq!(sim.events_pending(), 1);
-        sim.run(&mut log);
-        assert_eq!(log.entries.len(), 2);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //!   and resume can serialize their pending events,
 //! * [`Fnv64`] — FNV-1a 64-bit state fingerprinting for verifying that
 //!   a resumed simulation is bit-identical to an uninterrupted one,
-//! * [`Fifo`] — bounded queues with occupancy high-water tracking for
-//!   buffer sizing studies,
-//! * [`stats`] — counters, busy/utilization trackers and log₂ histograms.
+//! * [`Utilization`] — busy-interval tracking for per-unit utilization.
 //!
 //! The kernel is intentionally small and has no dependencies; everything
 //! is `#![forbid(unsafe_code)]` and single-threaded (determinism beats
@@ -32,7 +30,6 @@
 
 pub mod des;
 pub mod exec_trace;
-pub mod fifo;
 pub mod fnv;
 pub mod kernel;
 pub mod stats;
@@ -41,9 +38,8 @@ pub mod trace;
 
 pub use des::EventQueue;
 pub use exec_trace::{ExecSpan, ExecTrace, SpanKind};
-pub use fifo::Fifo;
 pub use fnv::Fnv64;
 pub use kernel::{EventId, Simulator};
-pub use stats::{Counter, Histogram, Utilization};
+pub use stats::Utilization;
 pub use time::{Cycles, Frequency};
 pub use trace::{SignalId, VcdTrace};

@@ -1,37 +1,6 @@
-//! Simulation statistics: counters, utilization tracking, histograms.
+//! Simulation statistics: busy/utilization tracking.
 
 use crate::time::Cycles;
-use core::fmt;
-
-/// A monotonically increasing named counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Increment by one.
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// Tracks how many cycles a unit was busy, for utilization reports
 /// (e.g. per-engine busy fraction in the cycle report).
@@ -66,11 +35,6 @@ impl Utilization {
         }
     }
 
-    /// Directly account a busy duration (for analytically-timed units).
-    pub fn add_busy(&mut self, duration: Cycles) {
-        self.busy = self.busy.saturating_add(duration.get());
-    }
-
     /// Total busy cycles accumulated.
     #[must_use]
     pub fn busy_cycles(&self) -> Cycles {
@@ -88,107 +52,9 @@ impl Utilization {
     }
 }
 
-/// A power-of-two bucketed histogram of u64 samples (bucket `i` counts
-/// samples in `[2^(i-1), 2^i)`, bucket 0 counts zeros and ones).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { buckets: [0; 65], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, sample: u64) {
-        let bucket = if sample <= 1 { 0 } else { 64 - (sample - 1).leading_zeros() as usize };
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += u128::from(sample);
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample (`None` when empty).
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Count in bucket `i` (`[2^(i-1), 2^i)`; bucket 0 = {0, 1}).
-    #[must_use]
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} min={:?} max={:?}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX);
-        c.inc();
-        assert_eq!(c.get(), u64::MAX);
-    }
 
     #[test]
     fn utilization_intervals() {
@@ -221,52 +87,5 @@ mod tests {
     fn utilization_zero_total() {
         let u = Utilization::new();
         assert_eq!(u.fraction_of(Cycles(0)), 0.0);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new();
-        for s in [0, 1, 2, 3, 4, 5, 8, 9, 1024] {
-            h.record(s);
-        }
-        assert_eq!(h.bucket(0), 2); // 0, 1
-        assert_eq!(h.bucket(1), 1); // 2
-        assert_eq!(h.bucket(2), 2); // 3, 4
-        assert_eq!(h.bucket(3), 2); // 5, 8 (bucket i covers (2^(i-1), 2^i])
-        assert_eq!(h.bucket(4), 1); // 9
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(1024));
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        // bucket(i) covers (2^(i-1), 2^i] for i ≥ 1 with this encoding:
-        // sample s>1 → bucket = 64 - leading_zeros(s-1) → s=2 → 1, s=3..4 → 2,
-        // s=5..8 → 3, s=9..16 → 4.
-        let mut h = Histogram::new();
-        h.record(8);
-        assert_eq!(h.bucket(3), 1);
-        h.record(16);
-        assert_eq!(h.bucket(4), 1);
-        h.record(17);
-        assert_eq!(h.bucket(5), 1);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let mut h = Histogram::new();
-        for s in [10, 20, 30] {
-            h.record(s);
-        }
-        assert!((h.mean() - 20.0).abs() < 1e-12);
     }
 }

@@ -94,12 +94,6 @@ impl Frequency {
         Self(f * 1e6)
     }
 
-    /// From gigahertz.
-    #[must_use]
-    pub fn ghz(f: f64) -> Self {
-        Self::mhz(f * 1e3)
-    }
-
     /// In hertz.
     #[must_use]
     pub fn hz(self) -> f64 {
@@ -110,13 +104,6 @@ impl Frequency {
     #[must_use]
     pub fn as_mhz(self) -> f64 {
         self.0 / 1e6
-    }
-
-    /// Cycles elapsed in `seconds` at this frequency, rounded up.
-    #[must_use]
-    pub fn cycles_in(self, seconds: f64) -> Cycles {
-        assert!(seconds >= 0.0 && seconds.is_finite());
-        Cycles((seconds * self.0).ceil() as u64)
     }
 }
 
@@ -156,16 +143,9 @@ mod tests {
 
     #[test]
     fn frequency_round_trip() {
-        let f = Frequency::ghz(1.4);
+        let f = Frequency::mhz(1400.0);
         assert!((f.as_mhz() - 1400.0).abs() < 1e-9);
-        assert_eq!(f.cycles_in(1e-6), Cycles(1400));
-    }
-
-    #[test]
-    fn cycles_in_rounds_up() {
-        let f = Frequency::mhz(1.0);
-        assert_eq!(f.cycles_in(1.5e-6), Cycles(2));
-        assert_eq!(f.cycles_in(0.0), Cycles(0));
+        assert!((f.hz() - 1.4e9).abs() < 1e-3);
     }
 
     #[test]

@@ -63,12 +63,6 @@ impl VcdTrace {
         self.changes.push((time.get(), id.0, value));
     }
 
-    /// Number of recorded changes.
-    #[must_use]
-    pub fn change_count(&self) -> usize {
-        self.changes.len()
-    }
-
     /// Render the full VCD document. Changes are emitted in time order
     /// (stable for equal timestamps); every signal gets an `x` initial
     /// value in `$dumpvars` unless changed at time 0.

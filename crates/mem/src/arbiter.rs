@@ -68,23 +68,6 @@ pub fn arbitrate_round_robin(
     ArbitrationResult { master_finish: finish, total: Cycles(now), bursts_granted: bursts }
 }
 
-/// Compare `masters` masters each moving `bytes_per_master`:
-/// (shared-channel arbitrated total, dedicated-channel total). The
-/// dedicated case gives every master its own full-rate channel, so the
-/// slowest single transfer governs.
-#[must_use]
-pub fn sharing_penalty(
-    masters: usize,
-    bytes_per_master: u64,
-    port: &AxiPort,
-    share: &ChannelShare,
-) -> (Cycles, Cycles) {
-    let requests = vec![bytes_per_master; masters];
-    let shared = arbitrate_round_robin(&requests, port, share).total;
-    let dedicated = crate::hbm::bounded_transfer_cycles(port, share, bytes_per_master);
-    (shared, dedicated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,22 +109,6 @@ mod tests {
         assert_eq!(r.master_finish[0], Cycles::ZERO);
         assert_eq!(r.master_finish[2], Cycles::ZERO);
         assert!(r.master_finish[1] > Cycles::ZERO);
-    }
-
-    #[test]
-    fn sharing_is_never_faster_than_dedicated() {
-        for masters in [1usize, 2, 4, 8] {
-            let (shared, dedicated) = sharing_penalty(masters, 147 * 1024, &port(), &share());
-            assert!(shared >= dedicated, "masters={masters}");
-            if masters > 1 {
-                // shared total ≈ masters × dedicated (serialized channel)
-                let ratio = shared.get() as f64 / dedicated.get() as f64;
-                assert!(
-                    (masters as f64 * 0.8..masters as f64 * 1.3).contains(&ratio),
-                    "masters={masters} ratio={ratio:.2}"
-                );
-            }
-        }
     }
 
     #[test]

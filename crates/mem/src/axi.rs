@@ -33,15 +33,6 @@ impl AxiPort {
         Self { data_bits, max_burst_beats: 64, burst_overhead: 8 }
     }
 
-    /// Override burst length.
-    #[must_use]
-    pub fn with_burst(mut self, beats: u32, overhead: u32) -> Self {
-        assert!(beats >= 1);
-        self.max_burst_beats = beats;
-        self.burst_overhead = overhead;
-        self
-    }
-
     /// Bytes moved per beat.
     #[must_use]
     pub fn bytes_per_beat(&self) -> u64 {
@@ -60,18 +51,6 @@ impl AxiPort {
         let bursts = beats.div_ceil(u64::from(self.max_burst_beats));
         Cycles(beats + bursts * u64::from(self.burst_overhead))
     }
-
-    /// Effective bandwidth in bytes/cycle for a transfer of `bytes`
-    /// (asymptotically `bytes_per_beat`, lower for short transfers).
-    #[must_use]
-    pub fn effective_bytes_per_cycle(&self, bytes: u64) -> f64 {
-        let c = self.transfer_cycles(bytes).get();
-        if c == 0 {
-            0.0
-        } else {
-            bytes as f64 / c as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +67,7 @@ mod tests {
 
     #[test]
     fn multiple_bursts() {
-        let p = AxiPort::new(128).with_burst(16, 4);
+        let p = AxiPort { max_burst_beats: 16, burst_overhead: 4, ..AxiPort::new(128) };
         // 1 KiB = 64 beats = 4 bursts → 64 + 16 overhead
         assert_eq!(p.transfer_cycles(1024).get(), 64 + 4 * 4);
     }
@@ -103,13 +82,6 @@ mod tests {
     #[test]
     fn zero_bytes_zero_cycles() {
         assert_eq!(AxiPort::new(256).transfer_cycles(0), Cycles::ZERO);
-    }
-
-    #[test]
-    fn long_transfers_approach_peak() {
-        let p = AxiPort::new(128);
-        let eff = p.effective_bytes_per_cycle(1 << 20);
-        assert!(eff > 14.0 && eff <= 16.0, "eff = {eff}");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! * [`hbm`] — HBM/DDR channel bandwidth shared between masters; the
 //!   effective per-cycle byte rate is the min of the AXI port width and
 //!   the channel's share.
-//! * [`dma`] — tile-granularity transfer descriptors used by the engines.
 //! * [`overlap`] — the double-buffer scheduler: while engines compute on
 //!   tile *t*, the DMA prefetches tile *t+1*; built on the
 //!   `protea-hwsim` event kernel and cross-checked against the analytic
@@ -25,7 +24,6 @@
 
 pub mod arbiter;
 pub mod axi;
-pub mod dma;
 pub mod fault;
 pub mod hbm;
 pub mod kv;
@@ -33,7 +31,6 @@ pub mod overlap;
 
 pub use arbiter::{arbitrate_round_robin, ArbitrationResult};
 pub use axi::AxiPort;
-pub use dma::TileTransfer;
 pub use fault::{
     FaultEvent, FaultKind, FaultRates, FaultStream, SdcEvent, SdcHit, SdcSite, SdcStream,
     TransferFault,

@@ -36,17 +36,6 @@ pub struct OverlapReport {
     pub compute_stall: Cycles,
 }
 
-impl OverlapReport {
-    /// Fraction of total time the engine computed.
-    #[must_use]
-    pub fn compute_efficiency(&self) -> f64 {
-        if self.total.get() == 0 {
-            return 1.0;
-        }
-        self.compute_busy.get() as f64 / self.total.get() as f64
-    }
-}
-
 #[derive(Default)]
 struct State {
     load_done: Vec<bool>,
@@ -344,16 +333,15 @@ mod tests {
     fn empty_schedule() {
         let r = simulate_double_buffered(&[]);
         assert_eq!(r.total, Cycles::ZERO);
-        assert_eq!(r.compute_efficiency(), 1.0);
+        assert_eq!(r.compute_busy, Cycles::ZERO);
     }
 
     #[test]
     fn efficiency_metric() {
+        let efficiency = |r: OverlapReport| r.compute_busy.get() as f64 / r.total.get() as f64;
         let acc = vec![(cy(10), cy(90)); 10];
-        let r = simulate_double_buffered(&acc);
-        assert!(r.compute_efficiency() > 0.95);
+        assert!(efficiency(simulate_double_buffered(&acc)) > 0.95);
         let bad = vec![(cy(90), cy(10)); 10];
-        let r2 = simulate_double_buffered(&bad);
-        assert!(r2.compute_efficiency() < 0.2);
+        assert!(efficiency(simulate_double_buffered(&bad)) < 0.2);
     }
 }

@@ -37,12 +37,6 @@ pub struct ErrorProfile {
 }
 
 impl ErrorProfile {
-    /// Final-layer SQNR.
-    #[must_use]
-    pub fn final_sqnr_db(&self) -> f64 {
-        self.layers.last().map_or(f64::INFINITY, |l| l.sqnr_db)
-    }
-
     /// Whether the error stays bounded: the last layer's MSE is within
     /// `factor` of the worst layer's (no runaway accumulation).
     #[must_use]

@@ -135,14 +135,6 @@ impl EncoderConfig {
     pub fn bert_base(seq_len: usize) -> Self {
         Self::new(768, 12, 12, seq_len)
     }
-
-    /// A tiny high-energy-physics style encoder in the spirit of
-    /// Wojcicki et al. \[23\] (their LHC trigger model is far below
-    /// BERT scale).
-    #[must_use]
-    pub fn tiny_hep() -> Self {
-        Self::new(64, 2, 1, 20).with_ffn_mult(2)
-    }
 }
 
 #[cfg(test)]

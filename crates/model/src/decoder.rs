@@ -22,7 +22,6 @@
 use crate::config::{AttnScaling, EncoderConfig};
 use crate::float::{layer_norm, softmax_rows};
 use crate::quantized::{add_norm, project, requant_logits, QuantMatrix, QuantSchedule};
-use crate::weights::EncoderWeights;
 use core::fmt;
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::layernorm::LayerNormUnit;
@@ -658,12 +657,6 @@ impl DecoderKvCache {
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
     }
-
-    /// Rows of encoder memory cached for cross-attention.
-    #[must_use]
-    pub fn cross_len(&self) -> usize {
-        self.cross_k.first().map_or(0, Matrix::rows)
-    }
 }
 
 /// Pre-packed projection weights for the fast decode path: the eight
@@ -872,36 +865,6 @@ impl QuantizedDecoder {
     }
 }
 
-/// A complete sequence-to-sequence transformer: encoder + decoder stacks
-/// on shared hyperparameters (Fig. 1 in full).
-#[derive(Debug, Clone)]
-pub struct QuantizedTransformer {
-    /// The encoder stack.
-    pub encoder: crate::quantized::QuantizedEncoder,
-    /// The decoder stack.
-    pub decoder: QuantizedDecoder,
-}
-
-impl QuantizedTransformer {
-    /// Random-initialized full transformer.
-    #[must_use]
-    pub fn random(cfg: EncoderConfig, schedule: QuantSchedule, seed: u64) -> Self {
-        let enc = EncoderWeights::random(cfg, seed);
-        let dec = DecoderWeights::random(cfg, seed.wrapping_add(1));
-        Self {
-            encoder: crate::quantized::QuantizedEncoder::from_float(&enc, schedule),
-            decoder: QuantizedDecoder::from_float(&dec, schedule),
-        }
-    }
-
-    /// Encode a source sequence, then decode a target sequence against it.
-    #[must_use]
-    pub fn forward(&self, source: &Matrix<i8>, target: &Matrix<i8>) -> Matrix<i8> {
-        let memory = self.encoder.forward(source);
-        self.decoder.forward(target, &memory)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,17 +941,6 @@ mod tests {
         let yq_f = yq.map(|v| fmt.raw_to_real(i64::from(v)) as f32);
         let err = protea_tensor::ops::mse(&yf, &yq_f);
         assert!(err < 0.5, "decoder quantization error mse = {err}");
-    }
-
-    #[test]
-    fn full_transformer_end_to_end() {
-        let t = QuantizedTransformer::random(cfg(), QuantSchedule::paper(), 11);
-        let src = Matrix::from_fn(8, 32, |r, c| ((r * 5 + c) % 80) as i8);
-        let tgt = Matrix::from_fn(4, 32, |r, c| ((r * 9 + c * 2) % 80) as i8);
-        let y = t.forward(&src, &tgt);
-        assert_eq!(y.shape(), (4, 32));
-        // deterministic
-        assert_eq!(y.as_slice(), t.forward(&src, &tgt).as_slice());
     }
 
     #[test]

@@ -39,11 +39,10 @@ pub use analysis::{error_profile, ErrorProfile, LayerError};
 pub use config::{AttnScaling, EncoderConfig};
 pub use decoder::{
     DecoderKvCache, DecoderWeights, FloatDecoder, KvCacheError, PackedDecoder, QuantizedDecoder,
-    QuantizedTransformer,
 };
 pub use embedding::{Embedding, GeneratorHead};
 pub use float::FloatEncoder;
 pub use opcount::OpCount;
 pub use pruning::{sparsity_of, PruningScheme};
-pub use quantized::{QuantSchedule, QuantizedEncoder, QuantizedWeights};
+pub use quantized::{QuantSchedule, QuantizedEncoder};
 pub use weights::{EncoderWeights, LayerWeights};

@@ -167,9 +167,6 @@ pub struct QuantizedEncoder {
     act_lut: ActivationLut,
 }
 
-/// Alias used by downstream crates for the full quantized parameter set.
-pub type QuantizedWeights = QuantizedEncoder;
-
 impl QuantizedEncoder {
     /// Quantize a float weight set under `schedule`.
     #[must_use]

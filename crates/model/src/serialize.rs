@@ -177,195 +177,9 @@ pub fn decode(blob: &[u8]) -> Result<EncoderWeights, DecodeError> {
     Ok(EncoderWeights { config: cfg, layers })
 }
 
-/// Magic bytes for decoder weight blobs.
-const MAGIC_DEC: &[u8; 4] = b"PTED";
-
-/// Serialize decoder weights (same header layout as the encoder format,
-/// different magic; `seq_len` is the target length).
-#[must_use]
-pub fn encode_decoder(weights: &crate::decoder::DecoderWeights) -> Bytes {
-    let cfg = weights.config;
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC_DEC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(cfg.d_model as u32);
-    buf.put_u32_le(cfg.heads as u32);
-    buf.put_u32_le(cfg.layers as u32);
-    buf.put_u32_le(cfg.seq_len as u32);
-    buf.put_u32_le(cfg.ffn_mult as u32);
-    for l in &weights.layers {
-        for m in [
-            &l.self_wq,
-            &l.self_wk,
-            &l.self_wv,
-            &l.self_wo,
-            &l.cross_wq,
-            &l.cross_wk,
-            &l.cross_wv,
-            &l.cross_wo,
-            &l.w1,
-            &l.w2,
-        ] {
-            for &v in m.as_slice() {
-                buf.put_f32_le(v);
-            }
-        }
-        for v in [
-            &l.self_bq,
-            &l.self_bk,
-            &l.self_bv,
-            &l.self_bo,
-            &l.cross_bq,
-            &l.cross_bk,
-            &l.cross_bv,
-            &l.cross_bo,
-            &l.b1,
-            &l.b2,
-        ] {
-            for &x in v.iter() {
-                buf.put_f32_le(x);
-            }
-        }
-        for (g, b) in &l.ln {
-            for &x in g.iter().chain(b.iter()) {
-                buf.put_f32_le(x);
-            }
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode a decoder weight blob.
-pub fn decode_decoder(blob: &[u8]) -> Result<crate::decoder::DecoderWeights, DecodeError> {
-    let mut b = blob;
-    if b.remaining() < 4 + 4 + 5 * 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    b.copy_to_slice(&mut magic);
-    if &magic != MAGIC_DEC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = b.get_u32_le();
-    if version != VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let d_model = b.get_u32_le() as usize;
-    let heads = b.get_u32_le() as usize;
-    let layers_n = b.get_u32_le() as usize;
-    let seq_len = b.get_u32_le() as usize;
-    let ffn_mult = b.get_u32_le() as usize;
-    if d_model == 0 || heads == 0 || layers_n == 0 || seq_len == 0 || ffn_mult == 0 {
-        return Err(DecodeError::BadConfig("zero dimension".into()));
-    }
-    if !d_model.is_multiple_of(heads) {
-        return Err(DecodeError::BadConfig("heads must divide d_model".into()));
-    }
-    let cfg = EncoderConfig::new(d_model, heads, layers_n, seq_len).with_ffn_mult(ffn_mult);
-    let d = d_model;
-    let f = cfg.d_ffn();
-    let read_mat = |rows: usize, cols: usize, b: &mut &[u8]| -> Result<Matrix<f32>, DecodeError> {
-        let n = rows * cols;
-        if b.remaining() < n * 4 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(Matrix::from_vec(rows, cols, (0..n).map(|_| b.get_f32_le()).collect()))
-    };
-    let read_vec = |n: usize, b: &mut &[u8]| -> Result<Vec<f32>, DecodeError> {
-        if b.remaining() < n * 4 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok((0..n).map(|_| b.get_f32_le()).collect())
-    };
-    let mut layers = Vec::with_capacity(layers_n);
-    for _ in 0..layers_n {
-        let self_wq = read_mat(d, d, &mut b)?;
-        let self_wk = read_mat(d, d, &mut b)?;
-        let self_wv = read_mat(d, d, &mut b)?;
-        let self_wo = read_mat(d, d, &mut b)?;
-        let cross_wq = read_mat(d, d, &mut b)?;
-        let cross_wk = read_mat(d, d, &mut b)?;
-        let cross_wv = read_mat(d, d, &mut b)?;
-        let cross_wo = read_mat(d, d, &mut b)?;
-        let w1 = read_mat(d, f, &mut b)?;
-        let w2 = read_mat(f, d, &mut b)?;
-        let self_bq = read_vec(d, &mut b)?;
-        let self_bk = read_vec(d, &mut b)?;
-        let self_bv = read_vec(d, &mut b)?;
-        let self_bo = read_vec(d, &mut b)?;
-        let cross_bq = read_vec(d, &mut b)?;
-        let cross_bk = read_vec(d, &mut b)?;
-        let cross_bv = read_vec(d, &mut b)?;
-        let cross_bo = read_vec(d, &mut b)?;
-        let b1 = read_vec(f, &mut b)?;
-        let b2 = read_vec(d, &mut b)?;
-        let mut ln = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let g = read_vec(d, &mut b)?;
-            let beta = read_vec(d, &mut b)?;
-            ln.push((g, beta));
-        }
-        let ln: [(Vec<f32>, Vec<f32>); 3] = ln.try_into().map_err(|_| DecodeError::Truncated)?;
-        layers.push(crate::decoder::DecoderLayerWeights {
-            self_wq,
-            self_wk,
-            self_wv,
-            self_bq,
-            self_bk,
-            self_bv,
-            self_wo,
-            self_bo,
-            cross_wq,
-            cross_wk,
-            cross_wv,
-            cross_bq,
-            cross_bk,
-            cross_bv,
-            cross_wo,
-            cross_bo,
-            w1,
-            b1,
-            w2,
-            b2,
-            ln,
-        });
-    }
-    Ok(crate::decoder::DecoderWeights { config: cfg, layers })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decoder_round_trip() {
-        let cfg = EncoderConfig::new(32, 4, 2, 8);
-        let w = crate::decoder::DecoderWeights::random(cfg, 44);
-        let blob = encode_decoder(&w);
-        let back = decode_decoder(&blob).unwrap();
-        assert_eq!(back.config, cfg);
-        for (a, b) in w.layers.iter().zip(back.layers.iter()) {
-            assert_eq!(a.self_wq.as_slice(), b.self_wq.as_slice());
-            assert_eq!(a.cross_wv.as_slice(), b.cross_wv.as_slice());
-            assert_eq!(a.ln[2].1, b.ln[2].1);
-        }
-    }
-
-    #[test]
-    fn decoder_and_encoder_magics_are_distinct() {
-        let cfg = EncoderConfig::new(16, 2, 1, 4);
-        let enc_blob = encode(&EncoderWeights::random(cfg, 1));
-        assert!(matches!(decode_decoder(&enc_blob), Err(DecodeError::BadMagic)));
-        let dec_blob = encode_decoder(&crate::decoder::DecoderWeights::random(cfg, 1));
-        assert!(matches!(decode(&dec_blob), Err(DecodeError::BadMagic)));
-    }
-
-    #[test]
-    fn decoder_truncation_detected() {
-        let cfg = EncoderConfig::new(16, 2, 1, 4);
-        let blob = encode_decoder(&crate::decoder::DecoderWeights::random(cfg, 2));
-        assert!(matches!(decode_decoder(&blob[..blob.len() - 4]), Err(DecodeError::Truncated)));
-    }
 
     #[test]
     fn round_trip_preserves_everything() {

@@ -1,8 +1,7 @@
 //! Synthetic workload generators for benchmarks and examples.
 //!
 //! The evaluation needs inputs with controllable statistics: uniform
-//! activation noise (the default), Zipf-distributed token streams (NLP
-//! realism: a few tokens dominate), and "needle" retrieval sequences
+//! activation noise (the default) and "needle" retrieval sequences
 //! (one position carries a planted signature — useful for checking that
 //! attention actually routes information). All generators are seeded and
 //! portable (`StdRng`), so every benchmark is reproducible.
@@ -18,30 +17,6 @@ pub fn uniform_activations(cfg: &EncoderConfig, scale: f32, seed: u64) -> Matrix
     assert!(scale > 0.0 && scale.is_finite());
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(cfg.seq_len, cfg.d_model, |_, _| rng.gen_range(-scale..scale))
-}
-
-/// A Zipf-distributed token stream over `vocab` tokens (exponent `s`):
-/// `P(rank k) ∝ 1/k^s`. Standard model of natural-language token
-/// frequencies.
-#[must_use]
-pub fn zipf_tokens(len: usize, vocab: usize, s: f64, seed: u64) -> Vec<u32> {
-    assert!(vocab > 0 && s > 0.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // inverse-CDF sampling over the normalized harmonic weights
-    let weights: Vec<f64> = (1..=vocab).map(|k| 1.0 / (k as f64).powf(s)).collect();
-    let total: f64 = weights.iter().sum();
-    (0..len)
-        .map(|_| {
-            let mut u = rng.gen_range(0.0..total);
-            for (i, w) in weights.iter().enumerate() {
-                if u < *w {
-                    return i as u32;
-                }
-                u -= w;
-            }
-            (vocab - 1) as u32
-        })
-        .collect()
 }
 
 /// A "needle" sequence: background noise with one position carrying a
@@ -86,17 +61,6 @@ mod tests {
         assert!(a.as_slice().iter().all(|&x| x.abs() <= 1.5));
         let c = uniform_activations(&cfg, 1.5, 8);
         assert_ne!(a.as_slice(), c.as_slice());
-    }
-
-    #[test]
-    fn zipf_concentrates_mass_on_low_ranks() {
-        let toks = zipf_tokens(20_000, 1000, 1.1, 3);
-        assert!(toks.iter().all(|&t| t < 1000));
-        let top10 = toks.iter().filter(|&&t| t < 10).count() as f64 / toks.len() as f64;
-        let mid =
-            toks.iter().filter(|&&t| (500..510).contains(&t)).count() as f64 / toks.len() as f64;
-        assert!(top10 > 0.3, "top-10 share = {top10}");
-        assert!(top10 > 20.0 * mid.max(1e-6), "zipf head must dominate");
     }
 
     #[test]

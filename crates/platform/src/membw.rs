@@ -27,17 +27,6 @@ impl ExternalMemory {
         }
     }
 
-    /// Alveo U280-class HBM2 (same stack family; for cross-checks).
-    #[must_use]
-    pub const fn hbm2_u280() -> Self {
-        Self {
-            name: "HBM2 (U280, 460 GB/s)",
-            channels: 32,
-            peak_bytes_per_sec_per_channel: 460.0e9 / 32.0,
-            stream_efficiency: 0.85,
-        }
-    }
-
     /// Single-bank DDR4-2400 (ZCU102-class embedded board).
     #[must_use]
     pub const fn ddr4_zcu102() -> Self {
@@ -58,12 +47,6 @@ impl ExternalMemory {
             peak_bytes_per_sec_per_channel: 77.0e9 / 4.0,
             stream_efficiency: 0.75,
         }
-    }
-
-    /// Aggregate peak bandwidth (bytes/second).
-    #[must_use]
-    pub fn peak_total(&self) -> f64 {
-        self.peak_bytes_per_sec_per_channel * f64::from(self.channels)
     }
 
     /// Effective streaming bandwidth of one channel.
@@ -88,10 +71,15 @@ impl ExternalMemory {
 mod tests {
     use super::*;
 
+    /// Aggregate peak bandwidth (bytes/second) over every channel.
+    fn aggregate_peak(m: &ExternalMemory) -> f64 {
+        m.peak_bytes_per_sec_per_channel * f64::from(m.channels)
+    }
+
     #[test]
     fn u55c_aggregate_bandwidth() {
         let m = ExternalMemory::hbm2_u55c();
-        assert!((m.peak_total() - 460.0e9).abs() < 1e6);
+        assert!((aggregate_peak(&m) - 460.0e9).abs() < 1e6);
         assert_eq!(m.channels, 32);
     }
 
@@ -106,19 +94,15 @@ mod tests {
 
     #[test]
     fn ddr_is_slower_than_hbm() {
-        assert!(
-            ExternalMemory::ddr4_alveo().peak_total() < ExternalMemory::hbm2_u55c().peak_total()
-        );
-        assert!(
-            ExternalMemory::ddr4_zcu102().peak_total() < ExternalMemory::ddr4_alveo().peak_total()
-        );
+        let alveo = aggregate_peak(&ExternalMemory::ddr4_alveo());
+        assert!(alveo < aggregate_peak(&ExternalMemory::hbm2_u55c()));
+        assert!(aggregate_peak(&ExternalMemory::ddr4_zcu102()) < alveo);
     }
 
     #[test]
     fn efficiency_bounded() {
         for m in [
             ExternalMemory::hbm2_u55c(),
-            ExternalMemory::hbm2_u280(),
             ExternalMemory::ddr4_zcu102(),
             ExternalMemory::ddr4_alveo(),
         ] {

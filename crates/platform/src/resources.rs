@@ -68,21 +68,6 @@ impl ResourceVector {
             uram_frac: frac(self.uram, budget.uram),
         }
     }
-
-    /// The axis with the highest utilization — the binding constraint
-    /// ("further DSP utilization was limited by the available LUTs").
-    #[must_use]
-    pub fn binding_constraint(&self, budget: &ResourceVector) -> (&'static str, f64) {
-        let r = self.utilization_of(budget);
-        let axes = [
-            ("LUT", r.lut_frac),
-            ("FF", r.ff_frac),
-            ("DSP", r.dsp_frac),
-            ("BRAM", r.bram_frac),
-            ("URAM", r.uram_frac),
-        ];
-        axes.into_iter().fold(("none", 0.0), |acc, x| if x.1 > acc.1 { x } else { acc })
-    }
 }
 
 impl Add for ResourceVector {
@@ -203,16 +188,6 @@ mod tests {
         assert!((r.lut_frac - 0.76).abs() < 0.005, "lut {:.3}", r.lut_frac);
         assert!((r.ff_frac - 0.27).abs() < 0.005, "ff {:.3}", r.ff_frac);
         assert!(r.feasible());
-    }
-
-    #[test]
-    fn binding_constraint_is_lut_for_protea() {
-        let u55c = ResourceVector::new(1_303_680, 2_607_360, 9_024, 4_032, 960);
-        let design =
-            ResourceVector { luts: 993_107, ffs: 704_115, dsps: 3_612, bram18: 1_000, uram: 0 };
-        let (axis, frac) = design.binding_constraint(&u55c);
-        assert_eq!(axis, "LUT");
-        assert!(frac > 0.7);
     }
 
     #[test]

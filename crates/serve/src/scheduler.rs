@@ -81,12 +81,6 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
-
-    /// Earliest member arrival (ns).
-    #[must_use]
-    pub fn oldest_arrival_ns(&self) -> u64 {
-        self.requests.iter().map(|r| r.arrival_ns).min().unwrap_or(0)
-    }
 }
 
 /// Groups admitted requests into dispatchable batches.
@@ -249,20 +243,6 @@ impl BatchScheduler {
             .chain(self.session_queues.values())
             .filter_map(|q| q.front())
             .map(|r| r.arrival_ns.saturating_add(self.policy.max_wait_ns))
-            .min()
-    }
-
-    /// Earliest per-request completion deadline among queued requests,
-    /// if any carries one. The dispatcher arms a wake-up here so an
-    /// expired request is shed promptly, not only at the next arrival
-    /// or completion.
-    #[must_use]
-    pub fn next_request_deadline_ns(&self) -> Option<u64> {
-        self.queues
-            .values()
-            .chain(self.session_queues.values())
-            .flatten()
-            .filter_map(|r| r.deadline_ns)
             .min()
     }
 
@@ -464,13 +444,6 @@ impl BatchScheduler {
         }
         self.pending -= joiners.len();
         joiners
-    }
-
-    /// Generation requests currently queued (a subset of
-    /// [`pending`](Self::pending)).
-    #[must_use]
-    pub fn session_pending(&self) -> usize {
-        self.session_queues.values().map(VecDeque::len).sum()
     }
 
     /// Return a dispatched batch's requests to the **front** of their
@@ -799,7 +772,6 @@ mod tests {
         s.push(ServeRequest { decode_steps: 4, ..req(0, 0, 12) }).unwrap();
         s.push(req(1, 0, 12)).unwrap();
         assert_eq!(s.pending(), 2);
-        assert_eq!(s.session_pending(), 1);
         // One-shot pops never return sessions and vice versa.
         let b = s.pop_ready(u64::MAX).unwrap();
         assert_eq!(b.requests[0].id, 1);
@@ -818,7 +790,7 @@ mod tests {
         s.push(ServeRequest { decode_steps: 4, ..req(9, 3, 40) }).unwrap(); // other bucket
         let joiners = s.take_session_joiners(req(0, 0, 12).class(), 16, 2);
         assert_eq!(joiners.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(s.session_pending(), 2);
+        assert_eq!(s.pending(), 2);
         assert!(s.take_session_joiners(req(0, 0, 12).class(), 16, 0).is_empty());
         // Wrong bucket matches nothing.
         assert!(s.take_session_joiners(req(0, 0, 12).class(), 128, 4).is_empty());
@@ -843,14 +815,13 @@ mod tests {
             ServeRequest { decode_steps: 4, priority: Priority::Interactive, ..req(5, 5, 12) };
         assert!(matches!(s.push(vip), Err(ServeError::Overloaded { id: 5, .. })));
         assert!(s.evict_lower_priority(Priority::Interactive).is_none());
-        assert_eq!(s.session_pending(), 2);
+        assert_eq!(s.pending(), 2);
     }
 
     #[test]
     fn session_deadlines_expire_in_queue() {
         let mut s = sched();
         s.push(ServeRequest { decode_steps: 4, deadline_ns: Some(100), ..req(0, 0, 12) }).unwrap();
-        assert_eq!(s.next_request_deadline_ns(), Some(100));
         assert_eq!(s.next_flush_deadline_ns(), Some(1_000));
         let dead = s.take_expired(100);
         assert_eq!(dead.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0]);
@@ -863,15 +834,12 @@ mod tests {
         s.push(ServeRequest { deadline_ns: Some(100), ..req(0, 0, 12) }).unwrap();
         s.push(req(1, 1, 12)).unwrap(); // no deadline
         s.push(ServeRequest { deadline_ns: Some(500), ..req(2, 2, 40) }).unwrap();
-        assert_eq!(s.next_request_deadline_ns(), Some(100));
         assert!(s.take_expired(99).is_empty(), "nothing dead yet");
         let dead = s.take_expired(100);
         assert_eq!(dead.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0]);
         assert_eq!(s.pending(), 2);
-        assert_eq!(s.next_request_deadline_ns(), Some(500));
         let dead = s.take_expired(u64::MAX);
         assert_eq!(dead.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2]);
         assert_eq!(s.pending(), 1, "deadline-free requests are never expired");
-        assert_eq!(s.next_request_deadline_ns(), None);
     }
 }

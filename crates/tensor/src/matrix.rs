@@ -85,12 +85,6 @@ impl<T: Copy + Default> Matrix<T> {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Borrow row `r` as a slice.
     #[must_use]
     pub fn row(&self, r: usize) -> &[T] {
@@ -102,13 +96,6 @@ impl<T: Copy + Default> Matrix<T> {
     pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copy column `c` into a fresh vector (columns are strided).
-    #[must_use]
-    pub fn col_copied(&self, c: usize) -> Vec<T> {
-        assert!(c < self.cols, "col {c} out of bounds ({} cols)", self.cols);
-        (0..self.rows).map(|r| self.data[r * self.cols + c]).collect()
     }
 
     /// Elementwise map into a possibly different element type.
@@ -189,10 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_cols_access() {
+    fn row_access() {
         let m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as i32);
         assert_eq!(m.row(1), &[4, 5, 6, 7]);
-        assert_eq!(m.col_copied(2), vec![2, 6, 10]);
     }
 
     #[test]

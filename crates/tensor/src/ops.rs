@@ -19,17 +19,6 @@ pub fn add_bias_row(m: &mut Matrix<f32>, bias: &[f32]) {
     }
 }
 
-/// Saturating bias add for the quantized path: `m[r][c] = sat(m[r][c] +
-/// bias[c])`, both already in the same format.
-pub fn add_bias_row_i8(m: &mut Matrix<i8>, bias: &[i8]) {
-    assert_eq!(m.cols(), bias.len(), "bias length must equal column count");
-    for r in 0..m.rows() {
-        for (v, &b) in m.row_mut(r).iter_mut().zip(bias.iter()) {
-            *v = v.saturating_add(b);
-        }
-    }
-}
-
 /// Residual connection: `out = a + b` elementwise (float path).
 #[must_use]
 pub fn residual_add(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
@@ -62,13 +51,6 @@ pub fn mse(a: &Matrix<f32>, b: &Matrix<f32>) -> f64 {
     sum / a.len() as f64
 }
 
-/// Scale every element (float path).
-pub fn scale_in_place(m: &mut Matrix<f32>, s: f32) {
-    for v in m.as_mut_slice() {
-        *v *= s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,13 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn bias_i8_saturates() {
-        let mut m = Matrix::from_vec(1, 2, vec![120i8, -120]);
-        add_bias_row_i8(&mut m, &[20, -20]);
-        assert_eq!(m.as_slice(), &[127, -128]);
-    }
-
-    #[test]
     fn residual_adds() {
         let a = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
         let b = Matrix::from_fn(2, 2, |_, _| 1f32);
@@ -117,12 +92,5 @@ mod tests {
         assert_eq!(mse(&a, &a), 0.0);
         let empty = Matrix::<f32>::zeros(0, 3);
         assert_eq!(mse(&empty, &empty), 0.0);
-    }
-
-    #[test]
-    fn scale_scales() {
-        let mut m = Matrix::from_fn(2, 2, |_, _| 2f32);
-        scale_in_place(&mut m, 0.5);
-        assert!(m.as_slice().iter().all(|&x| x == 1.0));
     }
 }

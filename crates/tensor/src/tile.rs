@@ -119,12 +119,6 @@ impl TileGrid {
     pub fn extent(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
-
-    /// Tile dimensions `(tile_h, tile_w)`.
-    #[must_use]
-    pub fn tile_shape(&self) -> (usize, usize) {
-        (self.tile_h, self.tile_w)
-    }
 }
 
 #[cfg(test)]
