@@ -1,12 +1,19 @@
 //! Decode serving: tokens/s scaling with decode batch width
-//! (extension). Writes `BENCH_decode.json` in the working directory.
+//! (extension).
 //!
-//! Flags: `--smoke` shrinks the generation length for CI; `--check`
+//! ```text
+//! decode [--smoke] [--check] [--out <path.json>]
+//! ```
+//!
+//! `--smoke` shrinks the generation length for CI; `--check`
 //! additionally exits nonzero unless the widest batch sustains at
-//! least twice the single-stream tokens/s.
+//! least twice the single-stream tokens/s. The JSON result is written
+//! only when `--out` names a file, so a smoke run from the repository
+//! root leaves the committed `BENCH_decode.json` (recorded with `--out
+//! BENCH_decode.json`) untouched.
 
 use protea_bench::decode;
-use protea_bench::fmt::render_table;
+use protea_bench::fmt::{render_table, write_out};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -54,12 +61,10 @@ fn main() {
     );
 
     let json = decode::to_json(&rows, steps);
-    let path = "BENCH_decode.json";
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
+    if let Err(e) = write_out(&args, &json) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("wrote {path}");
 
     if check {
         let widest = rows.last().expect("sweep has rows");

@@ -1,10 +1,16 @@
 //! Kernel benchmark: packed GEMM vs the tiled scalar product (per
-//! microkernel ISA) and the fleet timing memo on vs off. Writes
-//! `BENCH_kernels.json` next to the working directory.
+//! microkernel ISA) and the fleet timing memo on vs off.
 //!
-//! Flags: `--smoke` shrinks iterations for CI; `--check` additionally
-//! exits nonzero unless every gate holds on the 12-head/768-dim gate
-//! shape (`128×768×768`):
+//! ```text
+//! kernels [--smoke] [--check] [--out <path.json>]
+//! ```
+//!
+//! The JSON result is written only when `--out` names a file, so a
+//! smoke run from the repository root leaves the committed
+//! `BENCH_kernels.json` (recorded with `--out BENCH_kernels.json`)
+//! untouched. `--smoke` shrinks iterations for CI; `--check`
+//! additionally exits nonzero unless every gate holds on the
+//! 12-head/768-dim gate shape (`128×768×768`):
 //!
 //! * dispatched kernel ≥ 8× the tiled reference when an explicit SIMD
 //!   variant (AVX2/AVX-512/AVX-512 VNNI/NEON) was selected, ≥ 3×
@@ -25,6 +31,7 @@
 //! interleaved serial pairs, as the fused gate compares its GEMMs; the
 //! other gates compare minimums.
 
+use protea_bench::fmt::write_out;
 use protea_bench::kernels;
 
 /// The fused-epilogue gate: a fused GEMM may cost at most this multiple
@@ -58,12 +65,10 @@ fn main() {
     println!("{}", report.render());
 
     let json = report.to_json();
-    let path = "BENCH_kernels.json";
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
+    if let Err(e) = write_out(&args, &json) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("wrote {path}");
 
     if check {
         let gate = report.gate();

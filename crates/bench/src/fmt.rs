@@ -1,4 +1,4 @@
-//! Minimal table rendering for the harness binaries.
+//! Minimal table rendering and result output for the harness binaries.
 
 /// Render a table: header row + data rows, columns padded to content.
 #[must_use]
@@ -47,6 +47,23 @@ pub fn num(v: f64) -> String {
     } else {
         format!("{v:.0}")
     }
+}
+
+/// Write a harness binary's JSON result to the path that follows
+/// `--out` in `args`, and say so. Without `--out` nothing is written, so
+/// a run from the repository root leaves the committed `BENCH_*.json`
+/// as it is.
+///
+/// # Errors
+/// `--out` without a path after it, or a failed write.
+pub fn write_out(args: &[String], json: &str) -> Result<(), String> {
+    let Some(i) = args.iter().position(|a| a == "--out") else {
+        return Ok(());
+    };
+    let path = args.get(i + 1).filter(|p| !p.starts_with("--")).ok_or("--out needs a path")?;
+    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -76,6 +76,13 @@ impl ActivationLut {
         self.table[x as u8 as usize]
     }
 
+    /// The ROM contents, indexed by the input code as a `u8` (entries
+    /// 128–255 hold the negative inputs).
+    #[must_use]
+    pub fn table(&self) -> &[i8; 256] {
+        &self.table
+    }
+
     /// Apply elementwise in place.
     pub fn apply_slice(&self, data: &mut [i8]) {
         for v in data {

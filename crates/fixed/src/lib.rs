@@ -37,6 +37,6 @@ pub use activation::{gelu_i8, relu_i8, Activation};
 pub use mac::{axpy_i8, dot_i8, dot_i8_unrolled, mac_i8};
 pub use qformat::QFormat;
 pub use quant::{dequantize_slice, quantize_slice, QuantParams, Quantizer};
-pub use requant::{requantize, LaneRequant, Requantizer};
+pub use requant::{requantize, ExactDiv, LaneRequant, LaneStages, Requantizer, RoundShift};
 pub use rounding::Rounding;
 pub use softmax::{softmax_fixed, ExpLut, SoftmaxUnit};

@@ -109,12 +109,21 @@ impl Requantizer {
 /// and round-half-to-even adds half an LSB less one plus the parity of
 /// `floor`, which carries on a tie exactly when `floor` is odd. The sum
 /// stays below `2^32` for every `sh ≤ 31`.
+///
+/// The fields are the resolved constants, public so that a SIMD
+/// implementation elsewhere can run the same lane arithmetic
+/// ([`LaneRequant::stages`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RoundShift {
-    sh: u32,
-    low_mask: u32,
-    add: u32,
-    odd: u32,
+pub struct RoundShift {
+    /// Arithmetic right shift giving the floor, `0..=31`.
+    pub sh: u32,
+    /// Mask of the `sh` discarded low bits.
+    pub low_mask: u32,
+    /// Constant added to the discarded bits before the carry shift.
+    pub add: u32,
+    /// Mask of the floor's bits added into the carry (its parity for
+    /// round-half-to-even).
+    pub odd: u32,
 }
 
 impl RoundShift {
@@ -161,11 +170,14 @@ impl RoundShift {
 /// shift: `|x| / d = (|x| · m) >> (31 + l)` with `l = ⌈log₂ d⌉` and
 /// `m = ⌈2^(31+l) / d⌉ < 2^32`. The rounding error `m·d − 2^(31+l)` is
 /// below `d`, so for `|x| ≤ 2^31` the product never crosses the next
-/// multiple of `d` and the quotient is exact.
+/// multiple of `d` and the quotient is exact. The quotient fits 32 bits,
+/// and the sign is restored as `(q ^ s) − s` with `s = x >> 31`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ExactDiv {
-    mul: u32,
-    shift: u32,
+pub struct ExactDiv {
+    /// The reciprocal `m`.
+    pub mul: u32,
+    /// The right shift `31 + l`, `31..=62`, of the 64-bit product.
+    pub shift: u32,
 }
 
 impl ExactDiv {
@@ -239,6 +251,12 @@ impl LaneRequant {
         self
     }
 
+    /// The resolved stages as plain data, in the order they run.
+    #[must_use]
+    pub fn stages(&self) -> LaneStages {
+        LaneStages { div: self.div, pre: self.pre, post: self.post, left: self.left }
+    }
+
     /// Narrow `acc` into `out` element by element. The stages this
     /// requantizer has are picked once per call, and each combination
     /// runs as one branch-free loop — the shape LLVM's loop vectorizer
@@ -288,6 +306,23 @@ impl LaneRequant {
             (Some(pre), _) => each(acc, out, |l, x| left(pre.apply(first(l, x)))),
         }
     }
+}
+
+/// The stages of a [`LaneRequant`], for code that runs its lane
+/// arithmetic in explicit vector registers. Per element, in order:
+/// `div` if present, `pre` if present, then `post` when `left == 0`, or
+/// else `clamp(x, −256, 255) << left`; finally saturation to i8.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneStages {
+    /// The truncating divide of the attention-logit scaling.
+    pub div: Option<ExactDiv>,
+    /// The rounding pre-shift.
+    pub pre: Option<RoundShift>,
+    /// The rounding right shift into the target format.
+    pub post: RoundShift,
+    /// The left shift into the target format, `0..=8`; when non-zero,
+    /// `post` is the identity.
+    pub left: u32,
 }
 
 /// `out[i] = f(i % 16, acc[i])`, sixteen lanes per step: a fixed-width

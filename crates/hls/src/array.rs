@@ -30,9 +30,8 @@ pub struct ArraySpec {
     pub cols: u64,
     /// Element width in bits (8 for the paper's fixed-point data).
     pub elem_bits: u64,
-    /// Partitioning of the row dimension.
-    pub row_partition: ArrayPartition,
-    /// Partitioning of the column dimension.
+    /// Partitioning of the column dimension (no array of the design
+    /// partitions its rows).
     pub col_partition: ArrayPartition,
     /// Replication factor (double buffering = 2).
     pub copies: u64,
@@ -53,15 +52,7 @@ impl ArraySpec {
     /// A plain unpartitioned single-copy array.
     #[must_use]
     pub fn new(name: &'static str, rows: u64, cols: u64, elem_bits: u64) -> Self {
-        Self {
-            name,
-            rows,
-            cols,
-            elem_bits,
-            row_partition: ArrayPartition::None,
-            col_partition: ArrayPartition::None,
-            copies: 1,
-        }
+        Self { name, rows, cols, elem_bits, col_partition: ArrayPartition::None, copies: 1 }
     }
 
     /// Set the column partitioning.
@@ -88,7 +79,7 @@ impl ArraySpec {
     /// Banks per copy.
     #[must_use]
     pub fn banks_per_copy(&self) -> u64 {
-        self.row_partition.banks(self.rows.max(1)) * self.col_partition.banks(self.cols.max(1))
+        self.col_partition.banks(self.cols.max(1))
     }
 
     /// Compute the memory binding.

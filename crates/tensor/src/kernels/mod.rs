@@ -27,7 +27,9 @@
 //!   weights load as tiles as they are. It takes a band of at least 16
 //!   activation rows at a depth that is a multiple of 64, over whole
 //!   32-column blocks (`tile_blocks`); every other block and shape
-//!   runs the VNNI kernel.
+//!   runs the VNNI kernel. The requantizing GEMMs narrow each
+//!   accumulator tile in AVX-512 registers as it leaves the tiles
+//!   (`tile_requant`), so their i32 sums never reach memory.
 //! * [`KernelIsa::Neon`] — `vmlal_s16` widening multiply-accumulate on
 //!   aarch64 (the `neon` module).
 //!
@@ -68,6 +70,7 @@
 //! and tests can re-route at runtime with [`force_kernel`]; because all
 //! variants are bit-exact, forcing changes wall-clock only.
 
+use crate::pack::RequantEpilogue;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -297,10 +300,22 @@ pub(crate) fn tile_band(_: KernelIsa, _: usize, _: usize) -> Option<usize> {
     None
 }
 
+/// Whether `isa` runs the whole 32-column blocks of a `rows × k × n`
+/// GEMM on the AMX tiles: [`tile_band`] applies to the shape and the
+/// rows fill at least one 16-row activation tile.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tiles_apply(isa: KernelIsa, rows: usize, k: usize, n: usize) -> bool {
+    tile_band(isa, k, n).is_some() && rows >= x86::TILE
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn tiles_apply(_: KernelIsa, _: usize, _: usize, _: usize) -> bool {
+    false
+}
+
 /// Run the AMX tile kernel over every whole 32-column block of the
 /// packed weights `wdata` (`k × n`, column-major) for the `rows`
-/// activation rows `a`, when [`tile_band`] applies to the shape and the
-/// band holds at least one 16-row activation tile. Each block's four `CB`
+/// activation rows `a`, when [`tiles_apply`]. Each block's four `CB`
 /// sub-blocks go to `put(j, sums)` in column order, `sums[r]` holding
 /// row `r`'s sums for the `CB` columns from `j`. Returns how many
 /// leading columns were covered (0 when the tiles do not apply); the
@@ -315,8 +330,8 @@ pub(crate) fn tile_blocks(
     n: usize,
     mut put: impl FnMut(usize, &mut [[i32; CB]]),
 ) -> usize {
-    use x86::{AmxTiles, AMX_NB, TILE};
-    if tile_band(isa, k, n).is_none() || rows < TILE {
+    use x86::{AmxTiles, AMX_NB};
+    if !tiles_apply(isa, rows, k, n) {
         return 0;
     }
     let tiles = AmxTiles::new(a, rows, k);
@@ -342,6 +357,76 @@ pub(crate) fn tile_blocks(
     _: impl FnMut(usize, &mut [[i32; CB]]),
 ) -> usize {
     0
+}
+
+/// The fused requantizing tile GEMM for one band of rows: when
+/// [`tiles_apply`], the `rows` activation rows `a` are interleaved into
+/// tiles once, and every whole 32-column block of the packed weights
+/// `wdata` (`k × n`, column-major) is reduced on the tiles and narrowed
+/// through `epi` straight into the band's row-major output `out`
+/// (`rows × n`). Returns how many leading columns that covered (0 when
+/// the tiles do not apply); the caller runs the rest.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)] // the GEMM's operands, shape and output
+pub(crate) fn tile_requant(
+    isa: KernelIsa,
+    a: &[i8],
+    rows: usize,
+    k: usize,
+    wdata: &[i8],
+    n: usize,
+    epi: &RequantEpilogue<'_>,
+    out: &mut [i8],
+) -> usize {
+    if !tiles_apply(isa, rows, k, n) {
+        return 0;
+    }
+    x86::AmxTiles::new(a, rows, k).requant(wdata, n, epi, out);
+    n / x86::AMX_NB * x86::AMX_NB
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tile_requant(
+    _: KernelIsa,
+    _: &[i8],
+    _: usize,
+    _: usize,
+    _: &[i8],
+    _: usize,
+    _: &RequantEpilogue<'_>,
+    _: &mut [i8],
+) -> usize {
+    0
+}
+
+/// Narrow the row-major accumulators `acc` (rows of `n`) into `out`
+/// through `epi` with the tile GEMM's AVX-512 row epilogue when `isa`
+/// is [`KernelIsa::Amx`]; returns `false`, touching nothing, otherwise.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn requant_rows(
+    isa: KernelIsa,
+    acc: &[i32],
+    n: usize,
+    epi: &RequantEpilogue<'_>,
+    out: &mut [i8],
+) -> bool {
+    let applies = isa == KernelIsa::Amx && n > 0;
+    if applies {
+        x86::requant_rows(acc, n, epi, out);
+    }
+    applies
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn requant_rows(
+    _: KernelIsa,
+    _: &[i32],
+    _: usize,
+    _: &RequantEpilogue<'_>,
+    _: &mut [i8],
+) -> bool {
+    false
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -22,7 +22,9 @@
 #![allow(unsafe_code)]
 
 use super::CB;
+use crate::pack::RequantEpilogue;
 use core::arch::asm;
+use protea_fixed::{LaneStages, RoundShift};
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -30,11 +32,18 @@ use core::arch::x86_64::{
     __cpuid_count, __get_cpuid_max, __m128i, __m256i, __m512i, _mm256_add_epi32,
     _mm256_castsi256_si128, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
     _mm256_setzero_si256, _mm256_slli_epi32, _mm256_storeu_si256, _mm256_sub_epi32,
-    _mm512_add_epi32, _mm512_castsi512_si256, _mm512_dpbusd_epi32, _mm512_loadu_si512,
-    _mm512_madd_epi16, _mm512_maskz_loadu_epi8, _mm512_permutex2var_epi64, _mm512_reduce_add_epi32,
-    _mm512_setzero_si512, _mm512_shuffle_i32x4, _mm512_shuffle_i64x2, _mm512_storeu_si512,
-    _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
-    _mm_add_epi32, _mm_cvtsi128_si32, _mm_shuffle_epi32,
+    _mm512_abs_epi32, _mm512_add_epi32, _mm512_and_si512, _mm512_castsi128_si512,
+    _mm512_castsi512_si128, _mm512_castsi512_si256, _mm512_cmplt_epi32_mask, _mm512_cvtsepi32_epi8,
+    _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_blend_epi32,
+    _mm512_mask_blend_epi8, _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8, _mm512_max_epi32,
+    _mm512_min_epi32, _mm512_movepi8_mask, _mm512_mul_epu32, _mm512_permutex2var_epi64,
+    _mm512_permutex2var_epi8, _mm512_reduce_add_epi32, _mm512_set1_epi32, _mm512_setzero_si512,
+    _mm512_shuffle_i32x4, _mm512_shuffle_i64x2, _mm512_sll_epi32, _mm512_slli_epi64,
+    _mm512_sra_epi32, _mm512_srai_epi32, _mm512_srl_epi32, _mm512_srl_epi64, _mm512_srli_epi64,
+    _mm512_storeu_si512, _mm512_sub_epi32, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64,
+    _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_xor_si512, _mm_add_epi32,
+    _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_mask_storeu_epi8, _mm_shuffle_epi32,
+    _mm_storeu_si128,
 };
 
 /// Exact horizontal sum of the eight i32 lanes of a ymm accumulator.
@@ -285,15 +294,22 @@ pub(crate) const TILE_K: usize = 64;
 pub(crate) const AMX_NB: usize = 2 * TILE;
 
 /// Whether this host runs the AMX tile kernel: CPUID leaf 7 reports AMX-TILE
-/// (EDX bit 24) and AMX-INT8 (EDX bit 25), the VNNI kernel that runs the
-/// column tails is present, and the kernel grants this process the tile
-/// data state (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`,
-/// requested once and cached). Stable Rust cannot name the `amx-int8`
-/// target feature, so the probe is by hand.
+/// (EDX bit 24) and AMX-INT8 (EDX bit 25); the VNNI kernel that runs the
+/// column tails and the AVX-512 VBMI byte permutes of the fused
+/// epilogue's activation ROM are present (every AMX-INT8 CPU has both);
+/// and the kernel grants this process the tile data state
+/// (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`, requested once
+/// and cached). Stable Rust cannot name the `amx-int8` target feature,
+/// so the probe is by hand.
 #[must_use]
 pub(crate) fn amx_supported() -> bool {
     static GRANTED: OnceLock<bool> = OnceLock::new();
-    *GRANTED.get_or_init(|| vnni_supported() && amx_cpuid() && request_tile_data())
+    *GRANTED.get_or_init(|| {
+        vnni_supported()
+            && std::arch::is_x86_feature_detected!("avx512vbmi")
+            && amx_cpuid()
+            && request_tile_data()
+    })
 }
 
 fn amx_cpuid() -> bool {
@@ -370,14 +386,15 @@ struct TileRow([u32; TILE]);
 /// laid out `[group of 16 rows][k/64][k/4 mod 16][16 rows][4 bytes]`,
 /// rows past the band's end zero. Each accumulator tile is then a
 /// 16-column × 16-row block of `Cᵀ`, transposed back with AVX-512
-/// shuffles into the row-major `[[i32; CB]]` blocks the store loop
-/// takes.
+/// shuffles: by [`AmxTiles::block`] into the row-major `[[i32; CB]]`
+/// blocks a `StripSink` takes, by [`AmxTiles::requant`] into one
+/// activation row per register, which it narrows and stores in place.
 ///
-/// Each [`AmxTiles::block`] call configures the calling thread's tiles,
-/// runs the tile loop and releases them, so no tile state outlives a
-/// call: whatever runs between two blocks — the GEMM's sink, a caller's
-/// epilogue closure, another tile GEMM — finds no configuration to
-/// disturb.
+/// Each [`AmxTiles::block`] or [`AmxTiles::requant`] call configures the
+/// calling thread's tiles, runs the tile loop and releases them, so no
+/// tile state outlives a call: whatever runs between two blocks — the
+/// GEMM's sink, a caller's epilogue closure, another tile GEMM — finds
+/// no configuration to disturb.
 pub(crate) struct AmxTiles {
     /// Interleaved activations, one dword (4 depth bytes) per element.
     b: Vec<TileRow>,
@@ -423,6 +440,62 @@ impl AmxTiles {
     pub(crate) fn block(&self, wstrip: &[i8], sums: &mut [[i32; CB]]) {
         assert_eq!(wstrip.len(), AMX_NB * self.k);
         assert_eq!(sums.len(), AMX_NB / CB * self.rows);
+        let rows = self.rows;
+        // SAFETY: `sums` holds four blocks of `rows` rows (asserted), so
+        // every split below stays inside it.
+        self.with_tiles(|| unsafe {
+            tile_block(&self.b, rows, self.k, wstrip, |first, valid, half, tile| {
+                let (lo, hi) = sums.split_at_mut((2 * half + 1) * rows);
+                let lo = &mut lo[2 * half * rows + first..][..valid];
+                let hi = &mut hi[first..first + valid];
+                if valid == TILE {
+                    store_transposed(tile, lo, hi);
+                } else {
+                    let mut full = [[[0i32; CB]; TILE]; 2];
+                    let [flo, fhi] = &mut full;
+                    store_transposed(tile, flo, fhi);
+                    lo.copy_from_slice(&flo[..valid]);
+                    hi.copy_from_slice(&fhi[..valid]);
+                }
+            });
+        });
+    }
+
+    /// The fused requantizing GEMM over this band's whole 32-column
+    /// blocks: reduce each block of the packed weights `wdata`
+    /// (column-major, `k` bytes per column, `n` columns) against every
+    /// activation row, and narrow each accumulator tile through `epi`
+    /// straight into the band's row-major output `out` (rows of `n`) as
+    /// it leaves the tiles ([`RowRequant`]): no i32 sums reach memory
+    /// beyond the tile's own 1 KiB. Columns past the last whole block
+    /// are left to the caller.
+    ///
+    /// # Panics
+    /// Panics if `out` is not this band's `rows × n` bytes, `wdata` not
+    /// `n` columns or the epilogue's bias not `n` long.
+    pub(crate) fn requant(
+        &self,
+        wdata: &[i8],
+        n: usize,
+        epi: &RequantEpilogue<'_>,
+        out: &mut [i8],
+    ) {
+        assert_eq!(out.len(), self.rows * n, "output must be the band's rows");
+        assert_eq!(wdata.len(), n * self.k);
+        if let Some(bias) = epi.bias {
+            assert_eq!(bias.len(), n, "bias length mismatch");
+        }
+        // SAFETY: AVX-512 VBMI is part of `amx_supported`, checked by
+        // `new`, and the asserts above are `requant_blocks`' contract.
+        self.with_tiles(|| unsafe {
+            requant_blocks(&self.b, self.rows, self.k, wdata, n, epi, out)
+        });
+    }
+
+    /// Run `f` with this thread's tiles configured as [`tile_block`]
+    /// needs them, then release them, so no tile state outlives the
+    /// call.
+    fn with_tiles(&self, f: impl FnOnce()) {
         let config = TileConfig {
             palette: 1,
             start_row: 0,
@@ -432,15 +505,59 @@ impl AmxTiles {
         };
         // SAFETY: `new` checked that AMX is present and this process
         // holds the tile-data permission; the config is a valid palette-1
-        // layout, loaded on this thread right before the tile loop, and
-        // the asserts bound every tile load to `wstrip` and `self.b` and
-        // every store to `sums`. `tilerelease` returns the tile state to
-        // its initial form.
+        // layout, loaded on this thread right before the tile loop.
+        // `tilerelease` returns the tile state to its initial form.
         unsafe {
             asm!("ldtilecfg [{}]", in(reg) &config, options(nostack, readonly));
-            tile_block(&self.b, self.rows, self.k, wstrip, sums);
+        }
+        f();
+        // SAFETY: as above.
+        unsafe {
             asm!("tilerelease", options(nostack, nomem));
         }
+    }
+}
+
+/// The block loop of [`AmxTiles::requant`]. The store closure is
+/// defined here, inside the feature-enabled function, so it inherits
+/// the features and [`transpose16`] and [`RowRequant::row`] inline into
+/// it.
+///
+/// # Safety
+/// The tiles must be configured as [`AmxTiles::with_tiles`] does and
+/// AVX-512 F, BW and VBMI present; `b` must hold `rows` interleaved rows
+/// of depth `k`, `wdata` `n × k` bytes, `out` `rows × n` bytes and the
+/// epilogue's bias (if any) `n` columns.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn requant_blocks(
+    b: &[TileRow],
+    rows: usize,
+    k: usize,
+    wdata: &[i8],
+    n: usize,
+    epi: &RequantEpilogue<'_>,
+    out: &mut [i8],
+) {
+    let rq = RowRequant::new(epi);
+    for j in (0..n / AMX_NB * AMX_NB).step_by(AMX_NB) {
+        // SAFETY: columns j..j + 32 ≤ n of the bias.
+        let bias = epi.bias.map(|bias| {
+            let p = bias.as_ptr().add(j);
+            [_mm512_loadu_si512(p.cast()), _mm512_loadu_si512(p.add(TILE).cast())]
+        });
+        let strip = &wdata[j * k..(j + AMX_NB) * k];
+        tile_block(b, rows, k, strip, |first, valid, half, tile| {
+            let r: [__m512i; TILE] = core::array::from_fn(|c| {
+                // SAFETY: row c of the 16 × 16 tile.
+                unsafe { _mm512_loadu_si512(tile.0.as_ptr().add(c * TILE).cast()) }
+            });
+            let bias = bias.map(|b| b[half]);
+            for (i, x) in transpose16(r).into_iter().take(valid).enumerate() {
+                let dst = &mut out[(first + i) * n + j + half * TILE..][..TILE];
+                // SAFETY: `dst` holds the 16 bytes stored.
+                unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), rq.row(x, bias)) };
+            }
+        });
     }
 }
 
@@ -471,22 +588,32 @@ unsafe fn interleave_group(group: &[i8], k: usize, tiles: &mut [TileRow]) {
     }
 }
 
-/// The tile loop of [`AmxTiles::block`]: for each pair of 16-row
-/// groups, a 2 × 2 register block — two weight tiles (`tmm4`, `tmm5`)
-/// against two activation tiles (`tmm6`, `tmm7`) into four accumulators
-/// (`tmm0`–`tmm3`) — swept over the depth, then transposed out. An odd
-/// last group runs the 2 × 1 half of the block. Each tile is loaded
-/// just before its first `tdpbssd`, not all four up front: tiles are
-/// not renamed, so a load waits for the previous step's readers of its
+/// The tile loop of [`AmxTiles::block`] and [`AmxTiles::requant`]: for
+/// each pair of 16-row groups, a 2 × 2 register block — two weight tiles
+/// (`tmm4`, `tmm5`) against two activation tiles (`tmm6`, `tmm7`) into
+/// four accumulators (`tmm0`–`tmm3`) — swept over the depth, then stored
+/// and handed to `store(first, valid, half, tile)`: the accumulator tile
+/// of weight columns `16·half .. 16·half + 16` for activation rows
+/// `first .. first + valid` (rows past `valid` are padding). An odd last
+/// group runs the 2 × 1 half of the block. Each tile is loaded just
+/// before its first `tdpbssd`, not all four up front: tiles are not
+/// renamed, so a load waits for the previous step's readers of its
 /// register, and interleaving ran the block loop 4–6% faster (A/B in one
 /// process on a 2-core AMX host).
 ///
 /// # Safety
-/// The tiles must be configured as [`AmxTiles::block`] does; `b` must hold
-/// the band's interleaved groups, `wstrip` `AMX_NB × k` bytes and `sums`
-/// `4 · rows` blocks.
-#[target_feature(enable = "avx512f")]
-unsafe fn tile_block(b: &[TileRow], rows: usize, k: usize, wstrip: &[i8], sums: &mut [[i32; CB]]) {
+/// The tiles must be configured as [`AmxTiles::with_tiles`] does (so
+/// AMX, and with it AVX-512 F, BW and VBMI, is present); `b` must hold
+/// the band's interleaved groups and `wstrip` `AMX_NB × k` bytes.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn tile_block(
+    b: &[TileRow],
+    rows: usize,
+    k: usize,
+    wstrip: &[i8],
+    mut store: impl FnMut(usize, usize, usize, &AccTile),
+) {
+    debug_assert_eq!(wstrip.len(), AMX_NB * k);
     let groups = rows.div_ceil(TILE);
     let steps = k / TILE_K;
     let group_rows = steps * TILE;
@@ -564,22 +691,175 @@ unsafe fn tile_block(b: &[TileRow], rows: usize, k: usize, wstrip: &[i8], sums: 
         for gg in 0..if pair { 2 } else { 1 } {
             let first = (g + gg) * TILE;
             let valid = TILE.min(rows - first);
-            for (half, tile) in [&acc[gg], &acc_hi[gg]].into_iter().enumerate() {
-                let (lo, hi) = sums.split_at_mut((2 * half + 1) * rows);
-                let lo = &mut lo[2 * half * rows + first..][..valid];
-                let hi = &mut hi[first..first + valid];
-                if valid == TILE {
-                    store_transposed(tile, lo, hi);
-                } else {
-                    let mut full = [[[0i32; CB]; TILE]; 2];
-                    let [flo, fhi] = &mut full;
-                    store_transposed(tile, flo, fhi);
-                    lo.copy_from_slice(&flo[..valid]);
-                    hi.copy_from_slice(&fhi[..valid]);
-                }
-            }
+            store(first, valid, 0, &acc[gg]);
+            store(first, valid, 1, &acc_hi[gg]);
         }
         g += if pair { 2 } else { 1 };
+    }
+}
+
+/// A [`RequantEpilogue`] as AVX-512 constants: each call of [`row`]
+/// takes one activation row's 16 i32 sums in a zmm register and returns
+/// its 16 output bytes — the saturating bias add, the [`LaneStages`] as
+/// lane arithmetic, the `vpmovsdb` saturating narrow, then the
+/// activation ROM as two `vpermi2b` table reads (entries 0–127 and
+/// 128–255, each indexed by the code's low seven bits) and a blend on
+/// the code's sign bit. Byte-identical to [`LaneRequant`]'s scalar lane
+/// code, stage for stage.
+///
+/// [`row`]: RowRequant::row
+/// [`LaneRequant`]: protea_fixed::LaneRequant
+struct RowRequant {
+    /// The reciprocal and the shift of the 64-bit products.
+    div: Option<(__m512i, __m128i)>,
+    pre: Option<LaneShift>,
+    post: LaneShift,
+    /// The left shift's count, when there is one.
+    left: Option<__m128i>,
+    rom: Option<[__m512i; 4]>,
+}
+
+/// A [`RoundShift`] broadcast to every lane.
+#[derive(Clone, Copy)]
+struct LaneShift {
+    sh: __m128i,
+    low_mask: __m512i,
+    add: __m512i,
+    odd: __m512i,
+}
+
+impl LaneShift {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new(s: RoundShift) -> Self {
+        let lane = |v: u32| _mm512_set1_epi32(v.cast_signed());
+        Self {
+            sh: _mm_cvtsi32_si128(s.sh.cast_signed()),
+            low_mask: lane(s.low_mask),
+            add: lane(s.add),
+            odd: lane(s.odd),
+        }
+    }
+
+    /// `floor(x / 2^sh)` plus the rounding carry, in u32 lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn apply(&self, x: __m512i) -> __m512i {
+        let floor = _mm512_sra_epi32(x, self.sh);
+        let low = _mm512_and_si512(x, self.low_mask);
+        let odd = _mm512_and_si512(floor, self.odd);
+        let carry =
+            _mm512_srl_epi32(_mm512_add_epi32(_mm512_add_epi32(low, self.add), odd), self.sh);
+        _mm512_add_epi32(floor, carry)
+    }
+}
+
+impl RowRequant {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new(epi: &RequantEpilogue<'_>) -> Self {
+        let LaneStages { div, pre, post, left } = epi.rq.stages();
+        let rom = epi.act.map(|act| {
+            let t = act.table();
+            // SAFETY: each load reads 64 of the table's 256 bytes.
+            core::array::from_fn(|q| unsafe { _mm512_loadu_si512(t.as_ptr().add(64 * q).cast()) })
+        });
+        Self {
+            div: div.map(|d| {
+                (_mm512_set1_epi32(d.mul.cast_signed()), _mm_cvtsi32_si128(d.shift.cast_signed()))
+            }),
+            pre: pre.map(|p| LaneShift::new(p)),
+            post: LaneShift::new(post),
+            left: (left > 0).then(|| _mm_cvtsi32_si128(left.cast_signed())),
+            rom,
+        }
+    }
+
+    /// One row of 16 sums `x`, with the 16 columns' `bias`, to 16 bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    fn row(&self, x: __m512i, bias: Option<__m512i>) -> __m128i {
+        let mut x = x;
+        if let Some(b) = bias {
+            // The add overflows where x and b share a sign the sum lacks;
+            // it then saturates toward x's sign.
+            let sum = _mm512_add_epi32(x, b);
+            let flip = _mm512_and_si512(_mm512_xor_si512(sum, x), _mm512_xor_si512(sum, b));
+            let over = _mm512_cmplt_epi32_mask(flip, _mm512_setzero_si512());
+            let sat = _mm512_xor_si512(_mm512_srai_epi32::<31>(x), _mm512_set1_epi32(i32::MAX));
+            x = _mm512_mask_blend_epi32(over, sum, sat);
+        }
+        if let Some((mul, shift)) = self.div {
+            // |x|·m >> shift per 64-bit product, even and odd lanes
+            // apart; every quotient fits the low 32 bits.
+            let ax = _mm512_abs_epi32(x);
+            let even = _mm512_srl_epi64(_mm512_mul_epu32(ax, mul), shift);
+            let odd = _mm512_srl_epi64(_mm512_mul_epu32(_mm512_srli_epi64::<32>(ax), mul), shift);
+            let q = _mm512_mask_blend_epi32(0xAAAA, even, _mm512_slli_epi64::<32>(odd));
+            let sign = _mm512_srai_epi32::<31>(x);
+            x = _mm512_sub_epi32(_mm512_xor_si512(q, sign), sign);
+        }
+        if let Some(pre) = &self.pre {
+            x = pre.apply(x);
+        }
+        x = match self.left {
+            Some(left) => {
+                // Clamping to 9 bits first keeps the (≤ 8-bit) shift
+                // inside i32 without changing which values saturate.
+                let x = _mm512_min_epi32(
+                    _mm512_max_epi32(x, _mm512_set1_epi32(-256)),
+                    _mm512_set1_epi32(255),
+                );
+                _mm512_sll_epi32(x, left)
+            }
+            None => self.post.apply(x),
+        };
+        let q = _mm512_cvtsepi32_epi8(x);
+        match &self.rom {
+            Some([t0, t1, t2, t3]) => {
+                let idx = _mm512_castsi128_si512(q);
+                let pos = _mm512_permutex2var_epi8(*t0, idx, *t1);
+                let neg = _mm512_permutex2var_epi8(*t2, idx, *t3);
+                _mm512_castsi512_si128(_mm512_mask_blend_epi8(_mm512_movepi8_mask(idx), pos, neg))
+            }
+            None => q,
+        }
+    }
+}
+
+/// [`RequantEpilogue::apply_matrix`] on AVX-512: every row of the
+/// row-major accumulators `acc` (rows of `n`) through [`RowRequant::row`],
+/// 16 columns at a time, the last chunk of a row masked.
+///
+/// # Panics
+/// Panics if the host lacks AMX (whose probe covers the AVX-512 VBMI
+/// this needs), or the slices or the bias disagree with `n`.
+pub(crate) fn requant_rows(acc: &[i32], n: usize, epi: &RequantEpilogue<'_>, out: &mut [i8]) {
+    assert!(amx_supported(), "AVX-512 row requant on a host without AMX");
+    assert_eq!(acc.len(), out.len());
+    assert!(n > 0 && acc.len().is_multiple_of(n));
+    if let Some(b) = epi.bias {
+        assert_eq!(b.len(), n, "bias length mismatch");
+    }
+    // SAFETY: the features were checked above; every masked load and
+    // store touches only columns `j..j + w ≤ n` of one row of `acc`,
+    // `out` and the bias, whose lengths were asserted.
+    unsafe { requant_rows_avx512(acc, n, epi, out) }
+}
+
+/// # Safety
+/// AVX-512 F, BW and VBMI must be present; `acc` and `out` must hold
+/// whole rows of `n` and the bias (if any) `n` columns.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn requant_rows_avx512(acc: &[i32], n: usize, epi: &RequantEpilogue<'_>, out: &mut [i8]) {
+    let rq = RowRequant::new(epi);
+    for (a, o) in acc.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+        for j in (0..n).step_by(TILE) {
+            let mask = u16::MAX >> (TILE - TILE.min(n - j));
+            let x = _mm512_maskz_loadu_epi32(mask, a.as_ptr().add(j));
+            let bias = epi.bias.map(|b| _mm512_maskz_loadu_epi32(mask, b.as_ptr().add(j)));
+            _mm_mask_storeu_epi8(o.as_mut_ptr().add(j), mask, rq.row(x, bias));
+        }
     }
 }
 

@@ -32,7 +32,9 @@
 //!   ROM) resolved once per GEMM and applied to each `CB`-column block
 //!   of microkernel results as a few vectorized passes, so the i32
 //!   accumulator matrix is never materialized and the separate
-//!   `O(m·n)` requant pass disappears at near-zero cost.
+//!   `O(m·n)` requant pass disappears at near-zero cost. On the AMX
+//!   tiles the same stages run in AVX-512 registers on each
+//!   accumulator tile as it leaves the tile kernel.
 //! * [`matmul_i8_packed_epilogue`] — the same store loop with any
 //!   per-element `(col, acc) → i8` closure.
 //! * [`matmul_i8_packed_epilogue_checked`] — the ABFT hook: the same
@@ -224,6 +226,25 @@ trait StripSink {
         out: &mut [Self::Out],
         stride: usize,
     );
+
+    /// Run the whole 32-column blocks of the band's GEMM on the AMX
+    /// tiles when they apply, into the band's row-major `out`, and
+    /// return how many leading columns that covered (0 when the tiles
+    /// do not apply). By default each block's sums go to
+    /// [`put_block`](Self::put_block) ([`kernels::tile_blocks`]).
+    fn tiles(
+        &mut self,
+        isa: KernelIsa,
+        a: &[i8],
+        rows: usize,
+        w: &PackedWeights,
+        out: &mut [Self::Out],
+    ) -> usize {
+        let (k, n) = w.shape();
+        kernels::tile_blocks(isa, a, rows, k, w.data.as_slice(), n, |j, sums| {
+            self.put_block(j, CB, sums, &mut out[j..], n);
+        })
+    }
 }
 
 /// Copy the first `w` lanes of `src` into `dst`. A full block copies a
@@ -330,9 +351,9 @@ impl<F: Fn(usize, i32) -> i8> StripSink for CheckedMapSink<'_, F> {
 /// the same table.
 #[derive(Debug, Clone, Copy)]
 pub struct RequantEpilogue<'a> {
-    rq: LaneRequant,
-    bias: Option<&'a [i32]>,
-    act: Option<&'a ActivationLut>,
+    pub(crate) rq: LaneRequant,
+    pub(crate) bias: Option<&'a [i32]>,
+    pub(crate) act: Option<&'a ActivationLut>,
 }
 
 impl<'a> RequantEpilogue<'a> {
@@ -367,6 +388,9 @@ impl<'a> RequantEpilogue<'a> {
         let (m, n) = acc.shape();
         self.check_width(n);
         let mut out = vec![0i8; m * n];
+        if kernels::requant_rows(kernels::active_kernel(), acc.as_slice(), n, self, &mut out) {
+            return Matrix::from_vec(m, n, out);
+        }
         let mut sums = vec![[0i32; CB]; m];
         let mut sink = RequantSink::new(self, None);
         for j in (0..n).step_by(CB) {
@@ -463,15 +487,29 @@ impl StripSink for RequantSink<'_> {
             copy_lanes(&mut out[di * stride..], q, w);
         }
     }
+
+    /// The whole epilogue runs inside the tile kernel, on each
+    /// accumulator tile's transpose ([`kernels::tile_requant`]).
+    fn tiles(
+        &mut self,
+        isa: KernelIsa,
+        a: &[i8],
+        rows: usize,
+        w: &PackedWeights,
+        out: &mut [i8],
+    ) -> usize {
+        let (k, n) = w.shape();
+        kernels::tile_requant(isa, a, rows, k, w.data.as_slice(), n, self.epi, out)
+    }
 }
 
 /// Reduce the `rows` activation rows `a` against every column of `w`
 /// into the row-major `out`. On AMX, whole 32-column blocks run through
-/// the tile kernel first ([`kernels::tile_blocks`]). The remaining
-/// columns' activations are prepared for `isa` once, then each
-/// `CB`-column block runs through [`kernels::reduce_block`]; every block
-/// goes to the sink. The ragged tail (`w.cols() % CB` columns) runs a
-/// scalar dot over the i8 operands with identical values.
+/// the tile kernel first ([`StripSink::tiles`]). The remaining columns'
+/// activations are prepared for `isa` once, then each `CB`-column block
+/// runs through [`kernels::reduce_block`] into the sink. The ragged tail
+/// (`w.cols() % CB` columns) runs a scalar dot over the i8 operands with
+/// identical values.
 fn gemm_strip<S: StripSink>(
     a: &[i8],
     rows: usize,
@@ -482,9 +520,7 @@ fn gemm_strip<S: StripSink>(
 ) {
     let (k, n) = w.shape();
     let wdata = w.data.as_slice();
-    let mut j = kernels::tile_blocks(isa, a, rows, k, wdata, n, |j, sums| {
-        sink.put_block(j, CB, sums, &mut out[j..], n);
-    });
+    let mut j = sink.tiles(isa, a, rows, w, out);
     let mut sums = vec![[0i32; CB]; rows];
     if j + CB <= n {
         let acts = Activations::prepare(isa, a);
@@ -553,10 +589,17 @@ const MIN_PAR_MACS: usize = 1 << 19;
 /// (128×768×768, 128×768×3072, 128×3072×768) with 32-row bands and
 /// never missed the `kernels` gate's 10% + 50 µs allowance; one 64-row
 /// band per worker averaged 0.71, 0.63 and 0.73 and missed it 11 times,
-/// all at 128×3072×768. Chunks of whole tile blocks over all rows, each
-/// into its own buffer stitched afterwards, averaged 0.84, 0.81 and
-/// 0.71 and missed it twice. Every other kernel takes one band per
-/// worker.
+/// all at 128×3072×768. Every other kernel takes one band per worker.
+///
+/// Splitting the tile GEMM by columns instead — chunks of four whole
+/// 32-column blocks over all rows, so each packed strip is read once
+/// per GEMM — lost both times it was tried. With each chunk in its own
+/// buffer stitched afterwards, parallel over serial averaged 0.84, 0.81
+/// and 0.71. With the fused requant epilogue storing each chunk's
+/// columns in place, it won in isolation only at 128×768×3072 (0.41–0.58
+/// vs 0.60–0.72 ms), and `encoder_forward`'s `op_ms_p50` was 1.057× that
+/// of 32-row bands (median of 12 alternating pairs, row bands faster in
+/// 9), its QKV phase slower in every traced run.
 fn row_band(m: usize, k: usize, n: usize, isa: KernelIsa) -> Option<usize> {
     let threads = rayon::current_num_threads();
     if threads <= 1 || m < 2 || m.saturating_mul(k).saturating_mul(n) < MIN_PAR_MACS {

@@ -11,6 +11,12 @@
 //! of each shift — the i32 extremes, every exact tie `±k·2^sh ± half`
 //! and its neighbours, the saturation edges — with biases that saturate
 //! the add. `crates/tensor/tests/props.rs` covers random GEMMs.
+//!
+//! When the active kernel is `amx`, [`RequantEpilogue::apply_matrix`]
+//! runs the AMX tile GEMM's AVX-512 row epilogue (bias add with
+//! saturation, divisor, shifts, `vpmovsdb`, the ROM as byte permutes),
+//! so on AMX hosts these boundary sets pin that code; elsewhere they pin
+//! the strip epilogue the other kernels use.
 
 use protea::core::engines::{fused_projection_act, projection_epilogue, projection_requantizer};
 use protea::fixed::activation::{Activation, ActivationLut};
@@ -130,11 +136,16 @@ fn strip_logit_requant_matches_the_i64_division() {
                         .chain([i64::from(i32::MIN), i64::from(i32::MAX)])
                         .filter_map(|x| i32::try_from(x).ok())
                         .collect();
-                    let acc = Matrix::from_vec(values.len(), 1, values.clone());
+                    // Rows of 17, so the values land in every lane of a
+                    // 16-lane row chunk and in its masked tail.
+                    let rows = values.len().div_ceil(17);
+                    let acc = Matrix::from_fn(rows, 17, |r, c| {
+                        values.get(r * 17 + c).copied().unwrap_or(0)
+                    });
                     let got = RequantEpilogue::new(lr.lanes()).apply_matrix(&acc);
-                    for (r, &a) in values.iter().enumerate() {
+                    for (i, &a) in values.iter().enumerate() {
                         assert_eq!(
-                            got[(r, 0)],
+                            got.as_slice()[i],
                             lr.apply(a),
                             "{scaling:?} {mode:?} Q.{act_frac}->Q.{logit_frac} d{d_model}/h{heads}: {a}"
                         );

@@ -24,10 +24,21 @@
 //! The epilogue closure runs between two tile blocks, so one test runs
 //! a tile GEMM from inside it and requires the outer GEMM's later blocks
 //! to be unharmed.
+//!
+//! On AMX the requantizing GEMMs narrow each accumulator tile inside the
+//! tile kernel. A third grid pins that fused path, serial and in 32-row
+//! bands (128 rows make four), element by element against `Requantizer::apply` and the activation
+//! ROM over the naive accumulators: row counts of whole, ragged and odd
+//! 16-row groups up to the encoder's 128, widths with and without a
+//! column tail up to the FFN's 3072, three depths, and epilogues
+//! without a bias, with one (some columns near `i32::MAX` and
+//! `i32::MIN`, so the add saturates), with the ROM, and with a
+//! pre-shift and the logit divisor.
 
 use std::cell::Cell;
 use std::sync::Mutex;
 
+use protea::fixed::activation::{Activation, ActivationLut};
 use protea::fixed::{QFormat, Requantizer, Rounding};
 use protea::tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
@@ -42,6 +53,10 @@ const WIDTHS: [usize; 5] = [1, 7, 8, 9, 17];
 const TILE_ROWS: [usize; 6] = [16, 17, 31, 32, 33, 48];
 const TILE_DEPTHS: [usize; 5] = [64, 96, 128, 768, 3072];
 const TILE_WIDTHS: [usize; 5] = [32, 33, 40, 63, 96];
+
+const FUSED_ROWS: [usize; 7] = [16, 17, 31, 32, 33, 48, 128];
+const FUSED_DEPTHS: [usize; 3] = [64, 128, 768];
+const FUSED_WIDTHS: [usize; 4] = [32, 40, 96, 3072];
 
 /// `force_kernel` is process-wide; the tests in this binary take turns.
 static FORCE: Mutex<()> = Mutex::new(());
@@ -135,6 +150,58 @@ fn tile_shapes_match_the_oracle() {
             for (m, n) in pairs {
                 let w = mat(k, n, 4);
                 assert_exact(&mat(m, k, 8), &w, &PackedWeights::pack(&w), isa);
+            }
+        }
+    });
+}
+
+#[test]
+fn fused_requant_tiles_match_the_per_element_oracle() {
+    let rq = Requantizer::new(12, QFormat::new(8, 5), Rounding::NearestEven);
+    let pre = Requantizer::new(9, QFormat::new(8, 4), Rounding::HalfUp).with_pre_shift(2);
+    let gelu = ActivationLut::new(Activation::Gelu, QFormat::new(8, 5));
+    for_tile_isas(|isa| {
+        for k in FUSED_DEPTHS {
+            for n in FUSED_WIDTHS {
+                let w = mat(k, n, 3);
+                let packed = PackedWeights::pack(&w);
+                let bias: Vec<i32> = (0..n)
+                    .map(|j| match j % 7 {
+                        3 => i32::MAX - 9,
+                        5 => i32::MIN + 9,
+                        _ => (j as i32 - 20) * 4099,
+                    })
+                    .collect();
+                for m in FUSED_ROWS {
+                    let a = mat(m, k, 7);
+                    let acc = matmul_i8_i32(&a, &w);
+                    let check = |name: &str,
+                                 epi: RequantEpilogue<'_>,
+                                 f: &dyn Fn(usize, i32) -> i8| {
+                        let want: Vec<i8> =
+                            acc.as_slice().iter().enumerate().map(|(i, &v)| f(i % n, v)).collect();
+                        let shape = format!("{name} {m}x{k}x{n} on {isa}");
+                        let got = matmul_i8_packed_requant(&a, &packed, &epi);
+                        assert_eq!(got.as_slice(), &want[..], "serial {shape}");
+                        let got = matmul_i8_packed_requant_parallel(&a, &packed, &epi);
+                        assert_eq!(got.as_slice(), &want[..], "parallel {shape}");
+                    };
+                    let biased = |j: usize, v: i32| v.saturating_add(bias[j]);
+                    check("plain", RequantEpilogue::new(rq.lanes()), &|_, v| rq.apply(v));
+                    check("bias", RequantEpilogue::new(rq.lanes()).with_bias(&bias), &|j, v| {
+                        rq.apply(biased(j, v))
+                    });
+                    check(
+                        "bias+rom",
+                        RequantEpilogue::new(rq.lanes()).with_bias(&bias).with_activation(&gelu),
+                        &|j, v| gelu.apply(rq.apply(biased(j, v))),
+                    );
+                    check(
+                        "bias+div",
+                        RequantEpilogue::new(pre.lanes().with_divisor(3)).with_bias(&bias),
+                        &|j, v| pre.apply(biased(j, v) / 3),
+                    );
+                }
             }
         }
     });
