@@ -1,13 +1,19 @@
 //! Elastic fleets under churn: goodput and per-tenant SLO attainment
-//! across fleet compositions and churn intensities (extension). Writes
-//! `BENCH_elastic.json` in the working directory.
+//! across fleet compositions and churn intensities (extension).
 //!
-//! Flags: `--smoke` shrinks the workload for CI; `--check` additionally
-//! exits nonzero unless the calm cells stay healthy and the interactive
-//! tenant outlives the best-effort tenant under heavy churn.
+//! ```text
+//! elastic [--smoke] [--check] [--out <path.json>]
+//! ```
+//!
+//! `--smoke` shrinks the workload for CI; `--check` additionally exits
+//! nonzero unless the calm cells stay healthy and the interactive
+//! tenant outlives the best-effort tenant under heavy churn. The JSON
+//! result is written only when `--out` names a file, so a smoke run
+//! from the repository root leaves the committed `BENCH_elastic.json`
+//! (recorded with `--out BENCH_elastic.json`) untouched.
 
 use protea_bench::elastic;
-use protea_bench::fmt::render_table;
+use protea_bench::fmt::{render_table, write_out};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -82,12 +88,10 @@ fn main() {
     );
 
     let json = elastic::to_json(&rows);
-    let path = "BENCH_elastic.json";
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
+    if let Err(e) = write_out(&args, &json) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("wrote {path}");
 
     if check {
         // Calm cells (no churn) must serve every tenant, and in every

@@ -1,13 +1,19 @@
 //! Silent-data-corruption defense: detection coverage and goodput
 //! overhead across injection rates and scrub intervals (extension).
-//! Writes `BENCH_integrity.json` in the working directory.
 //!
-//! Flags: `--smoke` shrinks the workload for CI; `--check` additionally
-//! exits nonzero unless every injected defended cell reaches >= 99%
-//! detection coverage at <= 5% goodput overhead and the exposed cells
-//! demonstrably serve silent wrongs.
+//! ```text
+//! integrity [--smoke] [--check] [--out <path.json>]
+//! ```
+//!
+//! `--smoke` shrinks the workload for CI; `--check` additionally exits
+//! nonzero unless every injected defended cell reaches >= 99% detection
+//! coverage at <= 5% goodput overhead and the exposed cells
+//! demonstrably serve silent wrongs. The JSON result is written only
+//! when `--out` names a file, so a smoke run from the repository root
+//! leaves the committed `BENCH_integrity.json` (recorded with `--out
+//! BENCH_integrity.json`) untouched.
 
-use protea_bench::fmt::render_table;
+use protea_bench::fmt::{render_table, write_out};
 use protea_bench::integrity;
 
 fn main() {
@@ -83,12 +89,10 @@ fn main() {
     );
 
     let json = integrity::to_json(&rows);
-    let path = "BENCH_integrity.json";
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("error: cannot write {path}: {e}");
+    if let Err(e) = write_out(&args, &json) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("wrote {path}");
 
     if check {
         let mut ok = true;

@@ -17,7 +17,7 @@ use protea_fixed::activation::ActivationLut;
 use protea_model::quantized::LogitRequant;
 use protea_model::QuantizedEncoder;
 use protea_platform::FpgaDevice;
-use protea_tensor::{matmul_i8_packed_requant, Matrix, PackedWeights, RequantEpilogue};
+use protea_tensor::{kernels, matmul_i8_packed_requant, Matrix, PackedWeights, RequantEpilogue};
 use std::sync::OnceLock;
 
 /// The full ProTEA instance: one synthesized design, a runtime register
@@ -347,6 +347,7 @@ impl Accelerator {
         let cfg = rt.to_model_config();
         let logit_epi = RequantEpilogue::new(LogitRequant::new(&cfg, s).lanes());
         let sv_epi = RequantEpilogue::new(s.sv_requantizer().lanes());
+        let qk_depth = kernels::tile_depth(sl, dk, sl);
 
         let mut h = x.clone();
         for (layer, pl) in weights.layers.iter().zip(&packed.layers).take(rt.layers) {
@@ -356,8 +357,11 @@ impl Accelerator {
             let v = fused_projection(&h, &pl.wv, &layer.bv, layer.wv.fmt, s);
             let head_out = |head: usize| {
                 let c0 = head * dk;
-                let qi = q.submatrix(0, c0, sl, dk);
-                let ki = k.submatrix(0, c0, sl, dk);
+                // Zero columns add nothing to an integer sum: padding Q
+                // and K to a whole tile row puts Q·Kᵀ on the AMX tiles
+                // with the same logits.
+                let qi = q.submatrix_padded(0, c0, sl, dk, qk_depth);
+                let ki = k.submatrix_padded(0, c0, sl, dk, qk_depth);
                 let vi = v.submatrix(0, c0, sl, dk);
                 // Packing `kiᵀ` column-major is `ki`'s row-major bytes — a
                 // straight copy, so Q·Kᵀ runs on the packed kernel at

@@ -3,21 +3,22 @@
 use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_fixed::SoftmaxUnit;
+use protea_fixed::ExpLut;
 use protea_model::QuantSchedule;
+use protea_tensor::kernels::softmax_rows;
 use protea_tensor::Matrix;
 
 /// The softmax functional unit bank.
 #[derive(Debug, Clone)]
 pub struct SoftmaxEngine {
-    unit: SoftmaxUnit,
+    lut: ExpLut,
 }
 
 impl SoftmaxEngine {
     /// Build with the ROM for the schedule's logit format.
     #[must_use]
     pub fn new(s: &QuantSchedule) -> Self {
-        Self { unit: SoftmaxUnit::new(s.logit_fmt) }
+        Self { lut: ExpLut::new(s.logit_fmt) }
     }
 
     /// Access plan: one compute-only access per layer.
@@ -26,11 +27,13 @@ impl SoftmaxEngine {
         vec![Access { load_bytes: 0, compute_cycles: syn.timing.softmax_cycles(rt.seq_len as u64) }]
     }
 
-    /// Row-softmax of one head's logit matrix.
+    /// Row-softmax of one head's logit matrix through the
+    /// [`softmax_rows`] kernel: the bytes of
+    /// [`protea_fixed::SoftmaxUnit::forward_matrix`].
     #[must_use]
     pub fn compute_head(&self, logits: &Matrix<i8>) -> Matrix<i8> {
         let mut out = Matrix::<i8>::zeros(logits.rows(), logits.cols());
-        self.unit.forward_matrix(logits.as_slice(), logits.cols(), out.as_mut_slice());
+        softmax_rows(&self.lut, logits.as_slice(), logits.cols(), out.as_mut_slice());
         out
     }
 }

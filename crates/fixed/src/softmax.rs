@@ -18,6 +18,12 @@
 //!
 //! Output probabilities are Q0.7 (`i8`, 7 fractional bits), the natural
 //! format for values in `[0, 1)`.
+//!
+//! [`SoftmaxUnit::forward_row`] is the golden oracle. The host datapaths
+//! run the same numerics through `protea_tensor::kernels::softmax_rows`,
+//! which reads this ROM through [`ExpLut::table`] and normalizes in u64
+//! lanes with `m = ⌊2⁵² / sum⌋ + 1`; why that reciprocal gives the same
+//! floor is written on that function.
 
 use crate::qformat::QFormat;
 
@@ -26,6 +32,10 @@ pub const EXP_LUT_SIZE: usize = 256;
 
 /// Fractional bits of the LUT output (u16 storage, Q0.15-ish unsigned).
 pub const EXP_OUT_FRAC: u8 = 15;
+
+/// The longest row the softmax unit takes (the hardware's `SL_max`): it
+/// bounds a row's exponential sum by `512 · 2¹⁵ = 2²⁴`.
+pub const SOFTMAX_MAX_LEN: usize = 512;
 
 /// A synthesized exponential lookup table for a given input format.
 ///
@@ -59,6 +69,14 @@ impl ExpLut {
     pub fn lookup(&self, raw: i8) -> u16 {
         self.table[raw as u8 as usize]
     }
+
+    /// The ROM contents, indexed by the input code as a `u8` (entries
+    /// 128–255 hold the negative inputs). Every entry is at most
+    /// `2^EXP_OUT_FRAC`.
+    #[must_use]
+    pub fn table(&self) -> &[u16; EXP_LUT_SIZE] {
+        &self.table
+    }
 }
 
 /// The softmax functional unit: one per attention head in ProTEA.
@@ -72,6 +90,12 @@ impl SoftmaxUnit {
     #[must_use]
     pub fn new(input_fmt: QFormat) -> Self {
         Self { lut: ExpLut::new(input_fmt) }
+    }
+
+    /// The exponential ROM this unit reads.
+    #[must_use]
+    pub fn lut(&self) -> &ExpLut {
+        &self.lut
     }
 
     /// The output probability format (Q0.7).
@@ -91,7 +115,7 @@ impl SoftmaxUnit {
         // Exponentials of (x - max): differences saturate at i8 range,
         // which the LUT covers (exp of anything ≤ -4 in Q2.5 is ~0 anyway).
         let mut sum: u32 = 0;
-        let mut exps = [0u16; 512];
+        let mut exps = [0u16; SOFTMAX_MAX_LEN];
         assert!(row.len() <= exps.len(), "row longer than hardware SL_max");
         for (e, &x) in exps.iter_mut().zip(row.iter()) {
             let diff = i16::from(x) - i16::from(max);

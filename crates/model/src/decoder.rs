@@ -27,8 +27,8 @@ use protea_fixed::activation::ActivationLut;
 use protea_fixed::layernorm::LayerNormUnit;
 use protea_fixed::{Activation, QFormat, Quantizer, Requantizer, SoftmaxUnit};
 use protea_tensor::{
-    add_bias_row, matmul_i8_i32, matmul_i8_i32_packed, matmul_naive, residual_add, transpose,
-    Matrix, PackedWeights,
+    add_bias_row, kernels, matmul_i8_i32, matmul_i8_i32_packed, matmul_naive, residual_add,
+    transpose, Matrix, PackedWeights,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -772,6 +772,20 @@ impl QuantizedDecoder {
         self.decode_step_impl(cache, x_row, Some(packed))
     }
 
+    /// Masked softmax of one logit row: on the packed path through the
+    /// host's [`kernels::softmax_rows`] kernel over the `valid` prefix, with the
+    /// tail zeroed; on the scalar path through the unit's oracle. Both
+    /// give the same bytes.
+    fn masked_softmax(&self, fast: bool, row: &[i8], valid: usize, out: &mut [i8]) {
+        let valid = valid.min(row.len());
+        if fast && valid > 0 {
+            kernels::softmax_rows(self.softmax.lut(), &row[..valid], valid, &mut out[..valid]);
+            out[valid..].fill(0);
+        } else {
+            self.softmax.forward_row_masked(row, valid, out);
+        }
+    }
+
     fn decode_step_impl(
         &self,
         cache: &mut DecoderKvCache,
@@ -826,7 +840,7 @@ impl QuantizedDecoder {
                 let logits = requant_logits(&acc, &self.config, s);
                 let mut p = Matrix::<i8>::zeros(1, kv_len);
                 // the causal mask is implicit: the cache only holds ≤ pos
-                self.softmax.forward_row_masked(logits.row(0), kv_len, p.row_mut(0));
+                self.masked_softmax(packed.is_some(), logits.row(0), kv_len, p.row_mut(0));
                 let acc_sv = matmul_i8_i32(&p, &vi);
                 concat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
             }
@@ -847,7 +861,7 @@ impl QuantizedDecoder {
                 let acc = matmul_i8_i32(&qi, &transpose(&ki));
                 let logits = requant_logits(&acc, &self.config, s);
                 let mut p = Matrix::<i8>::zeros(1, sl_kv);
-                self.softmax.forward_row_masked(logits.row(0), sl_kv, p.row_mut(0));
+                self.masked_softmax(packed.is_some(), logits.row(0), sl_kv, p.row_mut(0));
                 let acc_sv = matmul_i8_i32(&p, &vi);
                 ccat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
             }

@@ -33,6 +33,12 @@
 //! * [`KernelIsa::Neon`] — `vmlal_s16` widening multiply-accumulate on
 //!   aarch64 (the `neon` module).
 //!
+//! Two helpers serve attention. [`tile_depth`] names the depth to which
+//! a GEMM's operands are zero-padded so that the tiles take it (Q·Kᵀ at
+//! `d_k = 96`). [`softmax_rows`] is the LUT softmax row kernel: word
+//! permutes over the ROM and u32-lane reciprocal multiplies on the
+//! AVX-512 kernels, portable row code on every other ISA.
+//!
 //! Why `_mm256_madd_epi16` and not `_mm256_maddubs_epi16`: `maddubs`
 //! multiplies *unsigned* by signed bytes and **saturates** its i16 pair
 //! sums — `(255·127 + 255·127)` overflows i16 — so it cannot reproduce
@@ -71,6 +77,7 @@
 //! variants are bit-exact, forcing changes wall-clock only.
 
 use crate::pack::RequantEpilogue;
+use protea_fixed::softmax::{ExpLut, SOFTMAX_MAX_LEN};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -313,6 +320,58 @@ pub(crate) fn tiles_apply(_: KernelIsa, _: usize, _: usize, _: usize) -> bool {
     false
 }
 
+/// The depth at which to run a `rows × k × n` GEMM whose operands may be
+/// zero-padded along `k`: `k` rounded up to a whole tile row (64 bytes)
+/// when the active kernel would then run the product on the AMX tiles,
+/// else `k` unchanged. Zero columns add nothing to an integer sum, so
+/// both depths give the same bytes, and every other ISA, and fewer than
+/// 16 rows, keep the unpadded MAC count.
+#[must_use]
+pub fn tile_depth(rows: usize, k: usize, n: usize) -> usize {
+    depth_for(active_kernel(), rows, k, n)
+}
+
+fn depth_for(isa: KernelIsa, rows: usize, k: usize, n: usize) -> usize {
+    let padded = k.next_multiple_of(64);
+    if tiles_apply(isa, rows, padded, n) {
+        padded
+    } else {
+        k
+    }
+}
+
+/// Row softmax of the row-major logits (rows of `cols`) into `out`
+/// through the exponential ROM `lut`: byte for byte
+/// [`protea_fixed::SoftmaxUnit::forward_row`] on every row. The row max,
+/// the ROM reads and the u32 sum are the unit's; the normalization is a
+/// u64 multiply by the row's reciprocal `m = ⌊2⁵²/sum⌋ + 1`,
+/// `p = min(127, (e·2⁷·m) >> 52)`. The AVX-512 kernels run it in zmm
+/// lanes with AVX-512 F and BW only: the u64 product is split into u32
+/// multiplies, so it needs no AVX-512 DQ `vpmullq`. Every other ISA runs
+/// the portable row code.
+///
+/// Why the floor is exact: the ROM returns `e ≤ 2¹⁵` and the row max
+/// reads exactly `2¹⁵`, so `2¹⁵ ≤ sum ≤ 512·2¹⁵ < 2²⁵` and
+/// `m ≤ 2³⁷ + 1`; with `a = e·2⁷ ≤ 2²²` the product `a·m < 2⁶⁰` fits
+/// u64. As `2⁵²/sum < m ≤ 2⁵²/sum + 1`, `a·m/2⁵²` exceeds `a/sum` by
+/// more than 0 and at most `a/2⁵² ≤ 2⁻³⁰`. The fraction of `a/sum` is a
+/// multiple of `1/sum` below 1, so at most `1 − 1/sum < 1 − 2⁻²⁵`, and
+/// an excess below `2⁻³⁰` never carries it to the next integer.
+///
+/// # Panics
+/// Panics if `cols` is 0, above [`SOFTMAX_MAX_LEN`] or not a divisor of
+/// `logits.len()`, or if `out` is not as long as `logits`.
+pub fn softmax_rows(lut: &ExpLut, logits: &[i8], cols: usize, out: &mut [i8]) {
+    assert_eq!(logits.len(), out.len(), "softmax output length mismatch");
+    assert!(cols > 0 && logits.len().is_multiple_of(cols), "matrix shape mismatch");
+    assert!(cols <= SOFTMAX_MAX_LEN, "row longer than hardware SL_max");
+    #[cfg(target_arch = "x86_64")]
+    if matches!(active_kernel(), KernelIsa::Avx512 | KernelIsa::Avx512Vnni | KernelIsa::Amx) {
+        return x86::softmax_rows(lut.table(), logits, cols, out);
+    }
+    portable::softmax_rows(lut.table(), logits, cols, out);
+}
+
 /// Run the AMX tile kernel over every whole 32-column block of the
 /// packed weights `wdata` (`k × n`, column-major) for the `rows`
 /// activation rows `a`, when [`tiles_apply`]. Each block's four `CB`
@@ -518,6 +577,20 @@ mod tests {
         for isa in supported_kernels() {
             assert_eq!(block(isa, &a, &w, k), [k as i32 * 128 * 128; CB], "isa={isa}");
         }
+    }
+
+    #[test]
+    fn only_the_tiles_pad_the_depth() {
+        // Q·Kᵀ at the encoder's d_k = 96 over 128 rows and keys.
+        for isa in KernelIsa::ALL {
+            let want = if isa == KernelIsa::Amx && cfg!(target_arch = "x86_64") { 128 } else { 96 };
+            assert_eq!(depth_for(isa, 128, 96, 128), want, "isa={isa}");
+        }
+        // Too few rows or keys for a tile, an empty or whole-step depth.
+        assert_eq!(depth_for(KernelIsa::Amx, 15, 96, 128), 96);
+        assert_eq!(depth_for(KernelIsa::Amx, 128, 96, 31), 96);
+        assert_eq!(depth_for(KernelIsa::Amx, 128, 0, 128), 0);
+        assert_eq!(depth_for(KernelIsa::Amx, 128, 128, 128), 128);
     }
 
     #[test]

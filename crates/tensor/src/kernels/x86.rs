@@ -1,7 +1,8 @@
 //! Explicit x86-64 microkernels: AVX2 (ymm) and AVX-512 (zmm)
 //! `vpmaddwd` over the widened-i16 strips, the AVX-512 VNNI `vpdpbusd`
-//! kernel over the raw packed i8 strips, and the AMX-INT8 `tdpbssd`
-//! tile kernel (`AmxTiles`) over the same strips.
+//! kernel over the raw packed i8 strips, the AMX-INT8 `tdpbssd`
+//! tile kernel (`AmxTiles`) over the same strips, and the AVX-512
+//! softmax row kernel (`softmax_rows`).
 //!
 //! Exactness argument (why re-association to SIMD lanes is bit-safe):
 //! every i16 operand is a widened i8, so each product is bounded by
@@ -24,6 +25,7 @@
 use super::CB;
 use crate::pack::RequantEpilogue;
 use core::arch::asm;
+use protea_fixed::softmax::SOFTMAX_MAX_LEN;
 use protea_fixed::{LaneStages, RoundShift};
 use std::sync::OnceLock;
 
@@ -31,19 +33,25 @@ use std::sync::OnceLock;
 use core::arch::x86_64::{
     __cpuid_count, __get_cpuid_max, __m128i, __m256i, __m512i, _mm256_add_epi32,
     _mm256_castsi256_si128, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
-    _mm256_setzero_si256, _mm256_slli_epi32, _mm256_storeu_si256, _mm256_sub_epi32,
-    _mm512_abs_epi32, _mm512_add_epi32, _mm512_and_si512, _mm512_castsi128_si512,
-    _mm512_castsi512_si128, _mm512_castsi512_si256, _mm512_cmplt_epi32_mask, _mm512_cvtsepi32_epi8,
-    _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_blend_epi32,
-    _mm512_mask_blend_epi8, _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8, _mm512_max_epi32,
-    _mm512_min_epi32, _mm512_movepi8_mask, _mm512_mul_epu32, _mm512_permutex2var_epi64,
-    _mm512_permutex2var_epi8, _mm512_reduce_add_epi32, _mm512_set1_epi32, _mm512_setzero_si512,
-    _mm512_shuffle_i32x4, _mm512_shuffle_i64x2, _mm512_sll_epi32, _mm512_slli_epi64,
-    _mm512_sra_epi32, _mm512_srai_epi32, _mm512_srl_epi32, _mm512_srl_epi64, _mm512_srli_epi64,
-    _mm512_storeu_si512, _mm512_sub_epi32, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64,
-    _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_xor_si512, _mm_add_epi32,
-    _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_mask_storeu_epi8, _mm_shuffle_epi32,
-    _mm_storeu_si128,
+    _mm256_max_epi8, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_storeu_si256,
+    _mm256_sub_epi32, _mm512_abs_epi32, _mm512_add_epi16, _mm512_add_epi32, _mm512_and_si512,
+    _mm512_castsi128_si512, _mm512_castsi512_si128, _mm512_castsi512_si256,
+    _mm512_cmpeq_epi16_mask, _mm512_cmplt_epi32_mask, _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16,
+    _mm512_cvtepi8_epi32, _mm512_cvtepu16_epi32, _mm512_cvtsepi32_epi8, _mm512_dpbusd_epi32,
+    _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_blend_epi16,
+    _mm512_mask_blend_epi32, _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8,
+    _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8,
+    _mm512_maskz_mov_epi16, _mm512_max_epi16, _mm512_max_epi32, _mm512_max_epi8, _mm512_min_epi32,
+    _mm512_min_epu32, _mm512_movepi8_mask, _mm512_mul_epu32, _mm512_mullo_epi32,
+    _mm512_permutex2var_epi16, _mm512_permutex2var_epi64, _mm512_permutex2var_epi8,
+    _mm512_reduce_add_epi32, _mm512_reduce_max_epi32, _mm512_set1_epi16, _mm512_set1_epi32,
+    _mm512_set1_epi8, _mm512_setzero_si512, _mm512_shuffle_i32x4, _mm512_shuffle_i64x2,
+    _mm512_sll_epi32, _mm512_slli_epi32, _mm512_slli_epi64, _mm512_sra_epi32, _mm512_srai_epi32,
+    _mm512_srl_epi32, _mm512_srl_epi64, _mm512_srli_epi32, _mm512_srli_epi64, _mm512_storeu_si512,
+    _mm512_sub_epi16, _mm512_sub_epi32, _mm512_test_epi16_mask, _mm512_unpackhi_epi32,
+    _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_xor_si512,
+    _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_mask_storeu_epi8, _mm_max_epi8,
+    _mm_shuffle_epi32, _mm_storeu_si128,
 };
 
 /// Exact horizontal sum of the eight i32 lanes of a ymm accumulator.
@@ -859,6 +867,100 @@ unsafe fn requant_rows_avx512(acc: &[i32], n: usize, epi: &RequantEpilogue<'_>, 
             let x = _mm512_maskz_loadu_epi32(mask, a.as_ptr().add(j));
             let bias = epi.bias.map(|b| _mm512_maskz_loadu_epi32(mask, b.as_ptr().add(j)));
             _mm_mask_storeu_epi8(o.as_mut_ptr().add(j), mask, rq.row(x, bias));
+        }
+    }
+}
+
+/// [`super::softmax_rows`] on AVX-512 F and BW: 64 logits per row-max
+/// step, 32 ROM reads per step as two-source word permutes, 16
+/// probabilities per normalization step.
+///
+/// # Panics
+/// Panics if the host lacks AVX-512 F or BW, or the slices do not hold
+/// whole rows of `cols ≤ SOFTMAX_MAX_LEN`.
+pub(crate) fn softmax_rows(table: &[u16; 256], logits: &[i8], cols: usize, out: &mut [i8]) {
+    assert!(
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw"),
+        "AVX-512 softmax on a host without AVX-512 BW"
+    );
+    assert_eq!(logits.len(), out.len());
+    assert!(cols > 0 && cols <= SOFTMAX_MAX_LEN && logits.len().is_multiple_of(cols));
+    // SAFETY: the features and the shapes were checked above; see the
+    // function's contract.
+    unsafe { softmax_rows_avx512(table, logits, cols, out) }
+}
+
+/// # Safety
+/// AVX-512 F and BW must be present; `logits` and `out` must hold whole
+/// rows of `cols`, `0 < cols ≤ SOFTMAX_MAX_LEN`. Every row load and
+/// store is masked to the row's `cols` bytes, and the exponential
+/// buffer's whole 32-word steps end within its `SOFTMAX_MAX_LEN` words.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn softmax_rows_avx512(table: &[u16; 256], logits: &[i8], cols: usize, out: &mut [i8]) {
+    // x − max ∈ [−128, 0] reads the ROM's code 0 or its negative half,
+    // `table[128..256]`: four 32-word vectors, two word permutes with a
+    // 6-bit index and a blend on bit 6 of `x − max + 128`.
+    let half: [__m512i; 4] =
+        core::array::from_fn(|q| _mm512_loadu_si512(table.as_ptr().add(128 + 32 * q).cast()));
+    let at_max = _mm512_set1_epi16(table[0].cast_signed());
+    let mut exps = [0u16; SOFTMAX_MAX_LEN];
+    for (row, probs) in logits.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+        // Row max; masked-off bytes keep the running max.
+        let mut mx = _mm512_set1_epi8(i8::MIN);
+        for j in (0..cols).step_by(64) {
+            let mask = u64::MAX >> (64 - 64.min(cols - j));
+            mx = _mm512_max_epi8(mx, _mm512_mask_loadu_epi8(mx, mask, row.as_ptr().add(j)));
+        }
+        let m256 = _mm256_max_epi8(_mm512_castsi512_si256(mx), _mm512_extracti64x4_epi64::<1>(mx));
+        let m128 = _mm_max_epi8(_mm256_castsi256_si128(m256), _mm256_extracti128_si256::<1>(m256));
+        let max = _mm512_set1_epi16(_mm512_reduce_max_epi32(_mm512_cvtepi8_epi32(m128)) as i16);
+        // ROM reads and their u32 sum; masked-off words read as 0.
+        let mut acc = _mm512_setzero_si512();
+        for j in (0..cols).step_by(32) {
+            let mask = u32::MAX >> (32 - 32.min(cols - j));
+            let bytes = _mm512_maskz_loadu_epi8(u64::from(mask), row.as_ptr().add(j));
+            let x = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(bytes));
+            let d = _mm512_max_epi16(_mm512_sub_epi16(x, max), _mm512_set1_epi16(-128));
+            let idx = _mm512_add_epi16(d, _mm512_set1_epi16(128));
+            let lo = _mm512_permutex2var_epi16(half[0], idx, half[1]);
+            let hi = _mm512_permutex2var_epi16(half[2], idx, half[3]);
+            let e =
+                _mm512_mask_blend_epi16(_mm512_test_epi16_mask(idx, _mm512_set1_epi16(64)), lo, hi);
+            let e = _mm512_mask_blend_epi16(
+                _mm512_cmpeq_epi16_mask(d, _mm512_setzero_si512()),
+                e,
+                at_max,
+            );
+            let e = _mm512_maskz_mov_epi16(mask, e);
+            _mm512_storeu_si512(exps.as_mut_ptr().add(j).cast(), e);
+            let pair = _mm512_add_epi32(
+                _mm512_and_si512(e, _mm512_set1_epi32(0xFFFF)),
+                _mm512_srli_epi32::<16>(e),
+            );
+            acc = _mm512_add_epi32(acc, pair);
+        }
+        let sum = _mm512_reduce_add_epi32(acc).cast_unsigned();
+        let m = (1u64 << 52) / u64::from(sum) + 1;
+        // ⌊a·m / 2⁵²⌋ with m = mh·2³² + ml is ⌊(⌊a·ml / 2³²⌋ + a·mh) / 2²⁰⌋:
+        // the high halves of the u32 products a·ml, even and odd lanes
+        // apart, plus a·mh < 2²⁸ (mh ≤ 32), all in u32 lanes.
+        let ml = _mm512_set1_epi32((m as u32).cast_signed());
+        let mh = _mm512_set1_epi32(((m >> 32) as u32).cast_signed());
+        for j in (0..cols).step_by(16) {
+            let mask = u16::MAX >> (16 - 16.min(cols - j));
+            let e = _mm256_loadu_si256(exps.as_ptr().add(j).cast());
+            let a = _mm512_slli_epi32::<7>(_mm512_cvtepu16_epi32(e));
+            let even = _mm512_srli_epi64::<32>(_mm512_mul_epu32(a, ml));
+            let odd = _mm512_mul_epu32(_mm512_srli_epi64::<32>(a), ml);
+            let high = _mm512_mask_blend_epi32(0xAAAA, even, odd);
+            let q = _mm512_srli_epi32::<20>(_mm512_add_epi32(high, _mm512_mullo_epi32(a, mh)));
+            let p = _mm512_cvtepi32_epi8(_mm512_min_epu32(q, _mm512_set1_epi32(127)));
+            _mm512_mask_storeu_epi8(
+                probs.as_mut_ptr().add(j),
+                u64::from(mask),
+                _mm512_castsi128_si512(p),
+            );
         }
     }
 }

@@ -108,12 +108,21 @@ impl<T: Copy + Default> Matrix<T> {
     /// matrix (a tile load: what the DMA engine writes into a BRAM buffer).
     #[must_use]
     pub fn submatrix(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix<T> {
+        self.submatrix_padded(r0, c0, h, w, w)
+    }
+
+    /// The `h × w` tile at `(r0, c0)`, each row padded with
+    /// `T::default()` to `width` columns.
+    #[must_use]
+    pub fn submatrix_padded(&self, r0: usize, c0: usize, h: usize, w: usize, width: usize) -> Self {
         assert!(r0 + h <= self.rows && c0 + w <= self.cols, "tile out of bounds");
-        let mut data = Vec::with_capacity(h * w);
+        assert!(width >= w, "padded width below the tile width");
+        let mut data = Vec::with_capacity(h * width);
         for r in r0..r0 + h {
             data.extend_from_slice(&self.data[r * self.cols + c0..r * self.cols + c0 + w]);
+            data.resize(data.len() + width - w, T::default());
         }
-        Matrix { rows: h, cols: w, data }
+        Matrix { rows: h, cols: width, data }
     }
 
     /// Write `tile` into this matrix at offset `(r0, c0)` (a tile

@@ -34,12 +34,22 @@
 //! without a bias, with one (some columns near `i32::MAX` and
 //! `i32::MIN`, so the add saturates), with the ROM, and with a
 //! pre-shift and the logit divisor.
+//!
+//! The encoder's heads zero-pad Q and K from `d_k` to a whole tile row
+//! (`tile_depth`) so that Q·Kᵀ runs on the tiles. A fourth grid pins
+//! that the padded product, through the logit epilogue, gives the
+//! logits of the unpadded one: `d_k` of 32, 64, 96 and 128, 16–128
+//! query rows against as many keys and against 128, serial and in
+//! bands, on every tile ISA.
 
 use std::cell::Cell;
 use std::sync::Mutex;
 
 use protea::fixed::activation::{Activation, ActivationLut};
 use protea::fixed::{QFormat, Requantizer, Rounding};
+use protea::model::quantized::LogitRequant;
+use protea::model::{EncoderConfig, QuantSchedule};
+use protea::tensor::kernels::tile_depth;
 use protea::tensor::{
     force_kernel, matmul_i8_i32, matmul_i8_i32_packed, matmul_i8_i32_packed_parallel,
     matmul_i8_packed_epilogue, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel,
@@ -57,6 +67,9 @@ const TILE_WIDTHS: [usize; 5] = [32, 33, 40, 63, 96];
 const FUSED_ROWS: [usize; 7] = [16, 17, 31, 32, 33, 48, 128];
 const FUSED_DEPTHS: [usize; 3] = [64, 128, 768];
 const FUSED_WIDTHS: [usize; 4] = [32, 40, 96, 3072];
+
+const PAD_DEPTHS: [usize; 4] = [32, 64, 96, 128];
+const PAD_ROWS: [usize; 8] = [16, 17, 31, 32, 33, 64, 96, 128];
 
 /// `force_kernel` is process-wide; the tests in this binary take turns.
 static FORCE: Mutex<()> = Mutex::new(());
@@ -201,6 +214,38 @@ fn fused_requant_tiles_match_the_per_element_oracle() {
                         RequantEpilogue::new(pre.lanes().with_divisor(3)).with_bias(&bias),
                         &|j, v| pre.apply(biased(j, v) / 3),
                     );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn padded_depth_logits_match_the_unpadded_product() {
+    let s = QuantSchedule::paper();
+    for_tile_isas(|isa| {
+        for dk in PAD_DEPTHS {
+            let lr = LogitRequant::new(&EncoderConfig::new(8 * dk, 8, 1, 128), &s);
+            let epi = RequantEpilogue::new(lr.lanes());
+            let padded = dk.next_multiple_of(64);
+            for m in PAD_ROWS {
+                for n in [m, 128] {
+                    let (q, k) = (mat(m, dk, 11), mat(n, dk, 12));
+                    let want: Vec<i8> = matmul_i8_i32(&q, &transpose(&k))
+                        .as_slice()
+                        .iter()
+                        .map(|&acc| lr.apply(acc))
+                        .collect();
+                    let tiles = isa == KernelIsa::Amx && m >= 16 && n >= 32;
+                    let shape = format!("{m}x{dk}x{n} on {isa}");
+                    assert_eq!(tile_depth(m, dk, n), if tiles { padded } else { dk }, "{shape}");
+                    let qp = q.submatrix_padded(0, 0, m, dk, padded);
+                    let kt =
+                        PackedWeights::from_transpose(&k.submatrix_padded(0, 0, n, dk, padded));
+                    let got = matmul_i8_packed_requant(&qp, &kt, &epi);
+                    assert_eq!(got.as_slice(), &want[..], "serial {shape}");
+                    let got = matmul_i8_packed_requant_parallel(&qp, &kt, &epi);
+                    assert_eq!(got.as_slice(), &want[..], "parallel {shape}");
                 }
             }
         }
