@@ -3,7 +3,7 @@
 use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
-use protea_fixed::ExpLut;
+use protea_fixed::SoftmaxUnit;
 use protea_model::QuantSchedule;
 use protea_tensor::kernels::softmax_rows;
 use protea_tensor::Matrix;
@@ -11,14 +11,14 @@ use protea_tensor::Matrix;
 /// The softmax functional unit bank.
 #[derive(Debug, Clone)]
 pub struct SoftmaxEngine {
-    lut: ExpLut,
+    unit: SoftmaxUnit,
 }
 
 impl SoftmaxEngine {
     /// Build with the ROM for the schedule's logit format.
     #[must_use]
     pub fn new(s: &QuantSchedule) -> Self {
-        Self { lut: ExpLut::new(s.logit_fmt) }
+        Self { unit: SoftmaxUnit::new(s.logit_fmt) }
     }
 
     /// Access plan: one compute-only access per layer.
@@ -29,11 +29,11 @@ impl SoftmaxEngine {
 
     /// Row-softmax of one head's logit matrix through the
     /// [`softmax_rows`] kernel: the bytes of
-    /// [`protea_fixed::SoftmaxUnit::forward_matrix`].
+    /// [`SoftmaxUnit::forward_matrix`].
     #[must_use]
     pub fn compute_head(&self, logits: &Matrix<i8>) -> Matrix<i8> {
         let mut out = Matrix::<i8>::zeros(logits.rows(), logits.cols());
-        softmax_rows(&self.lut, logits.as_slice(), logits.cols(), out.as_mut_slice());
+        softmax_rows(&self.unit, logits.as_slice(), logits.cols(), out.as_mut_slice());
         out
     }
 }

@@ -9,21 +9,26 @@
 //!    difference (the table is burned into LUTs at synthesis, one per
 //!    input format),
 //! 3. integer sum of the table outputs,
-//! 4. normalization `⌊exp_i · 2⁷ / sum⌋`, as a reciprocal multiply
-//!    resolved once per row: `m = ⌈2⁶⁴ / sum⌉`, then each element is the
-//!    high half of `(exp_i · 2⁷) · m`. This is the exact quotient: with
-//!    `exp_i · 2⁷ < 2²³` and `2¹⁵ ≤ sum ≤ 512 · 2¹⁵ < 2²⁵`, the rounding
-//!    error of `m` adds less than `2²³ / 2⁶⁴` to a quotient whose
-//!    fractional part is at most `1 − 2⁻²⁵`, so the floor never moves.
+//! 4. normalization `⌊exp_i · 2⁷ / sum⌋`, clamped to 127, as a u64
+//!    reciprocal multiply resolved once per row: `m = ⌊2⁵² / sum⌋ + 1`,
+//!    then each element is `(exp_i · 2⁷ · m) >> 52`.
+//!
+//! Why that floor is exact: the ROM returns `e ≤ 2¹⁵` and the row max
+//! reads exactly `2¹⁵`, so `2¹⁵ ≤ sum ≤ 512·2¹⁵ < 2²⁵` and
+//! `m ≤ 2³⁷ + 1`; with `a = e·2⁷ ≤ 2²²` the product `a·m < 2⁶⁰` fits
+//! u64. As `2⁵²/sum < m ≤ 2⁵²/sum + 1`, `a·m/2⁵²` exceeds `a/sum` by
+//! more than 0 and at most `a/2⁵² ≤ 2⁻³⁰`. The fraction of `a/sum` is a
+//! multiple of `1/sum` below 1, so at most `1 − 1/sum < 1 − 2⁻²⁵`, and
+//! an excess below `2⁻³⁰` never carries it to the next integer.
 //!
 //! Output probabilities are Q0.7 (`i8`, 7 fractional bits), the natural
 //! format for values in `[0, 1)`.
 //!
-//! [`SoftmaxUnit::forward_row`] is the golden oracle. The host datapaths
-//! run the same numerics through `protea_tensor::kernels::softmax_rows`,
-//! which reads this ROM through [`ExpLut::table`] and normalizes in u64
-//! lanes with `m = ⌊2⁵² / sum⌋ + 1`; why that reciprocal gives the same
-//! floor is written on that function.
+//! [`SoftmaxUnit::forward_row`] is the golden oracle, and
+//! `tests/norm_exact.rs` checks it against the per-element division.
+//! The host datapaths call `protea_tensor::kernels::softmax_rows`: on
+//! the AVX-512 kernels it runs these numerics in zmm lanes, reading the
+//! ROM through [`ExpLut::table`]; on every other ISA it calls this unit.
 
 use crate::qformat::QFormat;
 
@@ -124,13 +129,11 @@ impl SoftmaxUnit {
             sum += u32::from(*e);
         }
         // Normalize: p = ⌊e · 128 / sum⌋, clamped to Q0.7 max (127), by
-        // the row's reciprocal ⌈2⁶⁴ / sum⌉ = ⌊(2⁶⁴ − 1) / sum⌋ + 1 (module
-        // docs, step 4). sum ≥ exp(0) = 2^15 always, since the max
-        // element maps to 1.0.
-        let recip = u64::MAX / u64::from(sum) + 1;
+        // the row's reciprocal ⌊2⁵² / sum⌋ + 1 (module docs, step 4).
+        // sum ≥ exp(0) = 2^15 always, since the max element maps to 1.0.
+        let recip = (1u64 << 52) / u64::from(sum) + 1;
         for (o, &e) in out.iter_mut().zip(exps.iter().take(row.len())) {
-            let p = (u128::from(u64::from(e) << 7) * u128::from(recip)) >> 64;
-            *o = p.min(127) as i8;
+            *o = (((u64::from(e) << 7) * recip) >> 52).min(127) as i8;
         }
     }
 

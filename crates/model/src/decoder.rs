@@ -779,7 +779,7 @@ impl QuantizedDecoder {
     fn masked_softmax(&self, fast: bool, row: &[i8], valid: usize, out: &mut [i8]) {
         let valid = valid.min(row.len());
         if fast && valid > 0 {
-            kernels::softmax_rows(self.softmax.lut(), &row[..valid], valid, &mut out[..valid]);
+            kernels::softmax_rows(&self.softmax, &row[..valid], valid, &mut out[..valid]);
             out[valid..].fill(0);
         } else {
             self.softmax.forward_row_masked(row, valid, out);

@@ -37,7 +37,7 @@
 //! a GEMM's operands are zero-padded so that the tiles take it (Q·Kᵀ at
 //! `d_k = 96`). [`softmax_rows`] is the LUT softmax row kernel: word
 //! permutes over the ROM and u32-lane reciprocal multiplies on the
-//! AVX-512 kernels, portable row code on every other ISA.
+//! AVX-512 kernels, the softmax unit itself on every other ISA.
 //!
 //! Why `_mm256_madd_epi16` and not `_mm256_maddubs_epi16`: `maddubs`
 //! multiplies *unsigned* by signed bytes and **saturates** its i16 pair
@@ -77,7 +77,7 @@
 //! variants are bit-exact, forcing changes wall-clock only.
 
 use crate::pack::RequantEpilogue;
-use protea_fixed::softmax::{ExpLut, SOFTMAX_MAX_LEN};
+use protea_fixed::softmax::SoftmaxUnit;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -340,36 +340,24 @@ fn depth_for(isa: KernelIsa, rows: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// Row softmax of the row-major logits (rows of `cols`) into `out`
-/// through the exponential ROM `lut`: byte for byte
-/// [`protea_fixed::SoftmaxUnit::forward_row`] on every row. The row max,
-/// the ROM reads and the u32 sum are the unit's; the normalization is a
-/// u64 multiply by the row's reciprocal `m = ⌊2⁵²/sum⌋ + 1`,
-/// `p = min(127, (e·2⁷·m) >> 52)`. The AVX-512 kernels run it in zmm
-/// lanes with AVX-512 F and BW only: the u64 product is split into u32
-/// multiplies, so it needs no AVX-512 DQ `vpmullq`. Every other ISA runs
-/// the portable row code.
-///
-/// Why the floor is exact: the ROM returns `e ≤ 2¹⁵` and the row max
-/// reads exactly `2¹⁵`, so `2¹⁵ ≤ sum ≤ 512·2¹⁵ < 2²⁵` and
-/// `m ≤ 2³⁷ + 1`; with `a = e·2⁷ ≤ 2²²` the product `a·m < 2⁶⁰` fits
-/// u64. As `2⁵²/sum < m ≤ 2⁵²/sum + 1`, `a·m/2⁵²` exceeds `a/sum` by
-/// more than 0 and at most `a/2⁵² ≤ 2⁻³⁰`. The fraction of `a/sum` is a
-/// multiple of `1/sum` below 1, so at most `1 − 1/sum < 1 − 2⁻²⁵`, and
-/// an excess below `2⁻³⁰` never carries it to the next integer.
+/// Row softmax of the row-major logits (rows of `cols`) into `out`:
+/// byte for byte [`SoftmaxUnit::forward_matrix`], whose normalization
+/// (the u64 reciprocal `⌊2⁵²/sum⌋ + 1`) and its exactness argument are
+/// in `protea_fixed::softmax`. The AVX-512 kernels run it in zmm lanes
+/// with AVX-512 F and BW only: the u64 product is split into u32
+/// multiplies, so it needs no AVX-512 DQ `vpmullq`. Every other ISA
+/// calls the unit.
 ///
 /// # Panics
-/// Panics if `cols` is 0, above [`SOFTMAX_MAX_LEN`] or not a divisor of
-/// `logits.len()`, or if `out` is not as long as `logits`.
-pub fn softmax_rows(lut: &ExpLut, logits: &[i8], cols: usize, out: &mut [i8]) {
-    assert_eq!(logits.len(), out.len(), "softmax output length mismatch");
-    assert!(cols > 0 && logits.len().is_multiple_of(cols), "matrix shape mismatch");
-    assert!(cols <= SOFTMAX_MAX_LEN, "row longer than hardware SL_max");
+/// Panics if `cols` is 0, above
+/// [`SOFTMAX_MAX_LEN`](protea_fixed::softmax::SOFTMAX_MAX_LEN) or not a
+/// divisor of `logits.len()`, or if `out` is not as long as `logits`.
+pub fn softmax_rows(unit: &SoftmaxUnit, logits: &[i8], cols: usize, out: &mut [i8]) {
     #[cfg(target_arch = "x86_64")]
     if matches!(active_kernel(), KernelIsa::Avx512 | KernelIsa::Avx512Vnni | KernelIsa::Amx) {
-        return x86::softmax_rows(lut.table(), logits, cols, out);
+        return x86::softmax_rows(unit.lut().table(), logits, cols, out);
     }
-    portable::softmax_rows(lut.table(), logits, cols, out);
+    unit.forward_matrix(logits, cols, out);
 }
 
 /// Run the AMX tile kernel over every whole 32-column block of the

@@ -3,7 +3,6 @@
 //! fallback every host without explicit SIMD support runs).
 
 use super::CB;
-use protea_fixed::softmax::{EXP_LUT_SIZE, SOFTMAX_MAX_LEN};
 
 /// Scalar baseline: one plain widened dot loop per column. Never
 /// auto-selected — it exists so `PROTEA_KERNEL=scalar` gives tests and
@@ -84,34 +83,6 @@ pub fn mk_separate(arow: &[i16], wcol16: &[i16], k: usize) -> [i32; CB] {
         *s = acc;
     }
     sums
-}
-
-/// The row code of [`super::softmax_rows`]: per row of `cols` logits,
-/// the row max, one ROM read of each `x − max` (clamped at −128, as the
-/// ROM's input saturates) and the u32 sum, then each probability
-/// `min(127, (e·2⁷·m) >> 52)` by the row's reciprocal
-/// `m = ⌊2⁵²/sum⌋ + 1`. Every ISA but the AVX-512 ones runs it.
-pub(crate) fn softmax_rows(
-    table: &[u16; EXP_LUT_SIZE],
-    logits: &[i8],
-    cols: usize,
-    out: &mut [i8],
-) {
-    let mut exps = [0u16; SOFTMAX_MAX_LEN];
-    let exps = &mut exps[..cols];
-    for (row, probs) in logits.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
-        let max = row.iter().fold(i8::MIN, |m, &x| m.max(x));
-        let mut sum = 0u32;
-        for (e, &x) in exps.iter_mut().zip(row) {
-            let d = (i16::from(x) - i16::from(max)).max(-128);
-            *e = table[usize::from(d as u8)];
-            sum += u32::from(*e);
-        }
-        let m = (1u64 << 52) / u64::from(sum) + 1;
-        for (p, &e) in probs.iter_mut().zip(exps.iter()) {
-            *p = (((u64::from(e) << 7) * m) >> 52).min(127) as i8;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Exactness of the softmax row kernel against the golden softmax unit.
 //!
 //! The host datapaths normalize each softmax row through
-//! [`softmax_rows`]: one u64 multiply by the row's reciprocal
-//! `⌊2⁵²/sum⌋ + 1`, the row code built with AVX-512 on the AVX-512
-//! kernels and without it on every other ISA. The golden model keeps
-//! [`SoftmaxUnit::forward_row`]. For every ISA in [`supported_kernels`]
-//! these tests require the unit's bytes from the kernel, and from the
-//! encoder's [`SoftmaxEngine::compute_head`], on:
+//! [`softmax_rows`]. On the AVX-512 kernels that is an intrinsic arm of
+//! the unit's numerics (one u64 multiply by the row's reciprocal
+//! `⌊2⁵²/sum⌋ + 1`, split into u32 lanes); on every other ISA it calls
+//! [`SoftmaxUnit::forward_matrix`]. For every ISA in
+//! [`supported_kernels`] these tests require the unit's bytes from the
+//! kernel, and from the encoder's [`SoftmaxEngine::compute_head`], on:
 //! - every row length from 1 to 512, in matrices of several rows;
 //! - constant rows, whose sum `n·2¹⁵` is the largest a length allows,
 //!   up to `512·2¹⁵`;
@@ -14,7 +14,8 @@
 //!   input range;
 //! - every ROM code beside the row max, at small and large sums;
 //! - the rows whose quotients sit closest below an integer, where a
-//!   reciprocal with fewer bits floors wrong;
+//!   reciprocal with fewer bits floors wrong; on these the unit itself
+//!   must also give the per-element division;
 //! - random rows.
 
 use std::sync::Mutex;
@@ -76,7 +77,7 @@ fn check(unit: &SoftmaxUnit, logits: &[i8], cols: usize, isa: KernelIsa) {
     let mut want = vec![0i8; logits.len()];
     unit.forward_matrix(logits, cols, &mut want);
     let mut got = vec![0i8; logits.len()];
-    softmax_rows(unit.lut(), logits, cols, &mut got);
+    softmax_rows(unit, logits, cols, &mut got);
     for (r, (g, w)) in got.chunks(cols).zip(want.chunks(cols)).enumerate() {
         assert_eq!(g, w, "{isa}: row {r} of {cols}: {:?}", &logits[r * cols..(r + 1) * cols]);
     }
@@ -182,14 +183,30 @@ fn tight_rows(lut: &ExpLut) -> Vec<Vec<i8>> {
     rows
 }
 
+/// The per-element softmax: one integer division per probability.
+fn division(lut: &ExpLut, row: &[i8]) -> Vec<i8> {
+    let max = row.iter().copied().max().expect("non-empty row");
+    let exps: Vec<u64> = row
+        .iter()
+        .map(|&x| u64::from(lut.lookup((i16::from(x) - i16::from(max)).max(-128) as i8)))
+        .collect();
+    let sum: u64 = exps.iter().sum();
+    exps.iter().map(|&e| ((e << 7) / sum).min(127) as i8).collect()
+}
+
 #[test]
-fn quotients_just_below_an_integer_floor_alike() {
+fn quotients_just_below_an_integer_floor_exactly() {
     let cases: Vec<(SoftmaxUnit, Vec<Vec<i8>>)> = formats()
         .into_iter()
         .map(|fmt| {
             let unit = SoftmaxUnit::new(fmt);
             let rows = tight_rows(unit.lut());
             assert!(!rows.is_empty(), "{fmt:?} has no tight row");
+            for row in &rows {
+                let mut got = vec![0i8; row.len()];
+                unit.forward_row(row, &mut got);
+                assert_eq!(got, division(unit.lut(), row), "unit in {fmt:?}: {row:?}");
+            }
             (unit, rows)
         })
         .collect();
