@@ -1,31 +1,13 @@
-//! Criterion microbenchmarks of the compute kernels: the PE datapath
-//! (i8 MAC reductions), the matmul variants, and the nonlinear units.
+//! Criterion microbenchmarks of the compute kernels: the matmul
+//! variants and the nonlinear units.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use protea_fixed::layernorm::LayerNormUnit;
-use protea_fixed::{dot_i8, dot_i8_unrolled, softmax_fixed, QFormat};
-use protea_tensor::{
-    matmul_blocked, matmul_i8_i32, matmul_naive, matmul_parallel, Matrix, PackedWeights,
-};
+use protea_fixed::{softmax_fixed, QFormat};
+use protea_tensor::{matmul_i8_i32, matmul_naive, Matrix, PackedWeights};
 
 fn i8_vec(n: usize, seed: u64) -> Vec<i8> {
     (0..n).map(|i| ((i as u64).wrapping_mul(seed).wrapping_add(17) % 255) as i8).collect()
-}
-
-fn bench_dot(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dot_i8");
-    for &n in &[96usize, 768, 3072] {
-        let a = i8_vec(n, 31);
-        let b = i8_vec(n, 57);
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::new("rolled", n), &n, |bch, _| {
-            bch.iter(|| dot_i8(black_box(&a), black_box(&b)))
-        });
-        g.bench_with_input(BenchmarkId::new("unrolled8", n), &n, |bch, _| {
-            bch.iter(|| dot_i8_unrolled(black_box(&a), black_box(&b), 8))
-        });
-    }
-    g.finish();
 }
 
 fn bench_matmul_f32(c: &mut Criterion) {
@@ -37,12 +19,6 @@ fn bench_matmul_f32(c: &mut Criterion) {
         g.throughput(Throughput::Elements((n * n * n) as u64));
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| matmul_naive(black_box(&a), black_box(&b)))
-        });
-        g.bench_with_input(BenchmarkId::new("blocked32", n), &n, |bch, _| {
-            bch.iter(|| matmul_blocked(black_box(&a), black_box(&b), 32))
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", n), &n, |bch, _| {
-            bch.iter(|| matmul_parallel(black_box(&a), black_box(&b)))
         });
     }
     g.finish();
@@ -83,5 +59,5 @@ fn bench_nonlinear(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_matmul_f32, bench_matmul_i8, bench_nonlinear);
+criterion_group!(benches, bench_matmul_f32, bench_matmul_i8, bench_nonlinear);
 criterion_main!(benches);

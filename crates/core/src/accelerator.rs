@@ -14,10 +14,11 @@ use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::{SynthesisConfig, SynthesizedDesign};
 use protea_fixed::activation::ActivationLut;
-use protea_model::quantized::LogitRequant;
+use protea_fixed::SoftmaxUnit;
+use protea_model::quantized::fused_attention_head;
 use protea_model::QuantizedEncoder;
 use protea_platform::FpgaDevice;
-use protea_tensor::{kernels, matmul_i8_packed_requant, Matrix, PackedWeights, RequantEpilogue};
+use protea_tensor::Matrix;
 use std::sync::OnceLock;
 
 /// The full ProTEA instance: one synthesized design, a runtime register
@@ -323,15 +324,14 @@ impl Accelerator {
     /// into the store loop — the separate i32→i8 pass over each
     /// materialized accumulator matrix is gone. Projections parallelize
     /// across bands of activation rows *inside* the GEMM; attention
-    /// heads split into one contiguous run per worker thread. The
-    /// narrowing stages are the golden model's own definitions
-    /// ([`LogitRequant`], `QuantSchedule::sv_requantizer`,
-    /// `projection_epilogue`, the activation LUT), resolved once per
-    /// GEMM into strip epilogues that are bit-exact against the
-    /// per-element stages; every kernel reproduces `matmul_i8_i32`'s
-    /// accumulators exactly, so the output is the golden model's bytes —
-    /// root `tests/equivalence.rs` pins this across every dispatchable
-    /// ISA.
+    /// heads split into one contiguous run per worker thread. The stages
+    /// are `protea_model::quantized`'s host datapath, which the
+    /// decoder's packed decode step runs too: `fused_projection`,
+    /// `fused_projection_act` and [`fused_attention_head`], whose strip
+    /// epilogues are bit-exact against the golden per-element stages;
+    /// every kernel reproduces `matmul_i8_i32`'s accumulators exactly,
+    /// so the output is the golden model's bytes — root
+    /// `tests/equivalence.rs` pins this across every dispatchable ISA.
     fn forward_fast(
         &self,
         x: &Matrix<i8>,
@@ -340,14 +340,11 @@ impl Accelerator {
     ) -> Matrix<i8> {
         let rt = &self.runtime;
         let s = &weights.schedule;
-        let softmax = SoftmaxEngine::new(s);
+        let softmax = SoftmaxUnit::new(s.logit_fmt);
         let act = ActivationLut::new(weights.config.activation, s.act_fmt);
         let sl = rt.seq_len;
         let dk = rt.dk();
         let cfg = rt.to_model_config();
-        let logit_epi = RequantEpilogue::new(LogitRequant::new(&cfg, s).lanes());
-        let sv_epi = RequantEpilogue::new(s.sv_requantizer().lanes());
-        let qk_depth = kernels::tile_depth(sl, dk, sl);
 
         let mut h = x.clone();
         for (layer, pl) in weights.layers.iter().zip(&packed.layers).take(rt.layers) {
@@ -355,24 +352,7 @@ impl Accelerator {
             let q = fused_projection(&h, &pl.wq, &layer.bq, layer.wq.fmt, s);
             let k = fused_projection(&h, &pl.wk, &layer.bk, layer.wk.fmt, s);
             let v = fused_projection(&h, &pl.wv, &layer.bv, layer.wv.fmt, s);
-            let head_out = |head: usize| {
-                let c0 = head * dk;
-                // Zero columns add nothing to an integer sum: padding Q
-                // and K to a whole tile row puts Q·Kᵀ on the AMX tiles
-                // with the same logits.
-                let qi = q.submatrix_padded(0, c0, sl, dk, qk_depth);
-                let ki = k.submatrix_padded(0, c0, sl, dk, qk_depth);
-                let vi = v.submatrix(0, c0, sl, dk);
-                // Packing `kiᵀ` column-major is `ki`'s row-major bytes — a
-                // straight copy, so Q·Kᵀ runs on the packed kernel at
-                // negligible packing cost. The logit scale/narrow runs in
-                // the store loop.
-                let logits =
-                    matmul_i8_packed_requant(&qi, &PackedWeights::from_transpose(&ki), &logit_epi);
-                let probs = softmax.compute_head(&logits);
-                // SV with its requantizer fused the same way.
-                matmul_i8_packed_requant(&probs, &PackedWeights::pack(&vi), &sv_epi)
-            };
+            let head_out = |head: usize| fused_attention_head(&q, &k, &v, head, &cfg, s, &softmax);
             // One contiguous run of heads per worker: all but the last run
             // are spawned, the last runs on this thread.
             let mut head_outs: Vec<Option<Matrix<i8>>> = (0..rt.heads).map(|_| None).collect();

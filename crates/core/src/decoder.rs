@@ -9,7 +9,9 @@
 //! the encoder memory; `FFN1_CE` computes both attention output
 //! projections; the FFN pair and the three add-&-norm modules are
 //! unchanged. Timing uses the identical calibrated engine formulas over
-//! the rectangular (target × source) iteration spaces.
+//! the rectangular (target × source) iteration spaces. Functionally, a
+//! packed decode step runs the encoder's host datapath (the fused
+//! projections and fused attention head of `protea_model::quantized`).
 
 use crate::accelerator::Accelerator;
 use crate::engines::ffn::{FfnEngine, FfnStage};

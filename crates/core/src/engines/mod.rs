@@ -8,12 +8,16 @@
 //! integer sums give the same result in any order, so the tile schedule
 //! sets the cycle count and not the output bytes.
 //!
-//! The output bytes come from one host datapath
-//! (`Accelerator::forward_fast`), checked byte for byte against the
-//! golden model in `protea-model`. It shares with the engines the
-//! narrowing stages defined here ([`projection_epilogue`],
-//! [`fused_projection`], [`fused_projection_act`]), the softmax unit
-//! ([`softmax::SoftmaxEngine`]) and add-&-norm ([`ln::LnEngine`]).
+//! The output bytes come from one host datapath, checked byte for byte
+//! against the golden model. It lives in `protea_model::quantized`
+//! beside the golden stages, so the encoder (`Accelerator::forward_fast`)
+//! and the decoder's packed decode step run the same code: the fused
+//! projections, re-exported here ([`projection_epilogue`],
+//! [`fused_projection`], [`fused_projection_act`]), and the fused
+//! attention head (`protea_model::quantized::fused_attention_head`).
+//! The softmax engine ([`softmax::SoftmaxEngine`]) wraps the same
+//! softmax row kernel, and add-&-norm ([`ln::LnEngine`]) is the golden
+//! stage itself.
 
 pub mod ffn;
 pub mod ln;
@@ -22,10 +26,11 @@ pub mod qkv;
 pub mod softmax;
 pub mod sv;
 
-use protea_fixed::activation::ActivationLut;
-use protea_fixed::{QFormat, Requantizer};
-use protea_model::QuantSchedule;
-use protea_tensor::{matmul_i8_packed_requant_parallel, Matrix, PackedWeights, RequantEpilogue};
+use protea_tensor::Matrix;
+
+pub use protea_model::quantized::{
+    fused_projection, fused_projection_act, projection_epilogue, projection_requantizer,
+};
 
 /// One engine access: a tile's data movement and compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,61 +39,6 @@ pub struct Access {
     pub load_bytes: u64,
     /// Compute cycles once the data is resident.
     pub compute_cycles: u64,
-}
-
-/// The requantizer a projection with weights in `weight_fmt` narrows
-/// through: the accumulator holds `act_frac + weight_frac` fractional
-/// bits and returns to the activation format.
-#[must_use]
-pub fn projection_requantizer(weight_fmt: QFormat, s: &QuantSchedule) -> Requantizer {
-    Requantizer::new(s.act_fmt.frac_bits() + weight_fmt.frac_bits(), s.act_fmt, s.rounding)
-}
-
-/// A projection's whole narrowing stage — saturating bias add, then
-/// [`projection_requantizer`] — as the strip epilogue every projection
-/// shares, fused into the GEMM ([`fused_projection`],
-/// [`fused_projection_act`], which adds the activation ROM). One
-/// definition, so the projections cannot drift from each other or from
-/// `protea_model::quantized::project`.
-#[must_use]
-pub fn projection_epilogue<'a>(
-    bias: &'a [i32],
-    weight_fmt: QFormat,
-    s: &QuantSchedule,
-) -> RequantEpilogue<'a> {
-    RequantEpilogue::new(projection_requantizer(weight_fmt, s).lanes()).with_bias(bias)
-}
-
-/// Fused linear projection: `requant(x·W ⊕ bias)` in one GEMM pass,
-/// [`projection_epilogue`] narrowing each microkernel strip in the
-/// store loop instead of a second sweep over a materialized i32
-/// matrix. Byte-identical to `protea_model::quantized::project`.
-/// Parallel across bands of activation rows inside the GEMM.
-#[must_use]
-pub fn fused_projection(
-    x: &Matrix<i8>,
-    w: &PackedWeights,
-    bias: &[i32],
-    weight_fmt: QFormat,
-    s: &QuantSchedule,
-) -> Matrix<i8> {
-    matmul_i8_packed_requant_parallel(x, w, &projection_epilogue(bias, weight_fmt, s))
-}
-
-/// Fused projection + activation: [`fused_projection`] with the
-/// activation ROM read in the same store loop — the FFN2 stage
-/// (`act(requant(x·W1 ⊕ b1))`) as a single pass.
-#[must_use]
-pub fn fused_projection_act(
-    x: &Matrix<i8>,
-    w: &PackedWeights,
-    bias: &[i32],
-    weight_fmt: QFormat,
-    s: &QuantSchedule,
-    act: &ActivationLut,
-) -> Matrix<i8> {
-    let epi = projection_epilogue(bias, weight_fmt, s).with_activation(act);
-    matmul_i8_packed_requant_parallel(x, w, &epi)
 }
 
 /// Tile-accumulated matrix product: `acc += x[:, rows_of(w_tile)] ·

@@ -34,7 +34,7 @@ pub mod rounding;
 pub mod softmax;
 
 pub use activation::{gelu_i8, relu_i8, Activation};
-pub use mac::{axpy_i8, dot_i8, dot_i8_unrolled, mac_i8};
+pub use mac::{axpy_i8, mac_i8};
 pub use qformat::QFormat;
 pub use quant::{dequantize_slice, quantize_slice, QuantParams, Quantizer};
 pub use requant::{requantize, ExactDiv, LaneRequant, LaneStages, Requantizer, RoundShift};

@@ -2,18 +2,9 @@
 
 use proptest::prelude::*;
 use protea_fixed::layernorm::isqrt_u64;
-use protea_fixed::{dot_i8, dot_i8_unrolled, gelu_i8, relu_i8, requantize, QFormat, Rounding};
+use protea_fixed::{gelu_i8, relu_i8, requantize, QFormat, Rounding};
 
 proptest! {
-    #[test]
-    fn dot_matches_unrolled_for_all_factors(
-        a in prop::collection::vec(any::<i8>(), 0..128),
-        unroll in 1usize..40
-    ) {
-        let b: Vec<i8> = a.iter().rev().copied().collect();
-        prop_assert_eq!(dot_i8(&a, &b), dot_i8_unrolled(&a, &b, unroll));
-    }
-
     #[test]
     fn requantize_is_monotone_in_the_accumulator(
         a in -100_000i32..100_000, delta in 0i32..10_000, frac in 6u8..14

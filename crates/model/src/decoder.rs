@@ -14,22 +14,23 @@
 //!
 //! each followed by residual + layer norm. Both the f32 reference and
 //! the bit-exact int8 path reuse the encoder's stages; the quantized
-//! cross/self attention goes through the identical requantization points
-//! as the encoder's (`project`, `requant_logits`, LUT softmax with the
-//! causal mask, SV requantize), so the accelerator-side decoder must
-//! again agree byte-for-byte.
+//! cross/self attention is the encoder's golden head
+//! ([`attention_heads`], with the causal mask for self-attention), and
+//! the packed decode step runs the encoder's host datapath (the fused
+//! projections and [`fused_attention_head`]), so the two agree
+//! byte-for-byte.
 
 use crate::config::{AttnScaling, EncoderConfig};
 use crate::float::{layer_norm, softmax_rows};
-use crate::quantized::{add_norm, project, requant_logits, QuantMatrix, QuantSchedule};
+use crate::quantized::{
+    add_norm, attention_heads, fused_attention_head, fused_projection, fused_projection_act,
+    project, QuantMatrix, QuantSchedule,
+};
 use core::fmt;
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::layernorm::LayerNormUnit;
-use protea_fixed::{Activation, QFormat, Quantizer, Requantizer, SoftmaxUnit};
-use protea_tensor::{
-    add_bias_row, kernels, matmul_i8_i32, matmul_i8_i32_packed, matmul_naive, residual_add,
-    transpose, Matrix, PackedWeights,
-};
+use protea_fixed::{Activation, QFormat, Quantizer, SoftmaxUnit};
+use protea_tensor::{add_bias_row, matmul_naive, residual_add, transpose, Matrix, PackedWeights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -456,31 +457,11 @@ impl QuantizedDecoder {
         bo: &[i32],
         causal: bool,
     ) -> Matrix<i8> {
-        let cfg = &self.config;
         let s = &self.schedule;
-        let dk = cfg.d_k();
-        let sl_q = q_src.rows();
-        let sl_kv = kv_src.rows();
         let q = project(q_src, wq, bq, s);
         let k = project(kv_src, wk, bk, s);
         let v = project(kv_src, wv, bv, s);
-        let mut concat = Matrix::<i8>::zeros(sl_q, cfg.d_model);
-        let rq = s.sv_requantizer();
-        for head in 0..cfg.heads {
-            let c0 = head * dk;
-            let qi = q.submatrix(0, c0, sl_q, dk);
-            let ki = k.submatrix(0, c0, sl_kv, dk);
-            let vi = v.submatrix(0, c0, sl_kv, dk);
-            let acc = matmul_i8_i32(&qi, &transpose(&ki));
-            let logits = requant_logits(&acc, cfg, s);
-            let mut p = Matrix::<i8>::zeros(sl_q, sl_kv);
-            for r in 0..sl_q {
-                let valid = if causal { r + 1 } else { sl_kv };
-                self.softmax.forward_row_masked(logits.row(r), valid, p.row_mut(r));
-            }
-            let acc_sv = matmul_i8_i32(&p, &vi);
-            concat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
-        }
+        let (_, concat) = attention_heads(&q, &k, &v, &self.config, s, &self.softmax, causal);
         project(&concat, wo, bo, s)
     }
 
@@ -663,8 +644,10 @@ impl DecoderKvCache {
 /// matrices a decode step multiplies against, packed once into the
 /// SIMD-dispatched [`PackedWeights`] layout (bit-identical to the
 /// reference GEMM on every kernel ISA). Build once per decoder with
-/// [`QuantizedDecoder::pack`]; steps with it then route every
-/// projection through the runtime-dispatched microkernels.
+/// [`QuantizedDecoder::pack`]; a step given it runs the encoder's host
+/// datapath: every projection through [`fused_projection`] (FFN2
+/// through [`fused_projection_act`]) and every head through
+/// [`fused_attention_head`].
 #[derive(Debug, Clone)]
 pub struct PackedDecoder {
     layers: Vec<PackedDecoderLayer>,
@@ -680,27 +663,6 @@ struct PackedDecoderLayer {
     cross_wo: PackedWeights,
     w1: PackedWeights,
     w2: PackedWeights,
-}
-
-/// [`project`] with a pre-packed weight matrix: the same bias add and
-/// requantization tail over the packed GEMM, bit-identical by the
-/// packed kernels' equivalence contract.
-fn project_packed(
-    x: &Matrix<i8>,
-    pw: &PackedWeights,
-    fmt: QFormat,
-    bias: &[i32],
-    s: &QuantSchedule,
-) -> Matrix<i8> {
-    let mut acc = matmul_i8_i32_packed(x, pw);
-    assert_eq!(acc.cols(), bias.len(), "bias length mismatch");
-    for r in 0..acc.rows() {
-        for (a, &b) in acc.row_mut(r).iter_mut().zip(bias.iter()) {
-            *a = a.saturating_add(b);
-        }
-    }
-    let rq = Requantizer::new(s.act_fmt.frac_bits() + fmt.frac_bits(), s.act_fmt, s.rounding);
-    acc.map(|a| rq.apply(a))
 }
 
 impl QuantizedDecoder {
@@ -756,10 +718,13 @@ impl QuantizedDecoder {
         self.decode_step_impl(cache, x_row, None)
     }
 
-    /// [`try_decode_step`](Self::try_decode_step) with every projection
-    /// routed through `packed`'s SIMD-dispatched weights — bit-identical
-    /// output, built for the serving fast path where the same decoder
-    /// steps many sessions.
+    /// [`try_decode_step`](Self::try_decode_step) on the host datapath
+    /// that `Accelerator::forward_fast` runs: the fused projections over
+    /// `packed`'s SIMD-dispatched weights, and the fused attention head
+    /// for every self- and cross-attention head (at one query row the
+    /// head's Q·Kᵀ keeps `d_k` unpadded). Bit-identical output, built
+    /// for the serving fast path where the same decoder steps many
+    /// sessions.
     ///
     /// # Errors
     /// Same contract as [`try_decode_step`](Self::try_decode_step).
@@ -770,20 +735,6 @@ impl QuantizedDecoder {
         x_row: &Matrix<i8>,
     ) -> Result<Matrix<i8>, KvCacheError> {
         self.decode_step_impl(cache, x_row, Some(packed))
-    }
-
-    /// Masked softmax of one logit row: on the packed path through the
-    /// host's [`kernels::softmax_rows`] kernel over the `valid` prefix, with the
-    /// tail zeroed; on the scalar path through the unit's oracle. Both
-    /// give the same bytes.
-    fn masked_softmax(&self, fast: bool, row: &[i8], valid: usize, out: &mut [i8]) {
-        let valid = valid.min(row.len());
-        if fast && valid > 0 {
-            kernels::softmax_rows(&self.softmax, &row[..valid], valid, &mut out[..valid]);
-            out[valid..].fill(0);
-        } else {
-            self.softmax.forward_row_masked(row, valid, out);
-        }
     }
 
     fn decode_step_impl(
@@ -808,69 +759,60 @@ impl QuantizedDecoder {
             }
         }
         let s = &self.schedule;
-        // Projection that takes the packed route when a PackedDecoder is
-        // supplied; the scalar and packed GEMMs are bit-identical.
+        let cfg = &self.config;
+        // A projection on the host datapath's fused GEMM when packed
+        // weights are given, else the golden stage.
         let proj = |x: &Matrix<i8>, w: &QuantMatrix, pw: Option<&PackedWeights>, b: &[i32]| match pw
         {
-            Some(pw) => project_packed(x, pw, w.fmt, b, s),
+            Some(pw) => fused_projection(x, pw, b, w.fmt, s),
             None => project(x, w, b, s),
         };
-        let dk = self.config.d_k();
-        let rq = s.sv_requantizer();
+        // Every head of one query row over `k`/`v`, on the host
+        // datapath's fused heads when packed, else the golden heads. No
+        // mask: the self-attention keys hold only the positions up to
+        // this one, and cross-attention is unmasked.
+        let attend = |q: &Matrix<i8>, k: &Matrix<i8>, v: &Matrix<i8>| match packed {
+            Some(_) => {
+                let mut concat = Matrix::<i8>::zeros(1, d);
+                for head in 0..cfg.heads {
+                    let out = fused_attention_head(q, k, v, head, cfg, s, &self.softmax);
+                    concat.write_submatrix(0, head * cfg.d_k(), &out);
+                }
+                concat
+            }
+            None => attention_heads(q, k, v, cfg, s, &self.softmax, false).1,
+        };
         let mut h = x_row.clone();
-        let pos = cache.positions;
+        let kv_len = cache.positions + 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let pl = packed.map(|p| &p.layers[li]);
-            // --- masked self-attention with cached K/V ------------------
+            // --- self-attention with cached K/V --------------------------
             let q = proj(&h, &layer.self_wq, pl.map(|p| &p.self_wq), &layer.self_bq);
             let k_new = proj(&h, &layer.self_wk, pl.map(|p| &p.self_wk), &layer.self_bk);
             let v_new = proj(&h, &layer.self_wv, pl.map(|p| &p.self_wv), &layer.self_bv);
             cache.self_k[li].extend_from_slice(k_new.row(0));
             cache.self_v[li].extend_from_slice(v_new.row(0));
-            let kv_len = pos + 1;
-            let k_all = Matrix::from_vec(kv_len, cache.d_model, cache.self_k[li].clone());
-            let v_all = Matrix::from_vec(kv_len, cache.d_model, cache.self_v[li].clone());
-            let mut concat = Matrix::<i8>::zeros(1, cache.d_model);
-            for head in 0..self.config.heads {
-                let c0 = head * dk;
-                let qi = q.submatrix(0, c0, 1, dk);
-                let ki = k_all.submatrix(0, c0, kv_len, dk);
-                let vi = v_all.submatrix(0, c0, kv_len, dk);
-                let acc = matmul_i8_i32(&qi, &transpose(&ki));
-                let logits = requant_logits(&acc, &self.config, s);
-                let mut p = Matrix::<i8>::zeros(1, kv_len);
-                // the causal mask is implicit: the cache only holds ≤ pos
-                self.masked_softmax(packed.is_some(), logits.row(0), kv_len, p.row_mut(0));
-                let acc_sv = matmul_i8_i32(&p, &vi);
-                concat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
-            }
-            let sa = proj(&concat, &layer.self_wo, pl.map(|p| &p.self_wo), &layer.self_bo);
+            let k_all = Matrix::from_vec(kv_len, d, cache.self_k[li].clone());
+            let v_all = Matrix::from_vec(kv_len, d, cache.self_v[li].clone());
+            let scat = attend(&q, &k_all, &v_all);
+            let sa = proj(&scat, &layer.self_wo, pl.map(|p| &p.self_wo), &layer.self_bo);
             let x1 = add_norm(&h, &sa, &layer.ln[0]);
 
             // --- cross-attention with precomputed memory K/V ------------
             let qc = proj(&x1, &layer.cross_wq, pl.map(|p| &p.cross_wq), &layer.cross_bq);
-            let k_mem = &cache.cross_k[li];
-            let v_mem = &cache.cross_v[li];
-            let sl_kv = k_mem.rows();
-            let mut ccat = Matrix::<i8>::zeros(1, cache.d_model);
-            for head in 0..self.config.heads {
-                let c0 = head * dk;
-                let qi = qc.submatrix(0, c0, 1, dk);
-                let ki = k_mem.submatrix(0, c0, sl_kv, dk);
-                let vi = v_mem.submatrix(0, c0, sl_kv, dk);
-                let acc = matmul_i8_i32(&qi, &transpose(&ki));
-                let logits = requant_logits(&acc, &self.config, s);
-                let mut p = Matrix::<i8>::zeros(1, sl_kv);
-                self.masked_softmax(packed.is_some(), logits.row(0), sl_kv, p.row_mut(0));
-                let acc_sv = matmul_i8_i32(&p, &vi);
-                ccat.write_submatrix(0, c0, &acc_sv.map(|a| rq.apply(a)));
-            }
+            let ccat = attend(&qc, &cache.cross_k[li], &cache.cross_v[li]);
             let ca = proj(&ccat, &layer.cross_wo, pl.map(|p| &p.cross_wo), &layer.cross_bo);
             let x2 = add_norm(&x1, &ca, &layer.ln[1]);
 
             // --- FFN -----------------------------------------------------
-            let mut hidden = proj(&x2, &layer.w1, pl.map(|p| &p.w1), &layer.b1);
-            self.act.apply_slice(hidden.as_mut_slice());
+            let hidden = match pl {
+                Some(p) => fused_projection_act(&x2, &p.w1, &layer.b1, layer.w1.fmt, s, &self.act),
+                None => {
+                    let mut hidden = project(&x2, &layer.w1, &layer.b1, s);
+                    self.act.apply_slice(hidden.as_mut_slice());
+                    hidden
+                }
+            };
             let ffn = proj(&hidden, &layer.w2, pl.map(|p| &p.w2), &layer.b2);
             h = add_norm(&x2, &ffn, &layer.ln[2]);
         }
@@ -1044,6 +986,20 @@ mod tests {
             assert_eq!(a.row(0), b.row(0), "packed diverged at position {r}");
             assert_eq!(b.row(0), full.row(r), "packed diverged from full forward at {r}");
         }
+    }
+
+    #[test]
+    fn packed_decode_over_an_empty_memory() {
+        // No encoder rows: cross-attention has no keys and adds zeros,
+        // on the packed path as on the scalar one.
+        let w = DecoderWeights::random(cfg(), 26);
+        let dec = QuantizedDecoder::from_float(&w, QuantSchedule::paper());
+        let mem = Matrix::<i8>::zeros(0, 32);
+        let row = Matrix::from_fn(1, 32, |_, cc| (cc % 50) as i8 - 20);
+        let a = dec.try_decode_step(&mut DecoderKvCache::new(&dec, &mem), &row).unwrap();
+        let mut cache = DecoderKvCache::new(&dec, &mem);
+        let b = dec.try_decode_step_packed(&dec.pack(), &mut cache, &row).unwrap();
+        assert_eq!(a.row(0), b.row(0));
     }
 
     #[test]

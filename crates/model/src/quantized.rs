@@ -19,13 +19,23 @@
 //! * attention logits: scaled by `1/d_model` via exact integer division
 //!   (Algorithm 2 line 9), stored in `Q0.7`;
 //! * softmax probabilities: `Q0.7` via the LUT softmax.
+//!
+//! Next to each golden stage sits its fused form, the host datapath
+//! that both stacks run (the encoder's `Accelerator::forward_fast` and
+//! the decoder's packed decode step): [`fused_projection`] and
+//! [`fused_projection_act`] narrow [`project`]'s accumulators in the
+//! GEMM's store loop, and [`fused_attention_head`] is one head of
+//! [`attention_heads`] on the packed kernels.
 
 use crate::config::{AttnScaling, EncoderConfig};
 use crate::weights::{EncoderWeights, LayerWeights};
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::layernorm::LayerNormUnit;
 use protea_fixed::{LaneRequant, QFormat, Quantizer, Requantizer, Rounding, SoftmaxUnit};
-use protea_tensor::{matmul_i8_i32, transpose, Matrix};
+use protea_tensor::{
+    kernels, matmul_i8_i32, matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, transpose,
+    Matrix, PackedWeights, RequantEpilogue,
+};
 use rayon::prelude::*;
 
 /// Global quantization decisions for one deployment.
@@ -213,38 +223,14 @@ impl QuantizedEncoder {
     pub fn forward_layer(&self, x: &Matrix<i8>, w: &QuantizedLayer) -> LayerTrace {
         let cfg = self.config;
         let s = &self.schedule;
-        let sl = cfg.seq_len;
-        let dk = cfg.d_k();
 
         // --- QKV_CE: projections + bias + requantize -------------------
         let q = project(x, &w.wq, &w.bq, s);
         let k = project(x, &w.wk, &w.bk, s);
         let v = project(x, &w.wv, &w.bv, s);
 
-        // --- per-head attention ----------------------------------------
-        let mut probs = Matrix::<i8>::zeros(cfg.heads * sl, sl);
-        let mut sv = Matrix::<i8>::zeros(sl, cfg.d_model);
-        for head in 0..cfg.heads {
-            let c0 = head * dk;
-            let qi = q.submatrix(0, c0, sl, dk);
-            let ki = k.submatrix(0, c0, sl, dk);
-            let vi = v.submatrix(0, c0, sl, dk);
-
-            // QK_CE: S = Q Kᵀ, scale, requantize to logit format.
-            let acc = matmul_i8_i32(&qi, &transpose(&ki));
-            let logits = requant_logits(&acc, &cfg, s);
-
-            // Softmax (LUT).
-            let mut p = Matrix::<i8>::zeros(sl, sl);
-            self.softmax.forward_matrix(logits.as_slice(), sl, p.as_mut_slice());
-            probs.write_submatrix(head * sl, 0, &p);
-
-            // SV_CE.
-            let acc_sv = matmul_i8_i32(&p, &vi);
-            let rq = s.sv_requantizer();
-            let svi = acc_sv.map(|a| rq.apply(a));
-            sv.write_submatrix(0, c0, &svi);
-        }
+        // --- per-head attention: QK_CE, softmax, SV_CE ------------------
+        let (probs, sv) = attention_heads(&q, &k, &v, &cfg, s, &self.softmax, false);
 
         // --- FFN1_CE: output projection, residual, LN -------------------
         let attn_out = project(&sv, &w.wo, &w.bo, s);
@@ -262,8 +248,8 @@ impl QuantizedEncoder {
     }
 }
 
-/// Linear projection: `requant(x·W + b)`. Shared with the accelerator's
-/// functional path so the two cannot diverge.
+/// Linear projection: `requant(x·W + b)`, the golden form of
+/// [`fused_projection`].
 #[must_use]
 pub fn project(x: &Matrix<i8>, w: &QuantMatrix, bias: &[i32], s: &QuantSchedule) -> Matrix<i8> {
     let mut acc = matmul_i8_i32(x, &w.data);
@@ -273,8 +259,145 @@ pub fn project(x: &Matrix<i8>, w: &QuantMatrix, bias: &[i32], s: &QuantSchedule)
             *a = a.saturating_add(b);
         }
     }
-    let rq = Requantizer::new(s.act_fmt.frac_bits() + w.fmt.frac_bits(), s.act_fmt, s.rounding);
+    let rq = projection_requantizer(w.fmt, s);
     acc.map(|a| rq.apply(a))
+}
+
+/// The requantizer a projection with weights in `weight_fmt` narrows
+/// through: the accumulator holds `act_frac + weight_frac` fractional
+/// bits and returns to the activation format.
+#[must_use]
+pub fn projection_requantizer(weight_fmt: QFormat, s: &QuantSchedule) -> Requantizer {
+    Requantizer::new(s.act_fmt.frac_bits() + weight_fmt.frac_bits(), s.act_fmt, s.rounding)
+}
+
+/// A projection's whole narrowing stage — saturating bias add, then
+/// [`projection_requantizer`] — as the strip epilogue every fused
+/// projection shares ([`fused_projection`], and [`fused_projection_act`],
+/// which adds the activation ROM). One definition, so the projections
+/// cannot drift from each other or from [`project`].
+#[must_use]
+pub fn projection_epilogue<'a>(
+    bias: &'a [i32],
+    weight_fmt: QFormat,
+    s: &QuantSchedule,
+) -> RequantEpilogue<'a> {
+    RequantEpilogue::new(projection_requantizer(weight_fmt, s).lanes()).with_bias(bias)
+}
+
+/// Fused linear projection: `requant(x·W ⊕ bias)` in one GEMM pass,
+/// [`projection_epilogue`] narrowing each microkernel strip in the
+/// store loop instead of a second sweep over a materialized i32
+/// matrix. Byte-identical to [`project`]. Parallel across bands of
+/// activation rows inside the GEMM.
+#[must_use]
+pub fn fused_projection(
+    x: &Matrix<i8>,
+    w: &PackedWeights,
+    bias: &[i32],
+    weight_fmt: QFormat,
+    s: &QuantSchedule,
+) -> Matrix<i8> {
+    matmul_i8_packed_requant_parallel(x, w, &projection_epilogue(bias, weight_fmt, s))
+}
+
+/// Fused projection + activation: [`fused_projection`] with the
+/// activation ROM read in the same store loop — the FFN2 stage
+/// (`act(requant(x·W1 ⊕ b1))`) as a single pass.
+#[must_use]
+pub fn fused_projection_act(
+    x: &Matrix<i8>,
+    w: &PackedWeights,
+    bias: &[i32],
+    weight_fmt: QFormat,
+    s: &QuantSchedule,
+    act: &ActivationLut,
+) -> Matrix<i8> {
+    let epi = projection_epilogue(bias, weight_fmt, s).with_activation(act);
+    matmul_i8_packed_requant_parallel(x, w, &epi)
+}
+
+/// Every head of one attention block on the golden path. Per head:
+/// `S = Q·Kᵀ` in i32, [`requant_logits`], the LUT softmax of each row,
+/// and `P·V` narrowed by the SV requantizer. `q` holds the query rows,
+/// `k` and `v` the key and value rows, all `d_model` wide with head `h`
+/// in columns `h·d_k..(h+1)·d_k`. With `causal`, query row `r` attends
+/// to key rows `0..=r` only and the masked probabilities are zero; that
+/// needs `q` and `k` to hold the same positions.
+///
+/// Returns the probabilities, heads stacked as row blocks
+/// (`heads·q.rows() × k.rows()`), and the heads' outputs side by side
+/// (`q.rows() × d_model`).
+#[must_use]
+pub fn attention_heads(
+    q: &Matrix<i8>,
+    k: &Matrix<i8>,
+    v: &Matrix<i8>,
+    cfg: &EncoderConfig,
+    s: &QuantSchedule,
+    softmax: &SoftmaxUnit,
+    causal: bool,
+) -> (Matrix<i8>, Matrix<i8>) {
+    let dk = cfg.d_k();
+    let (rows, kv_rows) = (q.rows(), k.rows());
+    let rq = s.sv_requantizer();
+    let mut probs = Matrix::<i8>::zeros(cfg.heads * rows, kv_rows);
+    let mut sv = Matrix::<i8>::zeros(rows, cfg.d_model);
+    for head in 0..cfg.heads {
+        let c0 = head * dk;
+        let qi = q.submatrix(0, c0, rows, dk);
+        let ki = k.submatrix(0, c0, kv_rows, dk);
+        let vi = v.submatrix(0, c0, kv_rows, dk);
+        // QK_CE: S = Q Kᵀ, scale, requantize to the logit format.
+        let logits = requant_logits(&matmul_i8_i32(&qi, &transpose(&ki)), cfg, s);
+        // Softmax (LUT) over each row's visible prefix.
+        let mut p = Matrix::<i8>::zeros(rows, kv_rows);
+        for r in 0..rows {
+            let valid = if causal { r + 1 } else { kv_rows };
+            softmax.forward_row_masked(logits.row(r), valid, p.row_mut(r));
+        }
+        // SV_CE.
+        sv.write_submatrix(0, c0, &matmul_i8_i32(&p, &vi).map(|a| rq.apply(a)));
+        probs.write_submatrix(head * rows, 0, &p);
+    }
+    (probs, sv)
+}
+
+/// Head `head` of [`attention_heads`] (unmasked) on the host datapath:
+/// both GEMMs run on the packed kernels with their narrowing stages
+/// ([`LogitRequant`], the SV requantizer) fused into the store loop,
+/// and the softmax on the [`kernels::softmax_rows`] row kernel. Returns
+/// the head's `q.rows() × d_k` output, byte for byte the golden one.
+#[must_use]
+pub fn fused_attention_head(
+    q: &Matrix<i8>,
+    k: &Matrix<i8>,
+    v: &Matrix<i8>,
+    head: usize,
+    cfg: &EncoderConfig,
+    s: &QuantSchedule,
+    softmax: &SoftmaxUnit,
+) -> Matrix<i8> {
+    let dk = cfg.d_k();
+    let c0 = head * dk;
+    let (rows, kv_rows) = (q.rows(), k.rows());
+    // Zero columns add nothing to an integer sum: padding Q and K to a
+    // whole tile row puts Q·Kᵀ on the AMX tiles with the same logits.
+    let depth = kernels::tile_depth(rows, dk, kv_rows);
+    let qi = q.submatrix_padded(0, c0, rows, dk, depth);
+    let ki = k.submatrix_padded(0, c0, kv_rows, dk, depth);
+    let vi = v.submatrix(0, c0, kv_rows, dk);
+    // Packing `kiᵀ` column-major is `ki`'s row-major bytes — a straight
+    // copy, so Q·Kᵀ runs on the packed kernel at negligible packing cost.
+    let logit_epi = RequantEpilogue::new(LogitRequant::new(cfg, s).lanes());
+    let logits = matmul_i8_packed_requant(&qi, &PackedWeights::from_transpose(&ki), &logit_epi);
+    let mut probs = Matrix::<i8>::zeros(rows, kv_rows);
+    // No keys (an empty encoder memory) leave nothing to normalize.
+    if kv_rows > 0 {
+        kernels::softmax_rows(softmax, logits.as_slice(), kv_rows, probs.as_mut_slice());
+    }
+    let sv_epi = RequantEpilogue::new(s.sv_requantizer().lanes());
+    matmul_i8_packed_requant(&probs, &PackedWeights::pack(&vi), &sv_epi)
 }
 
 /// The attention-logit scaling stage (Algorithm 2 line 9) as a

@@ -9,9 +9,8 @@
 //!   the sub-matrices that fit on-chip BRAM (Figs. 5 and 6 of the paper).
 //!   The iterators are exhaustively tested to cover every element exactly
 //!   once, including ragged edges.
-//! * [`matmul`] — reference kernels: naive, cache-blocked and
-//!   rayon-parallel floating point, plus the exact i8→i32 quantized kernel
-//!   the hardware implements.
+//! * [`matmul`] — reference kernels: the naive f32 product of the float
+//!   model and the exact i8→i32 quantized kernel the hardware implements.
 //! * [`pack`] — the throughput path: weights transposed once into
 //!   column-major strips ([`PackedWeights`]), an i8→i32 GEMM with
 //!   row-band parallelism inside the product, and fused
@@ -44,7 +43,7 @@ pub mod tile;
 
 pub use abft::{AbftChecksums, AbftMismatch};
 pub use kernels::{active_kernel, force_kernel, supported_kernels, KernelIsa};
-pub use matmul::{matmul_blocked, matmul_i8_i32, matmul_naive, matmul_parallel};
+pub use matmul::{matmul_i8_i32, matmul_naive};
 pub use matrix::Matrix;
 pub use ops::{add_bias_row, max_abs, residual_add, transpose};
 pub use pack::{

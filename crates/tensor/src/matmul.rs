@@ -1,15 +1,9 @@
-//! Matrix multiplication kernels.
+//! Reference matrix multiplication kernels.
 //!
-//! Four kernels with one contract: `C = A × B` for `A: m×k`, `B: k×n`.
+//! Two kernels with one contract: `C = A × B` for `A: m×k`, `B: k×n`.
 //!
-//! * [`matmul_naive`] — the correctness oracle (textbook triple loop).
-//! * [`matmul_blocked`] — cache-tiled; same result (f32 summation order is
-//!   preserved per output element by accumulating partial sums in the same
-//!   k-order).
-//! * [`matmul_parallel`] — rayon-parallel over output rows; identical
-//!   results to the blocked kernel because each output element's reduction
-//!   order is unchanged (parallelism is across independent elements only,
-//!   the pattern the HPC guides recommend).
+//! * [`matmul_naive`] — the f32 product of the float model (textbook
+//!   triple loop).
 //! * [`matmul_i8_i32`] — the hardware kernel: exact i8×i8→i32, the one the
 //!   accelerator model must agree with bit-for-bit.
 
@@ -20,9 +14,8 @@
 
 use crate::matrix::Matrix;
 use protea_fixed::axpy_i8;
-use rayon::prelude::*;
 
-/// Textbook `m×k · k×n` in f32. Correctness oracle for the other kernels.
+/// Textbook `m×k · k×n` in f32.
 #[must_use]
 pub fn matmul_naive(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
     check_shapes(a.shape(), b.shape());
@@ -39,58 +32,6 @@ pub fn matmul_naive(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
         }
     }
     c
-}
-
-/// Cache-blocked f32 matmul with an i-k-j loop order inside blocks.
-///
-/// Accumulates each `C[i][j]` strictly in increasing `p` order, so results
-/// are bitwise identical to [`matmul_naive`].
-#[must_use]
-pub fn matmul_blocked(a: &Matrix<f32>, b: &Matrix<f32>, block: usize) -> Matrix<f32> {
-    check_shapes(a.shape(), b.shape());
-    assert!(block > 0, "block size must be nonzero");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i0 in (0..m).step_by(block) {
-        let i1 = (i0 + block).min(m);
-        for p0 in (0..k).step_by(block) {
-            let p1 = (p0 + block).min(k);
-            for i in i0..i1 {
-                let a_row = a.row(i);
-                for p in p0..p1 {
-                    let av = a_row[p];
-                    let b_row = b.row(p);
-                    let c_row = c.row_mut(i);
-                    for j in 0..n {
-                        c_row[j] += av * b_row[j];
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
-/// Rayon-parallel f32 matmul: output rows are independent, so each thread
-/// owns a disjoint slice of `C` — data-race free by construction.
-#[must_use]
-pub fn matmul_parallel(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-    check_shapes(a.shape(), b.shape());
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = vec![0f32; m * n];
-    out.par_chunks_exact_mut(n.max(1)).enumerate().for_each(|(i, c_row)| {
-        let a_row = a.row(i);
-        for p in 0..k {
-            let av = a_row[p];
-            let b_row = b.row(p);
-            for j in 0..n {
-                c_row[j] += av * b_row[j];
-            }
-        }
-    });
-    Matrix::from_vec(m, n, out)
 }
 
 /// The hardware kernel: exact i8 × i8 → i32 accumulation. Deterministic
@@ -131,34 +72,12 @@ mod tests {
         Matrix::from_fn(7, 5, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0)
     }
 
-    fn b_mat() -> Matrix<f32> {
-        Matrix::from_fn(5, 9, |r, c| ((r * 17 + c * 3) % 11) as f32 - 5.0)
-    }
-
     #[test]
     fn naive_known_product() {
         let a = Matrix::from_vec(2, 2, vec![1f32, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 2, vec![5f32, 6.0, 7.0, 8.0]);
         let c = matmul_naive(&a, &b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn blocked_matches_naive_bitwise() {
-        let a = a_mat();
-        let b = b_mat();
-        let reference = matmul_naive(&a, &b);
-        for block in [1, 2, 3, 5, 8, 100] {
-            let c = matmul_blocked(&a, &b, block);
-            assert_eq!(c.as_slice(), reference.as_slice(), "block={block}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_naive_bitwise() {
-        let a = a_mat();
-        let b = b_mat();
-        assert_eq!(matmul_parallel(&a, &b).as_slice(), matmul_naive(&a, &b).as_slice());
     }
 
     #[test]
@@ -195,7 +114,6 @@ mod tests {
         let a = Matrix::<f32>::zeros(0, 4);
         let b = Matrix::<f32>::zeros(4, 3);
         assert_eq!(matmul_naive(&a, &b).shape(), (0, 3));
-        assert_eq!(matmul_parallel(&a, &b).shape(), (0, 3));
         let a2 = Matrix::<f32>::zeros(3, 0);
         let b2 = Matrix::<f32>::zeros(0, 2);
         let c = matmul_naive(&a2, &b2);

@@ -1,19 +1,17 @@
 //! Prefix equivalence of KV-cached decoding: for random prompts and
 //! step counts, incremental decode through the phase-aware pipeline is
 //! bit-identical to a full-forward recompute at every prefix length —
-//! on every kernel ISA this host supports, and on both the scalar and
-//! packed projection paths.
+//! on every kernel ISA this host supports, and on both the scalar
+//! reference and the packed host datapath.
 //!
 //! This is the gate on the decode fast path: a kernel, packing, or
 //! cache change that alters even one output byte at any position fails
 //! here.
 
 use proptest::prelude::*;
-use protea_core::{Accelerator, DecodeSession, RunPlan, RuntimeConfig, SynthesisConfig};
-use protea_model::decoder::{DecoderKvCache, DecoderWeights, QuantizedDecoder};
-use protea_model::{EncoderConfig, QuantSchedule};
-use protea_platform::FpgaDevice;
-use protea_tensor::{force_kernel, supported_kernels, Matrix};
+use protea::model::decoder::{DecoderKvCache, DecoderWeights, QuantizedDecoder};
+use protea::prelude::*;
+use protea::tensor::{force_kernel, supported_kernels};
 
 fn accel_for(cfg: &EncoderConfig, src_len: usize) -> Accelerator {
     let ts = (1..=64.min(cfg.d_model)).rev().find(|t| cfg.d_model.is_multiple_of(*t)).unwrap_or(1);
@@ -118,13 +116,16 @@ proptest! {
 
 /// The same prefix equivalence holds under every kernel ISA this host
 /// supports — the dispatch layer may change *how* the GEMMs reduce,
-/// never a single output byte.
+/// never a single output byte. The second shape runs the fused head at
+/// the encoder's head width (`d_k = 96`) on its one query row.
 #[test]
 fn prefix_equivalence_on_every_kernel_isa() {
-    let cfg = EncoderConfig::new(96, 4, 2, 6);
+    let narrow = EncoderConfig::new(96, 4, 2, 6);
+    let wide = EncoderConfig::new(192, 2, 1, 4);
     for isa in supported_kernels() {
         force_kernel(Some(isa));
-        assert_prefix_equiv(&cfg, 8, 6, 42);
+        assert_prefix_equiv(&narrow, 8, 6, 42);
+        assert_prefix_equiv(&wide, 8, 4, 43);
     }
     force_kernel(None);
 }

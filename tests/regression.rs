@@ -73,11 +73,49 @@ fn pin_functional_output_checksum() {
     a.program(RuntimeConfig::from_model(&cfg, &syn).unwrap()).unwrap();
     a.try_load_weights(q).expect("weights must match the programmed registers");
     let x = Matrix::from_fn(8, 96, |r, c| (((r * 29 + c * 13) % 190) as i32 - 95) as i8);
-    let out = a.run(&x).output;
-    let checksum: i64 =
-        out.as_slice().iter().enumerate().map(|(i, &v)| i64::from(v) * (i as i64 % 251 + 1)).sum();
+    let sum = checksum(&a.run(&x).output);
     // Re-pinned after the workspace switched to the vendored deterministic
     // RNG (the original pin was derived from upstream rand's ChaCha-based
     // StdRng stream; the datapath itself is unchanged and hw==sw holds).
-    assert_eq!(checksum, 35_073, "functional datapath drifted: checksum {checksum}");
+    assert_eq!(sum, 35_073, "functional datapath drifted: checksum {sum}");
+}
+
+/// The position-weighted byte sum every checksum pin uses.
+fn checksum(m: &Matrix<i8>) -> i64 {
+    m.as_slice().iter().enumerate().map(|(i, &v)| i64::from(v) * (i as i64 % 251 + 1)).sum()
+}
+
+fn pinned_decoder() -> (protea::model::QuantizedDecoder, Matrix<i8>, Matrix<i8>) {
+    let cfg = EncoderConfig::new(96, 4, 2, 6);
+    let weights = protea::model::DecoderWeights::random(cfg, 424_243);
+    let dec = protea::model::QuantizedDecoder::from_float(&weights, QuantSchedule::paper());
+    let memory = Matrix::from_fn(8, 96, |r, c| (((r * 37 + c * 11) % 190) as i32 - 95) as i8);
+    let x = Matrix::from_fn(6, 96, |r, c| (((r * 29 + c * 13) % 190) as i32 - 95) as i8);
+    (dec, x, memory)
+}
+
+#[test]
+fn pin_decoder_forward_checksum() {
+    // The golden decoder's full forward (causal self-attention,
+    // cross-attention over the memory, FFN) for a fixed seed and input.
+    let (dec, x, memory) = pinned_decoder();
+    let sum = checksum(&dec.forward(&x, &memory));
+    assert_eq!(sum, 5_862, "golden decoder drifted: checksum {sum}");
+}
+
+#[test]
+fn pin_packed_decode_checksum() {
+    // Six KV-cached steps on the packed host datapath, the rows stacked
+    // in decode order.
+    let (dec, x, memory) = pinned_decoder();
+    let packed = dec.pack();
+    let mut cache = protea::model::DecoderKvCache::new(&dec, &memory);
+    let mut out = Matrix::<i8>::zeros(6, 96);
+    for pos in 0..6 {
+        let row = x.submatrix(pos, 0, 1, 96);
+        let y = dec.try_decode_step_packed(&packed, &mut cache, &row).expect("step fits the cache");
+        out.write_submatrix(pos, 0, &y);
+    }
+    let sum = checksum(&out);
+    assert_eq!(sum, 5_862, "packed decode drifted: checksum {sum}");
 }

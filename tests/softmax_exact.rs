@@ -6,7 +6,7 @@
 //! `⌊2⁵²/sum⌋ + 1`, split into u32 lanes); on every other ISA it calls
 //! [`SoftmaxUnit::forward_matrix`]. For every ISA in
 //! [`supported_kernels`] these tests require the unit's bytes from the
-//! kernel, and from the encoder's [`SoftmaxEngine::compute_head`], on:
+//! kernel, and from the softmax engine's [`SoftmaxEngine::compute_head`], on:
 //! - every row length from 1 to 512, in matrices of several rows;
 //! - constant rows, whose sum `n·2¹⁵` is the largest a length allows,
 //!   up to `512·2¹⁵`;
