@@ -110,6 +110,14 @@ impl Accelerator {
     /// Reprogram the runtime registers — **no resynthesis**. Fails if the
     /// request exceeds the synthesized capacity, exactly as the real
     /// controller rejects out-of-range AXI-lite writes.
+    ///
+    /// Only the capacity is checked, not the resident image: a card is
+    /// programmed for a new model before the model's image is loaded
+    /// (the fleet's `prepare_card` does exactly that), and timing-only
+    /// runs reprogram a loaded card to price other shapes. The image
+    /// rule is checked where bytes are produced instead: at
+    /// [`try_load_weights`](Self::try_load_weights) and on every
+    /// functional run.
     pub fn program(&mut self, runtime: RuntimeConfig) -> Result<(), RegisterError> {
         runtime.validate(&self.design.config)?;
         self.runtime = runtime;
@@ -120,24 +128,39 @@ impl Accelerator {
     /// them against the programmed register file.
     ///
     /// # Errors
-    /// [`CoreError::WeightShape`] if the image's `d_model` differs from
-    /// the programmed register or the image has fewer layers than
-    /// programmed.
+    /// [`CoreError::WeightShape`] if the image's heads or `d_model`
+    /// differ from the programmed registers or the image has fewer
+    /// layers than programmed.
     pub fn try_load_weights(&mut self, weights: QuantizedEncoder) -> Result<(), CoreError> {
-        if weights.config.d_model != self.runtime.d_model
-            || weights.config.layers < self.runtime.layers
-        {
-            return Err(CoreError::WeightShape {
-                weights_d_model: weights.config.d_model,
-                programmed_d_model: self.runtime.d_model,
-                weights_layers: weights.config.layers,
-                programmed_layers: self.runtime.layers,
-            });
-        }
+        self.check_image(&weights)?;
         self.packed = OnceLock::new();
         self.weight_digest = Some(crate::integrity::weight_digest(&weights));
         self.weights = Some(weights);
         Ok(())
+    }
+
+    /// The rule the register file and a weight image must satisfy before
+    /// the image produces any bytes: equal heads and `d_model`, and no
+    /// more programmed layers than the image holds. The image is the
+    /// source of the shape, as in the paper, where the driver reads the
+    /// hyperparameters from the saved model and writes them to the
+    /// registers; the golden model splits attention by the image's heads.
+    ///
+    /// # Errors
+    /// [`CoreError::WeightShape`] when the rule is broken.
+    pub(crate) fn check_image(&self, weights: &QuantizedEncoder) -> Result<(), CoreError> {
+        let (image, rt) = (&weights.config, &self.runtime);
+        if image.d_model == rt.d_model && image.heads == rt.heads && image.layers >= rt.layers {
+            return Ok(());
+        }
+        Err(CoreError::WeightShape {
+            weights_d_model: image.d_model,
+            programmed_d_model: rt.d_model,
+            weights_heads: image.heads,
+            programmed_heads: rt.heads,
+            weights_layers: image.layers,
+            programmed_layers: rt.layers,
+        })
     }
 
     /// The FNV digest sealed over the loaded weight image, if any.
@@ -147,10 +170,12 @@ impl Accelerator {
     }
 
     /// Recompute the weight digest and compare it against the value
-    /// sealed at load time, returning the verified digest. Called at
-    /// load, after reprogramming, and from the serving layer's periodic
-    /// scrub — the detection rung for *persistent* silent corruption
-    /// that ABFT checksums cannot see.
+    /// sealed at load time, returning the verified digest: the check for
+    /// *persistent* silent corruption of the resident image, which ABFT
+    /// checksums cannot see. Nothing in the load, reprogram or run paths
+    /// calls it, and the serving layer's scrub (`scrub_fleet` in
+    /// `protea-serve`) sweeps a modelled corruption counter rather than
+    /// recomputing the digest; a caller that wants the check runs it.
     ///
     /// # Errors
     /// [`CoreError::WeightsNotLoaded`] if no image is resident;
@@ -190,6 +215,8 @@ impl Accelerator {
     /// # Errors
     /// [`CoreError::WeightsNotLoaded`] before any successful
     /// [`try_load_weights`](Self::try_load_weights);
+    /// [`CoreError::WeightShape`] if the registers were reprogrammed away
+    /// from the resident image ([`program`](Self::program));
     /// [`CoreError::InputShape`] if `x` is not `SL × d_model` per the
     /// register file.
     pub fn try_run(&self, x: &Matrix<i8>) -> Result<RunResult, CoreError> {
@@ -284,13 +311,16 @@ impl Accelerator {
 
     /// Built-in self-test (the BIST a deployment runs after loading
     /// weights): push a deterministic pattern through the datapath and
-    /// compare byte-for-byte against the golden software model. Returns
-    /// `Ok(())` or the index of the first mismatching byte.
+    /// compare byte-for-byte against the golden software model.
     ///
-    /// # Panics
-    /// Panics if weights are not loaded.
-    pub fn self_test(&self) -> Result<(), usize> {
-        let weights = self.weights.as_ref().expect("load_weights before self_test");
+    /// # Errors
+    /// [`CoreError::WeightsNotLoaded`] before a load;
+    /// [`CoreError::WeightShape`] if the registers were reprogrammed away
+    /// from the resident image; [`CoreError::Integrity`] naming the first
+    /// byte at which the datapath and the golden model differ.
+    pub fn self_test(&self) -> Result<(), CoreError> {
+        let weights = self.weights.as_ref().ok_or(CoreError::WeightsNotLoaded)?;
+        self.check_image(weights)?;
         let x = Matrix::from_fn(self.runtime.seq_len, self.runtime.d_model, |r, c| {
             (((r * 131 + c * 31 + 17) % 251) as i64 - 125) as i8
         });
@@ -304,7 +334,14 @@ impl Accelerator {
             }
             h
         };
-        hw.as_slice().iter().zip(sw.as_slice()).position(|(a, b)| a != b).map_or(Ok(()), Err)
+        match hw.as_slice().iter().zip(sw.as_slice()).position(|(a, b)| a != b) {
+            None => Ok(()),
+            Some(byte) => Err(CoreError::Integrity {
+                context: format!(
+                    "self-test: datapath differs from the golden model at byte {byte}"
+                ),
+            }),
+        }
     }
 
     /// The bit-exact functional path: [`forward_fast`](Self::forward_fast)
@@ -553,6 +590,15 @@ mod tests {
             ),
             "{err:?}"
         );
+        // so is an image split into other heads
+        let resplit = QuantizedEncoder::from_float(
+            &EncoderWeights::random(EncoderConfig::new(96, 2, 2, 8), 7),
+            QuantSchedule::paper(),
+        );
+        assert!(matches!(
+            acc.try_load_weights(resplit).unwrap_err(),
+            CoreError::WeightShape { weights_heads: 2, programmed_heads: 4, .. }
+        ));
         // fewer layers than programmed is the other rejection
         let shallow = QuantizedEncoder::from_float(
             &EncoderWeights::random(EncoderConfig::new(96, 4, 1, 8), 7),
@@ -562,6 +608,23 @@ mod tests {
             acc.try_load_weights(shallow).unwrap_err(),
             CoreError::WeightShape { weights_layers: 1, programmed_layers: 2, .. }
         ));
+    }
+
+    #[test]
+    fn registers_reprogrammed_away_from_the_image_refuse_to_run() {
+        let (mut acc, x, _) = small_accel();
+        acc.program(RuntimeConfig { heads: 2, layers: 1, d_model: 96, seq_len: 8 }).unwrap();
+        let err = acc.try_run(&x).unwrap_err();
+        assert!(
+            matches!(err, CoreError::WeightShape { weights_heads: 4, programmed_heads: 2, .. }),
+            "{err:?}"
+        );
+        assert_eq!(acc.self_test(), Err(err));
+        // Timing needs no image, so it still runs.
+        assert!(acc.timing_report().total.get() > 0);
+        // Fewer layers than the image holds is a valid program.
+        acc.program(RuntimeConfig { heads: 4, layers: 1, d_model: 96, seq_len: 8 }).unwrap();
+        assert_eq!(acc.self_test(), Ok(()));
     }
 
     #[test]

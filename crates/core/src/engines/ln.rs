@@ -4,7 +4,7 @@ use crate::engines::Access;
 use crate::registers::RuntimeConfig;
 use crate::synthesis::SynthesisConfig;
 use protea_fixed::layernorm::LayerNormUnit;
-use protea_model::quantized::add_norm;
+use protea_model::quantized::fused_add_norm;
 use protea_model::QuantSchedule;
 use protea_tensor::Matrix;
 
@@ -22,10 +22,13 @@ impl LnEngine {
         }]
     }
 
-    /// Functional compute: `LN(x + sub)` — delegates to the golden
-    /// model's shared stage so divergence is impossible. The schedule is
-    /// not read: layer norm is scale-free, and the residual operands
-    /// already share the activation format.
+    /// Functional compute: `LN(x ⊕ sub)` on the host datapath's fused
+    /// stage, `protea_model::quantized::fused_add_norm`: the layer-norm
+    /// row kernel, which the decoder's packed decode step runs too, byte
+    /// for byte the golden `add_norm` (pinned by the root `norm_exact`
+    /// and `equivalence` suites on every ISA). The schedule is not read:
+    /// layer norm is scale-free, and the residual operands already share
+    /// the activation format.
     #[must_use]
     pub fn compute(
         x: &Matrix<i8>,
@@ -33,7 +36,7 @@ impl LnEngine {
         unit: &LayerNormUnit,
         _s: &QuantSchedule,
     ) -> Matrix<i8> {
-        add_norm(x, sub, unit)
+        fused_add_norm(x, sub, unit)
     }
 }
 

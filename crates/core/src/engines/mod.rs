@@ -16,8 +16,9 @@
 //! [`fused_projection`], [`fused_projection_act`]), and the fused
 //! attention head (`protea_model::quantized::fused_attention_head`).
 //! The softmax engine ([`softmax::SoftmaxEngine`]) wraps the same
-//! softmax row kernel, and add-&-norm ([`ln::LnEngine`]) is the golden
-//! stage itself.
+//! softmax row kernel, and add-&-norm ([`ln::LnEngine`]) runs the fused
+//! stage `protea_model::quantized::fused_add_norm` on the layer-norm row
+//! kernel.
 
 pub mod ffn;
 pub mod ln;

@@ -30,12 +30,18 @@ pub enum CoreError {
         /// Human-readable resource summary of the overflowing design.
         resources: String,
     },
-    /// Loaded weights disagree with the programmed register file.
+    /// The weight image and the programmed register file disagree: the
+    /// heads or `d_model` differ, or more layers are programmed than the
+    /// image holds. Raised at load and by every functional run.
     WeightShape {
         /// `d_model` of the weight image.
         weights_d_model: usize,
         /// `d_model` in the register file.
         programmed_d_model: usize,
+        /// Head count of the weight image.
+        weights_heads: usize,
+        /// Head count in the register file.
+        programmed_heads: usize,
         /// Layer count of the weight image.
         weights_layers: usize,
         /// Layer count in the register file.
@@ -86,9 +92,10 @@ pub enum CoreError {
     /// to discard it, not retry or migrate it.
     SnapshotIntegrity(String),
     /// On-card data failed an integrity check: a weight image whose FNV
-    /// digest no longer matches the sealed value (verified at load, at
-    /// reprogram, and by periodic scrubs) or an ABFT checksum mismatch
-    /// in a GEMM epilogue. Distinct from [`CoreError::Fault`] — no
+    /// digest no longer matches the sealed value
+    /// ([`Accelerator::verify_weights`](crate::Accelerator::verify_weights)),
+    /// an ABFT checksum mismatch in a GEMM epilogue, or a self-test whose
+    /// datapath bytes differ from the golden model's. Distinct from [`CoreError::Fault`] — no
     /// hardware error signal ever fired; the data is *silently* wrong
     /// and the correct response is to discard the affected results and
     /// re-image the card, not to retry the transfer.
@@ -120,12 +127,15 @@ impl fmt::Display for CoreError {
             CoreError::WeightShape {
                 weights_d_model,
                 programmed_d_model,
+                weights_heads,
+                programmed_heads,
                 weights_layers,
                 programmed_layers,
             } => write!(
                 f,
-                "weight image (d_model={weights_d_model}, layers={weights_layers}) \
-                 incompatible with register file (d_model={programmed_d_model}, \
+                "weight image (d_model={weights_d_model}, heads={weights_heads}, \
+                 layers={weights_layers}) incompatible with register file \
+                 (d_model={programmed_d_model}, heads={programmed_heads}, \
                  layers={programmed_layers})"
             ),
             CoreError::WeightsNotLoaded => {
@@ -271,6 +281,8 @@ mod tests {
             CoreError::WeightShape {
                 weights_d_model: 64,
                 programmed_d_model: 96,
+                weights_heads: 4,
+                programmed_heads: 2,
                 weights_layers: 1,
                 programmed_layers: 2,
             },

@@ -6,21 +6,23 @@
 //! is invisible to them — the checksum prediction is computed from the
 //! same corrupted image and agrees perfectly. The defense for weights
 //! is therefore content hashing: [`weight_digest`] streams every weight
-//! matrix and bias vector of a [`QuantizedEncoder`] through FNV-1a, the
-//! accelerator seals the value at
-//! [`try_load_weights`](crate::Accelerator::try_load_weights), and
-//! [`verify_weights`](crate::Accelerator::verify_weights) recomputes
-//! and compares it — at load, at reprogram, and whenever the serving
-//! layer's periodic scrub event fires. A mismatch surfaces as the typed
-//! [`CoreError::Integrity`](crate::CoreError::Integrity) (exit code
-//! 10): the card's image is untrusted and must be re-loaded, never
-//! retried.
+//! matrix and bias vector of a [`QuantizedEncoder`] through FNV-1a, and
+//! the accelerator seals the value at
+//! [`try_load_weights`](crate::Accelerator::try_load_weights).
+//! [`verify_weights`](crate::Accelerator::verify_weights) recomputes and
+//! compares it on request; a mismatch surfaces as the typed
+//! [`CoreError::Integrity`](crate::CoreError::Integrity) (exit code 10):
+//! the card's image is untrusted and must be re-loaded, never retried.
+//! Only tests call `verify_weights` today: no load, reprogram or run
+//! path re-verifies the seal, and the serving layer's periodic scrub
+//! sweeps a modelled per-card corruption counter, not the digest.
 //!
-//! The digest covers the model *content* (shape header, weights,
-//! biases, layer-norm parameters are excluded only where they are
-//! derived), is independent of the lazily packed fast-path copy, and is
-//! stable across processes — two cards loaded from the same image
-//! always agree.
+//! The digest covers the shape header (`d_model` and the layer count)
+//! and, per layer, the six weight matrices and six bias vectors. It
+//! does not fold the head count or the two layer-norm units (`ln1`,
+//! `ln2`), so a flip there goes unseen. It is independent of the lazily
+//! packed fast-path copy and stable across processes — two cards loaded
+//! from the same image always agree.
 
 use protea_hwsim::Fnv64;
 use protea_model::quantized::{QuantMatrix, QuantizedEncoder};

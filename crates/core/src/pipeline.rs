@@ -298,8 +298,10 @@ impl Accelerator {
     /// counts and the abort position.
     ///
     /// # Errors
-    /// [`CoreError::EmptyBatch`], [`CoreError::WeightsNotLoaded`] and
-    /// [`CoreError::InputShape`] from the functional half;
+    /// [`CoreError::EmptyBatch`], [`CoreError::WeightsNotLoaded`],
+    /// [`CoreError::WeightShape`] (registers reprogrammed away from the
+    /// resident image) and [`CoreError::InputShape`] from the functional
+    /// half;
     /// [`CoreError::Fault`] when an armed fault stream aborts the run.
     ///
     /// # Panics
@@ -424,6 +426,7 @@ impl Accelerator {
             return Err(CoreError::EmptyBatch);
         }
         let weights = self.weights().ok_or(CoreError::WeightsNotLoaded)?;
+        self.check_image(weights)?;
         let rt = self.runtime();
         let expected = (rt.seq_len, rt.d_model);
         for x in xs {

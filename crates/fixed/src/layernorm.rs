@@ -26,7 +26,7 @@ use crate::rounding::Rounding;
 /// Internal precision of the normalized intermediate (`(x-μ)/σ` in Q.8):
 /// the normalized value of a layer-normed row is bounded by `±sqrt(n)` but
 /// in practice ±8 covers it; Q8.8 in an i32 never overflows here.
-const NORM_FRAC: u32 = 8;
+pub const NORM_FRAC: u32 = 8;
 
 /// Largest `|t|`: `|x − μ| ≤ 255` for i8 codes and `σ ≥ 1`.
 const T_MAX: i64 = 255 << NORM_FRAC;
@@ -61,6 +61,21 @@ pub struct LayerNormUnit {
     /// (negative: left shift).
     out_shift: i32,
     out_fmt: QFormat,
+}
+
+/// The `i32` affine step of a unit whose formats bound it, as the lane
+/// data of a vector row kernel: `y = sat8(rne(t·γ + β, out_shift))`, with
+/// `t` the row's normalized value ([`norm_table`]) and `rne` the
+/// round-to-nearest-even right shift, exactly as
+/// [`LayerNormUnit::forward_row`] runs it.
+#[derive(Debug, Clone, Copy)]
+pub struct NormLanes<'a> {
+    /// γ per feature.
+    pub gamma: &'a [i8],
+    /// β per feature, aligned to the accumulator fraction.
+    pub beta: &'a [i32],
+    /// Right shift from the accumulator to the output fraction, below 31.
+    pub out_shift: u32,
 }
 
 /// β per column, already aligned to the accumulator fraction
@@ -118,6 +133,19 @@ impl LayerNormUnit {
     #[must_use]
     pub fn output_format(&self) -> QFormat {
         self.out_fmt
+    }
+
+    /// The lane data of the `i32` affine step, or `None` when the
+    /// formats need the `i64` step, whose rows stay on
+    /// [`forward_row`](Self::forward_row).
+    #[must_use]
+    pub fn lanes(&self) -> Option<NormLanes<'_>> {
+        match &self.beta {
+            BetaAcc::Narrow(beta) => {
+                Some(NormLanes { gamma: &self.gamma, beta, out_shift: self.out_shift as u32 })
+            }
+            BetaAcc::Wide(_) => None,
+        }
     }
 
     /// Normalize one row in place (`row.len()` may be ≤ `dim()` when the
@@ -181,6 +209,20 @@ impl LayerNormUnit {
     }
 }
 
+/// A row's rounded mean `μ` and `σ = max(1, isqrt(var))` from its length
+/// `n > 0` and the sums `Σx`, `Σx²` of its i8 codes: the one-pass form of
+/// [`LayerNormUnit::forward_row`]'s statistics. `μ` is `Σx/n` rounded to
+/// nearest, ties away from zero, and the biased variance
+/// `Σ(x − μ)²/n = (Σx² − 2μΣx + nμ²)/n` is exact in `i64`. Rows of i8
+/// codes give `σ ≤ 127`.
+#[must_use]
+pub fn mean_sigma(n: usize, sum: i64, sum_sq: i64) -> (i8, u64) {
+    let n = n as i64;
+    let mean = div_round_nearest(sum, n);
+    let var = (sum_sq - 2 * mean * sum + n * mean * mean) / n;
+    (mean as i8, isqrt_u64(var as u64).max(1))
+}
+
 /// A row's normalized values `t(x) = round((x − μ)·2⁸ / σ)`, ties away
 /// from zero, for every i8 code `x`, indexed by `x as u8`. `σ ≥ 1`. One
 /// division: the quotient and remainder step by `2⁸ / σ` and `2⁸ mod σ`
@@ -213,6 +255,23 @@ pub fn norm_table(mean: i8, sigma: u64) -> [i32; 256] {
         }
     }
     t
+}
+
+/// The u32 multiplier with which a row kernel divides by `σ` in place of
+/// [`norm_table`]: for `2 ≤ σ < 2⁸`, `m = ⌊2³²/σ⌋ + 1`, and
+/// `⌊a/σ⌋ = ⌊a·m / 2³²⌋` for every `a < 2¹⁶`. Proof: `m·σ = 2³² + e` with
+/// `0 < e ≤ σ`, so `a·m / 2³² = a/σ + a·e/(σ·2³²)`, and the excess is
+/// below `1/σ` because `a·σ < 2³²`: it never reaches the next multiple of
+/// `1/σ`. The numerators of [`norm_table`]'s entries,
+/// `|x − μ|·2⁸ + ⌊σ/2⌋`, are below 2¹⁶ for i8 codes. `None` for `σ = 1`,
+/// where the quotient is `a` itself.
+///
+/// # Panics
+/// Panics if `σ` is 0 or at least 2⁸.
+#[must_use]
+pub fn norm_reciprocal(sigma: u64) -> Option<u32> {
+    assert!((1..1 << 8).contains(&sigma), "norm_reciprocal needs 1 <= sigma < 256");
+    (sigma > 1).then(|| ((1u64 << 32) / sigma + 1) as u32)
 }
 
 /// `num/den` rounded to nearest, ties away from zero. `den > 0`.

@@ -23,8 +23,8 @@
 use crate::config::{AttnScaling, EncoderConfig};
 use crate::float::{layer_norm, softmax_rows};
 use crate::quantized::{
-    add_norm, attention_heads, fused_attention_head, fused_projection, fused_projection_act,
-    project, QuantMatrix, QuantSchedule,
+    add_norm, attention_heads, fused_add_norm, fused_attention_head, fused_projection,
+    fused_projection_act, project, QuantMatrix, QuantSchedule,
 };
 use core::fmt;
 use protea_fixed::activation::ActivationLut;
@@ -782,6 +782,12 @@ impl QuantizedDecoder {
             }
             None => attention_heads(q, k, v, cfg, s, &self.softmax, false).1,
         };
+        // Residual add and layer norm on the row kernel when packed, else
+        // the golden stage.
+        let norm = |x: &Matrix<i8>, sub: &Matrix<i8>, ln: &LayerNormUnit| match packed {
+            Some(_) => fused_add_norm(x, sub, ln),
+            None => add_norm(x, sub, ln),
+        };
         let mut h = x_row.clone();
         let kv_len = cache.positions + 1;
         for (li, layer) in self.layers.iter().enumerate() {
@@ -796,13 +802,13 @@ impl QuantizedDecoder {
             let v_all = Matrix::from_vec(kv_len, d, cache.self_v[li].clone());
             let scat = attend(&q, &k_all, &v_all);
             let sa = proj(&scat, &layer.self_wo, pl.map(|p| &p.self_wo), &layer.self_bo);
-            let x1 = add_norm(&h, &sa, &layer.ln[0]);
+            let x1 = norm(&h, &sa, &layer.ln[0]);
 
             // --- cross-attention with precomputed memory K/V ------------
             let qc = proj(&x1, &layer.cross_wq, pl.map(|p| &p.cross_wq), &layer.cross_bq);
             let ccat = attend(&qc, &cache.cross_k[li], &cache.cross_v[li]);
             let ca = proj(&ccat, &layer.cross_wo, pl.map(|p| &p.cross_wo), &layer.cross_bo);
-            let x2 = add_norm(&x1, &ca, &layer.ln[1]);
+            let x2 = norm(&x1, &ca, &layer.ln[1]);
 
             // --- FFN -----------------------------------------------------
             let hidden = match pl {
@@ -814,7 +820,7 @@ impl QuantizedDecoder {
                 }
             };
             let ffn = proj(&hidden, &layer.w2, pl.map(|p| &p.w2), &layer.b2);
-            h = add_norm(&x2, &ffn, &layer.ln[2]);
+            h = norm(&x2, &ffn, &layer.ln[2]);
         }
         cache.positions += 1;
         Ok(h)

@@ -24,8 +24,9 @@
 //! that both stacks run (the encoder's `Accelerator::forward_fast` and
 //! the decoder's packed decode step): [`fused_projection`] and
 //! [`fused_projection_act`] narrow [`project`]'s accumulators in the
-//! GEMM's store loop, and [`fused_attention_head`] is one head of
-//! [`attention_heads`] on the packed kernels.
+//! GEMM's store loop, [`fused_attention_head`] is one head of
+//! [`attention_heads`] on the packed kernels, and [`fused_add_norm`] is
+//! [`add_norm`] on the layer-norm row kernel.
 
 use crate::config::{AttnScaling, EncoderConfig};
 use crate::weights::{EncoderWeights, LayerWeights};
@@ -466,9 +467,10 @@ pub fn requant_logits(acc: &Matrix<i32>, cfg: &EncoderConfig, s: &QuantSchedule)
 
 /// Residual add (saturating, shared format) then layer norm, one row at a
 /// time: each output row is first the row's sum, then normalized in
-/// place, so no intermediate sum matrix exists. Rows are independent and
-/// split across worker threads. Shared with the accelerator path and the
-/// decoders.
+/// place by [`LayerNormUnit::forward_row`], so no intermediate sum matrix
+/// exists. Rows are independent and split across worker threads. The
+/// golden stage of the encoder and the decoders; the host datapath runs
+/// [`fused_add_norm`].
 #[must_use]
 pub fn add_norm(x: &Matrix<i8>, sub: &Matrix<i8>, ln: &LayerNormUnit) -> Matrix<i8> {
     assert_eq!(x.shape(), sub.shape(), "residual shapes must match");
@@ -480,6 +482,17 @@ pub fn add_norm(x: &Matrix<i8>, sub: &Matrix<i8>, ln: &LayerNormUnit) -> Matrix<
         }
         ln.forward_row(row);
     });
+    out
+}
+
+/// [`add_norm`] on the host datapath: the [`kernels::add_norm_rows`] row
+/// kernel adds and normalizes every row, in zmm lanes on the AVX-512
+/// kernels, byte for byte the golden stage.
+#[must_use]
+pub fn fused_add_norm(x: &Matrix<i8>, sub: &Matrix<i8>, ln: &LayerNormUnit) -> Matrix<i8> {
+    assert_eq!(x.shape(), sub.shape(), "residual shapes must match");
+    let mut out = Matrix::<i8>::zeros(x.rows(), x.cols());
+    kernels::add_norm_rows(ln, x.as_slice(), sub.as_slice(), x.cols(), out.as_mut_slice());
     out
 }
 

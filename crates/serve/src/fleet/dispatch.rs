@@ -505,10 +505,11 @@ impl SimModel {
         self.cards[card].busy = false;
     }
 
-    /// A scrub event fires: sweep every live resident card's weight
-    /// digest against its seal. Cards whose digest disagrees go
-    /// straight to quarantine-and-reprogram — pre-empting any in-flight
-    /// batch — and `dispatch_all` re-arms the sweep while work remains.
+    /// A scrub event fires: sweep every live card's modelled corruption
+    /// counter (`dirty`, which stands in for a digest mismatch; no
+    /// digest is recomputed). Cards with a nonzero count go straight to
+    /// quarantine-and-reprogram — pre-empting any in-flight batch — and
+    /// `dispatch_all` re-arms the sweep while work remains.
     pub(super) fn scrub_fleet(&mut self, q: &mut EventQueue<FleetEvent>, now_ns: u64) {
         let to_quarantine: Vec<usize> = {
             let Some(f) = self.faulty.as_mut() else { return };

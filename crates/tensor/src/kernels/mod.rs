@@ -24,12 +24,12 @@
 //!   once per GEMM and the bias is subtracted per column (see below).
 //! * [`KernelIsa::Amx`] — AMX-INT8 `tdpbssd` tiles on the same raw
 //!   strips (`x86::AmxTiles`), computing `Cᵀ = Wᵀ·Aᵀ` so the packed
-//!   weights load as tiles as they are. It takes a band of at least 16
-//!   activation rows at a depth that is a multiple of 64, over whole
-//!   32-column blocks (`tile_blocks`); every other block and shape
-//!   runs the VNNI kernel. The requantizing GEMMs narrow each
-//!   accumulator tile in AVX-512 registers as it leaves the tiles
-//!   (`tile_requant`), so their i32 sums never reach memory.
+//!   weights load as tiles as they are. It takes at least 16 activation
+//!   rows at a depth that is a multiple of 64, over whole 32-column
+//!   blocks (`tiles_apply`); every other block and shape runs the VNNI
+//!   kernel. The requantizing GEMMs narrow each accumulator tile in
+//!   AVX-512 registers as it leaves the tiles (`AmxTiles::requant`), so
+//!   their i32 sums never reach memory.
 //! * [`KernelIsa::Neon`] — `vmlal_s16` widening multiply-accumulate on
 //!   aarch64 (the `neon` module).
 //!
@@ -38,6 +38,9 @@
 //! `d_k = 96`). [`softmax_rows`] is the LUT softmax row kernel: word
 //! permutes over the ROM and u32-lane reciprocal multiplies on the
 //! AVX-512 kernels, the softmax unit itself on every other ISA.
+//! [`add_norm_rows`] is the residual add and layer norm row kernel, on
+//! the same terms: zmm lanes on the AVX-512 kernels, the layer-norm unit
+//! itself everywhere else.
 //!
 //! Why `_mm256_madd_epi16` and not `_mm256_maddubs_epi16`: `maddubs`
 //! multiplies *unsigned* by signed bytes and **saturates** its i16 pair
@@ -77,6 +80,7 @@
 //! variants are bit-exact, forcing changes wall-clock only.
 
 use crate::pack::RequantEpilogue;
+use protea_fixed::layernorm::LayerNormUnit;
 use protea_fixed::softmax::SoftmaxUnit;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -292,32 +296,73 @@ pub(crate) fn reduce_block(
     }
 }
 
-/// The rows of one AMX register block — two 16-row activation tiles —
-/// when `isa` runs a `k × n` GEMM's whole 32-column blocks on the tiles:
-/// `isa` is [`KernelIsa::Amx`], `k` a positive multiple of 64 (one tile
-/// row) and `n` at least one block. `None` when the tiles do not apply.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_band(isa: KernelIsa, k: usize, n: usize) -> Option<usize> {
-    use x86::{AMX_NB, TILE, TILE_K};
-    (isa == KernelIsa::Amx && k > 0 && k.is_multiple_of(TILE_K) && n >= AMX_NB).then_some(2 * TILE)
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn tile_band(_: KernelIsa, _: usize, _: usize) -> Option<usize> {
-    None
-}
-
 /// Whether `isa` runs the whole 32-column blocks of a `rows × k × n`
-/// GEMM on the AMX tiles: [`tile_band`] applies to the shape and the
-/// rows fill at least one 16-row activation tile.
+/// GEMM on the AMX tiles: `isa` is [`KernelIsa::Amx`], `k` a positive
+/// multiple of 64 (one tile row), `n` at least one block and the rows
+/// fill at least one 16-row activation tile.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn tiles_apply(isa: KernelIsa, rows: usize, k: usize, n: usize) -> bool {
-    tile_band(isa, k, n).is_some() && rows >= x86::TILE
+    use x86::{AMX_NB, TILE, TILE_K};
+    isa == KernelIsa::Amx && k > 0 && k.is_multiple_of(TILE_K) && n >= AMX_NB && rows >= TILE
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn tiles_apply(_: KernelIsa, _: usize, _: usize, _: usize) -> bool {
     false
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use x86::{AmxTiles, AMX_NB};
+
+/// Output columns per AMX tile block.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) const AMX_NB: usize = 32;
+
+/// No AMX tiles off x86-64: the type has no values, so its methods are
+/// never called.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) enum AmxTiles {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl AmxTiles {
+    pub(crate) fn blocks(
+        &self,
+        _: &[i8],
+        _: std::ops::Range<usize>,
+        _: impl FnMut(usize, &mut [[i32; CB]]),
+    ) {
+        match *self {}
+    }
+
+    pub(crate) fn requant(
+        &self,
+        _: &[i8],
+        _: std::ops::Range<usize>,
+        _: &RequantEpilogue<'_>,
+        _: &mut [&mut [i8]],
+    ) {
+        match *self {}
+    }
+}
+
+/// The `rows` row-major activation rows `a` (`k` bytes each) interleaved
+/// into AMX tiles when [`tiles_apply`] to `isa`'s `rows × k × n` GEMM,
+/// else `None`: the whole 32-column blocks of that GEMM then run on the
+/// tiles, and every other column on [`reduce_block`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn amx_tiles(
+    isa: KernelIsa,
+    a: &[i8],
+    rows: usize,
+    k: usize,
+    n: usize,
+) -> Option<AmxTiles> {
+    tiles_apply(isa, rows, k, n).then(|| AmxTiles::new(a, rows, k))
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn amx_tiles(_: KernelIsa, _: &[i8], _: usize, _: usize, _: usize) -> Option<AmxTiles> {
+    None
 }
 
 /// The depth at which to run a `rows × k × n` GEMM whose operands may be
@@ -360,91 +405,37 @@ pub fn softmax_rows(unit: &SoftmaxUnit, logits: &[i8], cols: usize, out: &mut [i
     unit.forward_matrix(logits, cols, out);
 }
 
-/// Run the AMX tile kernel over every whole 32-column block of the
-/// packed weights `wdata` (`k × n`, column-major) for the `rows`
-/// activation rows `a`, when [`tiles_apply`]. Each block's four `CB`
-/// sub-blocks go to `put(j, sums)` in column order, `sums[r]` holding
-/// row `r`'s sums for the `CB` columns from `j`. Returns how many
-/// leading columns were covered (0 when the tiles do not apply); the
-/// rest are left to [`reduce_block`].
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn tile_blocks(
-    isa: KernelIsa,
-    a: &[i8],
-    rows: usize,
-    k: usize,
-    wdata: &[i8],
-    n: usize,
-    mut put: impl FnMut(usize, &mut [[i32; CB]]),
-) -> usize {
-    use x86::{AmxTiles, AMX_NB};
-    if !tiles_apply(isa, rows, k, n) {
-        return 0;
-    }
-    let tiles = AmxTiles::new(a, rows, k);
-    let mut sums = vec![[0i32; CB]; AMX_NB / CB * rows];
-    let done = n / AMX_NB * AMX_NB;
-    for j in (0..done).step_by(AMX_NB) {
-        tiles.block(&wdata[j * k..(j + AMX_NB) * k], &mut sums);
-        for (c, s) in sums.chunks_exact_mut(rows).enumerate() {
-            put(j + c * CB, s);
+/// Residual add and layer norm of the row-major `x` and `sub` (rows of
+/// `cols`) into `out`: each output row is `x ⊕ sub`, added with
+/// saturation, then normalized by `unit`, byte for byte
+/// [`LayerNormUnit::forward_row`] over the saturated sum. The AVX-512
+/// kernels run units with an `i32` affine step ([`LayerNormUnit::lanes`])
+/// in zmm lanes with AVX-512 F and BW only: one pass adds the row
+/// (`vpaddsb`) and sums its codes (`vpsadbw`) and their squares
+/// (`vpmaddwd`), and a second pass divides by `σ` with a u32 reciprocal
+/// multiply (`vpmuludq`) and runs the affine step. Every other ISA, and
+/// every unit with an `i64` affine step, calls the unit row by row.
+///
+/// # Panics
+/// Panics if `cols` is 0, above `unit.dim()` or above 2¹⁶, or if the
+/// slices are not whole rows of `cols` of one length.
+pub fn add_norm_rows(unit: &LayerNormUnit, x: &[i8], sub: &[i8], cols: usize, out: &mut [i8]) {
+    assert!(cols > 0 && cols <= unit.dim() && cols <= 1 << 16, "row width out of range");
+    assert!(x.len() == out.len() && sub.len() == out.len() && out.len().is_multiple_of(cols));
+    #[cfg(target_arch = "x86_64")]
+    if matches!(active_kernel(), KernelIsa::Avx512 | KernelIsa::Avx512Vnni | KernelIsa::Amx) {
+        if let Some(lanes) = unit.lanes() {
+            return x86::add_norm_rows(lanes, x, sub, cols, out);
         }
     }
-    done
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) fn tile_blocks(
-    _: KernelIsa,
-    _: &[i8],
-    _: usize,
-    _: usize,
-    _: &[i8],
-    _: usize,
-    _: impl FnMut(usize, &mut [[i32; CB]]),
-) -> usize {
-    0
-}
-
-/// The fused requantizing tile GEMM for one band of rows: when
-/// [`tiles_apply`], the `rows` activation rows `a` are interleaved into
-/// tiles once, and every whole 32-column block of the packed weights
-/// `wdata` (`k × n`, column-major) is reduced on the tiles and narrowed
-/// through `epi` straight into the band's row-major output `out`
-/// (`rows × n`). Returns how many leading columns that covered (0 when
-/// the tiles do not apply); the caller runs the rest.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)] // the GEMM's operands, shape and output
-pub(crate) fn tile_requant(
-    isa: KernelIsa,
-    a: &[i8],
-    rows: usize,
-    k: usize,
-    wdata: &[i8],
-    n: usize,
-    epi: &RequantEpilogue<'_>,
-    out: &mut [i8],
-) -> usize {
-    if !tiles_apply(isa, rows, k, n) {
-        return 0;
+    for ((o, xr), sr) in
+        out.chunks_exact_mut(cols).zip(x.chunks_exact(cols)).zip(sub.chunks_exact(cols))
+    {
+        for ((o, &a), &b) in o.iter_mut().zip(xr).zip(sr) {
+            *o = a.saturating_add(b);
+        }
+        unit.forward_row(o);
     }
-    x86::AmxTiles::new(a, rows, k).requant(wdata, n, epi, out);
-    n / x86::AMX_NB * x86::AMX_NB
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tile_requant(
-    _: KernelIsa,
-    _: &[i8],
-    _: usize,
-    _: usize,
-    _: &[i8],
-    _: usize,
-    _: &RequantEpilogue<'_>,
-    _: &mut [i8],
-) -> usize {
-    0
 }
 
 /// Narrow the row-major accumulators `acc` (rows of `n`) into `out`

@@ -2,7 +2,8 @@
 //! `vpmaddwd` over the widened-i16 strips, the AVX-512 VNNI `vpdpbusd`
 //! kernel over the raw packed i8 strips, the AMX-INT8 `tdpbssd`
 //! tile kernel (`AmxTiles`) over the same strips, and the AVX-512
-//! softmax row kernel (`softmax_rows`).
+//! softmax and add & layer-norm row kernels (`softmax_rows`,
+//! `add_norm_rows`).
 //!
 //! Exactness argument (why re-association to SIMD lanes is bit-safe):
 //! every i16 operand is a widened i8, so each product is bounded by
@@ -25,6 +26,8 @@
 use super::CB;
 use crate::pack::RequantEpilogue;
 use core::arch::asm;
+use core::ops::Range;
+use protea_fixed::layernorm::{mean_sigma, norm_reciprocal, NormLanes, NORM_FRAC};
 use protea_fixed::softmax::SOFTMAX_MAX_LEN;
 use protea_fixed::{LaneStages, RoundShift};
 use std::sync::OnceLock;
@@ -34,24 +37,25 @@ use core::arch::x86_64::{
     __cpuid_count, __get_cpuid_max, __m128i, __m256i, __m512i, _mm256_add_epi32,
     _mm256_castsi256_si128, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
     _mm256_max_epi8, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_storeu_si256,
-    _mm256_sub_epi32, _mm512_abs_epi32, _mm512_add_epi16, _mm512_add_epi32, _mm512_and_si512,
-    _mm512_castsi128_si512, _mm512_castsi512_si128, _mm512_castsi512_si256,
-    _mm512_cmpeq_epi16_mask, _mm512_cmplt_epi32_mask, _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16,
-    _mm512_cvtepi8_epi32, _mm512_cvtepu16_epi32, _mm512_cvtsepi32_epi8, _mm512_dpbusd_epi32,
-    _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_blend_epi16,
-    _mm512_mask_blend_epi32, _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8,
-    _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8,
-    _mm512_maskz_mov_epi16, _mm512_max_epi16, _mm512_max_epi32, _mm512_max_epi8, _mm512_min_epi32,
+    _mm256_sub_epi32, _mm512_abs_epi32, _mm512_add_epi16, _mm512_add_epi32, _mm512_add_epi64,
+    _mm512_adds_epi8, _mm512_and_si512, _mm512_castsi128_si512, _mm512_castsi512_si128,
+    _mm512_castsi512_si256, _mm512_cmpeq_epi16_mask, _mm512_cmplt_epi32_mask, _mm512_cvtepi32_epi8,
+    _mm512_cvtepi8_epi16, _mm512_cvtepi8_epi32, _mm512_cvtepu16_epi32, _mm512_cvtsepi32_epi8,
+    _mm512_dpbusd_epi32, _mm512_extracti32x4_epi32, _mm512_extracti64x4_epi64, _mm512_inserti32x4,
+    _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_blend_epi16, _mm512_mask_blend_epi32,
+    _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8, _mm512_mask_storeu_epi8, _mm512_mask_sub_epi32,
+    _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8, _mm512_maskz_mov_epi16,
+    _mm512_maskz_mov_epi8, _mm512_max_epi16, _mm512_max_epi32, _mm512_max_epi8, _mm512_min_epi32,
     _mm512_min_epu32, _mm512_movepi8_mask, _mm512_mul_epu32, _mm512_mullo_epi32,
     _mm512_permutex2var_epi16, _mm512_permutex2var_epi64, _mm512_permutex2var_epi8,
-    _mm512_reduce_add_epi32, _mm512_reduce_max_epi32, _mm512_set1_epi16, _mm512_set1_epi32,
-    _mm512_set1_epi8, _mm512_setzero_si512, _mm512_shuffle_i32x4, _mm512_shuffle_i64x2,
-    _mm512_sll_epi32, _mm512_slli_epi32, _mm512_slli_epi64, _mm512_sra_epi32, _mm512_srai_epi32,
-    _mm512_srl_epi32, _mm512_srl_epi64, _mm512_srli_epi32, _mm512_srli_epi64, _mm512_storeu_si512,
-    _mm512_sub_epi16, _mm512_sub_epi32, _mm512_test_epi16_mask, _mm512_unpackhi_epi32,
-    _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_xor_si512,
-    _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_mask_storeu_epi8, _mm_max_epi8,
-    _mm_shuffle_epi32, _mm_storeu_si128,
+    _mm512_reduce_add_epi32, _mm512_reduce_add_epi64, _mm512_reduce_max_epi32, _mm512_sad_epu8,
+    _mm512_set1_epi16, _mm512_set1_epi32, _mm512_set1_epi8, _mm512_setzero_si512,
+    _mm512_shuffle_i32x4, _mm512_shuffle_i64x2, _mm512_sll_epi32, _mm512_slli_epi32,
+    _mm512_slli_epi64, _mm512_sra_epi32, _mm512_srai_epi32, _mm512_srl_epi32, _mm512_srl_epi64,
+    _mm512_srli_epi32, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi16, _mm512_sub_epi32,
+    _mm512_test_epi16_mask, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32,
+    _mm512_unpacklo_epi64, _mm512_xor_si512, _mm_add_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+    _mm_mask_storeu_epi8, _mm_max_epi8, _mm_shuffle_epi32, _mm_storeu_si128,
 };
 
 /// Exact horizontal sum of the eight i32 lanes of a ymm accumulator.
@@ -380,7 +384,7 @@ struct AccTile([i32; TILE * TILE]);
 #[repr(C, align(64))]
 struct TileRow([u32; TILE]);
 
-/// The AMX-INT8 tile kernel for one band of activation rows.
+/// The AMX-INT8 tile kernel for one GEMM's activation rows.
 ///
 /// `tdpbssd` multiplies signed by signed bytes and adds each group of
 /// four products into an i32 lane, exactly (no bias, no saturation:
@@ -390,13 +394,15 @@ struct TileRow([u32; TILE]);
 /// it as `Cᵀ = Wᵀ·Aᵀ`: the packed weights' column-major strips already
 /// are `Wᵀ` row-major, so 16 weight columns × 64 depth bytes load as an
 /// `A` tile as they are (stride `k`), and only the activations are
-/// rearranged — once per band, by [`AmxTiles::new`] — into `B` tiles
+/// rearranged — once per GEMM, by [`AmxTiles::new`] — into `B` tiles
 /// laid out `[group of 16 rows][k/64][k/4 mod 16][16 rows][4 bytes]`,
-/// rows past the band's end zero. Each accumulator tile is then a
+/// rows past the last activation row zero. Each accumulator tile is then a
 /// 16-column × 16-row block of `Cᵀ`, transposed back with AVX-512
 /// shuffles: by [`AmxTiles::block`] into the row-major `[[i32; CB]]`
 /// blocks a `StripSink` takes, by [`AmxTiles::requant`] into one
 /// activation row per register, which it narrows and stores in place.
+/// Every method takes `&self`, so the workers of a parallel GEMM share
+/// one interleaving, each sweeping its own columns.
 ///
 /// Each [`AmxTiles::block`] or [`AmxTiles::requant`] call configures the
 /// calling thread's tiles, runs the tile loop and releases them, so no
@@ -444,7 +450,7 @@ impl AmxTiles {
     /// blocks.
     ///
     /// # Panics
-    /// Panics if the slices disagree with the band's `rows` and `k`.
+    /// Panics if the slices disagree with the tiles' `rows` and `k`.
     pub(crate) fn block(&self, wstrip: &[i8], sums: &mut [[i32; CB]]) {
         assert_eq!(wstrip.len(), AMX_NB * self.k);
         assert_eq!(sums.len(), AMX_NB / CB * self.rows);
@@ -469,34 +475,59 @@ impl AmxTiles {
         });
     }
 
-    /// The fused requantizing GEMM over this band's whole 32-column
-    /// blocks: reduce each block of the packed weights `wdata`
-    /// (column-major, `k` bytes per column, `n` columns) against every
-    /// activation row, and narrow each accumulator tile through `epi`
-    /// straight into the band's row-major output `out` (rows of `n`) as
-    /// it leaves the tiles ([`RowRequant`]): no i32 sums reach memory
-    /// beyond the tile's own 1 KiB. Columns past the last whole block
-    /// are left to the caller.
+    /// Reduce the whole 32-column blocks of the packed weights `wdata`
+    /// (column-major, `k` bytes per column) that start in `cols` against
+    /// every activation row, handing each block's four `CB` sub-blocks to
+    /// `put(j, sums)` in column order, `sums[r]` holding row `r`'s sums
+    /// for the `CB` columns from `j` ([`block`](Self::block)).
     ///
     /// # Panics
-    /// Panics if `out` is not this band's `rows × n` bytes, `wdata` not
-    /// `n` columns or the epilogue's bias not `n` long.
+    /// Panics if a block of `cols` runs past the end of `wdata`.
+    pub(crate) fn blocks(
+        &self,
+        wdata: &[i8],
+        cols: Range<usize>,
+        mut put: impl FnMut(usize, &mut [[i32; CB]]),
+    ) {
+        let mut sums = vec![[0i32; CB]; AMX_NB / CB * self.rows];
+        for j in cols.step_by(AMX_NB) {
+            self.block(&wdata[j * self.k..(j + AMX_NB) * self.k], &mut sums);
+            for (c, s) in sums.chunks_exact_mut(self.rows).enumerate() {
+                put(j + c * CB, s);
+            }
+        }
+    }
+
+    /// The fused requantizing GEMM over the whole 32-column blocks that
+    /// start in `cols`: reduce each block of the packed weights `wdata`
+    /// (column-major, `k` bytes per column) against every activation row,
+    /// and narrow each accumulator tile through `epi` straight into the
+    /// output rows `out` as it leaves the tiles ([`RowRequant`]): no i32
+    /// sums reach memory beyond the tile's own 1 KiB. Row `r`'s slice
+    /// `out[r]` starts at column `cols.start`.
+    ///
+    /// # Panics
+    /// Panics if `out` does not hold one slice per row, each at least
+    /// `cols` wide, if a block of `cols` runs past the end of `wdata`, or
+    /// if the epilogue's bias stops short of `cols`.
     pub(crate) fn requant(
         &self,
         wdata: &[i8],
-        n: usize,
+        cols: Range<usize>,
         epi: &RequantEpilogue<'_>,
-        out: &mut [i8],
+        out: &mut [&mut [i8]],
     ) {
-        assert_eq!(out.len(), self.rows * n, "output must be the band's rows");
-        assert_eq!(wdata.len(), n * self.k);
+        assert_eq!(out.len(), self.rows, "one output slice per row");
+        assert!(out.iter().all(|row| row.len() >= cols.len()), "output rows span the columns");
+        let end = cols.start + cols.len().next_multiple_of(AMX_NB);
+        assert!(wdata.len() >= end * self.k, "blocks within the packed weights");
         if let Some(bias) = epi.bias {
-            assert_eq!(bias.len(), n, "bias length mismatch");
+            assert!(bias.len() >= end, "bias length mismatch");
         }
         // SAFETY: AVX-512 VBMI is part of `amx_supported`, checked by
         // `new`, and the asserts above are `requant_blocks`' contract.
         self.with_tiles(|| unsafe {
-            requant_blocks(&self.b, self.rows, self.k, wdata, n, epi, out)
+            requant_blocks(&self.b, self.rows, self.k, wdata, cols, epi, out)
         });
     }
 
@@ -534,21 +565,22 @@ impl AmxTiles {
 /// # Safety
 /// The tiles must be configured as [`AmxTiles::with_tiles`] does and
 /// AVX-512 F, BW and VBMI present; `b` must hold `rows` interleaved rows
-/// of depth `k`, `wdata` `n × k` bytes, `out` `rows × n` bytes and the
-/// epilogue's bias (if any) `n` columns.
+/// of depth `k`, `wdata` and the epilogue's bias (if any) every block
+/// that starts in `cols`, and `out` one slice per row, each `cols` wide.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 unsafe fn requant_blocks(
     b: &[TileRow],
     rows: usize,
     k: usize,
     wdata: &[i8],
-    n: usize,
+    cols: Range<usize>,
     epi: &RequantEpilogue<'_>,
-    out: &mut [i8],
+    out: &mut [&mut [i8]],
 ) {
     let rq = RowRequant::new(epi);
-    for j in (0..n / AMX_NB * AMX_NB).step_by(AMX_NB) {
-        // SAFETY: columns j..j + 32 ≤ n of the bias.
+    let base = cols.start;
+    for j in cols.step_by(AMX_NB) {
+        // SAFETY: columns j..j + 32 of the bias.
         let bias = epi.bias.map(|bias| {
             let p = bias.as_ptr().add(j);
             [_mm512_loadu_si512(p.cast()), _mm512_loadu_si512(p.add(TILE).cast())]
@@ -560,8 +592,8 @@ unsafe fn requant_blocks(
                 unsafe { _mm512_loadu_si512(tile.0.as_ptr().add(c * TILE).cast()) }
             });
             let bias = bias.map(|b| b[half]);
-            for (i, x) in transpose16(r).into_iter().take(valid).enumerate() {
-                let dst = &mut out[(first + i) * n + j + half * TILE..][..TILE];
+            for (row, x) in out[first..first + valid].iter_mut().zip(transpose16(r)) {
+                let dst = &mut row[j - base + half * TILE..][..TILE];
                 // SAFETY: `dst` holds the 16 bytes stored.
                 unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), rq.row(x, bias)) };
             }
@@ -612,7 +644,7 @@ unsafe fn interleave_group(group: &[i8], k: usize, tiles: &mut [TileRow]) {
 /// # Safety
 /// The tiles must be configured as [`AmxTiles::with_tiles`] does (so
 /// AMX, and with it AVX-512 F, BW and VBMI, is present); `b` must hold
-/// the band's interleaved groups and `wstrip` `AMX_NB × k` bytes.
+/// the interleaved groups and `wstrip` `AMX_NB × k` bytes.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 unsafe fn tile_block(
     b: &[TileRow],
@@ -961,6 +993,137 @@ unsafe fn softmax_rows_avx512(table: &[u16; 256], logits: &[i8], cols: usize, ou
                 u64::from(mask),
                 _mm512_castsi128_si512(p),
             );
+        }
+    }
+}
+
+/// [`super::add_norm_rows`] on AVX-512 F and BW for a unit with an `i32`
+/// affine step, 64 codes per step.
+///
+/// The first pass over a row adds it with saturation (`vpaddsb`) and
+/// accumulates `Σ(s + 128)` (`vpsadbw` against zero, masked-off bytes
+/// zeroed after the bias) and `Σs²` (`vpmaddwd`; a lane gains at most
+/// 2¹⁶ per step, so it stays below 2³¹ for rows up to 2¹⁶ wide).
+/// [`mean_sigma`] turns the sums into `μ` and `σ ≤ 127`.
+///
+/// The second pass adds the row again rather than reading back stored
+/// sums (a load of bytes still in the store buffer stalls), and computes
+/// [`norm_table`]'s entry for each code without the table:
+/// `t(c) = sign(c)·⌊a/σ⌋` with `c = s − μ` and `a = |c|·2⁸ + ⌊σ/2⌋ < 2¹⁶`,
+/// the quotient as `⌊a·m / 2³²⌋` with the [`norm_reciprocal`] multiplier
+/// `m` (exact there), or `a` itself at `σ = 1`. The even and odd lanes'
+/// 64-bit products (`vpmuludq`) hold the quotients in their high halves.
+/// Then `t·γ + β`, the nearest-even shift and the saturating narrow
+/// (`vpmovsdb`), as the unit runs them, 16 lanes at a time.
+///
+/// [`norm_table`]: protea_fixed::layernorm::norm_table
+///
+/// # Panics
+/// Panics if the host lacks AVX-512 F or BW, or the slices do not hold
+/// whole rows of `0 < cols ≤ min(γ's length, 2¹⁶)`.
+pub(crate) fn add_norm_rows(ln: NormLanes<'_>, x: &[i8], sub: &[i8], cols: usize, out: &mut [i8]) {
+    assert!(
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw"),
+        "AVX-512 layer norm on a host without AVX-512 BW"
+    );
+    assert!(cols > 0 && cols <= ln.gamma.len() && cols <= ln.beta.len() && cols <= 1 << 16);
+    assert!(x.len() == out.len() && sub.len() == out.len() && out.len().is_multiple_of(cols));
+    assert!(ln.out_shift < 31);
+    // SAFETY: the features and the shapes were checked above; see the
+    // function's contract.
+    unsafe { add_norm_rows_avx512(ln, x, sub, cols, out) }
+}
+
+/// # Safety
+/// AVX-512 F and BW must be present; `x`, `sub` and `out` must hold whole
+/// rows of `cols`, with `0 < cols ≤ 2¹⁶` and γ and β at least `cols`
+/// long, and `out_shift < 31`. Every load and store is masked to the
+/// row's `cols` bytes.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn add_norm_rows_avx512(
+    ln: NormLanes<'_>,
+    x: &[i8],
+    sub: &[i8],
+    cols: usize,
+    out: &mut [i8],
+) {
+    let sh = _mm_cvtsi32_si128(ln.out_shift.cast_signed());
+    // Nearest-even: add `half − 1` plus the kept LSB, then shift.
+    let (half_less, lsb) = match ln.out_shift {
+        0 => (0, 0),
+        s => ((1i32 << (s - 1)) - 1, 1),
+    };
+    let (half_less, lsb) = (_mm512_set1_epi32(half_less), _mm512_set1_epi32(lsb));
+    let zero = _mm512_setzero_si512();
+    let bias8 = _mm512_set1_epi8(i8::MIN);
+    let rows = x.chunks_exact(cols).zip(sub.chunks_exact(cols)).zip(out.chunks_exact_mut(cols));
+    for ((xr, sr), o) in rows {
+        // The row's saturated sum over the 64 codes from `j`, masked.
+        let sum_at = |j: usize, mask: u64| {
+            _mm512_adds_epi8(
+                _mm512_maskz_loadu_epi8(mask, xr.as_ptr().add(j)),
+                _mm512_maskz_loadu_epi8(mask, sr.as_ptr().add(j)),
+            )
+        };
+        let mut sad = zero;
+        let mut sq = zero;
+        for j in (0..cols).step_by(64) {
+            let mask = u64::MAX >> (64 - 64.min(cols - j));
+            let s = sum_at(j, mask);
+            let biased = _mm512_maskz_mov_epi8(mask, _mm512_xor_si512(s, bias8));
+            sad = _mm512_add_epi64(sad, _mm512_sad_epu8(biased, zero));
+            let lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(s));
+            let hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(s));
+            sq = _mm512_add_epi32(
+                sq,
+                _mm512_add_epi32(_mm512_madd_epi16(lo, lo), _mm512_madd_epi16(hi, hi)),
+            );
+        }
+        let sum = _mm512_reduce_add_epi64(sad) - 128 * cols as i64;
+        let sum_sq = i64::from(_mm512_reduce_add_epi32(sq));
+        let (mean, sigma) = mean_sigma(cols, sum, sum_sq);
+        let recip = norm_reciprocal(sigma);
+        let mu = _mm512_set1_epi32(i32::from(mean));
+        let round = _mm512_set1_epi32((sigma / 2) as i32);
+        let m = _mm512_set1_epi32(recip.unwrap_or(0).cast_signed());
+        // 16 codes `s` with their γ and β to 16 output bytes.
+        let lane = |s: __m128i, g: __m128i, b: __m512i| {
+            let c = _mm512_sub_epi32(_mm512_cvtepi8_epi32(s), mu);
+            let a = _mm512_add_epi32(_mm512_slli_epi32::<NORM_FRAC>(_mm512_abs_epi32(c)), round);
+            let q = if recip.is_some() {
+                let even = _mm512_srli_epi64::<32>(_mm512_mul_epu32(a, m));
+                let odd = _mm512_mul_epu32(_mm512_srli_epi64::<32>(a), m);
+                _mm512_mask_blend_epi32(0xAAAA, even, odd)
+            } else {
+                a
+            };
+            let t = _mm512_mask_sub_epi32(q, _mm512_cmplt_epi32_mask(c, zero), zero, q);
+            let acc = _mm512_add_epi32(_mm512_mullo_epi32(t, _mm512_cvtepi8_epi32(g)), b);
+            let kept = _mm512_and_si512(_mm512_sra_epi32(acc, sh), lsb);
+            let y = _mm512_sra_epi32(_mm512_add_epi32(_mm512_add_epi32(acc, half_less), kept), sh);
+            _mm512_cvtsepi32_epi8(y)
+        };
+        for j in (0..cols).step_by(64) {
+            let mask = u64::MAX >> (64 - 64.min(cols - j));
+            let s = sum_at(j, mask);
+            let g = _mm512_maskz_loadu_epi8(mask, ln.gamma.as_ptr().add(j));
+            let beta = |q: usize| {
+                _mm512_maskz_loadu_epi32(
+                    (mask >> (16 * q)) as u16,
+                    ln.beta.as_ptr().add(j + 16 * q),
+                )
+            };
+            let y0 = lane(_mm512_castsi512_si128(s), _mm512_castsi512_si128(g), beta(0));
+            let y1 =
+                lane(_mm512_extracti32x4_epi32::<1>(s), _mm512_extracti32x4_epi32::<1>(g), beta(1));
+            let y2 =
+                lane(_mm512_extracti32x4_epi32::<2>(s), _mm512_extracti32x4_epi32::<2>(g), beta(2));
+            let y3 =
+                lane(_mm512_extracti32x4_epi32::<3>(s), _mm512_extracti32x4_epi32::<3>(g), beta(3));
+            let y = _mm512_inserti32x4::<1>(_mm512_castsi128_si512(y0), y1);
+            let y = _mm512_inserti32x4::<3>(_mm512_inserti32x4::<2>(y, y2), y3);
+            _mm512_mask_storeu_epi8(o.as_mut_ptr().add(j), mask, y);
         }
     }
 }

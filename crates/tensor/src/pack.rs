@@ -23,9 +23,11 @@
 //!   supports it, the original autovectorized kernel as the portable
 //!   fallback, overridable via `PROTEA_KERNEL`.
 //! * [`matmul_i8_i32_packed_parallel`] — the same GEMM with parallelism
-//!   *inside* the product: the activation rows are split into one band
-//!   per worker, and each worker stores its band straight into its own
-//!   rows of the output.
+//!   *inside* the product: on the AMX tiles the columns split into
+//!   chunks of four 32-column strips over all rows, so each packed strip
+//!   streams from memory once per GEMM; on every other kernel the
+//!   activation rows split into one band per worker. Each task stores
+//!   straight into its own slices of the output rows.
 //! * [`matmul_i8_packed_requant`] and its parallel form — the fused
 //!   requantization: a [`RequantEpilogue`] (saturating bias add,
 //!   rounding shift or logit divide, saturation, optional activation
@@ -57,10 +59,11 @@
 //! thread counts.
 
 use crate::abft::{AbftChecksums, AbftMismatch};
-use crate::kernels::{self, Activations, KernelIsa, CB};
+use crate::kernels::{self, Activations, AmxTiles, KernelIsa, AMX_NB, CB};
 use crate::matrix::Matrix;
 use protea_fixed::activation::ActivationLut;
 use protea_fixed::LaneRequant;
+use std::ops::Range;
 
 /// Bytes whose first element sits on a 64-byte boundary, so that every
 /// packed column of a depth that is a multiple of 64 starts on a cache
@@ -208,12 +211,13 @@ impl PackedWeights {
 }
 
 /// What one column block's results become: the raw accumulators, or a
-/// fused epilogue's narrowed bytes. [`gemm_strip`] reduces one block of
-/// up to `CB` columns for every activation row, then hands the sink the
-/// whole block at once — `sums[di]` holds row `di`'s exact i32
-/// accumulators for the `w` columns starting at *global* column `j`
-/// (lanes past `w` are zero padding) — with the output region whose row
-/// `di` starts at `out[di * stride]`.
+/// fused epilogue's narrowed bytes. The GEMMs store through one slice
+/// per output row; a slice may hold only some of the row's columns.
+/// [`gemm_cols`] reduces one block of up to `CB` columns for every
+/// activation row, then hands the sink the whole block at once:
+/// `sums[di]` holds row `di`'s exact i32 accumulators for the `w` columns
+/// starting at *global* column `j` (lanes past `w` are zero padding), to
+/// be stored from position `c` of each row slice in `rows`.
 trait StripSink {
     /// The stored element type.
     type Out: Copy + Default + Send;
@@ -223,27 +227,25 @@ trait StripSink {
         j: usize,
         w: usize,
         sums: &mut [[i32; CB]],
-        out: &mut [Self::Out],
-        stride: usize,
+        rows: &mut [&mut [Self::Out]],
+        c: usize,
     );
 
-    /// Run the whole 32-column blocks of the band's GEMM on the AMX
-    /// tiles when they apply, into the band's row-major `out`, and
-    /// return how many leading columns that covered (0 when the tiles
-    /// do not apply). By default each block's sums go to
-    /// [`put_block`](Self::put_block) ([`kernels::tile_blocks`]).
+    /// Run the whole 32-column blocks of `w` that start in `cols` on the
+    /// AMX tiles into `rows`, whose slices start at column `cols.start`.
+    /// By default each block's sums go to [`put_block`](Self::put_block)
+    /// ([`AmxTiles::blocks`]).
     fn tiles(
         &mut self,
-        isa: KernelIsa,
-        a: &[i8],
-        rows: usize,
+        tiles: &AmxTiles,
         w: &PackedWeights,
-        out: &mut [Self::Out],
-    ) -> usize {
-        let (k, n) = w.shape();
-        kernels::tile_blocks(isa, a, rows, k, w.data.as_slice(), n, |j, sums| {
-            self.put_block(j, CB, sums, &mut out[j..], n);
-        })
+        cols: Range<usize>,
+        rows: &mut [&mut [Self::Out]],
+    ) {
+        let base = cols.start;
+        tiles.blocks(w.data.as_slice(), cols, |j, sums| {
+            self.put_block(j, CB, sums, rows, j - base);
+        });
     }
 }
 
@@ -272,11 +274,11 @@ impl StripSink for I32Sink {
         _: usize,
         w: usize,
         sums: &mut [[i32; CB]],
-        out: &mut [i32],
-        stride: usize,
+        rows: &mut [&mut [i32]],
+        c: usize,
     ) {
-        for (di, s) in sums.iter().enumerate() {
-            copy_lanes(&mut out[di * stride..], s, w);
+        for (row, s) in rows.iter_mut().zip(sums.iter()) {
+            copy_lanes(&mut row[c..], s, w);
         }
     }
 }
@@ -294,12 +296,12 @@ impl<F: Fn(usize, i32) -> i8> StripSink for MapSink<'_, F> {
         j: usize,
         w: usize,
         sums: &mut [[i32; CB]],
-        out: &mut [i8],
-        stride: usize,
+        rows: &mut [&mut [i8]],
+        c: usize,
     ) {
-        for (di, s) in sums.iter().enumerate() {
-            for (c, (o, &v)) in out[di * stride..di * stride + w].iter_mut().zip(s).enumerate() {
-                *o = (self.0)(j + c, v);
+        for (row, s) in rows.iter_mut().zip(sums.iter()) {
+            for (l, (o, &v)) in row[c..c + w].iter_mut().zip(s).enumerate() {
+                *o = (self.0)(j + l, v);
             }
         }
     }
@@ -324,8 +326,8 @@ impl<F: Fn(usize, i32) -> i8> StripSink for CheckedMapSink<'_, F> {
         j: usize,
         w: usize,
         sums: &mut [[i32; CB]],
-        out: &mut [i8],
-        stride: usize,
+        rows: &mut [&mut [i8]],
+        c: usize,
     ) {
         for (row, s) in self.row.iter_mut().zip(sums.iter()) {
             for (col, &v) in self.col[j..j + w].iter_mut().zip(s) {
@@ -333,7 +335,7 @@ impl<F: Fn(usize, i32) -> i8> StripSink for CheckedMapSink<'_, F> {
                 *col += i64::from(v);
             }
         }
-        self.inner.put_block(j, w, sums, out, stride);
+        self.inner.put_block(j, w, sums, rows, c);
     }
 }
 
@@ -393,13 +395,14 @@ impl<'a> RequantEpilogue<'a> {
         }
         let mut sums = vec![[0i32; CB]; m];
         let mut sink = RequantSink::new(self, None);
+        let mut rows = out_rows(&mut out, n);
         for j in (0..n).step_by(CB) {
             let w = CB.min(n - j);
             for (di, s) in sums.iter_mut().enumerate() {
                 *s = [0; CB];
                 s[..w].copy_from_slice(&acc.row(di)[j..j + w]);
             }
-            sink.put_block(j, w, &mut sums, &mut out[j..], n);
+            sink.put_block(j, w, &mut sums, &mut rows, j);
         }
         Matrix::from_vec(m, n, out)
     }
@@ -456,8 +459,8 @@ impl StripSink for RequantSink<'_> {
         j: usize,
         w: usize,
         sums: &mut [[i32; CB]],
-        out: &mut [i8],
-        stride: usize,
+        rows: &mut [&mut [i8]],
+        c: usize,
     ) {
         let epi = self.epi;
         self.narrowed.resize(sums.len(), [0; CB]);
@@ -483,45 +486,71 @@ impl StripSink for RequantSink<'_> {
         if let Some(act) = epi.act {
             act.apply_slice(narrowed);
         }
-        for (di, q) in self.narrowed.iter().enumerate() {
-            copy_lanes(&mut out[di * stride..], q, w);
+        for (row, q) in rows.iter_mut().zip(self.narrowed.iter()) {
+            copy_lanes(&mut row[c..], q, w);
         }
     }
 
     /// The whole epilogue runs inside the tile kernel, on each
-    /// accumulator tile's transpose ([`kernels::tile_requant`]).
+    /// accumulator tile's transpose ([`AmxTiles::requant`]).
     fn tiles(
         &mut self,
-        isa: KernelIsa,
-        a: &[i8],
-        rows: usize,
+        tiles: &AmxTiles,
         w: &PackedWeights,
-        out: &mut [i8],
-    ) -> usize {
-        let (k, n) = w.shape();
-        kernels::tile_requant(isa, a, rows, k, w.data.as_slice(), n, self.epi, out)
+        cols: Range<usize>,
+        rows: &mut [&mut [i8]],
+    ) {
+        tiles.requant(w.data.as_slice(), cols, self.epi, rows);
     }
 }
 
-/// Reduce the `rows` activation rows `a` against every column of `w`
-/// into the row-major `out`. On AMX, whole 32-column blocks run through
-/// the tile kernel first ([`StripSink::tiles`]). The remaining columns'
-/// activations are prepared for `isa` once, then each `CB`-column block
-/// runs through [`kernels::reduce_block`] into the sink. The ragged tail
-/// (`w.cols() % CB` columns) runs a scalar dot over the i8 operands with
-/// identical values.
+/// One slice per row of the row-major `out` (rows of `n`).
+fn out_rows<T>(out: &mut [T], n: usize) -> Vec<&mut [T]> {
+    if n == 0 {
+        return Vec::new();
+    }
+    out.chunks_exact_mut(n).collect()
+}
+
+/// Reduce the activation rows `a` (one per slice of `rows`) against
+/// every column of `w` into `rows`. On AMX, whole 32-column blocks run
+/// through the tile kernel first ([`StripSink::tiles`]), and the rest
+/// through [`gemm_cols`].
 fn gemm_strip<S: StripSink>(
     a: &[i8],
-    rows: usize,
     w: &PackedWeights,
     isa: KernelIsa,
-    out: &mut [S::Out],
+    rows: &mut [&mut [S::Out]],
+    sink: &mut S,
+) {
+    let (k, n) = w.shape();
+    let mut j = 0;
+    if let Some(tiles) = kernels::amx_tiles(isa, a, rows.len(), k, n) {
+        j = n / AMX_NB * AMX_NB;
+        sink.tiles(&tiles, w, 0..j, rows);
+    }
+    gemm_cols(a, w, isa, j, rows, 0, sink);
+}
+
+/// Reduce the activation rows `a` (one per slice of `rows`) against
+/// columns `j0..` of `w` into `rows`, whose slices start at column
+/// `base ≤ j0`. The activations are prepared for `isa` once, then each
+/// `CB`-column block runs through [`kernels::reduce_block`] into the
+/// sink. The ragged tail (`w.cols() % CB` columns) runs a scalar dot
+/// over the i8 operands with identical values.
+fn gemm_cols<S: StripSink>(
+    a: &[i8],
+    w: &PackedWeights,
+    isa: KernelIsa,
+    j0: usize,
+    rows: &mut [&mut [S::Out]],
+    base: usize,
     sink: &mut S,
 ) {
     let (k, n) = w.shape();
     let wdata = w.data.as_slice();
-    let mut j = sink.tiles(isa, a, rows, w, out);
-    let mut sums = vec![[0i32; CB]; rows];
+    let mut j = j0;
+    let mut sums = vec![[0i32; CB]; rows.len()];
     if j + CB <= n {
         let acts = Activations::prepare(isa, a);
         let mut wide = Vec::new();
@@ -536,7 +565,7 @@ fn gemm_strip<S: StripSink>(
                 &mut wide,
                 &mut sums,
             );
-            sink.put_block(j, CB, &mut sums, &mut out[j..], n);
+            sink.put_block(j, CB, &mut sums, rows, j - base);
             j += CB;
         }
     }
@@ -553,19 +582,19 @@ fn gemm_strip<S: StripSink>(
             }
         }
     }
-    sink.put_block(j, tail, &mut sums, &mut out[j..], n);
+    sink.put_block(j, tail, &mut sums, rows, j - base);
 }
 
-/// Below this many MACs a row-band fan-out costs more than it saves,
-/// and the parallel entry points fall back to the serial one. Handing a
-/// band to a pooled worker costs a few microseconds (the vendored
+/// Below this many MACs a parallel split costs more than it saves, and
+/// the parallel entry points fall back to the serial one. Handing a
+/// task to a pooled worker costs a few microseconds (the vendored
 /// rayon's workers persist and poll between regions). Parallel over
 /// serial time, medians of interleaved pairs in three runs on a 2-core
 /// AMX host: at 0.3M MACs (32×96×96) 0.86–1.03× on `amx`, 0.95–0.99×
 /// on `avx512vnni` and 0.55–1.09× on the widening kernels; at 0.8M
 /// (64×96×128) 0.68–0.89×, 0.71–0.94× and 0.53–1.01×; at 1.6M
 /// (128×96×128) 0.69–1.03×, 0.69–0.80× and 0.55–1.01×. So the
-/// break-even lies between 0.3M and 0.8M. Before the pool, each band
+/// break-even lies between 0.3M and 0.8M. Before the pool, each task
 /// started an OS thread and it sat near 2²⁴.
 ///
 /// The threshold is not gated. The `kernels` sweep's 32×96×96 and
@@ -574,42 +603,9 @@ fn gemm_strip<S: StripSink>(
 /// ranges above overlap 1.0; those rows are reported, not enforced.
 const MIN_PAR_MACS: usize = 1 << 19;
 
-/// Rows per band of a parallel GEMM under `isa`. Returns `None` when the
-/// product is too small (or too short) to pay for threads.
-///
-/// Bands on the AMX tiles are one 2 × 2 register block tall (32 rows),
-/// and the GEMM stays serial unless it makes at least two of them.
-/// There are then more bands than workers, and the queue hands them out
-/// as threads free up: the cores of a shared host run the tiles at
-/// speeds that drift by up to 2× over seconds, and with one band per
-/// worker the slower core set the pace — parallel ran 0.84 vs 0.71 ms
-/// serial at 128×768×3072 and 0.34 vs 0.14 ms at 128×768×768 (2-core
-/// AMX host). In one process on that host, over 60 rounds of min-of-5
-/// timings per shape, parallel over serial averaged 0.68, 0.72 and 0.63
-/// (128×768×768, 128×768×3072, 128×3072×768) with 32-row bands and
-/// never missed the `kernels` gate's 10% + 50 µs allowance; one 64-row
-/// band per worker averaged 0.71, 0.63 and 0.73 and missed it 11 times,
-/// all at 128×3072×768. Every other kernel takes one band per worker.
-///
-/// Splitting the tile GEMM by columns instead — chunks of four whole
-/// 32-column blocks over all rows, so each packed strip is read once
-/// per GEMM — lost both times it was tried. With each chunk in its own
-/// buffer stitched afterwards, parallel over serial averaged 0.84, 0.81
-/// and 0.71. With the fused requant epilogue storing each chunk's
-/// columns in place, it won in isolation only at 128×768×3072 (0.41–0.58
-/// vs 0.60–0.72 ms), and `encoder_forward`'s `op_ms_p50` was 1.057× that
-/// of 32-row bands (median of 12 alternating pairs, row bands faster in
-/// 9), its QKV phase slower in every traced run.
-fn row_band(m: usize, k: usize, n: usize, isa: KernelIsa) -> Option<usize> {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || m < 2 || m.saturating_mul(k).saturating_mul(n) < MIN_PAR_MACS {
-        return None;
-    }
-    match kernels::tile_band(isa, k, n) {
-        Some(band) => (m >= 2 * band).then_some(band),
-        None => Some(m.div_ceil(threads)),
-    }
-}
+/// Columns per task of a parallel GEMM on the AMX tiles: four 32-column
+/// blocks. See [`gemm_parallel`].
+const TILE_CHUNK: usize = 4 * AMX_NB;
 
 fn check_inner(a: &Matrix<i8>, w: &PackedWeights) {
     let (m, k) = a.shape();
@@ -622,16 +618,35 @@ fn gemm<S: StripSink>(a: &Matrix<i8>, w: &PackedWeights, sink: &mut S) -> Matrix
     check_inner(a, w);
     let (m, n) = (a.rows(), w.cols());
     let mut out = vec![S::Out::default(); m * n];
-    gemm_strip(a.as_slice(), m, w, kernels::active_kernel(), &mut out, sink);
+    gemm_strip(a.as_slice(), w, kernels::active_kernel(), &mut out_rows(&mut out, n), sink);
     Matrix::from_vec(m, n, out)
 }
 
-/// The GEMM through `sink`, parallel across bands of activation rows
-/// ([`row_band`]): each band prepares its own rows and stores straight
-/// into its disjoint rows of the output, while every band streams the
-/// same packed weights. The calling thread takes the first band, then
-/// runs queued ones while it waits. Falls back to [`gemm`] when the
-/// product is too small to pay for threads.
+/// The GEMM through `sink`, parallel inside the product. Falls back to
+/// [`gemm`] when the product is too small to pay for threads
+/// ([`MIN_PAR_MACS`]). The calling thread takes the first task, then
+/// runs queued ones while it waits. Each task stores through its own
+/// slices of the output rows.
+///
+/// When the AMX tiles apply, the activations are interleaved into tiles
+/// once, and every task reads them. The queue hands out chunks of
+/// [`TILE_CHUNK`] columns; a task sweeps every pair of 16-row groups
+/// against each 32-column strip of its chunk, so each packed strip
+/// streams from memory once per GEMM and from L1/L2 after that. The
+/// columns past the last whole strip run on the calling thread. With
+/// 32-row bands instead, each band streamed every strip: at Table I #8
+/// the 2.36 MB packed `W1` and `W2` exceed a core's 2 MiB L2, so FFN2 and
+/// FFN3 read them from memory four times per GEMM. Chunks also leave
+/// more tasks than workers, so the queue absorbs the drift between the
+/// cores of a shared host, which run the tiles at speeds up to 2× apart
+/// over seconds. perfbench `encoder_forward` `op_ms_p50` with chunks
+/// over 32-row bands: median pair ratio 0.941 over 10 rotated runs on a
+/// 2-core AMX host, chunks faster in 8. An earlier column split lost to
+/// the bands (1.057×) because it interleaved the activations again for
+/// every chunk.
+///
+/// Every other kernel splits the activation rows into one band per
+/// worker, each band preparing its own rows.
 fn gemm_parallel<S: StripSink + Clone + Send>(
     a: &Matrix<i8>,
     w: &PackedWeights,
@@ -640,20 +655,58 @@ fn gemm_parallel<S: StripSink + Clone + Send>(
     check_inner(a, w);
     let (m, k) = a.shape();
     let n = w.cols();
-    let isa = kernels::active_kernel();
-    let Some(band) = row_band(m, k, n, isa) else {
+    let threads = rayon::current_num_threads();
+    if threads <= 1 || m < 2 || m.saturating_mul(k).saturating_mul(n) < MIN_PAR_MACS {
         return gemm(a, w, &mut sink);
-    };
+    }
+    let isa = kernels::active_kernel();
     let mut out = vec![S::Out::default(); m * n];
-    rayon::scope(|s| {
-        let mut bands = a.as_slice().chunks(band * k).zip(out.chunks_mut(band * n));
-        let (a0, out0) = bands.next().expect("m >= 2 rows make at least one band");
-        for (ab, ob) in bands {
-            let mut sink = sink.clone();
-            s.spawn(move |_| gemm_strip(ab, ab.len() / k, w, isa, ob, &mut sink));
+    match kernels::amx_tiles(isa, a.as_slice(), m, k, n) {
+        Some(tiles) => {
+            let whole = n / AMX_NB * AMX_NB;
+            // One slice of every output row per chunk, and one for the
+            // columns past the last whole strip.
+            let mut chunks: Vec<Vec<&mut [S::Out]>> =
+                (0..whole.div_ceil(TILE_CHUNK)).map(|_| Vec::with_capacity(m)).collect();
+            let mut rest = Vec::with_capacity(m);
+            for row in out.chunks_exact_mut(n) {
+                let (tiled, tail) = row.split_at_mut(whole);
+                for (chunk, piece) in chunks.iter_mut().zip(tiled.chunks_mut(TILE_CHUNK)) {
+                    chunk.push(piece);
+                }
+                rest.push(tail);
+            }
+            let (tiles, a) = (&tiles, a.as_slice());
+            rayon::scope(|s| {
+                let mut tasks = chunks.into_iter().enumerate().map(|(c, rows)| {
+                    let j = c * TILE_CHUNK;
+                    (j..(j + TILE_CHUNK).min(whole), rows)
+                });
+                let first = tasks.next();
+                for (cols, mut rows) in tasks {
+                    let mut sink = sink.clone();
+                    s.spawn(move |_| sink.tiles(tiles, w, cols, &mut rows));
+                }
+                if let Some((cols, mut rows)) = first {
+                    sink.tiles(tiles, w, cols, &mut rows);
+                }
+                gemm_cols(a, w, isa, whole, &mut rest, whole, &mut sink);
+            });
         }
-        gemm_strip(a0, a0.len() / k, w, isa, out0, &mut sink);
-    });
+        None => {
+            let band = m.div_ceil(threads);
+            let mut rows = out_rows(&mut out, n);
+            rayon::scope(|s| {
+                let mut bands = a.as_slice().chunks(band * k).zip(rows.chunks_mut(band));
+                let (a0, rows0) = bands.next().expect("m >= 2 rows make at least one band");
+                for (ab, rb) in bands {
+                    let mut sink = sink.clone();
+                    s.spawn(move |_| gemm_strip(ab, w, isa, rb, &mut sink));
+                }
+                gemm_strip(a0, w, isa, rows0, &mut sink);
+            });
+        }
+    }
     Matrix::from_vec(m, n, out)
 }
 

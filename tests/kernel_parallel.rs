@@ -1,20 +1,27 @@
-//! Exactness of the row-band parallel GEMMs on every dispatchable
-//! microkernel, with the bands genuinely split.
+//! Exactness of the parallel GEMMs on every dispatchable microkernel,
+//! with the work genuinely split.
 //!
 //! The vendored rayon caches its worker count on first use, so this
 //! binary holds a single test that sets `RAYON_NUM_THREADS=4` before
 //! any parallel call; a single-core host would otherwise take the
-//! serial fallback and leave the band split untested. Every shape
-//! clears the parallel threshold with a ragged row count and a width
-//! that is not a multiple of the 8-column block. The first splits into
-//! four bands of 13, 13, 13 and 11 rows, none a multiple of the 3-row
-//! VNNI tile and all below the 16-row AMX tile. On the AMX kernel the
-//! other two split into 32-row bands, a whole 2 × 2 tile block each:
-//! 70 rows into 32, 32 and a 6-row band too short for the tiles, and
-//! 150 rows into five bands — more than the four workers — the last of
-//! 22 rows, a whole 16-row group and a ragged one. Only the tile path is
-//! new at those shapes, so they run on the AMX kernel and the host's
-//! default kernel, not on every ISA.
+//! serial fallback and leave the split untested. Every shape clears the
+//! parallel threshold with a ragged row count and a width that is not a
+//! multiple of the 8-column block, and every product is checked
+//! serial == parallel == oracle, bare and with the fused requant
+//! epilogue.
+//!
+//! Off the tiles, the rows split into one band per worker: 50 rows into
+//! bands of 13, 13, 13 and 11, none a multiple of the 3-row VNNI tile.
+//! On the AMX tiles the columns split instead: the activations are
+//! interleaved once, each task sweeps every row against the 32-column
+//! strips of its 128-column chunk, and the columns past the last whole
+//! strip run on the calling thread. Width 917 makes seven whole chunks,
+//! more than the four workers, and 21 trailing columns (two VNNI blocks
+//! and a 5-column scalar tail); width 181 ends in a 32-column chunk. The
+//! row counts cover one 16-row group (16), a ragged second group (17),
+//! an odd third group (33), ragged pairs (50, 70) and many pairs (150).
+//! Those shapes run on the AMX kernel and the host's default kernel, the
+//! first on every ISA.
 
 use protea::fixed::{QFormat, Requantizer, Rounding};
 use protea::tensor::{
@@ -40,6 +47,9 @@ fn parallel_bands_match_the_oracle_on_every_kernel() {
     tile_isas.dedup();
     let shapes = [
         ((50, 384, 917), supported_kernels()),
+        ((16, 64, 917), tile_isas.clone()),
+        ((17, 128, 917), tile_isas.clone()),
+        ((33, 192, 181), tile_isas.clone()),
         ((70, 384, 917), tile_isas.clone()),
         ((150, 64, 917), tile_isas),
     ];

@@ -1,18 +1,45 @@
-//! Exactness of the row-resolved layer norm and softmax against the
-//! per-element formulas that define their numerics.
+//! Exactness of the row-resolved layer norm, its row kernel and the
+//! softmax against the per-element formulas that define their numerics.
 //!
 //! [`LayerNormUnit`] resolves `(x − μ)·2⁸ / σ` once per row into a
 //! table over the i8 codes and runs its affine step in `i32` when the
 //! formats bound it; [`SoftmaxUnit`] divides by the row's exponential sum
-//! through one reciprocal per row. The golden model, the host datapath
-//! and the decoders share these units, so `equivalence` cannot see an
-//! error in them. The
-//! oracles below are the per-element formulas: one rounded division per
-//! layer-norm element, one integer division per probability.
+//! through one reciprocal per row. The oracles below are the
+//! per-element formulas: one rounded division per layer-norm element,
+//! one integer division per probability.
+//!
+//! The host datapaths add and normalize rows through [`add_norm_rows`].
+//! On the AVX-512 kernels that is an intrinsic arm of the unit's
+//! numerics (one-pass row sums, then a u32 reciprocal multiply,
+//! [`norm_reciprocal`], in place of the table); on every other ISA, and
+//! for units whose affine step needs `i64`, it calls
+//! [`LayerNormUnit::forward_row`]. For every ISA in [`supported_kernels`]
+//! these tests require the unit's bytes from the kernel on the edge
+//! rows, at every row width from 1 to 768 (every masked tail), on
+//! residual adds that saturate, and for the `i64` units; and the
+//! reciprocal must give [`norm_table`]'s quotient for every `σ` below 2⁸
+//! and every offset `|x − μ| ≤ 255`.
 
-use protea::fixed::layernorm::{isqrt_u64, norm_table, LayerNormUnit};
+use std::sync::Mutex;
+
+use protea::fixed::layernorm::{isqrt_u64, norm_reciprocal, norm_table, LayerNormUnit};
 use protea::fixed::softmax::ExpLut;
 use protea::fixed::{QFormat, Rounding, SoftmaxUnit};
+use protea::tensor::kernels::add_norm_rows;
+use protea::tensor::{force_kernel, supported_kernels, KernelIsa};
+
+/// `force_kernel` is process-wide; the kernel tests take turns.
+static FORCE: Mutex<()> = Mutex::new(());
+
+/// Run `f` once under each supported kernel, then restore the default.
+fn for_each_isa(mut f: impl FnMut(KernelIsa)) {
+    let _turn = FORCE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    for isa in supported_kernels() {
+        force_kernel(Some(isa));
+        f(isa);
+    }
+    force_kernel(None);
+}
 
 /// SplitMix64: a deterministic stream for the random sweeps.
 struct Rng(u64);
@@ -230,6 +257,136 @@ fn identity_unit_matches_the_per_element_oracle() {
     for n in [1usize, 2, 3, 64, 256, 768] {
         for spread in [0u64, 2, 50, 255] {
             a.check(&unit, &rng.codes(n, 0, spread), "identity unit");
+        }
+    }
+}
+
+// --- layer-norm row kernel ------------------------------------------------
+
+/// The unit's bytes for the saturating residual add of `x` and `sub`,
+/// rows of `cols`.
+fn unit_add_norm(unit: &LayerNormUnit, x: &[i8], sub: &[i8], cols: usize) -> Vec<i8> {
+    let mut out: Vec<i8> = x.iter().zip(sub).map(|(&a, &b)| a.saturating_add(b)).collect();
+    for row in out.chunks_exact_mut(cols) {
+        unit.forward_row(row);
+    }
+    out
+}
+
+/// The row kernel under every supported ISA against the unit.
+fn check_kernel(unit: &LayerNormUnit, x: &[i8], sub: &[i8], cols: usize, what: &str) {
+    let want = unit_add_norm(unit, x, sub, cols);
+    for_each_isa(|isa| {
+        let mut got = vec![0i8; x.len()];
+        add_norm_rows(unit, x, sub, cols, &mut got);
+        assert_eq!(got, want, "{what}: {cols} wide on {isa}, x {x:?}, sub {sub:?}");
+    });
+}
+
+#[test]
+fn reciprocal_quotient_matches_norm_table_for_every_sigma_and_offset() {
+    for sigma in 1..=255u64 {
+        let recip = norm_reciprocal(sigma);
+        assert_eq!(recip.is_none(), sigma == 1, "sigma={sigma}");
+        // μ = −128 reaches offsets 0..=255 above it, μ = 127 as far below.
+        for mean in [i8::MIN, i8::MAX] {
+            let t = norm_table(mean, sigma);
+            for x in i8::MIN..=i8::MAX {
+                let c = i64::from(x) - i64::from(mean);
+                let a = (c.unsigned_abs() << 8) + sigma / 2;
+                let q = recip.map_or(a, |m| (a * u64::from(m)) >> 32) as i64;
+                let got = if c < 0 { -q } else { q };
+                assert_eq!(i64::from(t[x as u8 as usize]), got, "c={c} sigma={sigma}");
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_the_unit_on_edge_rows() {
+    let mut rows: Vec<Vec<i8>> = Vec::new();
+    for v in [-128i8, -1, 0, 1, 42, 127] {
+        rows.push(vec![v; 768]); // constant: σ clamps to 1
+        rows.push(vec![v; 3]);
+    }
+    for n in [1usize, 2, 3, 15, 16, 17, 63, 64, 65, 767, 768] {
+        rows.push((0..n).map(|i| if i % 2 == 0 { -128 } else { 127 }).collect());
+        rows.push((0..n).map(|i| if i == 0 { 127 } else { -128 }).collect());
+        rows.push((0..n).map(|i| if i == 0 { -128 } else { 127 }).collect());
+        // σ = 1 with one nonzero offset: the identity quotient.
+        rows.push((0..n).map(|i| if i == n / 2 { 1 } else { 0 }).collect());
+    }
+    for fmts in &NARROW_FMTS {
+        for (g, b) in [(-128i8, -128i8), (-128, 127), (127, -128), (127, 127), (0, 0), (64, 0)] {
+            let a = Affine::uniform(768, g, b, *fmts);
+            let unit = a.unit();
+            assert!(unit.lanes().is_some(), "{fmts:?} bounds the i32 step");
+            for row in &rows {
+                let zeros = vec![0i8; row.len()];
+                check_kernel(&unit, row, &zeros, row.len(), "edge row");
+                check_kernel(&unit, &zeros, row, row.len(), "edge residual");
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_the_unit_at_every_row_width() {
+    let mut rng = Rng(0xAD_D0);
+    let affines: Vec<Affine> = NARROW_FMTS
+        .iter()
+        .map(|fmts| {
+            Affine::from_codes(
+                (0..768).map(|_| rng.code()).collect(),
+                (0..768).map(|_| rng.code()).collect(),
+                *fmts,
+            )
+        })
+        .collect();
+    let units: Vec<LayerNormUnit> = affines.iter().map(Affine::unit).collect();
+    for cols in 1..=768usize {
+        let unit = &units[cols % units.len()];
+        let centre = rng.below(256) as i16 - 128;
+        let spread = [1u64, 3, 20, 90, 255][rng.below(5) as usize];
+        let x = rng.codes(2 * cols, centre, spread);
+        let sub = rng.codes(2 * cols, 0, spread / 2);
+        check_kernel(unit, &x, &sub, cols, "random rows");
+    }
+}
+
+#[test]
+fn kernel_matches_the_unit_on_saturating_residual_adds() {
+    let mut rng = Rng(0x5A7);
+    let a = Affine::from_codes(
+        (0..768).map(|_| rng.code()).collect(),
+        (0..768).map(|_| rng.code()).collect(),
+        NARROW_FMTS[0],
+    );
+    let unit = a.unit();
+    for cols in [1usize, 7, 64, 100, 768] {
+        for (cx, cs) in [(120i16, 100i16), (-120, -100), (127, 127), (-128, -128), (100, -100)] {
+            let x = rng.codes(3 * cols, cx, 30);
+            let sub = rng.codes(3 * cols, cs, 30);
+            check_kernel(&unit, &x, &sub, cols, "saturating add");
+        }
+    }
+}
+
+#[test]
+fn wide_units_fall_back_to_the_unit() {
+    let mut rng = Rng(0x1D3);
+    for fmts in &WIDE_FMTS {
+        let a = Affine::from_codes(
+            (0..768).map(|_| rng.code()).collect(),
+            (0..768).map(|_| rng.code()).collect(),
+            *fmts,
+        );
+        let unit = a.unit();
+        assert!(unit.lanes().is_none(), "{fmts:?} needs the i64 step");
+        for cols in [1usize, 17, 768] {
+            let x = rng.codes(2 * cols, 0, 90);
+            let sub = rng.codes(2 * cols, 10, 40);
+            check_kernel(&unit, &x, &sub, cols, "i64 unit");
         }
     }
 }

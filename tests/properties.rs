@@ -157,3 +157,60 @@ proptest! {
         prop_assert_eq!(hw.as_slice(), sw.as_slice());
     }
 }
+
+/// Model widths and head counts the image and the register file draw
+/// from: every head count divides both widths, so every pair is a valid
+/// register write within the paper design's capacity.
+const SHAPES: [(usize, usize); 6] = [(32, 1), (32, 2), (32, 4), (64, 1), (64, 2), (64, 4)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The register file and the weight image agree on heads and
+    /// `d_model`, with no more programmed layers than the image holds,
+    /// or nothing runs: the load fails, or the run fails with the typed
+    /// error, or the run returns the golden forward over the programmed
+    /// layers. Registers are written either before the load or, after a
+    /// load under the image's own registers, as a reprogram.
+    #[test]
+    fn registers_and_image_agree_or_nothing_runs(
+        image_sel in 0usize..6, image_layers in 1usize..3,
+        reg_sel in 0usize..6, reg_layers in 1usize..3,
+        sl in 1usize..6, reprogram in any::<bool>(), seed in any::<u64>()
+    ) {
+        let (d, h) = SHAPES[image_sel];
+        let image_cfg = EncoderConfig::new(d, h, image_layers, sl);
+        let (rd, rh) = SHAPES[reg_sel];
+        let regs = RuntimeConfig { heads: rh, layers: reg_layers, d_model: rd, seq_len: sl };
+        let syn = SynthesisConfig::paper_default();
+        let image = QuantizedEncoder::from_float(
+            &EncoderWeights::random(image_cfg, seed),
+            QuantSchedule::paper(),
+        );
+        let mut accel = Accelerator::try_new(syn, &FpgaDevice::alveo_u55c()).expect("design fits");
+        if reprogram {
+            accel.program(RuntimeConfig::from_model(&image_cfg, &syn).unwrap()).unwrap();
+            accel.try_load_weights(image.clone()).expect("the image's own registers");
+            accel.program(regs).expect("within capacity");
+        } else {
+            accel.program(regs).expect("within capacity");
+            if let Err(e) = accel.try_load_weights(image.clone()) {
+                prop_assert!(matches!(e, CoreError::WeightShape { .. }), "load: {:?}", e);
+                return Ok(());
+            }
+        }
+        let x = Matrix::from_fn(sl, rd, |r, c| {
+            (seed.wrapping_mul(r as u64 + 5).wrapping_add(c as u64 * 13) % 200) as i64 as i8
+        });
+        match accel.try_run(&x) {
+            Err(e) => prop_assert!(matches!(e, CoreError::WeightShape { .. }), "run: {:?}", e),
+            Ok(run) => {
+                let mut want = x.clone();
+                for layer in image.layers.iter().take(reg_layers) {
+                    want = image.forward_layer(&want, layer).out;
+                }
+                prop_assert_eq!(run.output.as_slice(), want.as_slice());
+            }
+        }
+    }
+}
