@@ -15,12 +15,20 @@
 //! ```text
 //! soak [--requests 10000000] [--cards 8] [--arrival-rate 2500]
 //!      [--max-rss-mb 256] [--seed 42] [--out <path.json>]
+//!      [--baseline <path.json>]
 //! ```
+//!
+//! `--baseline` names an earlier result of the same `--requests` (CI
+//! passes the committed `BENCH_soak.json`) and fails the run when its
+//! simulated requests per wall second fall below a quarter of the
+//! baseline's `requests / wall_s`: the simulator-speed gate. The one regression it exists for
+//! cost 14×; the factor 4 leaves room for a slower runner. The baseline
+//! is read before the run, so it may be the `--out` file itself.
 //!
 //! The JSON result is written only when `--out` names a file, so a
 //! quick check run from the repository root leaves the committed
-//! `BENCH_soak.json` (recorded with `--requests 1000000 --out
-//! BENCH_soak.json`) untouched.
+//! `BENCH_soak.json` (recorded with `--requests 1000000 --baseline
+//! BENCH_soak.json --out BENCH_soak.json`) untouched.
 //!
 //! Every run is deterministic: the final fleet state hash is printed and
 //! lands in the JSON result, so two soaks of the same parameters must
@@ -40,6 +48,11 @@ fn max_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Every flag the bin reads: a typo'd `--baseline` must not switch the
+/// speed gate off unnoticed.
+const FLAGS: [&str; 7] =
+    ["requests", "cards", "arrival-rate", "max-rss-mb", "seed", "out", "baseline"];
+
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut i = 0;
@@ -47,6 +60,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
+        if !FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         let val = args.get(i + 1).ok_or_else(|| format!("--{key} needs a value"))?;
         map.insert(key.to_string(), val.clone());
         i += 2;
@@ -65,6 +81,35 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
+/// The number after `"key":` in a flat JSON object.
+fn json_number(json: &str, key: &str) -> Option<f64> {
+    let tag = format!("\"{key}\":");
+    let rest = &json[json.find(&tag)? + tag.len()..];
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Slowest accepted simulated req/s, as a fraction of the baseline's.
+const BASELINE_FLOOR: f64 = 0.25;
+
+/// Simulated requests per wall second of the result at `path`, which
+/// must have run `requests` requests: set-up is amortized over the run,
+/// so rates of runs of different lengths do not compare.
+fn baseline_rate(path: &str, requests: usize) -> Result<f64, String> {
+    let json =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline '{path}': {e}"))?;
+    let field = |key| {
+        json_number(&json, key)
+            .filter(|v| *v > 0.0)
+            .ok_or_else(|| format!("baseline '{path}' has no positive \"{key}\""))
+    };
+    let ran = field("requests")?;
+    if ran != requests as f64 {
+        return Err(format!("baseline '{path}' ran {ran} requests, this run {requests}"));
+    }
+    Ok(ran / field("wall_s")?)
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = parse_flags(&args)?;
@@ -74,6 +119,7 @@ fn run() -> Result<(), String> {
     let max_rss_mb = flag(&flags, "max-rss-mb", 256u64)?;
     let seed = flag(&flags, "seed", 42u64)?;
     let out = flags.get("out").cloned();
+    let baseline = flags.get("baseline").map(|p| baseline_rate(p, requests)).transpose()?;
 
     // Three capacity classes and bucketed sequence lengths keep the
     // scheduler honest. The default arrival rate sits just below the
@@ -111,10 +157,8 @@ fn run() -> Result<(), String> {
         return Err(format!("lost requests: {} completed of {requests}", report.completed));
     }
     println!("{report}");
-    println!(
-        "soak wall: {wall_s:.1} s ({:.0} simulated requests/s of wall time)",
-        requests as f64 / wall_s
-    );
+    let sim_rate = requests as f64 / wall_s;
+    println!("soak wall: {wall_s:.1} s ({sim_rate:.0} simulated requests/s of wall time)");
     println!("final state hash: {hash:016x}");
 
     let rss_kb = max_rss_kb();
@@ -130,6 +174,17 @@ fn run() -> Result<(), String> {
             }
         }
         None => println!("peak RSS: unavailable (no /proc/self/status); ceiling not enforced"),
+    }
+
+    if let Some(base) = baseline {
+        let floor = BASELINE_FLOOR * base;
+        println!("simulator speed: {sim_rate:.0} req/s, baseline {base:.0}, floor {floor:.0}");
+        if sim_rate < floor {
+            return Err(format!(
+                "simulated {sim_rate:.0} req/s of wall time is below {BASELINE_FLOOR} of the \
+                 baseline's {base:.0} — the simulator got slower"
+            ));
+        }
     }
 
     if let Some(out) = out {

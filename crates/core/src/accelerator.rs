@@ -19,7 +19,7 @@ use protea_model::quantized::fused_attention_head;
 use protea_model::QuantizedEncoder;
 use protea_platform::FpgaDevice;
 use protea_tensor::Matrix;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The full ProTEA instance: one synthesized design, a runtime register
 /// file, and (once loaded) the model weights.
@@ -27,8 +27,11 @@ use std::sync::OnceLock;
 pub struct Accelerator {
     design: SynthesizedDesign,
     runtime: RuntimeConfig,
-    weights: Option<QuantizedEncoder>,
-    /// FNV digest of the loaded weight image, sealed at
+    /// The loaded weight image. Cards loaded from one `Arc` share its
+    /// allocation; a reload costs the digest, not a copy.
+    weights: Option<Arc<QuantizedEncoder>>,
+    /// Word-lane digest of the loaded weight image (shape, heads,
+    /// weights, biases and both layer-norm units), sealed at every
     /// [`try_load_weights`](Self::try_load_weights) and re-checked by
     /// [`verify_weights`](Self::verify_weights) — the detection layer
     /// for silent corruption of resident weights, which ABFT checksums
@@ -104,7 +107,7 @@ impl Accelerator {
     /// The loaded weights, if any.
     #[must_use]
     pub fn weights(&self) -> Option<&QuantizedEncoder> {
-        self.weights.as_ref()
+        self.weights.as_deref()
     }
 
     /// Reprogram the runtime registers — **no resynthesis**. Fails if the
@@ -125,13 +128,19 @@ impl Accelerator {
     }
 
     /// Load quantized weights (the DDR-resident model image), checking
-    /// them against the programmed register file.
+    /// them against the programmed register file and sealing their
+    /// digest. An owned image moves into a new `Arc`; an `Arc` clone is
+    /// shared with every other card loaded from it, without a copy.
     ///
     /// # Errors
     /// [`CoreError::WeightShape`] if the image's heads or `d_model`
     /// differ from the programmed registers or the image has fewer
     /// layers than programmed.
-    pub fn try_load_weights(&mut self, weights: QuantizedEncoder) -> Result<(), CoreError> {
+    pub fn try_load_weights(
+        &mut self,
+        weights: impl Into<Arc<QuantizedEncoder>>,
+    ) -> Result<(), CoreError> {
+        let weights = weights.into();
         self.check_image(&weights)?;
         self.packed = OnceLock::new();
         self.weight_digest = Some(crate::integrity::weight_digest(&weights));
@@ -163,7 +172,8 @@ impl Accelerator {
         })
     }
 
-    /// The FNV digest sealed over the loaded weight image, if any.
+    /// The word-lane digest sealed over the loaded weight image (shape,
+    /// heads, weights, biases and both layer-norm units), if any.
     #[must_use]
     pub fn weight_digest(&self) -> Option<u64> {
         self.weight_digest
@@ -635,8 +645,7 @@ mod tests {
         assert_eq!(acc.verify_weights(), Ok(sealed));
         // Flip one bit of the resident image behind the driver's back —
         // the silent corruption the digest exists to catch.
-        let flipped = acc.weights.as_mut().unwrap().layers[0].wq.data[(0, 0)] ^ 0x01;
-        acc.weights.as_mut().unwrap().layers[0].wq.data[(0, 0)] = flipped;
+        flip_resident_bit(&mut acc);
         match acc.verify_weights() {
             Err(CoreError::Integrity { context }) => {
                 assert!(context.contains("digest mismatch"), "{context}");
@@ -648,6 +657,30 @@ mod tests {
                 .unwrap();
         assert_eq!(fresh.weight_digest(), None);
         assert_eq!(fresh.verify_weights(), Err(CoreError::WeightsNotLoaded));
+    }
+
+    /// Flip one bit of `acc`'s resident image. A shared image is copied
+    /// first, so the corruption stays on this card.
+    fn flip_resident_bit(acc: &mut Accelerator) {
+        let image = Arc::make_mut(acc.weights.as_mut().expect("an image is resident"));
+        image.layers[0].wq.data[(0, 0)] ^= 0x01;
+    }
+
+    #[test]
+    fn cards_loaded_from_one_arc_share_it_and_a_flip_stays_on_one_card() {
+        let (mut a, _, qw) = small_accel();
+        let image = Arc::new(qw);
+        a.try_load_weights(Arc::clone(&image)).unwrap();
+        let mut b = a.clone();
+        b.try_load_weights(Arc::clone(&image)).unwrap();
+        assert!(std::ptr::eq(a.weights().unwrap(), b.weights().unwrap()), "one allocation");
+        assert!(std::ptr::eq(a.weights().unwrap(), &*image));
+        let sealed = a.verify_weights().expect("a verifies");
+        assert_eq!(b.verify_weights(), Ok(sealed));
+        flip_resident_bit(&mut b);
+        assert!(!std::ptr::eq(a.weights().unwrap(), b.weights().unwrap()), "b copied on write");
+        assert_eq!(a.verify_weights(), Ok(sealed), "the other card's image is untouched");
+        assert!(matches!(b.verify_weights(), Err(CoreError::Integrity { .. })));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Weight-image integrity: the FNV-sealed digest that closes ABFT's
+//! Weight-image integrity: the word-lane digest that closes ABFT's
 //! blind spot.
 //!
 //! ABFT checksums ([`protea_tensor::abft`]) catch corruption of
@@ -6,8 +6,9 @@
 //! is invisible to them — the checksum prediction is computed from the
 //! same corrupted image and agrees perfectly. The defense for weights
 //! is therefore content hashing: [`weight_digest`] streams every weight
-//! matrix and bias vector of a [`QuantizedEncoder`] through FNV-1a, and
-//! the accelerator seals the value at
+//! matrix, bias vector and layer-norm unit of a [`QuantizedEncoder`]
+//! through eight independent 64-bit lanes, and the accelerator seals
+//! the value at every
 //! [`try_load_weights`](crate::Accelerator::try_load_weights).
 //! [`verify_weights`](crate::Accelerator::verify_weights) recomputes and
 //! compares it on request; a mismatch surfaces as the typed
@@ -17,70 +18,226 @@
 //! path re-verifies the seal, and the serving layer's periodic scrub
 //! sweeps a modelled per-card corruption counter, not the digest.
 //!
-//! The digest covers the shape header (`d_model` and the layer count)
-//! and, per layer, the six weight matrices and six bias vectors. It
-//! does not fold the head count or the two layer-norm units (`ln1`,
-//! `ln2`), so a flip there goes unseen. It is independent of the lazily
-//! packed fast-path copy and stable across processes — two cards loaded
-//! from the same image always agree.
+//! The image is read as a sequence of little-endian 64-bit words, and
+//! word `i` goes to lane `i mod 8`. Each lane step
+//! `h ← rotl((h ⊕ w)·P, R)` with `P` odd is a bijection of the lane for
+//! a fixed word and of the word for a fixed lane, so any corruption
+//! inside one word changes its lane's final state with certainty — the
+//! guarantee byte-serial FNV-1a gives for one byte, at a word per step
+//! and eight steps in flight. The rotate keeps a flip from cancelling
+//! against a flip of the same bit in a later word of the lane: without
+//! it, `(x ⊕ 2⁶³)·P = x·P ⊕ 2⁶³` carries the top bit straight through.
+//! The word count and the eight lanes are folded through
+//! [`Fnv64`] at the end.
+//!
+//! The digest covers the shape header (`d_model`, the head count and
+//! the layer count) and, per layer, the six weight matrices, the six
+//! bias vectors and both layer-norm units (γ, the aligned β, the output
+//! shift and format). Every variable-length part is preceded by its
+//! length, so a word that ends early is zero-padded without ambiguity
+//! and two shapes holding equal bytes still differ. The digest is
+//! independent of the lazily packed fast-path copy and stable across
+//! processes — two cards loaded from the same image always agree.
 
+use protea_fixed::layernorm::{LayerNormUnit, NormBeta};
 use protea_hwsim::Fnv64;
 use protea_model::quantized::{QuantMatrix, QuantizedEncoder};
 
-/// Fold one quantized matrix into the digest: shape, then row-major
-/// element bytes.
-fn fold_matrix(h: &mut Fnv64, m: &QuantMatrix) {
-    let (rows, cols) = m.data.shape();
-    h.write_u64(rows as u64);
-    h.write_u64(cols as u64);
-    for &v in m.data.as_slice() {
-        h.write(&[v as u8]);
+/// Independent lanes.
+const LANES: usize = 8;
+/// Bytes of one word per lane.
+const BLOCK: usize = 8 * LANES;
+/// The lane step's odd multiplier (2⁶⁴/φ, odd).
+const P: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The lane step's rotation.
+const R: u32 = 29;
+
+/// One lane step.
+#[inline(always)]
+fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(P).rotate_left(R)
+}
+
+/// The little-endian word of up to eight bytes, zero-padded.
+fn word_of(bytes: &[i8]) -> u64 {
+    bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b as u8))
+}
+
+/// The running lanes and the count of words absorbed.
+struct LaneDigest {
+    lanes: [u64; LANES],
+    words: u64,
+}
+
+impl LaneDigest {
+    fn new() -> Self {
+        // Distinct seeds, so equal words in two lanes leave them unequal.
+        Self { lanes: std::array::from_fn(|i| P.wrapping_mul(i as u64 + 1)), words: 0 }
+    }
+
+    /// Absorb the next word of the image.
+    fn word(&mut self, w: u64) {
+        let lane = &mut self.lanes[self.words as usize % LANES];
+        *lane = step(*lane, w);
+        self.words += 1;
+    }
+
+    /// Absorb `bytes` as words, the last one zero-padded.
+    fn bytes(&mut self, bytes: &[i8]) {
+        // Single words up to lane 0, then whole blocks with the lanes held
+        // in registers, then the tail.
+        let head = ((LANES - self.words as usize % LANES) % LANES * 8).min(bytes.len());
+        let (head, body) = bytes.split_at(head);
+        head.chunks(8).for_each(|w| self.word(word_of(w)));
+        let mut blocks = body.chunks_exact(BLOCK);
+        let mut lanes = self.lanes;
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = step(*lane, u64::from_le_bytes(std::array::from_fn(|k| w[k] as u8)));
+            }
+        }
+        self.lanes = lanes;
+        self.words += (body.len() / BLOCK * LANES) as u64;
+        blocks.remainder().chunks(8).for_each(|w| self.word(word_of(w)));
+    }
+
+    /// Shape, then row-major element bytes.
+    fn matrix(&mut self, m: &QuantMatrix) {
+        let (rows, cols) = m.data.shape();
+        self.word(rows as u64);
+        self.word(cols as u64);
+        self.bytes(m.data.as_slice());
+    }
+
+    /// Length, then two elements per word, the last one zero-padded.
+    fn bias(&mut self, b: &[i32]) {
+        self.word(b.len() as u64);
+        for pair in b.chunks(2) {
+            let hi = pair.get(1).map_or(0, |&v| u64::from(v as u32));
+            self.word(u64::from(pair[0] as u32) | hi << 32);
+        }
+    }
+
+    /// γ's length and bytes, β one element per word, the output shift
+    /// and the output format.
+    fn layer_norm(&mut self, ln: &LayerNormUnit) {
+        let p = ln.params();
+        self.word(p.gamma.len() as u64);
+        self.bytes(p.gamma);
+        match p.beta {
+            NormBeta::Narrow(beta) => beta.iter().for_each(|&b| self.word(b as u64)),
+            NormBeta::Wide(beta) => beta.iter().for_each(|&b| self.word(b as u64)),
+        }
+        self.word(p.out_shift as u64);
+        self.word(u64::from(p.out_fmt.total_bits()) << 8 | u64::from(p.out_fmt.frac_bits()));
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(self.words);
+        for &lane in &self.lanes {
+            h.write_u64(lane);
+        }
+        h.finish()
     }
 }
 
-/// Fold one bias vector into the digest.
-fn fold_bias(h: &mut Fnv64, b: &[i32]) {
-    h.write_u64(b.len() as u64);
-    for &v in b {
-        h.write(&v.to_le_bytes());
-    }
-}
-
-/// The FNV-1a digest of a model image's weight content: shape header,
-/// then per layer the six weight matrices (`Wq Wk Wv Wo W1 W2`) and six
-/// bias vectors in declaration order. Deterministic and
+/// The word-lane digest of a model image's content: the shape header
+/// (`d_model`, heads, layers), then per layer the six weight matrices
+/// (`Wq Wk Wv Wo W1 W2`), the six bias vectors in declaration order and
+/// the layer-norm units `ln1` and `ln2`. Deterministic and
 /// process-independent.
 #[must_use]
 pub fn weight_digest(weights: &QuantizedEncoder) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(weights.config.d_model as u64);
-    h.write_u64(weights.config.layers as u64);
-    for layer in &weights.layers {
-        fold_matrix(&mut h, &layer.wq);
-        fold_matrix(&mut h, &layer.wk);
-        fold_matrix(&mut h, &layer.wv);
-        fold_matrix(&mut h, &layer.wo);
-        fold_matrix(&mut h, &layer.w1);
-        fold_matrix(&mut h, &layer.w2);
-        fold_bias(&mut h, &layer.bq);
-        fold_bias(&mut h, &layer.bk);
-        fold_bias(&mut h, &layer.bv);
-        fold_bias(&mut h, &layer.bo);
-        fold_bias(&mut h, &layer.b1);
-        fold_bias(&mut h, &layer.b2);
+    let mut d = LaneDigest::new();
+    let cfg = &weights.config;
+    for n in [cfg.d_model, cfg.heads, cfg.layers] {
+        d.word(n as u64);
     }
-    h.finish()
+    for layer in &weights.layers {
+        for m in [&layer.wq, &layer.wk, &layer.wv, &layer.wo, &layer.w1, &layer.w2] {
+            d.matrix(m);
+        }
+        for b in [&layer.bq, &layer.bk, &layer.bv, &layer.bo, &layer.b1, &layer.b2] {
+            d.bias(b);
+        }
+        d.layer_norm(&layer.ln1);
+        d.layer_norm(&layer.ln2);
+    }
+    d.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protea_model::quantized::QuantSchedule;
+    use protea_fixed::QFormat;
+    use protea_model::quantized::{QuantSchedule, QuantizedLayer};
     use protea_model::{EncoderConfig, EncoderWeights};
+    use protea_tensor::Matrix;
+
+    fn image_of(cfg: EncoderConfig, seed: u64) -> QuantizedEncoder {
+        QuantizedEncoder::from_float(&EncoderWeights::random(cfg, seed), QuantSchedule::paper())
+    }
 
     fn image(seed: u64) -> QuantizedEncoder {
-        let cfg = EncoderConfig::new(32, 2, 2, 8);
-        QuantizedEncoder::from_float(&EncoderWeights::random(cfg, seed), QuantSchedule::paper())
+        image_of(EncoderConfig::new(32, 2, 2, 8), seed)
+    }
+
+    fn small() -> QuantizedEncoder {
+        image_of(EncoderConfig::new(16, 2, 1, 8), 7)
+    }
+
+    fn matrices(l: &mut QuantizedLayer) -> [&mut QuantMatrix; 6] {
+        [&mut l.wq, &mut l.wk, &mut l.wv, &mut l.wo, &mut l.w1, &mut l.w2]
+    }
+
+    fn biases(l: &mut QuantizedLayer) -> [&mut Vec<i32>; 6] {
+        [&mut l.bq, &mut l.bk, &mut l.bv, &mut l.bo, &mut l.b1, &mut l.b2]
+    }
+
+    /// The digest changes under every single-bit flip of every matrix byte
+    /// and bias word of `img`'s first layer.
+    fn assert_every_flip_seen(img: &mut QuantizedEncoder) {
+        let sealed = weight_digest(img);
+        for m in 0..6 {
+            for i in 0..matrices(&mut img.layers[0])[m].data.as_slice().len() {
+                for bit in 0..8 {
+                    matrices(&mut img.layers[0])[m].data.as_mut_slice()[i] ^= 1 << bit;
+                    assert_ne!(weight_digest(img), sealed, "matrix {m} byte {i} bit {bit}");
+                    matrices(&mut img.layers[0])[m].data.as_mut_slice()[i] ^= 1 << bit;
+                }
+            }
+        }
+        for b in 0..6 {
+            for i in 0..biases(&mut img.layers[0])[b].len() {
+                for bit in 0..32 {
+                    biases(&mut img.layers[0])[b][i] ^= 1 << bit;
+                    assert_ne!(weight_digest(img), sealed, "bias {b} word {i} bit {bit}");
+                    biases(&mut img.layers[0])[b][i] ^= 1 << bit;
+                }
+            }
+        }
+        assert_eq!(weight_digest(img), sealed, "every flip was undone");
+    }
+
+    /// The γ and β format `QuantizedEncoder::from_float` quantizes with.
+    fn gamma_beta_fmt() -> QFormat {
+        QFormat::new(8, 5)
+    }
+
+    /// `ln` rebuilt from its raw γ and β codes after `edit`.
+    fn rebuild(ln: &LayerNormUnit, edit: impl FnOnce(&mut [i8], &mut [i8])) -> LayerNormUnit {
+        let p = ln.params();
+        // β is aligned from its own fraction up to the accumulator's.
+        let beta_shift = p.out_shift + i32::from(p.out_fmt.frac_bits())
+            - i32::from(gamma_beta_fmt().frac_bits());
+        let mut gamma = p.gamma.to_vec();
+        let mut beta: Vec<i8> = match p.beta {
+            NormBeta::Narrow(b) => b.iter().map(|&v| (v >> beta_shift) as i8).collect(),
+            NormBeta::Wide(b) => b.iter().map(|&v| (v >> beta_shift) as i8).collect(),
+        };
+        edit(&mut gamma, &mut beta);
+        LayerNormUnit::new(gamma, beta, gamma_beta_fmt(), gamma_beta_fmt(), p.out_fmt)
     }
 
     #[test]
@@ -91,15 +248,119 @@ mod tests {
     }
 
     #[test]
-    fn single_bit_flip_changes_the_digest() {
-        let clean = image(7);
+    fn every_single_bit_flip_of_a_weight_or_bias_changes_the_digest() {
+        assert_every_flip_seen(&mut small());
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_layer_norm_code_changes_the_digest() {
+        let clean = small();
         let sealed = weight_digest(&clean);
-        let mut corrupt = clean.clone();
-        let flipped = corrupt.layers[1].w1.data[(3, 5)] ^ 0x10;
-        corrupt.layers[1].w1.data[(3, 5)] = flipped;
-        assert_ne!(weight_digest(&corrupt), sealed);
-        let mut bias_flip = clean;
-        bias_flip.layers[0].bo[2] ^= 1;
-        assert_ne!(weight_digest(&bias_flip), sealed);
+        for second in [false, true] {
+            let ln = if second { &clean.layers[0].ln2 } else { &clean.layers[0].ln1 };
+            let with = |unit: LayerNormUnit| {
+                let mut img = clean.clone();
+                let l = &mut img.layers[0];
+                *if second { &mut l.ln2 } else { &mut l.ln1 } = unit;
+                weight_digest(&img)
+            };
+            assert_eq!(with(rebuild(ln, |_, _| ())), sealed, "a rebuilt unit digests alike");
+            for i in 0..ln.dim() {
+                for bit in 0..8 {
+                    let gamma_flip = with(rebuild(ln, |g, _| g[i] ^= 1 << bit));
+                    assert_ne!(gamma_flip, sealed, "γ {i} bit {bit}");
+                    let beta_flip = with(rebuild(ln, |_, b| b[i] ^= 1 << bit));
+                    assert_ne!(beta_flip, sealed, "β {i} bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_folds_the_heads_and_the_layer_norm_units() {
+        let clean = small();
+        let sealed = weight_digest(&clean);
+        let mut other_ln = clean.clone();
+        other_ln.layers[0].ln1 = LayerNormUnit::identity(16, other_ln.schedule.act_fmt);
+        assert_ne!(weight_digest(&other_ln), sealed, "a replaced ln1 must be seen");
+        let mut resplit = clean;
+        assert_eq!(resplit.config.heads, 2);
+        resplit.config.heads = 4;
+        assert_ne!(weight_digest(&resplit), sealed, "the head count must be seen");
+    }
+
+    #[test]
+    fn the_same_top_bit_in_two_words_of_one_lane_does_not_cancel() {
+        let clean = small();
+        let sealed = weight_digest(&clean);
+        let mut img = clean;
+        // Bytes 64 apart are eight words apart: the same lane.
+        let wq = img.layers[0].wq.data.as_mut_slice();
+        wq[7] ^= i8::MIN;
+        wq[7 + BLOCK] ^= i8::MIN;
+        assert_ne!(weight_digest(&img), sealed);
+    }
+
+    #[test]
+    fn ragged_matrices_and_odd_biases_are_covered_to_the_last_bit() {
+        let mut img = small();
+        let mut seed = 0u8;
+        let l = &mut img.layers[0];
+        for (k, m) in matrices(l).into_iter().enumerate() {
+            // 3×5 … 8×10 element bytes: 15, 24, 35, 48, 63, 80.
+            m.data = Matrix::from_fn(3 + k, 5 + k, |r, c| {
+                seed = seed.wrapping_mul(31).wrapping_add((r * 7 + c) as u8);
+                seed as i8
+            });
+        }
+        for (k, b) in biases(l).into_iter().enumerate() {
+            b.truncate(2 * k + 1);
+        }
+        assert_every_flip_seen(&mut img);
+        // A trailing zero is still a longer vector or matrix.
+        let sealed = weight_digest(&img);
+        let mut longer = img.clone();
+        longer.layers[0].bq.push(0);
+        assert_ne!(weight_digest(&longer), sealed);
+        let mut wider = img;
+        let (rows, cols) = wider.layers[0].wq.data.shape();
+        let padded = Matrix::from_fn(rows, cols + 1, |r, c| {
+            if c < cols {
+                wider.layers[0].wq.data[(r, c)]
+            } else {
+                0
+            }
+        });
+        wider.layers[0].wq.data = padded;
+        assert_ne!(weight_digest(&wider), sealed);
+    }
+
+    #[test]
+    fn two_shapes_holding_equal_bytes_differ() {
+        let clean = small();
+        let mut reshaped = clean.clone();
+        let wq = &mut reshaped.layers[0].wq.data;
+        let (rows, cols) = wq.shape();
+        *wq = Matrix::from_vec(rows / 2, cols * 2, wq.as_slice().to_vec());
+        assert_ne!(weight_digest(&reshaped), weight_digest(&clean));
+    }
+
+    #[test]
+    fn block_path_absorbs_exactly_the_words_of_the_single_word_path() {
+        let bytes: Vec<i8> = (0..300u32).map(|i| (i.wrapping_mul(97) >> 1) as i8).collect();
+        // Every starting lane and every ragged length.
+        for lead in 0..LANES as u64 {
+            for len in [0, 1, 7, 8, 9, 63, 64, 65, 200, 300] {
+                let (mut fast, mut slow) = (LaneDigest::new(), LaneDigest::new());
+                for w in 0..lead {
+                    fast.word(w);
+                    slow.word(w);
+                }
+                fast.bytes(&bytes[..len]);
+                bytes[..len].chunks(8).for_each(|w| slow.word(word_of(w)));
+                let (fast, slow) = ((fast.lanes, fast.words), (slow.lanes, slow.words));
+                assert_eq!(fast, slow, "lead {lead} len {len}");
+            }
+        }
     }
 }

@@ -78,6 +78,31 @@ pub struct NormLanes<'a> {
     pub out_shift: u32,
 }
 
+/// Every parameter of a unit, read-only, whichever accumulator width its
+/// formats chose: what a content digest of the unit folds.
+#[derive(Debug, Clone, Copy)]
+pub struct NormParams<'a> {
+    /// γ per feature.
+    pub gamma: &'a [i8],
+    /// β per feature, aligned to the accumulator fraction.
+    pub beta: NormBeta<'a>,
+    /// Right shift from the accumulator to the output fraction
+    /// (negative: left shift).
+    pub out_shift: i32,
+    /// Output format.
+    pub out_fmt: QFormat,
+}
+
+/// The aligned β of a [`NormParams`] view, in the unit's accumulator
+/// width.
+#[derive(Debug, Clone, Copy)]
+pub enum NormBeta<'a> {
+    /// The `i32` accumulator of a unit with [`LayerNormUnit::lanes`].
+    Narrow(&'a [i32]),
+    /// The `i64` accumulator.
+    Wide(&'a [i64]),
+}
+
 /// β per column, already aligned to the accumulator fraction
 /// (`NORM_FRAC + γ_frac`), in the accumulator width the formats allow.
 #[derive(Debug, Clone)]
@@ -146,6 +171,16 @@ impl LayerNormUnit {
             }
             BetaAcc::Wide(_) => None,
         }
+    }
+
+    /// Every parameter of the unit, for `Narrow` and `Wide` units alike.
+    #[must_use]
+    pub fn params(&self) -> NormParams<'_> {
+        let beta = match &self.beta {
+            BetaAcc::Narrow(beta) => NormBeta::Narrow(beta),
+            BetaAcc::Wide(beta) => NormBeta::Wide(beta),
+        };
+        NormParams { gamma: &self.gamma, beta, out_shift: self.out_shift, out_fmt: self.out_fmt }
     }
 
     /// Normalize one row in place (`row.len()` may be ≤ `dim()` when the

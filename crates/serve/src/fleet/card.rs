@@ -15,6 +15,7 @@ use crate::scheduler::Batch;
 use protea_core::{Accelerator, CoreError};
 use protea_hwsim::SpanKind;
 use protea_model::{EncoderConfig, EncoderWeights, QuantSchedule, QuantizedEncoder};
+use std::sync::Arc;
 
 /// One simulated ProTEA card: the accelerator instance, which capacity
 /// class's weights it currently carries, and its busy accounting.
@@ -30,18 +31,21 @@ pub(super) struct Card {
 }
 
 impl SimModel {
-    /// Deterministic per-class weight image (cached; the simulation
-    /// models weight *movement*, so contents only matter for the
-    /// functional mode's bit-exactness).
-    pub(super) fn weights_for(&mut self, class: CapacityClass) -> &QuantizedEncoder {
-        self.weights.entry(class).or_insert_with(|| {
+    /// Deterministic per-class weight image (cached, and shared by every
+    /// card that loads the class; the simulation models weight
+    /// *movement*, so contents only matter for the functional mode's
+    /// bit-exactness).
+    pub(super) fn weights_for(&mut self, class: CapacityClass) -> Arc<QuantizedEncoder> {
+        let image = self.weights.entry(class).or_insert_with(|| {
             let cfg = EncoderConfig::new(class.d_model, class.heads, class.layers, 8);
             let seed = 0x5eed
                 ^ (class.d_model as u64) << 32
                 ^ (class.heads as u64) << 16
                 ^ class.layers as u64;
-            QuantizedEncoder::from_float(&EncoderWeights::random(cfg, seed), QuantSchedule::paper())
-        })
+            let weights = EncoderWeights::random(cfg, seed);
+            Arc::new(QuantizedEncoder::from_float(&weights, QuantSchedule::paper()))
+        });
+        Arc::clone(image)
     }
 
     /// DMA time to re-image a card with `class`'s weights.
@@ -72,7 +76,7 @@ impl SimModel {
             self.reprograms += 1;
             self.reload_ns(class)
         };
-        let weights = (!warm).then(|| self.weights_for(class).clone());
+        let weights = (!warm).then(|| self.weights_for(class));
         let c = &mut self.cards[card];
         c.accel.program(batch.runtime).map_err(CoreError::from)?;
         if let Some(w) = weights {

@@ -24,6 +24,7 @@ use protea_hwsim::exec_trace::{track, ExecTrace, SpanKind};
 use protea_mem::{KvResidency, KvSpec};
 use protea_model::QuantizedEncoder;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How completions accumulate into the final report: exact responses
 /// (O(completed) memory, byte-identical to the historical path) or the
@@ -49,7 +50,9 @@ pub(super) struct SimModel {
     pub(super) scheduler: BatchScheduler,
     pub(super) cards: Vec<Card>,
     pub(super) metrics: MetricsAccum,
-    pub(super) weights: BTreeMap<CapacityClass, QuantizedEncoder>,
+    /// One weight image per capacity class, shared by every card that
+    /// carries the class.
+    pub(super) weights: BTreeMap<CapacityClass, Arc<QuantizedEncoder>>,
     pub(super) functional: bool,
     pub(super) reload_gbps: f64,
     pub(super) ops_total: u64,

@@ -640,7 +640,7 @@ impl FleetSnapshot {
                 if model.functional {
                     // Functional dispatch on a warm card executes with
                     // the loaded weights — re-image them for real.
-                    let weights = model.weights_for(cl).clone();
+                    let weights = model.weights_for(cl);
                     let card = &mut model.cards[i];
                     card.accel
                         .program(RuntimeConfig {

@@ -619,3 +619,39 @@ fn kv_capacity_exhaustion_sheds_sessions_with_conserved_tokens() {
     assert_eq!(shed.len(), 1, "the session lands in the shed ledger exactly once");
     assert!(matches!(shed[0].reason, FailReason::Shed));
 }
+
+/// After a soak over three capacity classes, every warm card of a class
+/// carries that class's one image, not a copy of it.
+#[test]
+fn warm_cards_of_a_class_share_its_single_image() {
+    use super::events::{self, FleetEvent};
+    use super::sim::SimModel;
+    use crate::source::PoissonSource;
+    use protea_hwsim::EventQueue;
+    use std::sync::Arc;
+
+    let config = FleetConfig {
+        cards: 4,
+        policy: BatchPolicy { max_batch: 8, ..BatchPolicy::default() },
+        ..FleetConfig::default()
+    };
+    let classes = [(96, 4, 2), (64, 4, 1), (96, 4, 1)];
+    let mut source = PoissonSource::new(600, 2_500.0, &classes, (8, 32), 11);
+    let mut m = SimModel::build(&config, false, false, true).unwrap();
+    let mut q: EventQueue<FleetEvent> = EventQueue::new();
+    assert!(events::pull_arrival(&mut q, &mut m, &mut source));
+    while let Some((t, ev)) = q.pop() {
+        events::handle_event(&mut q, &mut m, &mut source, t.get(), ev);
+    }
+    assert!(m.error.is_none());
+    assert!(m.reprograms > config.cards as u64, "the classes must churn the cards");
+    assert_eq!(m.weights.len(), classes.len(), "one image per class");
+    for (class, image) in &m.weights {
+        let warm: Vec<_> = m.cards.iter().filter(|c| c.loaded_class == Some(*class)).collect();
+        for card in &warm {
+            let resident = card.accel.weights().expect("a warm card carries weights");
+            assert!(std::ptr::eq(resident, &**image), "{class:?}: a card holds a copy");
+        }
+        assert_eq!(Arc::strong_count(image), 1 + warm.len(), "{class:?}: a stale image is held");
+    }
+}

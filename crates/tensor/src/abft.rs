@@ -25,7 +25,7 @@
 //! invisible — the prediction is computed *from the same corrupted `W`*
 //! and agrees with the corrupted output perfectly. Persistent weight
 //! corruption must be caught by hashing the weight image itself
-//! (`protea-core`'s FNV weight digest); the test
+//! (`protea-core`'s word-lane weight digest); the test
 //! `corrupt_weights_are_invisible_to_abft` pins this boundary.
 
 use core::fmt;
@@ -199,7 +199,7 @@ mod tests {
         // corrupted, the prediction is computed from the same corrupt
         // image and agrees with the corrupt output — ABFT passes even
         // though the result is wrong. This is exactly why the
-        // accelerator seals weights under an FNV digest.
+        // accelerator seals weights under a word-lane digest.
         let a = a_mat(8, 16);
         let mut w_bad = w_mat(16, 8);
         w_bad[(2, 3)] ^= 0x20;
