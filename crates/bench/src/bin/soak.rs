@@ -18,17 +18,20 @@
 //!      [--baseline <path.json>]
 //! ```
 //!
-//! `--baseline` names an earlier result of the same `--requests` (CI
-//! passes the committed `BENCH_soak.json`) and fails the run when its
-//! simulated requests per wall second fall below a quarter of the
-//! baseline's `requests / wall_s`: the simulator-speed gate. The one regression it exists for
-//! cost 14×; the factor 4 leaves room for a slower runner. The baseline
-//! is read before the run, so it may be the `--out` file itself.
+//! `--baseline` names an earlier result of the same `--requests`,
+//! `--cards`, `--arrival-rate` and `--seed` (CI passes the committed
+//! `BENCH_soak.json`) and fails the run when its simulated requests per
+//! wall second fall below a quarter of the baseline's
+//! `requests / wall_s`: the simulator-speed gate. The one regression it
+//! exists for cost 14×; the factor 4 leaves room for a slower runner.
+//! The baseline is read before the run, so it may be the `--out` file
+//! itself.
 //!
 //! The JSON result is written only when `--out` names a file, so a
 //! quick check run from the repository root leaves the committed
-//! `BENCH_soak.json` (recorded with `--requests 1000000 --baseline
-//! BENCH_soak.json --out BENCH_soak.json`) untouched.
+//! `BENCH_soak.json` untouched. It is recorded with `--requests 1000000
+//! --out BENCH_soak.json` alone: a new baseline's `wall_s` is read in
+//! review, not passed by the gate it replaces.
 //!
 //! Every run is deterministic: the final fleet state hash is printed and
 //! lands in the JSON result, so two soaks of the same parameters must
@@ -81,33 +84,36 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
-/// The number after `"key":` in a flat JSON object.
-fn json_number(json: &str, key: &str) -> Option<f64> {
+/// The value text after `"key":` in a flat JSON object.
+fn json_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let tag = format!("\"{key}\":");
     let rest = &json[json.find(&tag)? + tag.len()..];
     let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    Some(rest[..end].trim())
 }
 
 /// Slowest accepted simulated req/s, as a fraction of the baseline's.
 const BASELINE_FLOOR: f64 = 0.25;
 
 /// Simulated requests per wall second of the result at `path`, which
-/// must have run `requests` requests: set-up is amortized over the run,
-/// so rates of runs of different lengths do not compare.
-fn baseline_rate(path: &str, requests: usize) -> Result<f64, String> {
+/// must have run this run's workload, given as its JSON fields and values
+/// with `requests` first: set-up is amortized over the run, and the
+/// cards, arrival rate and seed set the work per request, so rates of
+/// other workloads do not compare.
+fn baseline_rate(path: &str, workload: &[(&str, String)]) -> Result<f64, String> {
     let json =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline '{path}': {e}"))?;
-    let field = |key| {
-        json_number(&json, key)
-            .filter(|v| *v > 0.0)
-            .ok_or_else(|| format!("baseline '{path}' has no positive \"{key}\""))
-    };
-    let ran = field("requests")?;
-    if ran != requests as f64 {
-        return Err(format!("baseline '{path}' ran {ran} requests, this run {requests}"));
+    for (key, value) in workload {
+        let ran = json_field(&json, key).unwrap_or("nothing");
+        if ran != value {
+            return Err(format!("baseline '{path}' ran {key} {ran}, this run {value}"));
+        }
     }
-    Ok(ran / field("wall_s")?)
+    let number = |key| json_field(&json, key)?.parse::<f64>().ok().filter(|v| *v > 0.0);
+    match (number("requests"), number("wall_s")) {
+        (Some(requests), Some(wall_s)) => Ok(requests / wall_s),
+        _ => Err(format!("baseline '{path}' has no positive \"requests\" and \"wall_s\"")),
+    }
 }
 
 fn run() -> Result<(), String> {
@@ -119,7 +125,13 @@ fn run() -> Result<(), String> {
     let max_rss_mb = flag(&flags, "max-rss-mb", 256u64)?;
     let seed = flag(&flags, "seed", 42u64)?;
     let out = flags.get("out").cloned();
-    let baseline = flags.get("baseline").map(|p| baseline_rate(p, requests)).transpose()?;
+    let workload = [
+        ("requests", requests.to_string()),
+        ("cards", cards.to_string()),
+        ("arrival_rate", rate.to_string()),
+        ("seed", seed.to_string()),
+    ];
+    let baseline = flags.get("baseline").map(|p| baseline_rate(p, &workload)).transpose()?;
 
     // Three capacity classes and bucketed sequence lengths keep the
     // scheduler honest. The default arrival rate sits just below the

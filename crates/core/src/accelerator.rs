@@ -31,7 +31,8 @@ pub struct Accelerator {
     /// allocation; a reload costs the digest, not a copy.
     weights: Option<Arc<QuantizedEncoder>>,
     /// Word-lane digest of the loaded weight image (shape, heads,
-    /// weights, biases and both layer-norm units), sealed at every
+    /// activation, quantization schedule, weights with their formats,
+    /// biases and both layer-norm units), sealed at every
     /// [`try_load_weights`](Self::try_load_weights) and re-checked by
     /// [`verify_weights`](Self::verify_weights) — the detection layer
     /// for silent corruption of resident weights, which ABFT checksums
@@ -173,7 +174,8 @@ impl Accelerator {
     }
 
     /// The word-lane digest sealed over the loaded weight image (shape,
-    /// heads, weights, biases and both layer-norm units), if any.
+    /// heads, activation, quantization schedule, weights with their
+    /// formats, biases and both layer-norm units), if any.
     #[must_use]
     pub fn weight_digest(&self) -> Option<u64> {
         self.weight_digest

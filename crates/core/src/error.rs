@@ -92,8 +92,8 @@ pub enum CoreError {
     /// to discard it, not retry or migrate it.
     SnapshotIntegrity(String),
     /// On-card data failed an integrity check: a weight image whose
-    /// word-lane digest (weights, biases, heads and both layer-norm
-    /// units) no longer matches the sealed value
+    /// word-lane digest (header, weights with their formats, biases and
+    /// both layer-norm units) no longer matches the sealed value
     /// ([`Accelerator::verify_weights`](crate::Accelerator::verify_weights)),
     /// an ABFT checksum mismatch in a GEMM epilogue, or a self-test whose
     /// datapath bytes differ from the golden model's. Distinct from [`CoreError::Fault`] — no

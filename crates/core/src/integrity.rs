@@ -19,7 +19,11 @@
 //! sweeps a modelled per-card corruption counter, not the digest.
 //!
 //! The image is read as a sequence of little-endian 64-bit words, and
-//! word `i` goes to lane `i mod 8`. Each lane step
+//! word `i` goes to lane `i mod 8`. A matrix's element bytes start at
+//! lane 0 and end on a whole block of eight words (zero words close the
+//! open block before them, zero bytes pad their last), so the bulk of
+//! the image is absorbed eight independent steps at a time. Each lane
+//! step
 //! `h ← rotl((h ⊕ w)·P, R)` with `P` odd is a bijection of the lane for
 //! a fixed word and of the word for a fixed lane, so any corruption
 //! inside one word changes its lane's final state with certainty — the
@@ -30,16 +34,17 @@
 //! The word count and the eight lanes are folded through
 //! [`Fnv64`] at the end.
 //!
-//! The digest covers the shape header (`d_model`, the head count and
-//! the layer count) and, per layer, the six weight matrices, the six
-//! bias vectors and both layer-norm units (γ, the aligned β, the output
-//! shift and format). Every variable-length part is preceded by its
-//! length, so a word that ends early is zero-padded without ambiguity
-//! and two shapes holding equal bytes still differ. The digest is
+//! The digest covers the header (`d_model`, the head count, the layer
+//! count, the first-FFN activation and the quantization schedule's
+//! formats, rounding and scaling) and, per layer, the six weight
+//! matrices with their formats, the six bias vectors and both
+//! layer-norm units (γ, the aligned β, the output shift and format).
+//! Every variable-length part is preceded by its length, so padding is
+//! without ambiguity and two shapes holding equal bytes still differ. The digest is
 //! independent of the lazily packed fast-path copy and stable across
 //! processes — two cards loaded from the same image always agree.
 
-use protea_fixed::layernorm::{LayerNormUnit, NormBeta};
+use protea_fixed::QFormat;
 use protea_hwsim::Fnv64;
 use protea_model::quantized::{QuantMatrix, QuantizedEncoder};
 
@@ -58,9 +63,9 @@ fn step(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(P).rotate_left(R)
 }
 
-/// The little-endian word of up to eight bytes, zero-padded.
-fn word_of(bytes: &[i8]) -> u64 {
-    bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b as u8))
+/// A format as one word: `total_bits << 8 | frac_bits`.
+fn fmt_word(f: QFormat) -> u64 {
+    u64::from(f.total_bits()) << 8 | u64::from(f.frac_bits())
 }
 
 /// The running lanes and the count of words absorbed.
@@ -82,30 +87,38 @@ impl LaneDigest {
         self.words += 1;
     }
 
-    /// Absorb `bytes` as words, the last one zero-padded.
+    /// Absorb `bytes` as whole blocks of one word per lane, from lane 0
+    /// on: the open block is closed with zero words first, and the last
+    /// block is zero-padded.
     fn bytes(&mut self, bytes: &[i8]) {
-        // Single words up to lane 0, then whole blocks with the lanes held
-        // in registers, then the tail.
-        let head = ((LANES - self.words as usize % LANES) % LANES * 8).min(bytes.len());
-        let (head, body) = bytes.split_at(head);
-        head.chunks(8).for_each(|w| self.word(word_of(w)));
-        let mut blocks = body.chunks_exact(BLOCK);
-        let mut lanes = self.lanes;
-        for block in &mut blocks {
-            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-                *lane = step(*lane, u64::from_le_bytes(std::array::from_fn(|k| w[k] as u8)));
-            }
+        while !self.words.is_multiple_of(LANES as u64) {
+            self.word(0);
         }
-        self.lanes = lanes;
-        self.words += (body.len() / BLOCK * LANES) as u64;
-        blocks.remainder().chunks(8).for_each(|w| self.word(word_of(w)));
+        let mut blocks = bytes.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            self.block(block);
+        }
+        if !blocks.remainder().is_empty() {
+            let mut last = [0; BLOCK];
+            last.iter_mut().zip(blocks.remainder()).for_each(|(l, &b)| *l = b);
+            self.block(&last);
+        }
     }
 
-    /// Shape, then row-major element bytes.
+    /// Absorb one word per lane.
+    fn block(&mut self, block: &[i8]) {
+        for (lane, w) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(std::array::from_fn(|k| w[k] as u8)));
+        }
+        self.words += LANES as u64;
+    }
+
+    /// Shape and format, then row-major element bytes.
     fn matrix(&mut self, m: &QuantMatrix) {
         let (rows, cols) = m.data.shape();
         self.word(rows as u64);
         self.word(cols as u64);
+        self.word(fmt_word(m.fmt));
         self.bytes(m.data.as_slice());
     }
 
@@ -118,20 +131,6 @@ impl LaneDigest {
         }
     }
 
-    /// γ's length and bytes, β one element per word, the output shift
-    /// and the output format.
-    fn layer_norm(&mut self, ln: &LayerNormUnit) {
-        let p = ln.params();
-        self.word(p.gamma.len() as u64);
-        self.bytes(p.gamma);
-        match p.beta {
-            NormBeta::Narrow(beta) => beta.iter().for_each(|&b| self.word(b as u64)),
-            NormBeta::Wide(beta) => beta.iter().for_each(|&b| self.word(b as u64)),
-        }
-        self.word(p.out_shift as u64);
-        self.word(u64::from(p.out_fmt.total_bits()) << 8 | u64::from(p.out_fmt.frac_bits()));
-    }
-
     fn finish(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.words);
@@ -142,18 +141,23 @@ impl LaneDigest {
     }
 }
 
-/// The word-lane digest of a model image's content: the shape header
-/// (`d_model`, heads, layers), then per layer the six weight matrices
-/// (`Wq Wk Wv Wo W1 W2`), the six bias vectors in declaration order and
-/// the layer-norm units `ln1` and `ln2`. Deterministic and
-/// process-independent.
+/// The word-lane digest of a model image's content: the header
+/// (`d_model`, heads, layers, the first-FFN activation and the
+/// quantization schedule), then per layer the six weight matrices
+/// (`Wq Wk Wv Wo W1 W2`) with their formats, the six bias vectors in
+/// declaration order and the layer-norm units `ln1` and `ln2`.
+/// Deterministic and process-independent.
 #[must_use]
 pub fn weight_digest(weights: &QuantizedEncoder) -> u64 {
     let mut d = LaneDigest::new();
-    let cfg = &weights.config;
-    for n in [cfg.d_model, cfg.heads, cfg.layers] {
+    let (cfg, s) = (&weights.config, &weights.schedule);
+    for n in [cfg.d_model, cfg.heads, cfg.layers, cfg.activation as usize] {
         d.word(n as u64);
     }
+    d.word(fmt_word(s.act_fmt));
+    d.word(fmt_word(s.logit_fmt));
+    d.word(s.rounding as u64);
+    d.word(s.scaling as u64);
     for layer in &weights.layers {
         for m in [&layer.wq, &layer.wk, &layer.wv, &layer.wo, &layer.w1, &layer.w2] {
             d.matrix(m);
@@ -161,8 +165,8 @@ pub fn weight_digest(weights: &QuantizedEncoder) -> u64 {
         for b in [&layer.bq, &layer.bk, &layer.bv, &layer.bo, &layer.b1, &layer.b2] {
             d.bias(b);
         }
-        d.layer_norm(&layer.ln1);
-        d.layer_norm(&layer.ln2);
+        layer.ln1.fold_content(|w| d.word(w));
+        layer.ln2.fold_content(|w| d.word(w));
     }
     d.finish()
 }
@@ -170,9 +174,10 @@ pub fn weight_digest(weights: &QuantizedEncoder) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protea_fixed::QFormat;
+    use protea_fixed::layernorm::LayerNormUnit;
+    use protea_fixed::{Activation, Rounding};
     use protea_model::quantized::{QuantSchedule, QuantizedLayer};
-    use protea_model::{EncoderConfig, EncoderWeights};
+    use protea_model::{AttnScaling, EncoderConfig, EncoderWeights};
     use protea_tensor::Matrix;
 
     fn image_of(cfg: EncoderConfig, seed: u64) -> QuantizedEncoder {
@@ -183,8 +188,9 @@ mod tests {
         image_of(EncoderConfig::new(32, 2, 2, 8), seed)
     }
 
+    /// Two layers, so every test also reaches a layer after the first.
     fn small() -> QuantizedEncoder {
-        image_of(EncoderConfig::new(16, 2, 1, 8), 7)
+        image_of(EncoderConfig::new(16, 2, 2, 8), 7)
     }
 
     fn matrices(l: &mut QuantizedLayer) -> [&mut QuantMatrix; 6] {
@@ -196,48 +202,32 @@ mod tests {
     }
 
     /// The digest changes under every single-bit flip of every matrix byte
-    /// and bias word of `img`'s first layer.
+    /// and bias word of every layer of `img`.
     fn assert_every_flip_seen(img: &mut QuantizedEncoder) {
         let sealed = weight_digest(img);
-        for m in 0..6 {
-            for i in 0..matrices(&mut img.layers[0])[m].data.as_slice().len() {
-                for bit in 0..8 {
-                    matrices(&mut img.layers[0])[m].data.as_mut_slice()[i] ^= 1 << bit;
-                    assert_ne!(weight_digest(img), sealed, "matrix {m} byte {i} bit {bit}");
-                    matrices(&mut img.layers[0])[m].data.as_mut_slice()[i] ^= 1 << bit;
+        for l in 0..img.layers.len() {
+            for m in 0..6 {
+                for i in 0..matrices(&mut img.layers[l])[m].data.as_slice().len() {
+                    for bit in 0..8 {
+                        matrices(&mut img.layers[l])[m].data.as_mut_slice()[i] ^= 1 << bit;
+                        let flipped = weight_digest(img);
+                        assert_ne!(flipped, sealed, "layer {l} matrix {m} byte {i} bit {bit}");
+                        matrices(&mut img.layers[l])[m].data.as_mut_slice()[i] ^= 1 << bit;
+                    }
                 }
             }
-        }
-        for b in 0..6 {
-            for i in 0..biases(&mut img.layers[0])[b].len() {
-                for bit in 0..32 {
-                    biases(&mut img.layers[0])[b][i] ^= 1 << bit;
-                    assert_ne!(weight_digest(img), sealed, "bias {b} word {i} bit {bit}");
-                    biases(&mut img.layers[0])[b][i] ^= 1 << bit;
+            for b in 0..6 {
+                for i in 0..biases(&mut img.layers[l])[b].len() {
+                    for bit in 0..32 {
+                        biases(&mut img.layers[l])[b][i] ^= 1 << bit;
+                        let flipped = weight_digest(img);
+                        assert_ne!(flipped, sealed, "layer {l} bias {b} word {i} bit {bit}");
+                        biases(&mut img.layers[l])[b][i] ^= 1 << bit;
+                    }
                 }
             }
         }
         assert_eq!(weight_digest(img), sealed, "every flip was undone");
-    }
-
-    /// The γ and β format `QuantizedEncoder::from_float` quantizes with.
-    fn gamma_beta_fmt() -> QFormat {
-        QFormat::new(8, 5)
-    }
-
-    /// `ln` rebuilt from its raw γ and β codes after `edit`.
-    fn rebuild(ln: &LayerNormUnit, edit: impl FnOnce(&mut [i8], &mut [i8])) -> LayerNormUnit {
-        let p = ln.params();
-        // β is aligned from its own fraction up to the accumulator's.
-        let beta_shift = p.out_shift + i32::from(p.out_fmt.frac_bits())
-            - i32::from(gamma_beta_fmt().frac_bits());
-        let mut gamma = p.gamma.to_vec();
-        let mut beta: Vec<i8> = match p.beta {
-            NormBeta::Narrow(b) => b.iter().map(|&v| (v >> beta_shift) as i8).collect(),
-            NormBeta::Wide(b) => b.iter().map(|&v| (v >> beta_shift) as i8).collect(),
-        };
-        edit(&mut gamma, &mut beta);
-        LayerNormUnit::new(gamma, beta, gamma_beta_fmt(), gamma_beta_fmt(), p.out_fmt)
     }
 
     #[test]
@@ -249,44 +239,87 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_of_a_weight_or_bias_changes_the_digest() {
-        assert_every_flip_seen(&mut small());
+        let mut img = small();
+        assert_eq!(img.layers.len(), 2);
+        assert_every_flip_seen(&mut img);
     }
 
     #[test]
     fn every_single_bit_flip_of_a_layer_norm_code_changes_the_digest() {
-        let clean = small();
+        let fmt = QFormat::new(8, 5);
+        let codes: Vec<i8> = (0..16u8).map(|i| i.wrapping_mul(37) as i8).collect();
+        // γ and β from fixed codes after `edit`.
+        let unit = |edit: &dyn Fn(&mut [i8], &mut [i8])| {
+            let mut gamma = codes.clone();
+            let mut beta: Vec<i8> = codes.iter().rev().copied().collect();
+            edit(&mut gamma, &mut beta);
+            LayerNormUnit::new(gamma, beta, fmt, fmt, fmt)
+        };
+        let mut clean = small();
+        for l in &mut clean.layers {
+            (l.ln1, l.ln2) = (unit(&|_, _| ()), unit(&|_, _| ()));
+        }
         let sealed = weight_digest(&clean);
-        for second in [false, true] {
-            let ln = if second { &clean.layers[0].ln2 } else { &clean.layers[0].ln1 };
-            let with = |unit: LayerNormUnit| {
-                let mut img = clean.clone();
-                let l = &mut img.layers[0];
-                *if second { &mut l.ln2 } else { &mut l.ln1 } = unit;
-                weight_digest(&img)
-            };
-            assert_eq!(with(rebuild(ln, |_, _| ())), sealed, "a rebuilt unit digests alike");
-            for i in 0..ln.dim() {
-                for bit in 0..8 {
-                    let gamma_flip = with(rebuild(ln, |g, _| g[i] ^= 1 << bit));
-                    assert_ne!(gamma_flip, sealed, "γ {i} bit {bit}");
-                    let beta_flip = with(rebuild(ln, |_, b| b[i] ^= 1 << bit));
-                    assert_ne!(beta_flip, sealed, "β {i} bit {bit}");
+        for l in 0..clean.layers.len() {
+            for second in [false, true] {
+                for i in 0..codes.len() {
+                    for bit in 0..8 {
+                        for in_beta in [false, true] {
+                            let mut img = clean.clone();
+                            let layer = &mut img.layers[l];
+                            *if second { &mut layer.ln2 } else { &mut layer.ln1 } =
+                                unit(&|g, b| {
+                                    if in_beta {
+                                        b[i] ^= 1 << bit
+                                    } else {
+                                        g[i] ^= 1 << bit
+                                    }
+                                });
+                            assert_ne!(
+                                weight_digest(&img),
+                                sealed,
+                                "layer {l} ln{} {} {i} bit {bit}",
+                                1 + usize::from(second),
+                                if in_beta { "β" } else { "γ" }
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn digest_folds_the_heads_and_the_layer_norm_units() {
+    fn digest_folds_the_header_the_formats_and_the_layer_norm_units() {
         let clean = small();
         let sealed = weight_digest(&clean);
-        let mut other_ln = clean.clone();
-        other_ln.layers[0].ln1 = LayerNormUnit::identity(16, other_ln.schedule.act_fmt);
-        assert_ne!(weight_digest(&other_ln), sealed, "a replaced ln1 must be seen");
-        let mut resplit = clean;
-        assert_eq!(resplit.config.heads, 2);
-        resplit.config.heads = 4;
-        assert_ne!(weight_digest(&resplit), sealed, "the head count must be seen");
+        type Edit = fn(&mut QuantizedEncoder);
+        let edits: [(&str, Edit); 8] = [
+            ("a replaced ln1 in the last layer", |w| {
+                w.layers[1].ln1 = LayerNormUnit::identity(16, w.schedule.act_fmt);
+            }),
+            ("the head count", |w| w.config.heads = 4),
+            ("the activation", |w| w.config.activation = Activation::Gelu),
+            ("the activation format", |w| w.schedule.act_fmt = QFormat::new(8, 4)),
+            ("the logit format", |w| w.schedule.logit_fmt = QFormat::new(8, 5)),
+            ("the rounding", |w| w.schedule.rounding = Rounding::Truncate),
+            ("the attention scaling", |w| w.schedule.scaling = AttnScaling::InvSqrtDk),
+            ("a matrix format in the last layer", |w| {
+                let f = w.layers[1].w2.fmt;
+                w.layers[1].w2.fmt = QFormat::new(f.total_bits(), f.frac_bits() ^ 1);
+            }),
+        ];
+        // Each edit changes a value of the paper schedule and its defaults.
+        assert_eq!(clean.config.heads, 2);
+        assert_eq!(clean.config.activation, Activation::Relu);
+        let s = clean.schedule;
+        assert_eq!((s.act_fmt, s.logit_fmt), (QFormat::new(8, 5), QFormat::q8_prob()));
+        assert_eq!((s.rounding, s.scaling), (Rounding::NearestEven, AttnScaling::InvDmodel));
+        for (what, edit) in edits {
+            let mut img = clean.clone();
+            edit(&mut img);
+            assert_ne!(weight_digest(&img), sealed, "{what} must be seen");
+        }
     }
 
     #[test]
@@ -297,7 +330,7 @@ mod tests {
         // Bytes 64 apart are eight words apart: the same lane.
         let wq = img.layers[0].wq.data.as_mut_slice();
         wq[7] ^= i8::MIN;
-        wq[7 + BLOCK] ^= i8::MIN;
+        wq[7 + 8 * LANES] ^= i8::MIN;
         assert_ne!(weight_digest(&img), sealed);
     }
 
@@ -343,24 +376,5 @@ mod tests {
         let (rows, cols) = wq.shape();
         *wq = Matrix::from_vec(rows / 2, cols * 2, wq.as_slice().to_vec());
         assert_ne!(weight_digest(&reshaped), weight_digest(&clean));
-    }
-
-    #[test]
-    fn block_path_absorbs_exactly_the_words_of_the_single_word_path() {
-        let bytes: Vec<i8> = (0..300u32).map(|i| (i.wrapping_mul(97) >> 1) as i8).collect();
-        // Every starting lane and every ragged length.
-        for lead in 0..LANES as u64 {
-            for len in [0, 1, 7, 8, 9, 63, 64, 65, 200, 300] {
-                let (mut fast, mut slow) = (LaneDigest::new(), LaneDigest::new());
-                for w in 0..lead {
-                    fast.word(w);
-                    slow.word(w);
-                }
-                fast.bytes(&bytes[..len]);
-                bytes[..len].chunks(8).for_each(|w| slow.word(word_of(w)));
-                let (fast, slow) = ((fast.lanes, fast.words), (slow.lanes, slow.words));
-                assert_eq!(fast, slow, "lead {lead} len {len}");
-            }
-        }
     }
 }

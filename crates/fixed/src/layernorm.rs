@@ -78,31 +78,6 @@ pub struct NormLanes<'a> {
     pub out_shift: u32,
 }
 
-/// Every parameter of a unit, read-only, whichever accumulator width its
-/// formats chose: what a content digest of the unit folds.
-#[derive(Debug, Clone, Copy)]
-pub struct NormParams<'a> {
-    /// γ per feature.
-    pub gamma: &'a [i8],
-    /// β per feature, aligned to the accumulator fraction.
-    pub beta: NormBeta<'a>,
-    /// Right shift from the accumulator to the output fraction
-    /// (negative: left shift).
-    pub out_shift: i32,
-    /// Output format.
-    pub out_fmt: QFormat,
-}
-
-/// The aligned β of a [`NormParams`] view, in the unit's accumulator
-/// width.
-#[derive(Debug, Clone, Copy)]
-pub enum NormBeta<'a> {
-    /// The `i32` accumulator of a unit with [`LayerNormUnit::lanes`].
-    Narrow(&'a [i32]),
-    /// The `i64` accumulator.
-    Wide(&'a [i64]),
-}
-
 /// β per column, already aligned to the accumulator fraction
 /// (`NORM_FRAC + γ_frac`), in the accumulator width the formats allow.
 #[derive(Debug, Clone)]
@@ -173,14 +148,19 @@ impl LayerNormUnit {
         }
     }
 
-    /// Every parameter of the unit, for `Narrow` and `Wide` units alike.
-    #[must_use]
-    pub fn params(&self) -> NormParams<'_> {
-        let beta = match &self.beta {
-            BetaAcc::Narrow(beta) => NormBeta::Narrow(beta),
-            BetaAcc::Wide(beta) => NormBeta::Wide(beta),
-        };
-        NormParams { gamma: &self.gamma, beta, out_shift: self.out_shift, out_fmt: self.out_fmt }
+    /// Feed every parameter of the unit to `f`, one word at a time, for
+    /// `Narrow` and `Wide` units alike: the dimension, each γ code, each
+    /// aligned β, the output shift and the output format
+    /// (`total_bits << 8 | frac_bits`). What a content digest folds.
+    pub fn fold_content(&self, mut f: impl FnMut(u64)) {
+        f(self.gamma.len() as u64);
+        self.gamma.iter().for_each(|&g| f(g as u64));
+        match &self.beta {
+            BetaAcc::Narrow(beta) => beta.iter().for_each(|&b| f(b as u64)),
+            BetaAcc::Wide(beta) => beta.iter().for_each(|&b| f(b as u64)),
+        }
+        f(self.out_shift as u64);
+        f(u64::from(self.out_fmt.total_bits()) << 8 | u64::from(self.out_fmt.frac_bits()));
     }
 
     /// Normalize one row in place (`row.len()` may be ≤ `dim()` when the
