@@ -1,22 +1,18 @@
 //! The assembled accelerator: functional + timing co-simulation.
 
-use crate::backend::PackedEncoder;
 use crate::engines::ffn::{FfnEngine, FfnStage};
 use crate::engines::ln::LnEngine;
 use crate::engines::qk::QkEngine;
 use crate::engines::qkv::QkvEngine;
 use crate::engines::softmax::SoftmaxEngine;
 use crate::engines::sv::SvEngine;
-use crate::engines::{fused_projection, fused_projection_act, Access};
+use crate::engines::Access;
 use crate::error::CoreError;
 use crate::pipeline::RunPlan;
 use crate::registers::{RegisterError, RuntimeConfig};
 use crate::report::CycleReport;
 use crate::synthesis::{SynthesisConfig, SynthesizedDesign};
-use protea_fixed::activation::ActivationLut;
-use protea_fixed::SoftmaxUnit;
-use protea_model::quantized::fused_attention_head;
-use protea_model::QuantizedEncoder;
+use protea_model::{PackedEncoder, QuantizedEncoder};
 use protea_platform::FpgaDevice;
 use protea_tensor::Matrix;
 use std::sync::{Arc, OnceLock};
@@ -38,8 +34,8 @@ pub struct Accelerator {
     /// for silent corruption of resident weights, which ABFT checksums
     /// structurally cannot see.
     weight_digest: Option<u64>,
-    /// The weight image repacked for the fast kernel, built lazily on
-    /// the first fast-path run after a weight load. Timing-only users
+    /// The weight image packed for the host datapath, built lazily on
+    /// the first functional run after a weight load. Timing-only users
     /// (the fleet's default serving mode reloads cards constantly and
     /// never touches the functional datapath) therefore never pay for
     /// packing.
@@ -356,84 +352,15 @@ impl Accelerator {
         }
     }
 
-    /// The bit-exact functional path: [`forward_fast`](Self::forward_fast)
-    /// over the weight image packed at the first run after a load.
+    /// The bit-exact functional path: [`QuantizedEncoder::forward_packed`]
+    /// over the programmed layers, on the image packed at the first run
+    /// after a load. Callers run `check_image` first.
     pub(crate) fn forward_functional(
         &self,
         x: &Matrix<i8>,
         weights: &QuantizedEncoder,
     ) -> Matrix<i8> {
-        let packed = self.packed.get_or_init(|| PackedEncoder::pack(weights));
-        self.forward_fast(x, weights, packed)
-    }
-
-    /// Fast functional path: every projection and attention GEMM goes
-    /// through the runtime-dispatched packed microkernel
-    /// (`PROTEA_KERNEL` selects the ISA) with its requantization fused
-    /// into the store loop — the separate i32→i8 pass over each
-    /// materialized accumulator matrix is gone. Projections parallelize
-    /// across bands of activation rows *inside* the GEMM; attention
-    /// heads split into one contiguous run per worker thread. The stages
-    /// are `protea_model::quantized`'s host datapath, which the
-    /// decoder's packed decode step runs too: `fused_projection`,
-    /// `fused_projection_act` and [`fused_attention_head`], whose strip
-    /// epilogues are bit-exact against the golden per-element stages;
-    /// every kernel reproduces `matmul_i8_i32`'s accumulators exactly,
-    /// so the output is the golden model's bytes — root
-    /// `tests/equivalence.rs` pins this across every dispatchable ISA.
-    fn forward_fast(
-        &self,
-        x: &Matrix<i8>,
-        weights: &QuantizedEncoder,
-        packed: &PackedEncoder,
-    ) -> Matrix<i8> {
-        let rt = &self.runtime;
-        let s = &weights.schedule;
-        let softmax = SoftmaxUnit::new(s.logit_fmt);
-        let act = ActivationLut::new(weights.config.activation, s.act_fmt);
-        let sl = rt.seq_len;
-        let dk = rt.dk();
-        let cfg = rt.to_model_config();
-
-        let mut h = x.clone();
-        for (layer, pl) in weights.layers.iter().zip(&packed.layers).take(rt.layers) {
-            // --- attention -------------------------------------------------
-            let q = fused_projection(&h, &pl.wq, &layer.bq, layer.wq.fmt, s);
-            let k = fused_projection(&h, &pl.wk, &layer.bk, layer.wk.fmt, s);
-            let v = fused_projection(&h, &pl.wv, &layer.bv, layer.wv.fmt, s);
-            let head_out = |head: usize| fused_attention_head(&q, &k, &v, head, &cfg, s, &softmax);
-            // One contiguous run of heads per worker: all but the last run
-            // are spawned, the last runs on this thread.
-            let mut head_outs: Vec<Option<Matrix<i8>>> = (0..rt.heads).map(|_| None).collect();
-            let per_worker = rt.heads.div_ceil(rayon::current_num_threads());
-            let mut runs = head_outs.chunks_mut(per_worker).enumerate();
-            let last = runs.next_back();
-            let fill = |(run, slots): (usize, &mut [Option<Matrix<i8>>])| {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(head_out(run * per_worker + i));
-                }
-            };
-            rayon::scope(|sc| {
-                for run in runs {
-                    sc.spawn(move |_| fill(run));
-                }
-                if let Some(run) = last {
-                    fill(run);
-                }
-            });
-            let mut sv_concat = Matrix::<i8>::zeros(sl, rt.d_model);
-            for (head, svi) in head_outs.into_iter().enumerate() {
-                sv_concat.write_submatrix(0, head * dk, &svi.expect("every head is computed"));
-            }
-            // --- FFN1 (output projection) + add&norm -----------------------
-            let attn = fused_projection(&sv_concat, &pl.wo, &layer.bo, layer.wo.fmt, s);
-            let x1 = LnEngine::compute(&h, &attn, &layer.ln1, s);
-            // --- FFN2 (+activation, fused) and FFN3 + add&norm -------------
-            let hidden = fused_projection_act(&x1, &pl.w1, &layer.b1, layer.w1.fmt, s, &act);
-            let ffn_out = fused_projection(&hidden, &pl.w2, &layer.b2, layer.w2.fmt, s);
-            h = LnEngine::compute(&x1, &ffn_out, &layer.ln2, s);
-        }
-        h
+        weights.forward_packed(self.packed.get_or_init(|| weights.pack()), x, self.runtime.layers)
     }
 }
 

@@ -85,11 +85,6 @@ impl FfnEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{fused_projection, fused_projection_act};
-    use protea_fixed::activation::ActivationLut;
-    use protea_fixed::{Activation, QFormat};
-    use protea_model::QuantSchedule;
-    use protea_tensor::{Matrix, PackedWeights};
 
     #[test]
     fn access_counts_match_paper() {
@@ -116,23 +111,6 @@ mod tests {
         assert_eq!(FfnEngine::access_trip(FfnStage::Ffn2, &rt768, &syn), 128);
         assert_eq!(FfnEngine::access_trip(FfnStage::Ffn2, &rt512, &syn), 86);
         assert_eq!(FfnEngine::access_trip(FfnStage::Ffn3, &rt768, &syn), 32);
-    }
-
-    #[test]
-    fn activation_applies_after_requant() {
-        // FFN2's narrowing stage: the activation ROM reads the
-        // requantized projection in the same store loop.
-        let s = QuantSchedule::paper();
-        let lut = ActivationLut::new(Activation::Relu, s.act_fmt);
-        let x = Matrix::from_fn(2, 768, |r, c| ((r * 7 + c * 13) % 61) as i8 - 30);
-        let w = Matrix::from_fn(768, 8, |r, c| ((r * 5 + c * 11) % 41) as i8 - 20);
-        let (w, fmt, bias) = (PackedWeights::pack(&w), QFormat::new(8, 6), vec![0i32; 8]);
-        let out = fused_projection_act(&x, &w, &bias, fmt, &s, &lut);
-        assert!(out.as_slice().iter().all(|&v| v >= 0), "ReLU output must be nonneg");
-        let mut pre = fused_projection(&x, &w, &bias, fmt, &s);
-        assert!(pre.as_slice().iter().any(|&v| v < 0), "the ROM must have work to do");
-        lut.apply_slice(pre.as_mut_slice());
-        assert_eq!(out.as_slice(), pre.as_slice());
     }
 
     #[test]

@@ -23,12 +23,13 @@ impl LnEngine {
     }
 
     /// Functional compute: `LN(x ⊕ sub)` on the host datapath's fused
-    /// stage, `protea_model::quantized::fused_add_norm`: the layer-norm
-    /// row kernel, which the decoder's packed decode step runs too, byte
-    /// for byte the golden `add_norm` (pinned by the root `norm_exact`
-    /// and `equivalence` suites on every ISA). The schedule is not read:
-    /// layer norm is scale-free, and the residual operands already share
-    /// the activation format.
+    /// stage, `protea_model::quantized::fused_add_norm`, byte for byte
+    /// the golden `add_norm` (pinned by the root `norm_exact` and
+    /// `equivalence` suites on every ISA). The packed forward calls
+    /// `fused_add_norm` directly; this entry point serves the benchmark's
+    /// per-phase shadow forward. The schedule is not read: layer norm is
+    /// scale-free, and the residual operands already share the activation
+    /// format.
     #[must_use]
     pub fn compute(
         x: &Matrix<i8>,

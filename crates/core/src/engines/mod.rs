@@ -9,16 +9,13 @@
 //! sets the cycle count and not the output bytes.
 //!
 //! The output bytes come from one host datapath, checked byte for byte
-//! against the golden model. It lives in `protea_model::quantized`
-//! beside the golden stages, so the encoder (`Accelerator::forward_fast`)
-//! and the decoder's packed decode step run the same code: the fused
-//! projections, re-exported here ([`projection_epilogue`],
-//! [`fused_projection`], [`fused_projection_act`]), and the fused
-//! attention head (`protea_model::quantized::fused_attention_head`).
-//! The softmax engine ([`softmax::SoftmaxEngine`]) wraps the same
-//! softmax row kernel, and add-&-norm ([`ln::LnEngine`]) runs the fused
-//! stage `protea_model::quantized::fused_add_norm` on the layer-norm row
-//! kernel.
+//! against the golden model: `protea_model::QuantizedEncoder::forward_packed`,
+//! beside the golden stages and the decoder's packed decode step. The
+//! functional entry points left here ([`fused_projection`],
+//! [`fused_projection_act`], [`projection_requantizer`],
+//! [`ln::LnEngine::compute`], [`softmax::SoftmaxEngine::compute_head`])
+//! serve perfbench's per-phase shadow forward until it times the phases
+//! of the forward that runs.
 
 pub mod ffn;
 pub mod ln;
@@ -29,9 +26,7 @@ pub mod sv;
 
 use protea_tensor::Matrix;
 
-pub use protea_model::quantized::{
-    fused_projection, fused_projection_act, projection_epilogue, projection_requantizer,
-};
+pub use protea_model::quantized::{fused_projection, fused_projection_act, projection_requantizer};
 
 /// One engine access: a tile's data movement and compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -25,23 +25,6 @@ impl SvEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protea_model::QuantSchedule;
-    use protea_tensor::{matmul_i8_i32, Matrix};
-
-    #[test]
-    fn uniform_attention_averages_values() {
-        // The engine's narrowing stage: probabilities × values through
-        // the schedule's SV requantizer.
-        let s = QuantSchedule::paper();
-        // 4 positions, uniform probs (32/128 = 0.25 each in Q0.7)
-        let probs = Matrix::from_vec(1, 4, vec![32i8; 4]);
-        let v = Matrix::from_vec(4, 2, vec![32i8, 0, 32, 0, 32, 0, 32, 0]); // 1.0 / 0.0
-        let rq = s.sv_requantizer();
-        let out = matmul_i8_i32(&probs, &v).map(|a| rq.apply(a));
-        // mean of four 1.0 values = 1.0 → raw 32 in Q2.5
-        assert_eq!(out[(0, 0)], 32);
-        assert_eq!(out[(0, 1)], 0);
-    }
 
     #[test]
     fn plan_ii_inflates_beyond_unroll() {

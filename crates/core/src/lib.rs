@@ -14,15 +14,15 @@
 //!   synthesized capacity exactly as the MicroBlaze driver's AXI-lite
 //!   writes would.
 //! * [`engines`] — the seven compute engines (`QKV_CE`, `QK_CE`, softmax,
-//!   `SV_CE`, `FFN1..3_CE`, layer norm): each computes **bit-exactly**
-//!   (tile-by-tile integer accumulation, shared requantization stages
-//!   with `protea-model`) and prices itself in cycles via the
-//!   `protea-hls` scheduling algebra.
-//! * [`Accelerator`] — ties it together: runs an input through all layers,
-//!   overlapping tile loads with compute through `protea-mem`'s
-//!   double-buffer scheduler, and emits a [`CycleReport`] with
-//!   per-engine breakdowns, latency in ms at the synthesized clock, and
-//!   GOPS.
+//!   `SV_CE`, `FFN1..3_CE`, layer norm): each prices itself in cycles via
+//!   the `protea-hls` scheduling algebra. Integer sums do not depend on
+//!   the tile order, so the tiles set the cycles, not the output bytes.
+//! * [`Accelerator`] — ties it together: the weight image's packed forward
+//!   (`protea_model::QuantizedEncoder::forward_packed`) computes the
+//!   output, and the programmed registers are priced, tile loads
+//!   overlapping compute through `protea-mem`'s double-buffer scheduler,
+//!   into a [`CycleReport`] with per-engine breakdowns, latency in ms at
+//!   the synthesized clock, and GOPS.
 //! * [`driver`] — the host-software analogue of the paper's MicroBlaze
 //!   program: extract hyperparameters from a serialized model, emit the
 //!   register/instruction stream, reprogram at runtime.
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod accelerator;
-mod backend;
 pub mod bus;
 pub mod decoder;
 pub mod desched;

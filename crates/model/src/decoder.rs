@@ -719,12 +719,14 @@ impl QuantizedDecoder {
     }
 
     /// [`try_decode_step`](Self::try_decode_step) on the host datapath
-    /// that `Accelerator::forward_fast` runs: the fused projections over
-    /// `packed`'s SIMD-dispatched weights, and the fused attention head
-    /// for every self- and cross-attention head (at one query row the
-    /// head's Q·Kᵀ keeps `d_k` unpadded). Bit-identical output, built
-    /// for the serving fast path where the same decoder steps many
-    /// sessions.
+    /// that the encoder's
+    /// [`forward_packed`](crate::QuantizedEncoder::forward_packed) runs:
+    /// the fused projections over `packed`'s SIMD-dispatched weights,
+    /// and the fused attention head for every self- and cross-attention
+    /// head (at one query row the head's Q·Kᵀ keeps `d_k` unpadded). The
+    /// heads run one after another on this thread: at one row a head is
+    /// too small to spawn. Bit-identical output, built for the serving
+    /// fast path where the same decoder steps many sessions.
     ///
     /// # Errors
     /// Same contract as [`try_decode_step`](Self::try_decode_step).

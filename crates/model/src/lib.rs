@@ -44,5 +44,5 @@ pub use embedding::{Embedding, GeneratorHead};
 pub use float::FloatEncoder;
 pub use opcount::OpCount;
 pub use pruning::{sparsity_of, PruningScheme};
-pub use quantized::{QuantSchedule, QuantizedEncoder};
+pub use quantized::{PackedEncoder, QuantSchedule, QuantizedEncoder};
 pub use weights::{EncoderWeights, LayerWeights};

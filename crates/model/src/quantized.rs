@@ -2,9 +2,9 @@
 //!
 //! This is the bit-exact specification of what the hardware computes:
 //! every multiply-accumulate in i32, every narrowing through the same
-//! [`Requantizer`] stages the engines synthesize. `protea-core`'s tiled
-//! engines must agree with this module **exactly** — integer addition is
-//! order-independent, so any tiling that covers each reduction once
+//! [`Requantizer`] stages the engines synthesize. The host datapath
+//! must agree with this module **exactly** — integer addition is
+//! order-independent, so any GEMM that covers each reduction once
 //! reproduces the same accumulators, and identical requantization then
 //! yields identical bytes. The integration tests assert that equality.
 //!
@@ -21,12 +21,14 @@
 //! * softmax probabilities: `Q0.7` via the LUT softmax.
 //!
 //! Next to each golden stage sits its fused form, the host datapath
-//! that both stacks run (the encoder's `Accelerator::forward_fast` and
-//! the decoder's packed decode step): [`fused_projection`] and
-//! [`fused_projection_act`] narrow [`project`]'s accumulators in the
-//! GEMM's store loop, [`fused_attention_head`] is one head of
-//! [`attention_heads`] on the packed kernels, and [`fused_add_norm`] is
-//! [`add_norm`] on the layer-norm row kernel.
+//! that both stacks run (the encoder's
+//! [`QuantizedEncoder::forward_packed`] and the decoder's packed decode
+//! step): [`fused_projection`] and [`fused_projection_act`] narrow
+//! [`project`]'s accumulators in the GEMM's store loop,
+//! [`fused_attention_head`] is one head of [`attention_heads`] on the
+//! packed kernels, and [`fused_add_norm`] is [`add_norm`] on the
+//! layer-norm row kernel. `protea-core`'s accelerator runs
+//! `forward_packed` for its output bytes; its engines price the cycles.
 
 use crate::config::{AttnScaling, EncoderConfig};
 use crate::weights::{EncoderWeights, LayerWeights};
@@ -496,6 +498,92 @@ pub fn fused_add_norm(x: &Matrix<i8>, sub: &Matrix<i8>, ln: &LayerNormUnit) -> M
     out
 }
 
+/// The encoder image packed for the host datapath: each layer's six
+/// projections (Q, K, V, output, FFN2, FFN3) in [`PackedWeights`]'
+/// column-major strips — the host-side analogue of the DMA engine
+/// reordering the DDR weight image into BRAM-friendly strips. Built by
+/// [`QuantizedEncoder::pack`], run by [`QuantizedEncoder::forward_packed`].
+#[derive(Debug, Clone)]
+pub struct PackedEncoder {
+    layers: Vec<[PackedWeights; 6]>,
+}
+
+impl QuantizedEncoder {
+    /// Pack every layer's projection weights for
+    /// [`forward_packed`](Self::forward_packed).
+    #[must_use]
+    pub fn pack(&self) -> PackedEncoder {
+        let pack = |w: &QuantMatrix| PackedWeights::pack(&w.data);
+        let layers =
+            self.layers.iter().map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2].map(pack));
+        PackedEncoder { layers: layers.collect() }
+    }
+
+    /// The first `layers` layers of the forward pass on the host
+    /// datapath, byte for byte the golden
+    /// [`forward_layer`](Self::forward_layer) chain. The shape comes from
+    /// the image: heads, `d_k` and `d_model` from [`config`](Self::config),
+    /// the rows from `x`, which may hold fewer than `config.seq_len`.
+    /// Every projection is a [`fused_projection`] (FFN2 a
+    /// [`fused_projection_act`]), parallel across bands of activation rows
+    /// inside the GEMM; every head is a [`fused_attention_head`], the heads
+    /// split into one contiguous run per worker thread; each add & norm is
+    /// a [`fused_add_norm`].
+    ///
+    /// # Panics
+    /// If `layers` exceeds the image's layer count, or `x` is not
+    /// `d_model` wide.
+    #[must_use]
+    pub fn forward_packed(
+        &self,
+        packed: &PackedEncoder,
+        x: &Matrix<i8>,
+        layers: usize,
+    ) -> Matrix<i8> {
+        let (cfg, s, dk) = (&self.config, &self.schedule, self.config.d_k());
+        assert_eq!(x.cols(), cfg.d_model, "input must be d_model wide");
+        let mut h = x.clone();
+        for (layer, [wq, wk, wv, wo, w1, w2]) in self.layers[..layers].iter().zip(&packed.layers) {
+            // --- attention -------------------------------------------------
+            let q = fused_projection(&h, wq, &layer.bq, layer.wq.fmt, s);
+            let k = fused_projection(&h, wk, &layer.bk, layer.wk.fmt, s);
+            let v = fused_projection(&h, wv, &layer.bv, layer.wv.fmt, s);
+            let head_out = |head| fused_attention_head(&q, &k, &v, head, cfg, s, &self.softmax);
+            // One contiguous run of heads per worker: all but the last run
+            // are spawned, the last runs on this thread.
+            let mut head_outs: Vec<Option<Matrix<i8>>> = (0..cfg.heads).map(|_| None).collect();
+            let per_worker = cfg.heads.div_ceil(rayon::current_num_threads());
+            let mut runs = head_outs.chunks_mut(per_worker).enumerate();
+            let last = runs.next_back();
+            let fill = |(run, slots): (usize, &mut [Option<Matrix<i8>>])| {
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(head_out(run * per_worker + i));
+                }
+            };
+            rayon::scope(|sc| {
+                for run in runs {
+                    sc.spawn(move |_| fill(run));
+                }
+                if let Some(run) = last {
+                    fill(run);
+                }
+            });
+            let mut sv_concat = Matrix::<i8>::zeros(h.rows(), cfg.d_model);
+            for (head, svi) in head_outs.into_iter().enumerate() {
+                sv_concat.write_submatrix(0, head * dk, &svi.expect("every head is computed"));
+            }
+            // --- FFN1 (output projection) + add & norm ---------------------
+            let attn = fused_projection(&sv_concat, wo, &layer.bo, layer.wo.fmt, s);
+            let x1 = fused_add_norm(&h, &attn, &layer.ln1);
+            // --- FFN2 (+activation, fused) and FFN3 + add & norm -----------
+            let hidden = fused_projection_act(&x1, w1, &layer.b1, layer.w1.fmt, s, &self.act_lut);
+            let ffn_out = fused_projection(&hidden, w2, &layer.b2, layer.w2.fmt, s);
+            h = fused_add_norm(&x1, &ffn_out, &layer.ln2);
+        }
+        h
+    }
+}
+
 fn quantize_layer(l: &LayerWeights, s: &QuantSchedule) -> QuantizedLayer {
     let wq = QuantMatrix::from_float(&l.wq);
     let wk = QuantMatrix::from_float(&l.wk);
@@ -640,6 +728,74 @@ mod tests {
         let y = project(&x, &w, &bias, &s);
         // acc = 32·64 + (−16)·64 = 1024 at frac 11 → 0.5 → Q2.5 raw 16.
         assert_eq!(y[(0, 0)], 16);
+    }
+
+    #[test]
+    fn packed_forward_is_bit_exact() {
+        // The host datapath against the golden layer chain at every
+        // depth, on fewer rows than the image's seq_len: the rows come
+        // from `x`, the head split (d_k = 24) from the image.
+        let cfg = EncoderConfig::new(96, 4, 2, 8);
+        let w = EncoderWeights::random(cfg, 31);
+        let q = QuantizedEncoder::from_float(&w, QuantSchedule::paper());
+        let packed = q.pack();
+        let x = Matrix::from_fn(5, 96, |r, c| ((r * 29 + c * 11) % 120) as i8 - 60);
+        let mut golden = x.clone();
+        for n in 0..=cfg.layers {
+            if n > 0 {
+                golden = q.forward_layer(&golden, &q.layers[n - 1]).out;
+            }
+            let out = q.forward_packed(&packed, &x, n);
+            assert_eq!(out.as_slice(), golden.as_slice(), "packed diverged at depth {n}");
+        }
+    }
+
+    #[test]
+    fn logits_are_scaled_products() {
+        // QK_CE's narrowing stage: Q·Kᵀ scaled and requantized by
+        // `requant_logits` at the paper's 8-head, d_model 768 shape.
+        let cfg = EncoderConfig::new(768, 8, 1, 4);
+        let s = QuantSchedule::paper();
+        let qi = Matrix::from_fn(4, 96, |r, c| ((r + c) % 64) as i8);
+        let out = requant_logits(&matmul_i8_i32(&qi, &transpose(&qi)), &cfg, &s);
+        assert_eq!(out.shape(), (4, 4));
+        // diagonal (self-similarity) should dominate each row
+        for r in 0..4 {
+            let diag = out[(r, r)];
+            assert!(out.row(r).iter().all(|&v| v <= diag));
+        }
+    }
+
+    #[test]
+    fn uniform_attention_averages_values() {
+        // SV_CE's narrowing stage: probabilities × values through the
+        // schedule's SV requantizer.
+        let s = QuantSchedule::paper();
+        // 4 positions, uniform probs (32/128 = 0.25 each in Q0.7)
+        let probs = Matrix::from_vec(1, 4, vec![32i8; 4]);
+        let v = Matrix::from_vec(4, 2, vec![32i8, 0, 32, 0, 32, 0, 32, 0]); // 1.0 / 0.0
+        let rq = s.sv_requantizer();
+        let out = matmul_i8_i32(&probs, &v).map(|a| rq.apply(a));
+        // mean of four 1.0 values = 1.0 → raw 32 in Q2.5
+        assert_eq!(out[(0, 0)], 32);
+        assert_eq!(out[(0, 1)], 0);
+    }
+
+    #[test]
+    fn activation_applies_after_requant() {
+        // FFN2's narrowing stage: the activation ROM reads the
+        // requantized projection in the same store loop.
+        let s = QuantSchedule::paper();
+        let lut = ActivationLut::new(protea_fixed::Activation::Relu, s.act_fmt);
+        let x = Matrix::from_fn(2, 768, |r, c| ((r * 7 + c * 13) % 61) as i8 - 30);
+        let w = Matrix::from_fn(768, 8, |r, c| ((r * 5 + c * 11) % 41) as i8 - 20);
+        let (w, fmt, bias) = (PackedWeights::pack(&w), QFormat::new(8, 6), vec![0i32; 8]);
+        let out = fused_projection_act(&x, &w, &bias, fmt, &s, &lut);
+        assert!(out.as_slice().iter().all(|&v| v >= 0), "ReLU output must be nonneg");
+        let mut pre = fused_projection(&x, &w, &bias, fmt, &s);
+        assert!(pre.as_slice().iter().any(|&v| v < 0), "the ROM must have work to do");
+        lut.apply_slice(pre.as_mut_slice());
+        assert_eq!(out.as_slice(), pre.as_slice());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! so on AMX hosts these boundary sets pin that code; elsewhere they pin
 //! the strip epilogue the other kernels use.
 
-use protea::core::engines::{fused_projection_act, projection_epilogue, projection_requantizer};
 use protea::fixed::activation::{Activation, ActivationLut};
 use protea::fixed::{QFormat, Requantizer, Rounding};
-use protea::model::quantized::{project, LogitRequant, QuantMatrix};
+use protea::model::quantized::{
+    fused_projection_act, project, projection_epilogue, projection_requantizer, LogitRequant,
+    QuantMatrix,
+};
 use protea::model::{AttnScaling, EncoderConfig, QuantSchedule};
 use protea::tensor::{
     matmul_i8_packed_requant, matmul_i8_packed_requant_parallel, Matrix, PackedWeights,
